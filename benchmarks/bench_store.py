@@ -6,6 +6,7 @@ degraded-restart scenario with one replica node dead at k=2.  Reported
 to the repo-root ``BENCH_store.json``:
 
 * stored vs logical bytes and the cross-rank dedup ratio (gate: >= 3x);
+* the largest share of the unique bytes leased to one writer (gate: <= 0.1);
 * checkpoint/restart seconds against the monolithic baseline;
 * restart time from a degraded replica set (gate: <= 1.5x healthy);
 * the content-keyed estimate-cache hit rate on the first checkpoint.
@@ -130,6 +131,8 @@ def _run(seed: int = 0):
             "replicas": summary["replicas"],
             "replications": summary["replications"],
             "lineage_skipped": summary["lineage_skipped"],
+            "lease_writers": summary["lease_writers"],
+            "lease_max_share": round(summary["lease_max_share"], 6),
             "estimate_cache": {
                 "hits": cache.hits,
                 "misses": cache.misses,
@@ -166,6 +169,10 @@ def test_store_bench(benchmark):
     assert store["stored_mb"] < mono["stored_mb"] / 3.0, (store, mono)
     # barrier-5 write proportional to unique bytes: faster than monolithic
     assert store["checkpoint_s"] < mono["checkpoint_s"], (store, mono)
+    # ... and shared across the ranks that hold them: no writer carries
+    # more than a tenth of the generation (first-come leasing put 40 of
+    # 46 chunks on one rank)
+    assert store["lease_max_share"] <= 0.1, store
     # estimate work is skipped for already-stored chunks
     assert store["estimate_cache"]["hits"] > 0, store
     # degraded replica set restores instead of orphaning the lineage

@@ -24,7 +24,10 @@ from repro.kernel.streams import FrameAssembler
 from repro.kernel.syscalls import Sys, recv_frame, send_frame
 
 
-def _send_safe(sys: Sys, state: "CoordinatorState", fd: int, message: dict):
+def _send_safe(
+    sys: Sys, state: "CoordinatorState", fd: int, message: dict,
+    frame_bytes: int = P.CTL_FRAME_BYTES,
+):
     """Send a control frame, dropping the connection if the peer died.
 
     A member or restarter can exit between our decision to send and the
@@ -32,7 +35,7 @@ def _send_safe(sys: Sys, state: "CoordinatorState", fd: int, message: dict):
     coordinator must never die over it.
     """
     try:
-        yield from send_frame(sys, fd, message, P.CTL_FRAME_BYTES)
+        yield from send_frame(sys, fd, message, frame_bytes)
     except SyscallError:
         _drop_connection(state, fd)
 
@@ -154,6 +157,12 @@ class CoordinatorState:
     #: by coordinator respawns -- the store's metadata plane survives a
     #: coordinator crash the way a real external metadata service would.
     store: Optional[Any] = None
+    #: manifests of the in-flight generation parked until every quorum
+    #: writer has reported: (host, vpid) -> (private writer fd, refs).
+    #: ``store_leased_ckpt`` is the generation already assigned, whose
+    #: late manifests (a writer retrying a lost reply) are answered at once.
+    store_parked: dict = field(default_factory=dict)
+    store_leased_ckpt: int = 0
     #: ckpt_ids whose lineage skip was already logged (supervisor-side
     #: dedup so a polling loop cannot inflate the counters).
     lineage_skips_logged: set = field(default_factory=set)
@@ -333,6 +342,11 @@ def _abort_checkpoint(sys: Sys, state: CoordinatorState, reason: str):
     state.images_by_host = {}
     state.done_fds = set()
     state.phase = "idle"
+    # writers parked on their lease connection are not reading the member
+    # channel: flush them there so they roll back now
+    parked, state.store_parked = state.store_parked, {}
+    for owner in sorted(parked):
+        yield from _bounce_stale_arrival(sys, state, parked[owner][0])
     yield from _broadcast_members(sys, state, P.msg(P.MSG_CKPT_ABORT, reason=reason))
     for cmd_fd in state.pending_command_fds:
         yield from _send_safe(sys, state, cmd_fd, P.msg("aborted", reason=reason))
@@ -486,24 +500,9 @@ def _dispatch_message(sys: Sys, state: CoordinatorState, cfd: int, message: dict
                 P.msg(P.MSG_ADVERTISE_BCAST, key=key, host=message["host"], port=message["port"]),
             )
     elif kind == P.MSG_STORE_MANIFEST:
-        # chunk-store metadata plane: lease the not-yet-stored chunks
-        # of this writer's manifest back to it (everything else is a
-        # dedup hit).  Rides a private writer connection at barrier 5.
-        need = state.store.lease(
-            message["refs"],
-            (message["host"], message["vpid"]),
-            message["ckpt_id"],
-        )
-        try:
-            yield from send_frame(
-                sys,
-                cfd,
-                P.msg(P.MSG_STORE_LEASE, need=need),
-                64 + 8 * max(len(need), 1),
-            )
-        except SyscallError:
-            _drop_connection(state, cfd)
-            return False
+        # chunk-store metadata plane: rides a private writer connection
+        # at barrier 5 and is answered once the generation is whole
+        yield from _store_manifest(sys, state, cfd, message)
     elif kind == P.MSG_STORE_COMMIT:
         state.store.commit(message["digests"], message["host"])
         try:
@@ -519,6 +518,70 @@ def _dispatch_message(sys: Sys, state: CoordinatorState, cfd: int, message: dict
     return True
 
 
+def _store_manifest(sys: Sys, state: CoordinatorState, cfd: int, message: dict):
+    """Park one writer's manifest until its generation can be leased.
+
+    A manifest of a checkpoint that no longer exists (aborted, or rolled
+    back by coordinator failover) is answered with the abort instead, so
+    the writer rolls back now rather than pushing chunks nobody commits.
+    """
+    if state.phase != "checkpoint" or message["ckpt_id"] != state.ckpt_id:
+        yield from _bounce_stale_arrival(sys, state, cfd)
+        return
+    owner = (message["host"], message["vpid"])
+    state.store_parked[owner] = (cfd, message["refs"])
+    yield from _maybe_lease_generation(sys, state)
+
+
+def _maybe_lease_generation(sys: Sys, state: CoordinatorState):
+    """Lease the generation once all ``state.quorum`` writers reported.
+
+    The store assigns each not-yet-stored chunk to one of the writers
+    holding it (``ChunkStore.lease_generation``) and every parked writer
+    gets its ``need`` list.  Re-evaluated wherever the quorum shrinks,
+    so a writer that dies before reporting cannot park the rest.
+    """
+    parked = state.store_parked
+    if not parked or (
+        len(parked) < state.quorum and state.store_leased_ckpt != state.ckpt_id
+    ):
+        return
+    state.store_leased_ckpt = state.ckpt_id
+    state.store_parked = {}
+    tracer = state.tracer
+    if tracer is not None:
+        tracer.begin("coordinator/store", "store.lease", cat="store", writers=len(parked))
+    needs = state.store.lease_generation(
+        {owner: refs for owner, (_fd, refs) in parked.items()}, state.ckpt_id
+    )
+    for owner in sorted(needs):
+        need = needs[owner]
+        yield from _send_safe(
+            sys,
+            state,
+            parked[owner][0],
+            P.msg(P.MSG_STORE_LEASE, need=need),
+            64 + 8 * max(len(need), 1),
+        )
+    if tracer is not None:
+        tracer.end("coordinator/store", "store.lease", cat="store")
+
+
+def _writer_gone(sys: Sys, state: CoordinatorState, owner: tuple):
+    """A member of the in-flight checkpoint died: withdraw its parked
+    manifest and orphan its leases.  Survivors' manifests reference the
+    orphaned chunks, so a supervised checkpoint aborts and retries
+    rather than complete unrestorable; otherwise the shrunken quorum may
+    now be whole."""
+    if state.store is None:
+        return
+    state.store_parked.pop(owner, None)
+    if state.store.release(owner) and state.supervise:
+        yield from _abort_checkpoint(sys, state, "store lease holder lost")
+    else:
+        yield from _maybe_lease_generation(sys, state)
+
+
 def _drop_connection(state: CoordinatorState, cfd: int) -> None:
     if cfd in state.gateway_fds:
         state.gateway_fds.discard(cfd)
@@ -530,6 +593,9 @@ def _drop_connection(state: CoordinatorState, cfd: int) -> None:
     state.restarter_fds.discard(cfd)
     for arrivals in state.barrier_arrivals.values():
         arrivals.discard(cfd)
+    # a parked writer's private connection: its manifest leaves with it
+    for owner in [o for o, (fd, _refs) in state.store_parked.items() if fd == cfd]:
+        del state.store_parked[owner]
 
 
 def _handle_disconnect(sys: Sys, state: CoordinatorState, cfd: int):
@@ -557,11 +623,12 @@ def _handle_disconnect(sys: Sys, state: CoordinatorState, cfd: int):
         elif state.phase == "restart":
             yield from _abort_restart(sys, state, "gateway connection lost")
         return
-    was_member = cfd in state.members
+    info = state.members.get(cfd)
+    was_member = info is not None
     was_restart_member = (
         was_member
-        and state.members[cfd].get("restart")
-        and state.members[cfd].get("gen") == state.restart_gen
+        and info.get("restart")
+        and info.get("gen") == state.restart_gen
     )
     _drop_connection(state, cfd)
     if (
@@ -581,6 +648,7 @@ def _handle_disconnect(sys: Sys, state: CoordinatorState, cfd: int):
         and cfd not in state.done_fds  # kill-mode retirement is expected
     ):
         state.quorum -= 1
+        yield from _writer_gone(sys, state, (info["host"], info["vpid"]))
         for name in list(state.barrier_arrivals):
             yield from _maybe_release(sys, state, name)
         if state.quorum == 0 or len(state.records) >= state.quorum:
@@ -625,6 +693,7 @@ def _member_gone(sys: Sys, state: CoordinatorState, message: dict):
         and key not in state.done_fds  # kill-mode retirement is expected
     ):
         state.quorum -= 1
+        yield from _writer_gone(sys, state, key[1:])
         for name in list(state.barrier_arrivals):
             yield from _maybe_release(sys, state, name)
         if state.quorum == 0 or len(state.records) >= state.quorum:

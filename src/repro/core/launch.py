@@ -578,6 +578,7 @@ class DmtcpComputation:
         state.gateway_fds = set()
         state.pending_command_fds = []
         state.done_fds = set()
+        state.store_parked = {}
         state.records = []
         state.images_by_host = {}
         state.phase = "idle"

@@ -19,7 +19,7 @@ from repro.core.imagefile import (
     ThreadImage,
     conn_key,
 )
-from repro.errors import SyscallError
+from repro.errors import CheckpointAborted, SyscallError
 from repro.kernel.filesystem import OpenFile
 from repro.kernel.sockets import ListenerSocket, SocketEndpoint
 from repro.kernel.streams import FrameAssembler
@@ -447,14 +447,16 @@ def write_image(sys: Sys, runtime: "DmtcpRuntime", image: CheckpointImage, path:
 def _store_rpc(sys: Sys, runtime: "DmtcpRuntime", image: CheckpointImage, request: dict, frame_bytes: int, expect: str, purpose: str):
     """One writer -> coordinator store round-trip with deadline + retry.
 
-    Both store verbs are idempotent on the coordinator (``lease``
-    recomputes what is missing; ``commit`` re-marks digests), so a
-    round-trip that times out -- coordinator busy, dying, or freshly
-    respawned -- is simply retried on a fresh connection, paced by the
-    shared :class:`repro.resilience.RetryPolicy`.  Every expiry bumps the
+    Both store verbs are idempotent on the coordinator (``lease`` hands
+    a generation's lease holder the same rows again; ``commit`` re-marks
+    digests), so a round-trip that times out or loses its connection --
+    coordinator busy, dying, or freshly respawned -- is simply retried on
+    a fresh connection, paced by the shared
+    :class:`repro.resilience.RetryPolicy`.  Every expiry bumps the
     ``resilience.deadline_expired`` counter; only terminal exhaustion
     lands in the FailureLog and re-raises (the checkpoint's normal
-    abort/rollback machinery then owns recovery).
+    abort/rollback machinery then owns recovery).  A coordinator abort
+    received in place of the reply raises :class:`CheckpointAborted`.
 
     Returns the reply dict.  Each attempt opens its own connection; a
     ``goodbye`` closes it even on the happy path so the coordinator's
@@ -480,7 +482,15 @@ def _store_rpc(sys: Sys, runtime: "DmtcpRuntime", image: CheckpointImage, reques
             yield from send_frame(sys, fd, request, frame_bytes)
             assembler = FrameAssembler()
             result = yield from recv_frame(sys, fd, assembler, timeout=timeout)
-            reply = result[0] if result else None
+            if result is None:
+                raise SyscallError("ECONNRESET", f"{purpose} connection lost")
+            reply = result[0]
+            if isinstance(reply, dict) and reply.get("kind") == P.MSG_CKPT_ABORT:
+                exc = CheckpointAborted(
+                    reply.get("reason", "coordinator aborted the checkpoint")
+                )
+                exc.from_coordinator = True
+                raise exc
             if not isinstance(reply, dict) or reply.get("kind") != expect:
                 raise SyscallError("EPROTO", f"unexpected {purpose} reply {reply!r}")
             try:
@@ -489,13 +499,13 @@ def _store_rpc(sys: Sys, runtime: "DmtcpRuntime", image: CheckpointImage, reques
             except SyscallError:
                 pass
             return reply
-        except SyscallError as err:
+        except (SyscallError, CheckpointAborted) as err:
             try:
                 yield from sys.close(fd)
             except SyscallError:
                 pass
-            if err.errno == "EPROTO":
-                raise  # protocol bug, not a liveness problem: no retry
+            if isinstance(err, CheckpointAborted) or err.errno == "EPROTO":
+                raise  # a verdict or a protocol bug, not a liveness problem
             last_err = err
             if err.errno == "ETIMEDOUT":
                 world.tracer.count("resilience.deadline_expired")
@@ -532,21 +542,27 @@ def _write_image_store(sys: Sys, runtime: "DmtcpRuntime", image: CheckpointImage
         for digest, nbytes, profile in refs:
             est = _chunk_estimate(world, digest, nbytes, profile, image.compressed)
             wire.append([digest, nbytes, profile, est.output_bytes])
-        reply = yield from _store_rpc(
-            sys,
-            runtime,
-            image,
-            P.msg(
-                P.MSG_STORE_MANIFEST,
-                ckpt_id=image.ckpt_id,
-                host=image.hostname,
-                vpid=image.vpid,
-                refs=wire,
-            ),
-            64 + P.STORE_REF_BYTES * max(len(wire), 1),
-            P.MSG_STORE_LEASE,
-            "store-lease",
-        )
+        # the lease arrives once every writer of this generation has
+        # reported: this span is the wait, not work
+        tracer.begin(track, "store.lease_wait", cat="store")
+        try:
+            reply = yield from _store_rpc(
+                sys,
+                runtime,
+                image,
+                P.msg(
+                    P.MSG_STORE_MANIFEST,
+                    ckpt_id=image.ckpt_id,
+                    host=image.hostname,
+                    vpid=image.vpid,
+                    refs=wire,
+                ),
+                64 + P.STORE_REF_BYTES * max(len(wire), 1),
+                P.MSG_STORE_LEASE,
+                "store-lease",
+            )
+        finally:
+            tracer.end(track, "store.lease_wait", cat="store")
         need = reply["need"]
         # Compress only the leased chunks -- independent streams, LPT over
         # the image's gzip workers.
@@ -627,7 +643,7 @@ def _write_image_store(sys: Sys, runtime: "DmtcpRuntime", image: CheckpointImage
             P.MSG_STORE_OK,
             "store-commit",
         )
-    except SyscallError:
+    except (SyscallError, CheckpointAborted):
         tracer.end(track, "mtcp.write", cat="mtcp")
         raise
     tracer.end(track, "mtcp.write", cat="mtcp")

@@ -46,17 +46,20 @@ def _pingpong_apps(world) -> None:
     world.register_program("trace_client", client_main)
 
 
-def ckpt_restart(seed: int = 0) -> Tracer:
+def ckpt_restart(seed: int = 0, store: bool = False) -> Tracer:
     """2-node checkpoint -> kill -> restart of a communicating pair.
 
     Covers all 5 checkpoint stages (suspend/elect/drain/write/refill),
     all 4 restart stages (restore_files/reconnect/restore_memory/refill),
-    every coordinator barrier, and the MTCP write path.
+    every coordinator barrier, and the MTCP write path -- with ``store``
+    the chunk-store one, whose ``store.lease_wait`` span on each
+    ``<host>/mtcp[<vpid>]`` track separates waiting for the generation's
+    lease from compressing and pushing the leased chunks.
     """
     world = build_cluster(n_nodes=2, seed=seed)
     world.tracer.enable()
     _pingpong_apps(world)
-    comp = DmtcpComputation(world)
+    comp = DmtcpComputation(world, store=store)
     comp.launch("node00", "trace_server")
     comp.launch("node01", "trace_client")
     world.engine.run(until=0.5)
@@ -98,6 +101,7 @@ def migrate(seed: int = 0) -> Tracer:
 
 SCENARIOS: dict[str, Callable[[int], Tracer]] = {
     "ckpt-restart": ckpt_restart,
+    "store": lambda seed: ckpt_restart(seed, store=True),
     "checkpoint": checkpoint_only,
     "migrate": migrate,
 }

@@ -13,9 +13,11 @@ nimbus.io:
   spread uniformly across the cluster -- losing one node degrades ~1/n of
   the chunks instead of one writer's whole image.
 * **Write path**: at barrier 5 each writer sends its manifest to the
-  coordinator, which leases the chunks nobody has stored yet.  Only
-  leased chunks are compressed and pushed (to their rendezvous-primary
-  host), so checkpoint cost is proportional to *unique* bytes.
+  coordinator, which -- once the whole generation has reported -- leases
+  each chunk nobody has stored yet to one of the writers holding it,
+  balanced by bytes.  Only leased chunks are compressed and pushed (to
+  their rendezvous-primary host), so checkpoint cost is proportional to
+  this writer's share of the *unique* bytes.
 * **Anti-entropy repair**: a background loop re-replicates chunks whose
   live replica count dropped below k (node crashes are detected lazily --
   replicas on a down node don't count as live, but the bytes survive the
@@ -135,7 +137,15 @@ class ChunkStore:
             "degraded_reads": 0,
             "cache_hit_fetches": 0,
             "lineage_skipped": 0,
+            "lease_writers": 0,
+            "lease_max_share": 0.0,
         }
+        #: The generation being leased: writer -> granted rows (what a
+        #: retried manifest gets back) and writer -> leased logical bytes
+        #: (the balance the next chunk is assigned against).
+        self._lease_ckpt: Optional[int] = None
+        self._granted: dict[tuple, list] = {}
+        self._leased_bytes: dict[tuple, int] = {}
         self._repair_on = False
         self._repair_event = None
         #: Per-chunk repair pacing: capped exponential backoff between
@@ -220,32 +230,98 @@ class ChunkStore:
     # Metadata plane (called by the coordinator)
     # ------------------------------------------------------------------
     def lease(self, refs: Iterable, owner: tuple, ckpt_id: int) -> list:
-        """Grant write leases for the chunks of one manifest.
+        """Grant write leases for one manifest: the single-writer case of
+        :meth:`lease_generation`."""
+        return self.lease_generation({owner: refs}, ckpt_id)[owner]
 
-        ``refs`` rows are ``[digest, nbytes, profile, stored_estimate]``.
-        Returns ``[[index, target_host], ...]`` for the rows this writer
-        must actually compress and push; everything else deduped.
+    def lease_generation(self, manifests: dict, ckpt_id: int) -> dict:
+        """Grant the write leases of one checkpoint generation.
+
+        ``manifests`` maps each writer ``(host, vpid)`` to its refs rows
+        ``[digest, nbytes, profile, stored_estimate]``.  Every chunk that
+        is neither durable nor already leased in this generation goes to
+        exactly one of the writers that hold it: longest chunk first to
+        the least-loaded holder, a holder on the chunk's live rendezvous
+        primary winning ties (its push is a local segment write), then
+        ``(host, vpid)`` order -- a pure function of the manifest *set*.
+        Returns ``{owner: [[index, target_host], ...]}``, the rows each
+        writer must compress and push; everything else deduped.
+
+        Idempotent per ``(owner, ckpt_id)``: a writer that already holds
+        this generation's lease (its reply was lost and it retried) gets
+        the same rows back and moves no counter.
         """
-        need = []
-        for index, (digest, nbytes, profile, stored_est) in enumerate(refs):
-            self.stats["logical_bytes"] += nbytes
-            meta = self.chunks.get(digest)
-            if meta is not None and (meta.durable or meta.lease_ckpt == ckpt_id):
-                # Already stored, or another rank of this same checkpoint
-                # generation holds the lease: pure dedup hit.
-                self.stats["dedup_hits"] += 1
-                self.stats["dedup_bytes"] += nbytes
+        if ckpt_id != self._lease_ckpt:
+            self._lease_ckpt = ckpt_id
+            self._granted = {}
+            self._leased_bytes = {}
+        granted = self._granted
+        chunks = self.chunks
+        out: dict = {}
+        logical = hits = hit_bytes = 0
+        #: unleased digest -> (nbytes, profile, stored_est, {holder: index})
+        unleased: dict[str, tuple] = {}
+        for owner in sorted(manifests):
+            if owner in granted:
+                out[owner] = granted[owner]
                 continue
+            for index, (digest, nbytes, profile, stored_est) in enumerate(manifests[owner]):
+                logical += nbytes
+                meta = chunks.get(digest)
+                if meta is not None and (meta.durable or meta.lease_ckpt == ckpt_id):
+                    # Already stored, or leased earlier in this same
+                    # generation: pure dedup hit.
+                    hits += 1
+                    hit_bytes += nbytes
+                    continue
+                holders = unleased.get(digest)
+                if holders is None:
+                    unleased[digest] = (nbytes, profile, stored_est, {owner: index})
+                else:
+                    # one holder will store it; every other sighting dedups
+                    holders[3].setdefault(owner, index)
+                    hits += 1
+                    hit_bytes += nbytes
+        stats = self.stats
+        stats["logical_bytes"] += logical
+        stats["dedup_hits"] += hits
+        stats["dedup_bytes"] += hit_bytes
+        load = self._leased_bytes
+        need: dict = {}
+        for digest in sorted(unleased, key=lambda d: (-unleased[d][0], d)):
+            nbytes, profile, stored_est, holders = unleased[digest]
+            meta = chunks.get(digest)
             if meta is None:
-                meta = ChunkMeta(nbytes, profile, self.placement(digest))
-                self.chunks[digest] = meta
+                meta = chunks[digest] = ChunkMeta(nbytes, profile, self.placement(digest))
+            primary = next((h for h in meta.placed if self._up(h)), None)
+            owner = min(holders, key=lambda o: (load.get(o, 0), o[0] != primary, o))
             meta.stored_bytes = float(stored_est)
             meta.lease_owner = owner
             meta.lease_ckpt = ckpt_id
-            target = next((h for h in meta.placed if self._up(h)), owner[0])
-            meta.pending_target = target
-            need.append([index, target])
-        return need
+            meta.pending_target = primary or owner[0]
+            load[owner] = load.get(owner, 0) + nbytes
+            need.setdefault(owner, []).append([holders[owner], meta.pending_target])
+        for owner in manifests:
+            if owner not in out:
+                out[owner] = granted[owner] = sorted(need.get(owner, ()))
+        if unleased:
+            share = max(load.values()) / sum(load.values())
+            stats["lease_writers"] = max(stats["lease_writers"], len(load))
+            stats["lease_max_share"] = max(stats["lease_max_share"], share)
+            self.world.tracer.count_max("store.lease_max_share", share)
+        return out
+
+    def release(self, owner: tuple) -> int:
+        """Drop the uncommitted leases of a writer that died; returns how
+        many chunks were orphaned (each is re-leased by the next
+        generation that references it)."""
+        self._granted.pop(owner, None)
+        released = 0
+        for meta in self.chunks.values():
+            if meta.lease_owner == owner:
+                meta.lease_owner = meta.lease_ckpt = meta.pending_target = None
+                released += 1
+        return released
 
     def commit(self, digests: Iterable[str], writer_host: str) -> int:
         """Mark leased chunks durable after the writer pushed their bytes."""
@@ -506,4 +582,6 @@ class ChunkStore:
             "degraded_reads": s["degraded_reads"],
             "cache_hit_fetches": s["cache_hit_fetches"],
             "lineage_skipped": s["lineage_skipped"],
+            "lease_writers": s["lease_writers"],
+            "lease_max_share": s["lease_max_share"],
         }

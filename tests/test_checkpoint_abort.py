@@ -19,8 +19,11 @@ from repro.core.launch import DmtcpComputation
 from repro.core.protocol import CHECKPOINT_BARRIERS
 from repro.faults import FaultEvent, FaultInjector, FaultPlan
 from repro.faults.scenarios import _chaos_apps
+from repro.faults.supervisor import _image_file
+from repro.kernel.process import ProgramSpec, RegionSpec
 from repro.kernel.streams import CTRL_DRAIN_TOKEN
 from repro.kernel.world import HIJACK_ENV
+from repro.obs.tracer import PH_BEGIN
 
 #: Shrunk supervision timeouts so every abort resolves in a few
 #: simulated seconds instead of the production-scale defaults.
@@ -152,4 +155,146 @@ def test_peer_dies_before_suspend_checkpoint_still_resolves():
     assert handle["outcome"] is not None
     assert _leaked_drain_tokens(world) == []
     assert _tmp_images(world) == []
+    assert not world.scheduler.failures
+
+
+# ----------------------------------------------------------------------
+# Store mode: writers park on their lease connection until the whole
+# generation has reported, so a death or an abort must un-park them.
+# ----------------------------------------------------------------------
+
+MB = 1 << 20
+
+
+def _store_build(store: bool, supervise: bool, tree: bool, spec=FAST_SPEC):
+    """Three same-content heap workers, one per node; node02's is the victim."""
+    world = build_cluster(n_nodes=3, seed=23, spec=spec)
+
+    def worker(sys, argv):
+        while True:
+            yield from sys.cpu(0.1)
+            yield from sys.sleep(0.1)
+
+    world.register_program(
+        "heapworker",
+        worker,
+        ProgramSpec("heapworker", regions=(RegionSpec("heap", 4 * MB, "numeric"),)),
+    )
+    comp = DmtcpComputation(
+        world, store=store, supervise=supervise, tree_fanout=2 if tree else None
+    )
+    procs = [comp.launch(host, "heapworker") for host in world.machine.hostnames]
+    world.engine.run(until=1.0)
+    return world, comp, procs[2]
+
+
+def _crash_when(world, victim, span: str, track_prefix: str, fin: bool) -> list:
+    """Crash ``victim`` the first time ``span`` opens on a matching track;
+    with ``fin`` its host kernel resets the connections (peers see EOF)."""
+    fired: list = []
+
+    def hook(ph, track, name, now):
+        if ph == PH_BEGIN and name == span and track.startswith(track_prefix) and not fired:
+            fired.append(now)
+            world.crash_process(victim, reset_peers=fin)
+
+    world.tracer.add_span_hook(hook)
+    return fired
+
+
+def _checkpoint_result(world, comp):
+    handle = comp.request_checkpoint()
+    world.engine.run(until=world.engine.now + 15.0)
+    outcome = handle["outcome"]
+    return outcome if isinstance(outcome, str) else len(outcome.records)
+
+
+def _dead_lease_owners(world) -> list:
+    live = {
+        (p.node.hostname, p.user_state["dmtcp"].vpid) for p in _survivors(world)
+    }
+    return [
+        meta.lease_owner
+        for meta in world.store.chunks.values()
+        if meta.lease_owner is not None and meta.lease_owner not in live
+    ]
+
+
+@pytest.mark.parametrize("tree", [False, True], ids=["star", "tree"])
+@pytest.mark.parametrize("supervise", [True, False], ids=["supervised", "plain"])
+def test_member_dies_before_its_manifest_generation_leases_without_it(supervise, tree):
+    """The victim dies after the drain barrier released but before it
+    sent a manifest.  The store-on run must resolve exactly as the
+    store-off run does, with nobody left parked."""
+    results = {}
+    for store in (False, True):
+        world, comp, victim = _store_build(store, supervise, tree)
+        threads_before = len(comp.coordinator_process.live_threads)
+        # supervised: a silent crash, found by the heartbeat; plain: the
+        # host resets the sockets (nothing else would ever notice)
+        fired = _crash_when(world, victim, "mtcp.write", "node02/", fin=not supervise)
+        result = _checkpoint_result(world, comp)
+        assert fired, "victim never reached its write stage"
+        assert comp.state.phase == "idle"
+        assert not world.scheduler.failures
+        results[store] = (
+            result,
+            comp.state.aborts,
+            len(comp.coordinator_process.live_threads) - threads_before,
+        )
+    assert results[True] == results[False]
+    assert results[True][0] == 2  # completed over the shrunken quorum
+    assert results[True][2] <= 0  # no connection thread left parked
+    assert comp.state.store_parked == {}
+    assert _dead_lease_owners(world) == []
+    assert all(
+        not p.user_state["dmtcp"].in_checkpoint and p.state == "running"
+        for p in _survivors(world)
+    )
+
+
+def test_abort_flushes_parked_writers_at_once():
+    """Nobody notices the silent death (no heartbeat within the window),
+    so the watchdog aborts while two writers are parked on their lease
+    connection.  They must roll back on the abort itself, not by waiting
+    out their own RPC deadline."""
+    slow_heartbeat = FAST_SPEC.with_(
+        dmtcp=replace(FAST_SPEC.dmtcp, heartbeat_interval_s=30.0)
+    )
+    world, comp, victim = _store_build(True, True, False, spec=slow_heartbeat)
+    world.tracer.enable()
+    threads_before = len(comp.coordinator_process.live_threads)
+    _crash_when(world, victim, "mtcp.write", "node02/", fin=False)
+    assert _checkpoint_result(world, comp) == "aborted"
+    assert comp.state.phase == "idle" and comp.state.store_parked == {}
+    snap = world.tracer.snapshot()
+    assert snap.get("dmtcp.checkpoints_aborted") == 2
+    assert snap.get("resilience.deadline_expired", 0) == 0
+    waits = world.tracer.spans(cat="store")
+    assert waits and max(s["duration"] for s in waits) < 2.0  # < RPC deadline
+    # the silently dead member's thread is still blocked in recv (as in
+    # a store-off run); the two writers' private connections are gone
+    assert len(comp.coordinator_process.live_threads) == threads_before
+    assert all(p.state == "running" for p in _survivors(world))
+    assert not world.scheduler.failures
+
+
+@pytest.mark.parametrize("supervise", [True, False], ids=["supervised", "plain"])
+def test_lease_holder_death_orphans_no_chunk(supervise):
+    """The victim dies holding its share of the generation's leases.
+    Supervised, the checkpoint aborts (survivors reference chunks nobody
+    will push); either way no chunk keeps a dead lease owner and the
+    next checkpoint stores everything."""
+    world, comp, victim = _store_build(True, supervise, False)
+    fired = _crash_when(world, victim, "store.lease", "coordinator/", fin=True)
+    result = _checkpoint_result(world, comp)
+    assert fired
+    assert result == ("aborted" if supervise else 2)
+    assert _dead_lease_owners(world) == []
+    assert comp.state.store_parked == {}
+    out = comp.checkpoint()
+    assert len(out.records) == 2
+    for host, paths in out.plan.images_by_host.items():
+        for path in paths:
+            assert world.store.image_restorable(_image_file(world, host, path).payload)
     assert not world.scheduler.failures

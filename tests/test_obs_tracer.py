@@ -213,6 +213,15 @@ def test_scenario_trace_is_deterministic():
     assert a == b, "same seed must replay to a byte-identical trace"
 
 
+def test_store_scenario_separates_lease_wait_from_write_work():
+    tracer = run_scenario("store", seed=0)
+    waits = [s for s in tracer.spans(cat="store") if s["name"] == "store.lease_wait"]
+    writes = [s for s in tracer.spans(cat="mtcp") if s["name"] == "mtcp.write"]
+    assert len(waits) == len(writes) == 4  # two writers, two checkpoints
+    assert tracer.spans(track="coordinator/store")
+    assert tracer.snapshot()["store.lease_max_share"] <= 0.5
+
+
 def test_scenario_chrome_export_roundtrips(tmp_path):
     tracer = run_scenario("checkpoint", seed=0)
     out = tmp_path / "trace.json"

@@ -168,6 +168,37 @@ def test_cross_rank_dedup_stores_unique_bytes_once():
     assert out.total_stored_bytes < out.total_image_bytes / 2
 
 
+def test_shared_chunks_are_split_across_the_ranks_that_hold_them():
+    """Four ranks with the same image: each compresses and pushes a
+    quarter of it, and the trace shows the lease wait apart from work."""
+    world, comp = _store_world(n_nodes=2, n_procs=4)
+    world.tracer.enable()
+    comp.checkpoint()
+    summary = world.store.summary()
+    assert summary["lease_writers"] == 4
+    assert summary["lease_max_share"] == pytest.approx(0.25, abs=0.05)
+    assert world.tracer.snapshot()["store.lease_max_share"] == summary["lease_max_share"]
+    waits = [s for s in world.tracer.spans(cat="store") if s["name"] == "store.lease_wait"]
+    writes = {s["track"]: s for s in world.tracer.spans(cat="mtcp") if s["name"] == "mtcp.write"}
+    assert len(waits) == 4
+    for wait in waits:
+        write = writes[wait["track"]]
+        assert write["begin"] <= wait["begin"] and wait["end"] < write["end"]
+
+
+def test_retried_lease_returns_same_rows_and_moves_no_counter():
+    """A writer whose lease reply was lost sends its manifest again: it
+    must get its rows back, not be told it owns nothing."""
+    store = ChunkStore(build_world(4, seed=0))
+    refs = region_chunks("key", 0, 2 * MB, "numeric", {}, MB)
+    rows = [[r.digest, r.nbytes, r.profile, r.nbytes // 3] for r in refs]
+    first = store.lease(rows, ("node00", 1), 1)
+    stats = dict(store.stats)
+    assert len(first) == 2
+    assert store.lease(rows, ("node00", 1), 1) == first
+    assert store.stats == stats
+
+
 def test_generation_dedup_second_checkpoint_is_manifest_sized():
     world, comp = _store_world(n_nodes=2, n_procs=1)
     out1 = comp.checkpoint()

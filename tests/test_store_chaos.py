@@ -7,7 +7,8 @@ re-replicates until the replication factor is back at k.
 """
 
 from repro.core.launch import DmtcpComputation
-from repro.faults.supervisor import AutoRestartSupervisor
+from repro.faults import FaultEvent, FaultInjector, FaultPlan
+from repro.faults.supervisor import AutoRestartSupervisor, _image_file
 from repro.harness.experiment import build_world
 from repro.kernel.process import ProgramSpec, RegionSpec
 from repro.kernel.world import HIJACK_ENV
@@ -135,3 +136,36 @@ def test_supervised_crash_loop_keeps_lineages_restorable():
     assert len(live) == 4
     # the store kept deduping across the whole chaotic run
     assert world.store.summary()["dedup_ratio"] > 3.0
+
+
+def test_lost_lease_reply_is_retried_and_checkpoint_stays_restorable():
+    """`drop-coord-frames` on the lease reply: the store has granted the
+    generation when the writer's private connection is reset, so the
+    writer retries its manifest and must be handed the same chunks --
+    told it owns nothing, it would never commit them and every image
+    sharing them would be unrestorable.
+
+    Tree mode with the coordinator off the gateway path keeps the fault
+    on the lease connection alone: node02's member traffic rides its
+    gateway to node00, so the only node02<->node03 stream is the lease.
+    """
+    world, comp = _launch(
+        n_nodes=4, heap_mb=8, n_procs=4,
+        supervise=True, tree_fanout=2, coordinator_host="node03",
+    )
+    inj = FaultInjector(world, comp)
+    inj.arm(
+        FaultPlan.schedule(
+            [FaultEvent("drop-coord-frames", target="node02", phase="store.lease")]
+        )
+    )
+    out = comp.checkpoint()
+    assert [e["detail"] for e in inj.log] == ["1 streams reset"]
+    assert len(out.records) == 4 and comp.state.aborts == 0
+    store = world.store
+    assert store.summary()["lease_writers"] == 4  # node02 held a share
+    assert store.stats["chunks_stored"] == len(store.chunks)
+    for host, paths in out.plan.images_by_host.items():
+        for path in paths:
+            assert store.image_restorable(_image_file(world, host, path).payload)
+    assert not world.scheduler.failures

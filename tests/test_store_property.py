@@ -7,12 +7,24 @@ be a pure function of (content key, lineage, index, generation, size,
 profile), and generation advances must preserve the digests of untouched
 chunks while changing exactly the dirty prefix -- including along whole
 delta chains of successive checkpoints.
+
+The second half pins the generation-wide balanced lease: the assignment
+is a pure function of the manifest set, leases every new chunk exactly
+once to a writer that holds it, keeps the first-come dedup totals, and
+stays within the greedy list-scheduling bound.
 """
+
+from dataclasses import replace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.config import CLUSTER_2008
+from repro.core.launch import DmtcpComputation
+from repro.harness.experiment import build_world
+from repro.harness.fig4 import register_fig4
 from repro.store import (
+    ChunkStore,
     advance_generations,
     chunk_digest,
     chunk_layout,
@@ -132,3 +144,150 @@ def test_property_digests_are_pure(size, chunk_bytes, profile, gens):
     for index, ref in enumerate(a):
         gen = gens.get(index, 0)
         assert ref.digest == chunk_digest("k", 3, index, gen, ref.nbytes, profile)
+
+
+# ----------------------------------------------------------------------
+# The generation-wide balanced lease (ChunkStore.lease_generation)
+# ----------------------------------------------------------------------
+
+HOSTS = [f"node{i:02d}" for i in range(4)]
+POOL = [f"digest{i:02d}" for i in range(12)]
+
+#: A generation: chunk sizes for the digest pool, which of them an
+#: earlier generation already made durable, and one manifest (a digest
+#: list, repeats allowed) per writer.
+generations = st.fixed_dictionaries(
+    {
+        "sizes": st.lists(
+            st.integers(min_value=1, max_value=64 * KB),
+            min_size=len(POOL), max_size=len(POOL),
+        ),
+        "durable": st.sets(st.sampled_from(POOL), max_size=4),
+        "manifests": st.dictionaries(
+            st.tuples(st.sampled_from(HOSTS), st.integers(min_value=1, max_value=6)),
+            st.lists(st.sampled_from(POOL), min_size=1, max_size=10),
+            min_size=1, max_size=8,
+        ),
+    }
+)
+
+
+def _rows(digests, sizes):
+    size = dict(zip(POOL, sizes))
+    return [[d, size[d], "numeric", size[d] // 3] for d in digests]
+
+
+def _store_with(durable, sizes):
+    """A 4-node store in which ``durable`` is already committed, and the
+    stats it had at that point."""
+    store = ChunkStore(build_world(len(HOSTS), seed=0))
+    if durable:
+        store.lease(_rows(sorted(durable), sizes), ("node00", 99), 0)
+        store.commit(sorted(durable), "node00")
+    return store, dict(store.stats)
+
+
+def _first_come(arrival, durable):
+    """Reference: the totals of leasing each manifest on arrival."""
+    leased: dict[str, int] = {}
+    hits = logical = 0
+    for _owner, rows in arrival:
+        for digest, nbytes, _profile, _est in rows:
+            logical += nbytes
+            if digest in durable or digest in leased:
+                hits += 1
+            else:
+                leased[digest] = nbytes
+    return {
+        "logical_bytes": logical,
+        "dedup_hits": hits,
+        "unique_bytes": sum(leased.values()),
+        "chunks_stored": len(leased),
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(gen=generations, order=st.randoms(use_true_random=False))
+def test_property_lease_is_balanced_exact_and_order_free(gen, order):
+    sizes, durable = gen["sizes"], gen["durable"]
+    manifests = {o: _rows(ds, sizes) for o, ds in gen["manifests"].items()}
+    store, before = _store_with(durable, sizes)
+    needs = store.lease_generation(manifests, 1)
+
+    # (a) arrival order is invisible: any permutation, same need per owner
+    arrival = list(manifests.items())
+    order.shuffle(arrival)
+    twin, _ = _store_with(durable, sizes)
+    assert twin.lease_generation(dict(arrival), 1) == needs
+
+    # (b) every non-durable digest is leased exactly once, and only to a
+    # writer whose manifest holds it at the returned index
+    leased = []
+    for owner, need in needs.items():
+        for index, _target in need:
+            digest = manifests[owner][index][0]
+            assert store.chunks[digest].lease_owner == owner
+            leased.append(digest)
+    wanted = {row[0] for rows in manifests.values() for row in rows} - durable
+    assert sorted(leased) == sorted(wanted)
+
+    # (c) the counters equal the first-come totals, whatever the order
+    store.commit(leased, "node00")
+    moved = {k: store.stats[k] - before[k] for k in _first_come([], set())}
+    assert moved == _first_come(arrival, durable)
+
+    # (d) greedy list-scheduling bound: when a writer takes its last
+    # chunk it is the least loaded of that chunk's holders
+    nbytes = dict(zip(POOL, sizes))
+    holders = {
+        d: sum(1 for rows in manifests.values() if any(r[0] == d for r in rows))
+        for d in wanted
+    }
+    total = sum(nbytes[d] for d in wanted)
+    load = {
+        owner: sum(manifests[owner][index][1] for index, _t in need)
+        for owner, need in needs.items()
+    }
+    if wanted:
+        assert max(load.values()) <= max(
+            total / holders[d] + nbytes[d] for d in wanted
+        )
+
+
+@settings(max_examples=30, deadline=None)
+@given(gen=generations)
+def test_property_retried_manifest_gets_same_rows_and_moves_no_counter(gen):
+    sizes = gen["sizes"]
+    manifests = {o: _rows(ds, sizes) for o, ds in gen["manifests"].items()}
+    store, _ = _store_with(gen["durable"], sizes)
+    needs = store.lease_generation(manifests, 1)
+    stats = dict(store.stats)
+    for owner, rows in manifests.items():
+        assert store.lease(rows, owner, 1) == needs[owner]
+    assert store.stats == stats
+
+
+def _store_point_checkpoint_s(latency_scale: float, ranks: int = 16) -> float:
+    net = CLUSTER_2008.network
+    spec = CLUSTER_2008.with_(
+        network=replace(net, latency_s=net.latency_s * latency_scale)
+    )
+    world = build_world(ranks // 4, 0, spec=spec)
+    register_fig4(world)
+    comp = DmtcpComputation(world, compression=True, store=True)
+    comp.launch(
+        "node00",
+        "mpich2_job",
+        ["mpich2_job", str(ranks), "pargeant4", "1000000", "0.05"],
+        env={"MPI_LAZY_CONNECT": "1"},
+    )
+    world.engine.run(until=8.0)
+    return comp.checkpoint().duration
+
+
+def test_store_checkpoint_time_is_insensitive_to_message_timing():
+    """The lease no longer depends on which manifest wins a race, so a
+    1e-4 change in network latency cannot re-deal the unique chunks."""
+    base = _store_point_checkpoint_s(1.0)
+    nudged = _store_point_checkpoint_s(1.0 + 1e-4)
+    assert abs(nudged - base) / base < 1e-3
