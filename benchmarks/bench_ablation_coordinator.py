@@ -17,25 +17,25 @@ SIZES = [8, 32, 96]
 def test_coordinator_not_a_bottleneck(benchmark):
     def run_all():
         central = [run_coordinator_load(n) for n in SIZES]
-        relayed = [run_coordinator_load(n, relay=True) for n in SIZES]
-        return central, relayed
+        tree = [run_coordinator_load(n, tree=True) for n in SIZES]
+        return central, tree
 
-    (central, relayed), wall = run_timed(benchmark, run_all)
-    rows = central + relayed
+    (central, tree), wall = run_timed(benchmark, run_all)
+    rows = central + tree
     text = table(
         ["mode", "processes", "ckpt_s", "root_barrier_msgs", "coord_cpu_s"],
         [
-            ("relay" if r.relay else "central", r.processes, r.checkpoint_s,
+            ("tree-1" if r.tree else "central", r.processes, r.checkpoint_s,
              r.barrier_messages, r.coordinator_seconds_per_ckpt)
             for r in rows
         ],
         title="Coordinator load ablation (centralized vs Section 6's "
-        "distributed combining-tree barriers)",
+        "distributed combining-tree barriers: a depth-1 gateway tree)",
     )
     save_and_print("ablation_coordinator", text)
     save_json(
         "ablation_coordinator",
-        {"central": central, "relayed": relayed, "wall_clock_s": wall},
+        {"central": central, "tree": tree, "wall_clock_s": wall},
     )
 
     # central barrier traffic is linear in process count...
@@ -50,8 +50,8 @@ def test_coordinator_not_a_bottleneck(benchmark):
     assert max(ckpts) < 2.0 * min(ckpts), ckpts
     # the distributed coordinator cuts root barrier traffic to O(nodes):
     # constant in the process count, and far below central at scale
-    for c, d in zip(central, relayed):
+    for c, d in zip(central, tree):
         assert d.barrier_messages <= c.barrier_messages / 2
         assert d.checkpoint_s < 1.5 * c.checkpoint_s  # no regression
-    assert relayed[-1].barrier_messages == relayed[0].barrier_messages
-    assert relayed[-1].barrier_messages < central[-1].barrier_messages / 10
+    assert tree[-1].barrier_messages == tree[0].barrier_messages
+    assert tree[-1].barrier_messages < central[-1].barrier_messages / 10

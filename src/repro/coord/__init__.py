@@ -8,9 +8,7 @@ global barriers."  This package implements that future work at cluster
 scale:
 
 * :mod:`repro.coord.nodeset` -- ClusterShell-style ``RangeSet`` /
-  ``NodeSet`` addressing, so a 32k-node membership is one folded string
-  and subtree routing is range arithmetic instead of per-object
-  bookkeeping.
+  ``NodeSet`` addressing, so a 32k-node membership is one folded string.
 * :mod:`repro.coord.tree` -- a configurable-fanout propagation tree of
   gateway relays that aggregate barrier arrivals from their subtree into
   a single upstream message and fan releases (and every other

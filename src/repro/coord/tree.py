@@ -6,10 +6,9 @@ The gateways form an F-ary forest rooted at the coordinator.  Gateways
 are numbered 0..G-1 in launch order (one per cluster node, in hostname
 order); gateway ``i``'s parent is the coordinator for ``i < F`` and
 gateway ``(i // F) - 1`` otherwise, so gateway ``g``'s children are the
-contiguous block ``[(g+1)*F, (g+2)*F)``.  Depth is O(log_F n), and the
-subtree under any gateway is one contiguous rank range per level --
-which is why :class:`repro.coord.nodeset.RangeSet` arithmetic (not
-per-object bookkeeping) is enough to route to a subtree.
+contiguous block ``[(g+1)*F, (g+2)*F)``.  Depth is O(log_F n); with
+F >= the node count every gateway is top-level, which is the paper's
+Section-6 two-level combining tree (one combiner per node).
 
 Wire protocol (framed msgs, same transport as the star)
 -------------------------------------------------------
@@ -38,11 +37,9 @@ relearns the subtree without the members noticing.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from repro.coord.nodeset import NodeSet, RangeSet
 from repro.core import protocol as P
 from repro.errors import SyscallError
 from repro.resilience import RetryPolicy
@@ -69,8 +66,8 @@ class TreeTopology:
     """Static shape of the gateway forest: pure rank arithmetic.
 
     ``n`` gateways with fanout ``f``; ranks 0..n-1.  Ranks < f hang
-    directly off the coordinator ("top-level").  All methods are O(1)
-    or O(depth); none materialize member lists.
+    directly off the coordinator ("top-level").  All methods are O(1);
+    none materialize member lists.
     """
 
     n: int
@@ -97,61 +94,6 @@ class TreeTopology:
         hi = (rank + 2) * self.fanout
         return range(min(lo, self.n), min(hi, self.n))
 
-    def top_level(self) -> range:
-        """Ranks connected directly to the coordinator."""
-        return range(min(self.fanout, self.n))
-
-    def depth(self, rank: int) -> int:
-        """Hops from ``rank`` up to the coordinator (top-level = 1)."""
-        self._check(rank)
-        d = 1
-        while rank >= self.fanout:
-            rank = rank // self.fanout - 1
-            d += 1
-        return d
-
-    @property
-    def height(self) -> int:
-        """Max hops from any gateway to the root: O(log_f n)."""
-        return self.depth(self.n - 1) if self.n else 0
-
-    def path(self, rank: int) -> tuple[int, ...]:
-        """Root-to-rank chain of gateway ranks (first entry is top-level)."""
-        self._check(rank)
-        chain = [rank]
-        while (p := self.parent(chain[0])) is not None:
-            chain.insert(0, p)
-        return tuple(chain)
-
-    def subtree(self, rank: int) -> RangeSet:
-        """All gateway ranks at or below ``rank``.
-
-        Because each gateway's children are a contiguous block, every
-        level of the subtree is one contiguous range: the whole subtree
-        folds to O(depth) ranges, never O(members).
-        """
-        self._check(rank)
-        ranges: list[tuple[int, int]] = []
-        lo = hi = rank
-        while lo < self.n:
-            ranges.append((lo, min(hi, self.n - 1)))
-            lo, hi = (lo + 1) * self.fanout, (hi + 2) * self.fanout - 1
-        return RangeSet.from_ranges(ranges)
-
-    # -- mapping to the cluster ---------------------------------------
-    def hostnames(self, members: NodeSet) -> list[str]:
-        """Gateway rank -> hostname, in NodeSet (deterministic) order."""
-        if len(members) != self.n:
-            raise ValueError(f"{len(members)} hostnames for {self.n} gateways")
-        return [members[i] for i in range(self.n)]
-
-    def subtree_nodes(self, rank: int, members: NodeSet) -> NodeSet:
-        """The NodeSet served by ``rank``'s subtree (range arithmetic)."""
-        out = NodeSet()
-        for lo, hi in self.subtree(rank).ranges:
-            out = out | members[lo : hi + 1]
-        return out
-
     # -- internals -----------------------------------------------------
     def _check(self, rank: int) -> None:
         if not 0 <= rank < self.n:
@@ -159,13 +101,6 @@ class TreeTopology:
 
     def __iter__(self) -> Iterator[int]:
         return iter(range(self.n))
-
-    @staticmethod
-    def ideal_height(n: int, fanout: int) -> int:
-        """Closed-form expected height, for the O(log n) bench gate."""
-        if n <= 0:
-            return 0
-        return max(1, math.ceil(math.log(n * (fanout - 1) + 1, fanout)) if fanout > 1 else n)
 
 
 # ======================================================================

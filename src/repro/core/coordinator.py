@@ -82,6 +82,25 @@ class RestartOutcome:
 
 
 @dataclass
+class BarrierRecord:
+    """Everything the root knows about one open barrier.
+
+    Created by the first arrival, dropped by the release (or an abort).
+    With a tracer wired in, the barrier's span is open exactly as long
+    as its record exists, and began at ``open_t``.
+    """
+
+    #: first / latest arrival clock (host-side; straggler latency)
+    open_t: float
+    last_t: float = 0.0
+    #: members that arrived on their own connection
+    direct: set = field(default_factory=set)
+    #: members counted by gateways, and the gateway fds to release through
+    counted: int = 0
+    via: set = field(default_factory=set)
+
+
+@dataclass
 class CoordinatorState:
     """Shared between the coordinator program and the host-side harness."""
 
@@ -91,7 +110,8 @@ class CoordinatorState:
     members: dict[int, dict] = field(default_factory=dict)
     phase: str = "idle"  # idle | checkpoint | restart
     quorum: int = 0
-    barrier_arrivals: dict[str, set] = field(default_factory=dict)
+    #: the one barrier table: name -> record of every open barrier
+    barriers: dict[str, BarrierRecord] = field(default_factory=dict)
     ckpt_id: int = 0
     ckpt_options: dict = field(default_factory=dict)
     ckpt_started_at: float = 0.0
@@ -118,15 +138,8 @@ class CoordinatorState:
     on_restart_complete: list[Callable[[RestartOutcome], None]] = field(default_factory=list)
     #: total barrier messages processed (ablation: coordinator load)
     barrier_messages: int = 0
-    #: observability: the world tracer (wired in by DmtcpComputation) and
-    #: per-barrier first/last arrival times for straggler latency
+    #: observability: the world tracer (wired in by DmtcpComputation)
     tracer: Optional[Any] = None
-    barrier_open: dict[str, float] = field(default_factory=dict)
-    barrier_last_arrival: dict[str, float] = field(default_factory=dict)
-    #: aggregated arrivals from barrier relays (distributed-coordinator
-    #: mode): name -> count, and the relay fds to release through
-    barrier_counts: dict[str, int] = field(default_factory=dict)
-    barrier_relay_fds: dict[str, set] = field(default_factory=dict)
     #: propagation-tree mode (repro.coord.tree): connections that are
     #: gateway subtrees, not members.  Members reached through a gateway
     #: are keyed ("m", host, vpid) in ``members`` with info["via"] set to
@@ -137,8 +150,6 @@ class CoordinatorState:
     #: equivalence tests pin release ordering on it and the coordination
     #: benches read barrier latency (release_t - open_t) from it.
     barrier_stats: list = field(default_factory=list)
-    #: first-arrival clock per open barrier (feeds barrier_stats)
-    barrier_open_t: dict[str, float] = field(default_factory=dict)
     #: members that already delivered their CKPT_DONE this checkpoint
     #: (their subsequent disconnect -- kill mode -- is expected)
     done_fds: set = field(default_factory=set)
@@ -190,6 +201,32 @@ class CoordinatorState:
         if self.tenant:
             return f"coordinator[{self.tenant}]/barrier:{name}"
         return f"coordinator/barrier:{name}"
+
+    def drop_barriers(self) -> None:
+        """Forget every open barrier, closing its tracer span as aborted."""
+        if self.tracer is not None:
+            for name in self.barriers:
+                self.tracer.end(
+                    self.barrier_track(name), name, cat="barrier",
+                    tenant=self.tenant or None, aborted=True,
+                )
+        self.barriers = {}
+
+    def reset_connections(self) -> None:
+        """Coordinator respawn: drop everything scoped to the dead
+        process's connections.  History, the restart discovery service's
+        knowledge, the store and the supervision settings survive."""
+        self.drop_barriers()
+        self.members = {}
+        self.restarter_fds = set()
+        self.gateway_fds = set()
+        self.pending_command_fds = []
+        self.done_fds = set()
+        self.store_parked = {}
+        self.records = []
+        self.images_by_host = {}
+        self.phase = "idle"
+        self.last_progress = 0.0
 
     @property
     def member_count(self) -> int:
@@ -280,37 +317,62 @@ def _watchdog(sys: Sys, state: CoordinatorState):
     while True:
         yield from sys.sleep(max(state.barrier_timeout_s / 4.0, 0.25))
         if state.phase == "idle":
-            continue
+            continue  # an idle tick never reads the clock
         now = yield from sys.time()
-        if now - state.last_progress < state.barrier_timeout_s:
-            continue
-        if state.phase == "checkpoint":
-            yield from _abort_checkpoint(
-                sys, state, f"no barrier progress for {state.barrier_timeout_s}s"
-            )
-        elif state.phase == "restart":
-            yield from _abort_restart(
-                sys, state, f"restart stalled for {state.barrier_timeout_s}s"
-            )
+        yield from _watchdog_check(sys, state, now)
+
+
+def _watchdog_check(sys: Sys, state: CoordinatorState, now: float):
+    """One watchdog tick against one state (the hub sweeps its tenants
+    with this, sharing a single clock read)."""
+    if state.phase == "idle" or now - state.last_progress < state.barrier_timeout_s:
+        return
+    if state.phase == "checkpoint":
+        yield from _abort_checkpoint(
+            sys, state, f"no barrier progress for {state.barrier_timeout_s}s"
+        )
+    else:
+        yield from _abort_restart(
+            sys, state, f"restart stalled for {state.barrier_timeout_s}s"
+        )
 
 
 def _heartbeat(sys: Sys, state: CoordinatorState):
-    """Supervision: ping every member periodically.
+    """Supervision: ping every member periodically."""
+    while True:
+        yield from sys.sleep(state.heartbeat_interval_s)
+        yield from _ping_members(sys, state)
+
+
+def _ping_members(sys: Sys, state: CoordinatorState):
+    """One heartbeat sweep over one state's connections.
 
     A silently-crashed member (no FIN) never triggers the connection
     handler's recv path, but its dead socket turns our ping send into
     ECONNRESET -- which is then handled exactly like an observed
     disconnect (quorum shrink, barrier re-check, possible early finish).
     """
-    while True:
-        yield from sys.sleep(state.heartbeat_interval_s)
-        # tree mode: members are reached through gateways, so probing
-        # the gateway connections covers whole subtrees at once
-        for mfd in sorted(state.direct_member_fds + list(state.gateway_fds)):
-            try:
-                yield from send_frame(sys, mfd, P.msg(P.MSG_PING), P.CTL_FRAME_BYTES)
-            except SyscallError:
-                yield from _handle_disconnect(sys, state, mfd)
+    # tree mode: members are reached through gateways, so probing
+    # the gateway connections covers whole subtrees at once
+    for mfd in sorted(state.direct_member_fds + list(state.gateway_fds)):
+        try:
+            yield from send_frame(sys, mfd, P.msg(P.MSG_PING), P.CTL_FRAME_BYTES)
+        except SyscallError:
+            yield from _handle_disconnect(sys, state, mfd)
+
+
+def _begin_abort(state: CoordinatorState, phase: str, counter: str, reason: str) -> bool:
+    """Shared first half of an abort: if ``phase`` is in flight, account
+    for the abort, drop the open barriers and go idle."""
+    if state.phase != phase:
+        return False
+    state.aborts += 1
+    state.last_abort_reason = reason
+    if state.tracer is not None:
+        state.tracer.count(counter, tenant=state.tenant or None)
+    state.drop_barriers()
+    state.phase = "idle"
+    return True
 
 
 def _abort_checkpoint(sys: Sys, state: CoordinatorState, reason: str):
@@ -320,28 +382,11 @@ def _abort_checkpoint(sys: Sys, state: CoordinatorState, reason: str):
     images, resume user threads) when they see MSG_CKPT_ABORT or when
     their own member-side recv timeout fires -- whichever happens first.
     """
-    if state.phase != "checkpoint":
+    if not _begin_abort(state, "checkpoint", "coord.ckpt_aborts", reason):
         return
-    state.aborts += 1
-    state.last_abort_reason = reason
-    tracer = state.tracer
-    if tracer is not None:
-        tracer.count("coord.ckpt_aborts", tenant=state.tenant or None)
-        for name in list(state.barrier_open):
-            state.barrier_open.pop(name)
-            state.barrier_last_arrival.pop(name, None)
-            tracer.end(
-                state.barrier_track(name), name, cat="barrier",
-                tenant=state.tenant or None, aborted=True,
-            )
-    state.barrier_arrivals = {}
-    state.barrier_counts = {}
-    state.barrier_relay_fds = {}
-    state.barrier_open_t = {}
     state.records = []
     state.images_by_host = {}
     state.done_fds = set()
-    state.phase = "idle"
     # writers parked on their lease connection are not reading the member
     # channel: flush them there so they roll back now
     parked, state.store_parked = state.store_parked, {}
@@ -359,30 +404,19 @@ def _abort_restart(sys: Sys, state: CoordinatorState, reason: str):
     Restarters blocked at a restart barrier get MSG_CKPT_ABORT, exit, and
     the AutoRestartSupervisor tries again from the newest valid images.
     """
-    if state.phase != "restart":
+    if not _begin_abort(state, "restart", "coord.restart_aborts", reason):
         return
-    state.aborts += 1
-    state.last_abort_reason = reason
-    tracer = state.tracer
-    if tracer is not None:
-        tracer.count("coord.restart_aborts", tenant=state.tenant or None)
-        for name in list(state.barrier_open):
-            state.barrier_open.pop(name)
-            state.barrier_last_arrival.pop(name, None)
-            tracer.end(
-                state.barrier_track(name), name, cat="barrier",
-                tenant=state.tenant or None, aborted=True,
-            )
-    state.barrier_arrivals = {}
-    state.barrier_counts = {}
-    state.barrier_relay_fds = {}
-    state.barrier_open_t = {}
-    state.phase = "idle"
     abort = P.msg(P.MSG_CKPT_ABORT, reason=reason)
     for rfd in sorted(set(state.restarter_fds) - set(state.members)):
         yield from _send_safe(sys, state, rfd, abort)
     yield from _broadcast_members(sys, state, abort)
     state.restarter_fds = set()
+
+
+def _abort_in_flight(sys: Sys, state: CoordinatorState, reason: str):
+    """Abort whichever round (checkpoint or restart) is in flight."""
+    abort = _abort_checkpoint if state.phase == "checkpoint" else _abort_restart
+    yield from abort(sys, state, reason)
 
 
 def _handle_connection(sys: Sys, state: CoordinatorState, cfd: int):
@@ -443,17 +477,10 @@ def _dispatch_message(sys: Sys, state: CoordinatorState, cfd: int, message: dict
         yield from _member_gone(sys, state, message)
     elif kind == P.MSG_SUBTREE_GONE:
         yield from _subtree_gone(sys, state, message)
-    elif kind == P.MSG_BARRIER:
-        if _stale_arrival(state, message["name"]):
-            yield from _bounce_stale_arrival(sys, state, cfd)
-        else:
-            yield from _barrier_arrive(sys, state, cfd, message["name"], 1)
-    elif kind == "barrier-count":
-        # a relay forwards the combined arrivals of one node
-        if _stale_arrival(state, message["name"]):
-            yield from _bounce_stale_arrival(sys, state, cfd)
-        else:
-            yield from _barrier_arrive(sys, state, cfd, message["name"], message["n"], relay=True)
+    elif kind == P.MSG_BARRIER or kind == P.MSG_BARRIER_COUNT:
+        yield from _barrier_arrive_batch(
+            sys, state, message["name"], [_barrier_arrival(cfd, message)]
+        )
     elif kind == P.MSG_CKPT_DONE:
         yield from _ckpt_done(sys, state, cfd, message)
     elif kind == P.MSG_CKPT_FAILED:
@@ -587,117 +614,83 @@ def _drop_connection(state: CoordinatorState, cfd: int) -> None:
         state.gateway_fds.discard(cfd)
         for key in [k for k, i in state.members.items() if i.get("via") == cfd]:
             state.members.pop(key, None)
-        for fds in state.barrier_relay_fds.values():
-            fds.discard(cfd)
     state.members.pop(cfd, None)
     state.restarter_fds.discard(cfd)
-    for arrivals in state.barrier_arrivals.values():
-        arrivals.discard(cfd)
+    for rec in state.barriers.values():
+        rec.direct.discard(cfd)
+        rec.via.discard(cfd)
     # a parked writer's private connection: its manifest leaves with it
     for owner in [o for o, (fd, _refs) in state.store_parked.items() if fd == cfd]:
         del state.store_parked[owner]
 
 
 def _handle_disconnect(sys: Sys, state: CoordinatorState, cfd: int):
-    """A connection died.  If it was a member and a checkpoint is in
-    flight, the quorum shrinks: a process may legitimately exit between
-    the checkpoint broadcast and its suspend barrier (e.g. it finished
-    its work), and the remaining members must not wait for it forever.
-
-    The same applies during restart: a restored process whose work is
-    nearly done can resume and exit before its manager thread gets to
-    report restart-done (the process exit kills the manager mid-report),
-    so a restart-member disconnect shrinks the restart quorum too.
-
-    A *gateway* disconnect is a subtree loss: every member reached
-    through it is gone at once, and -- because their already-aggregated
-    barrier counts cannot be unwound member-by-member -- any in-flight
-    round is aborted rather than reconciled.
+    """A connection died: a member's is a member loss (see
+    :func:`_member_lost`); a *gateway*'s is a subtree loss -- every
+    member reached through it is gone at once, and because their
+    already-aggregated barrier counts cannot be unwound member-by-member
+    any in-flight round is aborted rather than reconciled.
     """
     if cfd in state.gateway_fds:
         _drop_connection(state, cfd)
         if state.tracer is not None:
             state.tracer.count("coord.gateways_lost")
-        if state.phase == "checkpoint":
-            yield from _abort_checkpoint(sys, state, "gateway connection lost")
-        elif state.phase == "restart":
-            yield from _abort_restart(sys, state, "gateway connection lost")
+        yield from _abort_in_flight(sys, state, "gateway connection lost")
         return
     info = state.members.get(cfd)
-    was_member = info is not None
-    was_restart_member = (
-        was_member
-        and info.get("restart")
-        and info.get("gen") == state.restart_gen
-    )
     _drop_connection(state, cfd)
-    if (
-        was_restart_member
-        and state.phase == "restart"
-        and cfd not in state.done_fds  # already reported; exit is expected
-    ):
-        state.restart_total -= 1
-        for name in list(state.barrier_arrivals):
-            yield from _maybe_release(sys, state, name)
-        yield from _maybe_finish_restart(sys, state)
-        return
-    if (
-        was_member
-        and state.phase == "checkpoint"
-        and state.quorum > 0
-        and cfd not in state.done_fds  # kill-mode retirement is expected
-    ):
-        state.quorum -= 1
-        yield from _writer_gone(sys, state, (info["host"], info["vpid"]))
-        for name in list(state.barrier_arrivals):
-            yield from _maybe_release(sys, state, name)
-        if state.quorum == 0 or len(state.records) >= state.quorum:
-            yield from _finish_checkpoint(sys, state)
+    yield from _member_lost(sys, state, cfd, info)
 
 
 def _member_gone(sys: Sys, state: CoordinatorState, message: dict):
     """A gateway reports one of its members dead (tree mode).
 
-    Mirrors :func:`_handle_disconnect` for a tuple-keyed member.  The
-    gateway tells us which barriers the dead member's arrival was
+    The gateway tells us which barriers the dead member's arrival was
     already counted toward (``arrived``); decrementing those counts is
-    the tree-mode equivalent of ``arrivals.discard(cfd)``.
+    the tree-mode equivalent of ``direct.discard(cfd)``.
     """
     key = ("m", message["host"], message["vpid"])
     for name in message.get("arrived", ()):
-        if name in state.barrier_counts:
-            state.barrier_counts[name] = max(0, state.barrier_counts[name] - 1)
-    was_member = key in state.members
-    was_restart_member = (
-        was_member
-        and state.members[key].get("restart")
-        and state.members[key].get("gen") == state.restart_gen
-    )
-    state.members.pop(key, None)
-    if message.get("goodbye"):
-        return
-    if (
-        was_restart_member
-        and state.phase == "restart"
-        and key not in state.done_fds
-    ):
+        rec = state.barriers.get(name)
+        if rec is not None:
+            rec.counted = max(0, rec.counted - 1)
+    info = state.members.pop(key, None)
+    if not message.get("goodbye"):
+        yield from _member_lost(sys, state, key, info)
+
+
+def _member_lost(sys: Sys, state: CoordinatorState, key, info: Optional[dict]):
+    """Member ``key`` (a direct fd, or ``("m", host, vpid)`` behind a
+    gateway; ``info`` is its former ``members`` entry) is gone.
+
+    If a checkpoint is in flight, the quorum shrinks: a process may
+    legitimately exit between the checkpoint broadcast and its suspend
+    barrier (e.g. it finished its work), and the remaining members must
+    not wait for it forever.
+
+    The same applies during restart: a restored process whose work is
+    nearly done can resume and exit before its manager thread gets to
+    report restart-done (the process exit kills the manager mid-report),
+    so a restart-member loss shrinks the restart quorum too.
+    """
+    if info is None or key in state.done_fds:
+        return  # not a member, or already reported: its exit is expected
+    restarting = state.phase == "restart"
+    if restarting:
+        if not (info.get("restart") and info.get("gen") == state.restart_gen):
+            return
         state.restart_total -= 1
-        for name in list(state.barrier_arrivals):
-            yield from _maybe_release(sys, state, name)
-        yield from _maybe_finish_restart(sys, state)
-        return
-    if (
-        was_member
-        and state.phase == "checkpoint"
-        and state.quorum > 0
-        and key not in state.done_fds  # kill-mode retirement is expected
-    ):
+    elif state.phase == "checkpoint" and state.quorum > 0:
         state.quorum -= 1
-        yield from _writer_gone(sys, state, key[1:])
-        for name in list(state.barrier_arrivals):
-            yield from _maybe_release(sys, state, name)
-        if state.quorum == 0 or len(state.records) >= state.quorum:
-            yield from _finish_checkpoint(sys, state)
+        yield from _writer_gone(sys, state, (info["host"], info["vpid"]))
+    else:
+        return
+    for name in list(state.barriers):
+        yield from _maybe_release(sys, state, name)
+    if restarting:
+        yield from _maybe_finish_restart(sys, state)
+    elif state.quorum == 0 or len(state.records) >= state.quorum:
+        yield from _finish_checkpoint(sys, state)
 
 
 def _subtree_gone(sys: Sys, state: CoordinatorState, message: dict):
@@ -710,18 +703,7 @@ def _subtree_gone(sys: Sys, state: CoordinatorState, message: dict):
         state.members.pop(("m", host, vpid), None)
     if state.tracer is not None:
         state.tracer.count("coord.subtrees_lost")
-    if state.phase == "checkpoint":
-        yield from _abort_checkpoint(sys, state, "gateway subtree lost")
-    elif state.phase == "restart":
-        yield from _abort_restart(sys, state, "gateway subtree lost")
-
-
-def _stale_arrival(state: CoordinatorState, name: str) -> bool:
-    """An arrival at a checkpoint barrier whose checkpoint no longer
-    exists -- the watchdog aborted it before this member's message
-    landed.  Letting it through would reopen a barrier span nothing will
-    ever release."""
-    return state.phase == "idle" and not name.startswith("restart-")
+    yield from _abort_in_flight(sys, state, "gateway subtree lost")
 
 
 def _bounce_stale_arrival(sys: Sys, state: CoordinatorState, cfd: int):
@@ -735,74 +717,83 @@ def _bounce_stale_arrival(sys: Sys, state: CoordinatorState, cfd: int):
     )
 
 
-def _barrier_arrive(
-    sys: Sys, state: CoordinatorState, cfd: int, name: str, n: int, relay: bool = False
-):
-    yield from _barrier_arrive_batch(sys, state, name, [(cfd, n, relay)])
+def _barrier_arrival(cfd: int, message: dict) -> tuple:
+    """``(cfd, n, counted)`` for one barrier frame: a member's own
+    MSG_BARRIER is ``(cfd, 1, False)``; a gateway's MSG_BARRIER_COUNT,
+    the combined arrivals of ``n`` members below it, ``(cfd, n, True)``."""
+    if message["kind"] == P.MSG_BARRIER_COUNT:
+        return (cfd, message["n"], True)
+    return (cfd, 1, False)
 
 
 def _barrier_arrive_batch(
-    sys: Sys, state: CoordinatorState, name: str, arrivals_list: list
+    sys: Sys, state: CoordinatorState, name: str, arrivals: list
 ):
     """Record one or more arrivals at a barrier, then one release check.
 
-    ``arrivals_list`` holds ``(cfd, n, relay)`` tuples.  The per-message
+    ``arrivals`` holds :func:`_barrier_arrival` tuples.  The per-message
     path always passes a single entry; the multi-tenant hub's batched
     dispatcher coalesces every arrival at one barrier within a flush
     window into a single call -- the coordinator-side analogue of the
     gateway's MSG_BARRIER_COUNT aggregation.
     """
-    state.barrier_messages += len(arrivals_list)
+    if state.phase == "idle" and not name.startswith("restart-"):
+        # stale: the checkpoint this barrier belonged to no longer
+        # exists -- the watchdog aborted it before these messages
+        # landed.  Letting them through would reopen a barrier span
+        # nothing will ever release.
+        for cfd, _n, _counted in arrivals:
+            yield from _bounce_stale_arrival(sys, state, cfd)
+        return
+    state.barrier_messages += len(arrivals)
     tracer = state.tracer
-    if name not in state.barrier_open_t:
-        state.barrier_open_t[name] = state.clock()
-    if state.supervise and tracer is not None:
-        state.last_progress = tracer.clock()
-    if tracer is not None:
-        if name not in state.barrier_open:
+    now = state.clock()
+    rec = state.barriers.get(name)
+    if rec is None:
+        rec = state.barriers[name] = BarrierRecord(open_t=now)
+        if tracer is not None:
             # first arrival opens the barrier span: its duration is how
             # long the earliest process waited for the release
-            state.barrier_open[name] = tracer.begin(
+            tracer.begin(
                 state.barrier_track(name), name, cat="barrier",
                 tenant=state.tenant or None,
             )
-        state.barrier_last_arrival[name] = tracer.clock()
+    rec.last_t = now
+    if tracer is not None:
+        if state.supervise:
+            state.last_progress = now
         tracer.count(
-            "coord.barrier_messages", len(arrivals_list),
-            tenant=state.tenant or None,
+            "coord.barrier_messages", len(arrivals), tenant=state.tenant or None
         )
-    arrivals = state.barrier_arrivals.setdefault(name, set())
-    for cfd, n, relay in arrivals_list:
-        if relay:
-            state.barrier_counts[name] = state.barrier_counts.get(name, 0) + n
-            state.barrier_relay_fds.setdefault(name, set()).add(cfd)
+    for cfd, n, counted in arrivals:
+        if counted:
+            rec.counted += n
+            rec.via.add(cfd)
         else:
-            arrivals.add(cfd)
+            rec.direct.add(cfd)
     yield from _maybe_release(sys, state, name)
 
 
 def _maybe_release(sys: Sys, state: CoordinatorState, name: str):
     """Release a barrier if its quorum is (now) satisfied."""
-    arrivals = state.barrier_arrivals.get(name, set())
-    total = len(arrivals) + state.barrier_counts.get(name, 0)
+    rec = state.barriers.get(name)
+    if rec is None:
+        return
+    total = len(rec.direct) + rec.counted
     quorum = state.restart_total if name.startswith("restart-") else state.quorum
     if total >= quorum > 0:
-        fds = sorted(arrivals) + sorted(state.barrier_relay_fds.pop(name, set()))
-        arrivals.clear()
-        state.barrier_counts.pop(name, None)
+        del state.barriers[name]
         state.barrier_stats.append(
             {
                 "name": name,
                 "n": total,
-                "open_t": state.barrier_open_t.pop(name, 0.0),
+                "open_t": rec.open_t,
                 "release_t": state.clock(),
             }
         )
         tracer = state.tracer
-        if tracer is not None and name in state.barrier_open:
-            first = state.barrier_open.pop(name)
-            last = state.barrier_last_arrival.pop(name, first)
-            straggler = last - first
+        if tracer is not None:
+            straggler = rec.last_t - rec.open_t
             tracer.end(
                 state.barrier_track(name),
                 name,
@@ -813,7 +804,7 @@ def _maybe_release(sys: Sys, state: CoordinatorState, name: str):
             )
             tracer.count("coord.barriers_released", tenant=state.tenant or None)
             tracer.count_max("coord.barrier_straggler_max_s", straggler)
-        for mfd in fds:
+        for mfd in sorted(rec.direct) + sorted(rec.via):
             yield from _send_safe(sys, state, mfd, P.msg(P.MSG_BARRIER_RELEASE, name=name))
 
 
@@ -834,12 +825,9 @@ def _start_checkpoint(sys: Sys, state: CoordinatorState, options: dict):
     state.records = []
     state.images_by_host = {}
     state.ckpt_options = dict(options)
-    state.barrier_arrivals = {}
-    # a count that straggled in after its round released (coalesced
-    # relay flushes can land late) must not leak into this round
-    state.barrier_counts = {}
-    state.barrier_relay_fds = {}
-    state.barrier_open_t = {}
+    # an arrival that straggled in after its round released must not
+    # leak into this round
+    state.drop_barriers()
     state.done_fds = set()
     now = yield from sys.time()
     state.ckpt_started_at = now
@@ -1110,8 +1098,3 @@ def make_dmtcp_command_program(tracer=None):
         yield from sys.exit(EXIT_DEADLINE)
 
     return dmtcp_command_main
-
-
-#: Back-compat plain client (no tracer): what launch.py registered before
-#: the resilience layer existed; tests import it by this name.
-dmtcp_command_main = make_dmtcp_command_program(None)

@@ -88,7 +88,6 @@ class DmtcpComputation:
         compression: bool = True,
         incremental: bool = False,
         interval: float = 0.0,
-        relay: bool = False,
         supervise: bool = False,
         tree_fanout: Optional[int] = None,
         sim_shards: Optional[int] = None,
@@ -106,9 +105,9 @@ class DmtcpComputation:
         #: CoordinatorState alongside other tenants' behind one port.
         self.tenant = tenant
         self.external_coordinator = external_coordinator
-        if (tenant or external_coordinator) and (relay or tree_fanout or store):
+        if (tenant or external_coordinator) and (tree_fanout or store):
             raise ValueError(
-                "multi-tenant mode is incompatible with relay/tree/store "
+                "multi-tenant mode is incompatible with tree/store "
                 "(those layers assume exclusive ownership of the world)"
             )
         suffix = f":{tenant}" if tenant else ""
@@ -140,9 +139,6 @@ class DmtcpComputation:
         self.ckpt_dir = ckpt_dir
         self.compression = compression
         self.incremental = incremental
-        self.relay = relay
-        if relay and tree_fanout:
-            raise ValueError("relay and tree_fanout are mutually exclusive")
         #: hierarchical coordination (repro.coord.tree): one gateway per
         #: node, arranged in a fanout-ary forest under the coordinator
         self.tree_fanout = tree_fanout
@@ -191,19 +187,6 @@ class DmtcpComputation:
                 self._coordinator_program,
                 argv=[self._coordinator_program],
             )
-        if relay:
-            # distributed-coordinator mode (Section 6 future work): one
-            # barrier-combining relay per node
-            from repro.core.relay import RELAY_PORT, register_relay
-
-            register_relay(world)
-            self.relay_port = RELAY_PORT
-            relay_env = {
-                "DMTCP_COORD_HOST": self.coordinator_host,
-                "DMTCP_COORD_PORT": str(self.port),
-            }
-            for hostname in world.machine.hostnames:
-                world.spawn_process(hostname, "dmtcp_relay", env=relay_env)
         if tree_fanout:
             self._spawn_gateway_tree(tree_fanout)
 
@@ -212,7 +195,8 @@ class DmtcpComputation:
 
         Gateway ranks follow :class:`repro.coord.nodeset.NodeSet` order
         over the machine file, so the whole membership is one folded
-        string and any subtree is range arithmetic on ranks.
+        string.  ``fanout`` >= the node count makes every gateway
+        top-level: the paper's Section-6 two-level combining tree.
         """
         from repro.coord.nodeset import NodeSet
         from repro.coord.tree import (
@@ -303,8 +287,6 @@ class DmtcpComputation:
         if self.store is not None:
             env["DMTCP_STORE"] = "1"
             env["DMTCP_STORE_REPLICAS"] = str(self.store.replicas)
-        if self.relay:
-            env["DMTCP_RELAY_PORT"] = str(self.relay_port)
         if self.tree_fanout:
             env["DMTCP_TREE_PORT"] = str(self.gateway_port)
         if self.supervise:
@@ -560,29 +542,7 @@ class DmtcpComputation:
             }
             if tracer is not None:
                 tracer.count("coord.failover_interrupted_ckpts")
-        # close any barrier spans left open by the crash mid-checkpoint
-        for name in list(state.barrier_open):
-            state.barrier_open.pop(name)
-            state.barrier_last_arrival.pop(name, None)
-            if tracer is not None:
-                tracer.end(
-                    state.barrier_track(name), name, cat="barrier",
-                    tenant=state.tenant or None, aborted=True,
-                )
-        state.members = {}
-        state.restarter_fds = set()
-        state.barrier_arrivals = {}
-        state.barrier_counts = {}
-        state.barrier_relay_fds = {}
-        state.barrier_open_t = {}
-        state.gateway_fds = set()
-        state.pending_command_fds = []
-        state.done_fds = set()
-        state.store_parked = {}
-        state.records = []
-        state.images_by_host = {}
-        state.phase = "idle"
-        state.last_progress = 0.0
+        state.reset_connections()
         if tracer is not None:
             tracer.count("coord.respawns")
         self.coordinator_process = self.world.spawn_process(

@@ -121,21 +121,11 @@ def manager_main(runtime: "DmtcpRuntime", restart_image: Optional[CheckpointImag
     if tenant:
         hello["tenant"] = tenant
     yield from coord_send(sys, fd, hello)
-    # distributed-coordinator mode: barrier traffic goes through the
-    # node-local relay instead of the root (Section 6 future work)
-    relay_port = env.get("DMTCP_RELAY_PORT")
-    if relay_port:
-        bfd = yield from sys.socket()
-        yield from connect_retry(sys, bfd, process.node.hostname, int(relay_port))
-        yield from sys.fcntl(bfd, "F_SETFD_CLOEXEC", 1)
-        bchan = (bfd, FrameAssembler())
-    else:
-        bchan = (fd, asm)
     supervise = env.get("DMTCP_SUPERVISE") == "1"
     spec = runtime.world.spec.dmtcp
     if restart_image is not None:
         try:
-            yield from _rejoin_after_restart(sys, runtime, fd, asm, bchan, restart_image)
+            yield from _rejoin_after_restart(sys, runtime, fd, asm, restart_image)
         except (SyscallError, CheckpointAborted):
             # a peer died mid-restart: this attempt is void; exit so the
             # supervisor can retry the whole gang from the images
@@ -162,8 +152,6 @@ def manager_main(runtime: "DmtcpRuntime", restart_image: Optional[CheckpointImag
             if reconnected is None:
                 return  # coordinator never came back; give up
             fd, asm = reconnected
-            if not relay_port:
-                bchan = (fd, asm)
             continue
         if message is None:
             if supervise:
@@ -171,12 +159,10 @@ def manager_main(runtime: "DmtcpRuntime", restart_image: Optional[CheckpointImag
                 if reconnected is None:
                     return
                 fd, asm = reconnected
-                if not relay_port:
-                    bchan = (fd, asm)
                 continue
             return  # coordinator gone; computation is over
         if message["kind"] == P.MSG_CHECKPOINT:
-            ok = yield from run_checkpoint(sys, runtime, fd, asm, bchan, message)
+            ok = yield from run_checkpoint(sys, runtime, fd, asm, message)
             if ok and message.get("kill"):
                 runtime.computation.retire_checkpointed_process(process)
                 return
@@ -259,7 +245,7 @@ def _reconnect_coordinator(sys: Sys, runtime: "DmtcpRuntime"):
     return None
 
 
-def run_checkpoint(sys: Sys, runtime: "DmtcpRuntime", fd: int, asm: FrameAssembler, bchan: tuple, message: dict):
+def run_checkpoint(sys: Sys, runtime: "DmtcpRuntime", fd: int, asm: FrameAssembler, message: dict):
     """Stages 2-7 of Figure 1, executed in every checkpointed process.
 
     Returns True when the checkpoint completed, False when it was
@@ -285,7 +271,7 @@ def run_checkpoint(sys: Sys, runtime: "DmtcpRuntime", fd: int, asm: FrameAssembl
     }
     try:
         yield from _checkpoint_stages(
-            sys, runtime, fd, asm, bchan, message, clock, ctx, timeout
+            sys, runtime, fd, asm, message, clock, ctx, timeout
         )
         return True
     except (SyscallError, CheckpointAborted) as err:
@@ -300,7 +286,6 @@ def _checkpoint_stages(
     runtime: "DmtcpRuntime",
     fd: int,
     asm: FrameAssembler,
-    bchan: tuple,
     message: dict,
     clock: StageClock,
     ctx: dict,
@@ -333,7 +318,7 @@ def _checkpoint_stages(
             runtime.saved_owners[sfd] = yield from sys.fcntl(sfd, "F_GETOWN")
         except SyscallError:
             continue  # fd closed since recorded
-    yield from barrier(sys, bchan[0], bchan[1], P.BARRIER_SUSPENDED, timeout)
+    yield from barrier(sys, fd, asm, P.BARRIER_SUSPENDED, timeout)
     clock.end("suspend")
     ctx["stage"] = None
 
@@ -345,7 +330,7 @@ def _checkpoint_stages(
             yield from sys.fcntl(sfd, "F_SETOWN", process.pid)
         except SyscallError:
             continue
-    yield from barrier(sys, bchan[0], bchan[1], P.BARRIER_ELECTED, timeout)
+    yield from barrier(sys, fd, asm, P.BARRIER_ELECTED, timeout)
     clock.end("elect")
     ctx["stage"] = None
 
@@ -372,7 +357,7 @@ def _checkpoint_stages(
         table_fd, 256 * max(len(runtime.conn_table), 1), payload=None
     )
     yield from sys.close(table_fd)
-    yield from barrier(sys, bchan[0], bchan[1], P.BARRIER_DRAINED, timeout)
+    yield from barrier(sys, fd, asm, P.BARRIER_DRAINED, timeout)
     clock.end("drain")
     ctx["stage"] = None
 
@@ -395,7 +380,7 @@ def _checkpoint_stages(
         yield from sys.fork(_writer_child)
     else:
         yield from mtcp.write_image(sys, runtime, image, image_path)
-    yield from barrier(sys, bchan[0], bchan[1], P.BARRIER_CHECKPOINTED, timeout)
+    yield from barrier(sys, fd, asm, P.BARRIER_CHECKPOINTED, timeout)
     # every member has finished its write: the on-disk set is globally
     # consistent, so even if a later stage aborts the image must survive
     # (incremental deltas may already chain to it next round)
@@ -426,7 +411,7 @@ def _checkpoint_stages(
     # the peers' re-sends have landed in our rx buffers: rolling back
     # now must NOT requeue the drained data a second time
     ctx["refill_done"] = True
-    yield from barrier(sys, bchan[0], bchan[1], P.BARRIER_REFILLED, timeout)
+    yield from barrier(sys, fd, asm, P.BARRIER_REFILLED, timeout)
     clock.end("refill")
     ctx["stage"] = None
 
@@ -515,7 +500,7 @@ def _rollback_checkpoint(sys: Sys, runtime: "DmtcpRuntime", fd: int, clock: Stag
     _fire_hook(runtime, "checkpoint-aborted", reason=str(err))
 
 
-def _rejoin_after_restart(sys: Sys, runtime: "DmtcpRuntime", fd: int, asm: FrameAssembler, bchan: tuple, image: CheckpointImage):
+def _rejoin_after_restart(sys: Sys, runtime: "DmtcpRuntime", fd: int, asm: FrameAssembler, image: CheckpointImage):
     """Restart steps 5-7 (Figure 2): rejoin at Barrier 5, refill, resume."""
     world = runtime.world
     tracer = world.tracer
@@ -525,13 +510,13 @@ def _rejoin_after_restart(sys: Sys, runtime: "DmtcpRuntime", fd: int, asm: Frame
     tenant = runtime.process.env.get("DMTCP_TENANT") or None
     supervise = runtime.process.env.get("DMTCP_SUPERVISE") == "1"
     timeout = world.spec.dmtcp.member_recv_timeout_s if supervise else None
-    yield from barrier(sys, bchan[0], bchan[1], "restart-" + P.BARRIER_CHECKPOINTED, timeout)
+    yield from barrier(sys, fd, asm, "restart-" + P.BARRIER_CHECKPOINTED, timeout)
     tracer.begin(track, "refill", cat="restart", tenant=tenant)
     try:
         dead_fds = {f.fd for f in image.fds if f.peer_dead}
         led = sorted(set(image.drained) - dead_fds)
         yield from _refill_all(runtime, led, image.drained, timeout)
-        yield from barrier(sys, bchan[0], bchan[1], "restart-" + P.BARRIER_REFILLED, timeout)
+        yield from barrier(sys, fd, asm, "restart-" + P.BARRIER_REFILLED, timeout)
     except (SyscallError, CheckpointAborted):
         # balance the span stack
         tracer.end(track, "refill", cat="restart", tenant=tenant)

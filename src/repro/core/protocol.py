@@ -66,7 +66,7 @@ MSG_ADVERTISE_BCAST = "advertise-bcast"  # coordinator -> restarters
 # Gateways aggregate the barrier verb and forward every other verb, so
 # the root sees O(fanout) connections however many processes exist.
 MSG_GW_HELLO = "gw-hello"  # gateway -> parent: this connection is a subtree
-MSG_BARRIER_COUNT = "barrier-count"  # gateway/relay -> parent: {name, n}
+MSG_BARRIER_COUNT = "barrier-count"  # gateway -> parent: {name, n}
 MSG_MEMBER_GONE = "member-gone"  # gateway -> root: {host, vpid, arrived, goodbye}
 MSG_SUBTREE_GONE = "subtree-gone"  # gateway -> root: {members: [[host, vpid]..]}
 

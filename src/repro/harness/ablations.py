@@ -60,14 +60,15 @@ class CoordinatorLoad:
     checkpoint_s: float
     barrier_messages: int
     coordinator_seconds_per_ckpt: float
-    relay: bool = False
+    tree: bool = False
 
 
-def run_coordinator_load(n_procs: int, seed: int = 0, relay: bool = False) -> CoordinatorLoad:
+def run_coordinator_load(n_procs: int, seed: int = 0, tree: bool = False) -> CoordinatorLoad:
     """Barrier traffic vs computation size: many trivial processes on a
     few nodes, one checkpoint, count root-coordinator messages.  With
-    ``relay=True`` the Section 6 distributed coordinator (per-node
-    combining relays) handles the barrier path instead.
+    ``tree=True`` the Section 6 distributed coordinator handles the
+    barrier path instead: a depth-1 gateway tree (fanout = node count,
+    every gateway top-level), i.e. one combining gateway per node.
     """
     world = build_world(4, seed)
 
@@ -76,7 +77,9 @@ def run_coordinator_load(n_procs: int, seed: int = 0, relay: bool = False) -> Co
             yield from sys.sleep(0.5)
 
     world.register_program("idleproc", idle)
-    comp = DmtcpComputation(world, relay=relay)
+    comp = DmtcpComputation(
+        world, tree_fanout=len(world.machine.hostnames) if tree else None
+    )
     for i in range(n_procs):
         comp.launch(f"node{i % 4:02d}", "idleproc")
     world.engine.run(until=2.0)
@@ -88,7 +91,7 @@ def run_coordinator_load(n_procs: int, seed: int = 0, relay: bool = False) -> Co
         checkpoint_s=ckpt.duration,
         barrier_messages=msgs,
         coordinator_seconds_per_ckpt=msgs * per_msg,
-        relay=relay,
+        tree=tree,
     )
 
 

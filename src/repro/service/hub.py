@@ -39,13 +39,12 @@ from typing import TYPE_CHECKING, Optional
 from repro.core import protocol as P
 from repro.core.coordinator import (
     CoordinatorState,
-    _abort_checkpoint,
-    _abort_restart,
+    _barrier_arrival,
     _barrier_arrive_batch,
-    _bounce_stale_arrival,
     _dispatch_message,
     _handle_disconnect,
-    _stale_arrival,
+    _ping_members,
+    _watchdog_check,
 )
 from repro.errors import SyscallError
 from repro.kernel.process import ProgramSpec, RegionSpec
@@ -268,26 +267,9 @@ def _hub_dispatcher(sys: Sys, hub: CoordinatorHub):
             hub.messages += 1
             if hub.max_batch < 1:
                 hub.max_batch = 1
-            yield from _apply_item(sys, hub, item)
-
-
-def _apply_item(sys: Sys, hub: CoordinatorHub, item: tuple):
-    """Apply one queue item against its tenant's state machine."""
-    tenant, cfd, message = item
-    state = hub.states.get(tenant)
-    if state is None:
-        return
-    if message is None:
-        hub.finished.discard(cfd)
-        yield from _handle_disconnect(sys, state, cfd)
-    else:
-        keep = yield from _dispatch_message(sys, state, cfd, message)
-        if not keep and message["kind"] != P.MSG_GOODBYE:
-            # retired mid-stream (dead store peer): tombstone the cfd so
-            # the reader's eventual EOF does not re-disconnect it.
-            # GOODBYE needs no tombstone -- the reader stopped at the
-            # frame itself and will never report an EOF
-            hub.finished.add(cfd)
+            state = hub.states.get(item[0])
+            if state is not None:
+                yield from _apply_tenant(sys, hub, state, [item])
 
 
 def _apply_batch(sys: Sys, hub: CoordinatorHub, batch: list):
@@ -312,46 +294,38 @@ def _apply_tenant(sys: Sys, hub: CoordinatorHub, state: CoordinatorState, items:
     arrivals coalesced (same-name arrivals become one
     ``_barrier_arrive_batch`` call and therefore one release check).
     Coalesced arrivals are flushed before any non-barrier verb so
-    cross-kind ordering within the tenant is preserved."""
+    cross-kind ordering within the tenant is preserved.  Per-message
+    mode is this same applier on a one-item slice."""
     arrivals: dict[str, list] = {}
-    order: list[str] = []
+
+    def flush():
+        for name in list(arrivals):
+            yield from _barrier_arrive_batch(sys, state, name, arrivals.pop(name))
+
     for _tenant, cfd, message in items:
         kind = message["kind"] if message is not None else None
         if kind == P.MSG_BARRIER or kind == P.MSG_BARRIER_COUNT:
-            name = message["name"]
-            if name not in arrivals:
-                arrivals[name] = []
-                order.append(name)
-            arrivals[name].append(
-                (cfd, message.get("n", 1), kind == P.MSG_BARRIER_COUNT)
+            arrivals.setdefault(message["name"], []).append(
+                _barrier_arrival(cfd, message)
             )
             continue
-        for name in order:
-            yield from _flush_arrivals(sys, state, name, arrivals.pop(name))
-        order.clear()
+        yield from flush()
         if message is None:
             hub.finished.discard(cfd)
             yield from _handle_disconnect(sys, state, cfd)
         else:
             keep = yield from _dispatch_message(sys, state, cfd, message)
             if not keep and message["kind"] != P.MSG_GOODBYE:
-                hub.finished.add(cfd)  # see _apply_item
-    for name in order:
-        yield from _flush_arrivals(sys, state, name, arrivals.pop(name))
-
-
-def _flush_arrivals(sys: Sys, state: CoordinatorState, name: str, group: list):
-    """Deliver one barrier's coalesced arrivals (stale-checked at apply
-    time: an abort earlier in the same batch voids the whole group)."""
-    if _stale_arrival(state, name):
-        for cfd, _n, _relay in group:
-            yield from _bounce_stale_arrival(sys, state, cfd)
-        return
-    yield from _barrier_arrive_batch(sys, state, name, group)
+                # retired mid-stream (dead store peer): tombstone the cfd so
+                # the reader's eventual EOF does not re-disconnect it.
+                # GOODBYE needs no tombstone -- the reader stopped at the
+                # frame itself and will never report an EOF
+                hub.finished.add(cfd)
+    yield from flush()
 
 
 def _hub_watchdog(sys: Sys, hub: CoordinatorHub):
-    """One watchdog for every tenant (mirrors the coordinator's).
+    """The coordinator's watchdog, swept over every supervised tenant.
 
     Tenants register after the hub process starts, so per-tenant threads
     cannot be spawned at boot; one sweep over ``hub.states`` covers the
@@ -362,36 +336,15 @@ def _hub_watchdog(sys: Sys, hub: CoordinatorHub):
         yield from sys.sleep(max(spec.barrier_timeout_s / 4.0, 0.25))
         now = yield from sys.time()
         for name in sorted(hub.states):
-            state = hub.states[name]
-            if not state.supervise or state.phase == "idle":
-                continue
-            if now - state.last_progress < state.barrier_timeout_s:
-                continue
-            if state.phase == "checkpoint":
-                yield from _abort_checkpoint(
-                    sys, state,
-                    f"no barrier progress for {state.barrier_timeout_s}s",
-                )
-            elif state.phase == "restart":
-                yield from _abort_restart(
-                    sys, state,
-                    f"restart stalled for {state.barrier_timeout_s}s",
-                )
+            if hub.states[name].supervise:
+                yield from _watchdog_check(sys, hub.states[name], now)
 
 
 def _hub_heartbeat(sys: Sys, hub: CoordinatorHub):
-    """One heartbeat loop for every supervised tenant's members."""
+    """The coordinator's heartbeat, swept over every supervised tenant."""
     spec = hub.world.spec.dmtcp
     while True:
         yield from sys.sleep(spec.heartbeat_interval_s)
         for name in sorted(hub.states):
-            state = hub.states[name]
-            if not state.supervise:
-                continue
-            for mfd in state.direct_member_fds:
-                try:
-                    yield from send_frame(
-                        sys, mfd, P.msg(P.MSG_PING), P.CTL_FRAME_BYTES
-                    )
-                except SyscallError:
-                    yield from _handle_disconnect(sys, state, mfd)
+            if hub.states[name].supervise:
+                yield from _ping_members(sys, hub.states[name])

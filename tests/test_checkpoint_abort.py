@@ -111,7 +111,7 @@ def test_peer_dies_at_barrier_cluster_returns_to_running(phase):
     # the coordinator rolled the cluster back to RUNNING: no barrier is
     # stuck open and the phase machine is idle again
     assert comp.state.phase == "idle"
-    assert not comp.state.barrier_open
+    assert not comp.state.barriers
 
     # the checkpoint request resolved one way or the other -- aborted, or
     # completed over the shrunk quorum -- never a silent forever-pending

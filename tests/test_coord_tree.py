@@ -81,8 +81,11 @@ def _build_tree(n_nodes, fanout, per_node, seed, spec=None, supervise=False):
 # ----------------------------------------------------------------------
 # Correctness
 # ----------------------------------------------------------------------
-def test_tree_mode_checkpoints_correctly():
-    world, comp, log = _build_tree(n_nodes=4, fanout=2, per_node=3, seed=91)
+# Each check runs at fanout 2 (a two-level forest) and at fanout = node
+# count: the depth-1 tree, every gateway top-level, which is the paper's
+# Section-6 two-level combining tree (one combiner per node).
+def _check_checkpoints_correctly(fanout, seed):
+    world, comp, log = _build_tree(n_nodes=4, fanout=fanout, per_node=3, seed=seed)
     outcome = comp.checkpoint()
     assert len(outcome.records) == 12
     n = len(log)
@@ -91,9 +94,17 @@ def test_tree_mode_checkpoints_correctly():
     no_failures(world)
 
 
-def test_tree_mode_reduces_root_barrier_messages():
+def test_tree_mode_checkpoints_correctly():
+    _check_checkpoints_correctly(fanout=2, seed=91)
+
+
+def test_depth1_tree_checkpoints_correctly():
+    _check_checkpoints_correctly(fanout=4, seed=81)
+
+
+def _check_reduces_root_barrier_messages(fanout):
     """The root sees O(gateways) barrier messages, not O(processes)."""
-    world, comp, _ = _build_tree(n_nodes=4, fanout=4, per_node=4, seed=92)
+    world, comp, _ = _build_tree(n_nodes=4, fanout=fanout, per_node=4, seed=92)
     comp.checkpoint()
     tree_msgs = comp.state.barrier_messages
 
@@ -115,15 +126,35 @@ def test_tree_mode_reduces_root_barrier_messages():
     assert not world2.scheduler.failures
 
 
-def test_tree_mode_kill_and_restart_with_placement():
-    world, comp, log = _build_tree(n_nodes=4, fanout=2, per_node=1, seed=93)
+def test_tree_mode_reduces_root_barrier_messages():
+    _check_reduces_root_barrier_messages(fanout=2)
+
+
+def test_depth1_tree_reduces_root_barrier_messages():
+    _check_reduces_root_barrier_messages(fanout=4)
+
+
+def _check_kill_and_restart(fanout, placement):
+    """Restored managers reach the restart barriers through the gateway
+    of whichever host they were placed on."""
+    world, comp, log = _build_tree(n_nodes=4, fanout=fanout, per_node=1, seed=93)
     comp.checkpoint(kill=True)
     n_at_kill = len(log)
-    restart = comp.restart(placement={"node03": "node01"})
+    restart = comp.restart(placement=placement)
     assert restart.duration > 0
     world.engine.run(until=world.engine.now + 3.0)
     assert len(log) > n_at_kill
     no_failures(world)
+
+
+def test_tree_mode_kill_and_restart_with_placement():
+    _check_kill_and_restart(fanout=2, placement={"node03": "node01"})
+
+
+def test_depth1_tree_kill_and_restart_with_placement():
+    _check_kill_and_restart(
+        fanout=4, placement={"node00": "node02", "node01": "node03"}
+    )
 
 
 def test_tree_topology_matches_nodeset_ranks():
@@ -220,7 +251,7 @@ def test_gateway_dies_mid_barrier_watchdog_aborts(victim):
     # the round resolved -- aborted or completed -- never forever-pending
     assert handle["outcome"] is not None
     assert comp.state.phase == "idle"
-    assert not comp.state.barrier_open
+    assert not comp.state.barriers
 
     # nobody is stranded inside the protocol, and the apps make progress
     _none_stranded(world)

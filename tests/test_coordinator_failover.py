@@ -161,8 +161,8 @@ def test_coordinator_dies_at_barrier_failover_is_live(phase):
     assert snap.get("coord.failover_retries", 0) >= 1
 
 
-def test_coordinator_dies_idle_failover_is_live():
-    world, comp, sup = _build(seed=42)
+def _check_idle_kill_failover_is_live(tree_fanout):
+    world, comp, sup = _build(seed=42, tree_fanout=tree_fanout)
     inj = FaultInjector(world, comp)
     t_kill = world.engine.now + 0.7  # between interval ticks
     inj.arm(FaultPlan.schedule([FaultEvent("kill-coordinator", at=t_kill)]))
@@ -175,11 +175,22 @@ def test_coordinator_dies_idle_failover_is_live():
     assert world.tracer.snapshot().get("coord.failover_interrupted_ckpts", 0) == 0
 
 
-def test_explicit_checkpoint_handle_resolves_through_failover():
+def test_coordinator_dies_idle_failover_is_live():
+    _check_idle_kill_failover_is_live(tree_fanout=None)
+
+
+def test_coordinator_dies_idle_failover_is_live_depth1_tree():
+    """Supervised per-node aggregation survives coordinator failover:
+    the depth-1 tree (fanout = node count) is the Section-6 shape, whose
+    former dedicated relay never reconnected to a respawned root."""
+    _check_idle_kill_failover_is_live(tree_fanout=3)
+
+
+def _check_explicit_handle_resolves_through_failover(tree_fanout):
     """A host-side ``request_checkpoint`` handle issued before the kill
     must resolve with a completed outcome -- the retried checkpoint, not
     a silent forever-pending or a terminal abort."""
-    world, comp, sup = _build(seed=43)
+    world, comp, sup = _build(seed=43, tree_fanout=tree_fanout)
     inj = FaultInjector(world, comp)
     inj.arm(
         FaultPlan.schedule(
@@ -194,6 +205,14 @@ def test_explicit_checkpoint_handle_resolves_through_failover():
     assert isinstance(handle["outcome"], CheckpointOutcome)
     assert sup.stats["restarts"] == 0
     assert not world.scheduler.failures
+
+
+def test_explicit_checkpoint_handle_resolves_through_failover():
+    _check_explicit_handle_resolves_through_failover(tree_fanout=None)
+
+
+def test_explicit_checkpoint_handle_resolves_through_failover_depth1_tree():
+    _check_explicit_handle_resolves_through_failover(tree_fanout=3)
 
 
 def test_tree_gateways_reconnect_and_replay_membership():
