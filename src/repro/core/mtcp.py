@@ -31,6 +31,22 @@ if TYPE_CHECKING:  # pragma: no cover
 #: Fixed metadata overhead per image (headers, tables), bytes.
 METADATA_BYTES = 64 * 1024
 
+#: Memory per block of the gzip <-> storage stream: block k+1 is in gzip
+#: (gunzip) while block k is on the device (why 4 MiB: DESIGN.md
+#: section 4).
+STREAM_BLOCK_BYTES = 4 * 2**20
+
+
+def _no_clock() -> float:
+    return 0.0
+
+
+def _device_block(stored: int, raw: int) -> int:
+    """Bytes on the device of one :data:`STREAM_BLOCK_BYTES` block of
+    ``raw`` memory that is stored as ``stored`` bytes (rounded up; at
+    least one, also for a link with no payload)."""
+    return max(-(-stored * STREAM_BLOCK_BYTES // max(raw, 1)), 1)
+
 
 def incremental_enabled(env: dict) -> bool:
     """Is the incremental checkpoint pipeline on for this process?"""
@@ -366,10 +382,21 @@ def _build_store_manifest(runtime: "DmtcpRuntime", image: CheckpointImage, store
 def write_image(sys: Sys, runtime: "DmtcpRuntime", image: CheckpointImage, path: str):
     """Stage 5: stream user-space memory through gzip to the image file.
 
+    A compressed image is cut into :data:`STREAM_BLOCK_BYTES` blocks of
+    memory and piped through ``sys.stream``: block *k*+1 is gzipped
+    while block *k* is being written, and a full disk is noticed at the
+    block it refuses.  An image of one block, or one without a
+    gzip stage, has nothing to overlap and issues the plain calls: the
+    CPU burst (gzip, or the memcpy of an uncompressed image), then one
+    write.  With ``DMTCP_ATOMIC_IMAGES=1`` the same bytes go to a
+    ``.tmp`` sibling that is fsynced and renamed, then certified by a
+    checksummed ``.manifest``.
+
     Runs on its own tracer track (``<host>/mtcp[<vpid>]``): with forked
     checkpointing the COW child writes in the background while the parent
     proceeds, so the write span must not nest inside the parent's stage
-    spans.
+    spans.  The span closes with ``blocks``, ``cpu_s`` and the stream's
+    ``io_wait_s`` / ``cpu_wait_s``.
     """
     world = runtime.world
     store = world.store
@@ -383,38 +410,46 @@ def write_image(sys: Sys, runtime: "DmtcpRuntime", image: CheckpointImage, path:
         est = _estimate(
             world, image.payload_regions(), image.compressed, image.gzip_workers
         )
-        if est.compress_seconds > 0:
-            yield from sys.cpu(est.compress_seconds)
-        if atomic_images_enabled(runtime.process.env):
-            # crash-safe path: a torn write only ever exists as *.tmp,
-            # and the manifest (written last) certifies the final file
-            fd = yield from sys.open(path + ".tmp", "w")
-            yield from sys.write(fd, image.stored_bytes, payload=image)
-            yield from sys.fsync(fd)
+        cpu_s = est.compress_seconds
+        piped = image.compressed and image.image_bytes > STREAM_BLOCK_BYTES
+        # a serial image's stage waits are clocked only under the tracer
+        clock = tracer.clock if tracer.enabled else _no_clock
+        serial_cpu = 0.0
+        if cpu_s > 0 and not piped:
+            t0 = clock()
+            yield from sys.cpu(cpu_s)
+            serial_cpu = clock() - t0
+        # crash-safe path: a torn write only ever exists as *.tmp, and
+        # the manifest (written last) certifies the final file
+        atomic = atomic_images_enabled(runtime.process.env)
+        fd = yield from sys.open(path + ".tmp" if atomic else path, "w")
+        try:
+            if piped:
+                stats = yield from sys.stream(
+                    fd, image.stored_bytes, cpu_s,
+                    _device_block(image.stored_bytes, image.image_bytes),
+                    write=True, payload=image,
+                )
+            else:
+                t0 = clock()
+                yield from sys.write(fd, image.stored_bytes, payload=image)
+                # serial: each stage sat out the whole of the other
+                stats = (1, clock() - t0, serial_cpu)
+            if atomic:
+                yield from sys.fsync(fd)
+        except SyscallError:
+            # a refused write (ENOSPC) must not leave the descriptor in
+            # the fd table the next checkpoint records
             yield from sys.close(fd)
+            raise
+        yield from sys.close(fd)
+        if atomic:
             yield from sys.rename(path + ".tmp", path)
-            mfd = yield from sys.open(path + ".manifest", "w")
-            yield from sys.write(
-                mfd,
-                MANIFEST_BYTES,
-                payload={
-                    "checksum": image_checksum(image),
-                    "ckpt_id": image.ckpt_id,
-                    "stored_bytes": image.stored_bytes,
-                    "delta": image.delta,
-                    "parent_image": image.parent_image,
-                },
-            )
-            yield from sys.fsync(mfd)
-            yield from sys.close(mfd)
-        else:
-            fd = yield from sys.open(path, "w")
-            yield from sys.write(fd, image.stored_bytes, payload=image)
-            yield from sys.close(fd)
+            yield from _write_manifest(sys, path, image)
     except SyscallError:
         tracer.end(track, "mtcp.write", cat="mtcp")  # balance the span stack
         raise
-    tracer.end(track, "mtcp.write", cat="mtcp")
+    end_stream_span(tracer, track, "mtcp.write", "mtcp", cpu_s, stats)
     if tracer.enabled:
         page_bytes = world.spec.os.page_bytes
         tracer.count("mtcp.images_written")
@@ -442,6 +477,39 @@ def write_image(sys: Sys, runtime: "DmtcpRuntime", image: CheckpointImage, path:
             stored_bytes=image.stored_bytes,
             ratio=round(image.stored_bytes / max(image.image_bytes, 1), 6),
         )
+
+
+def _write_manifest(sys: Sys, path: str, image: CheckpointImage):
+    """Record the checksummed ``.manifest`` sidecar of a renamed image."""
+    mfd = yield from sys.open(path + ".manifest", "w")
+    yield from sys.write(
+        mfd,
+        MANIFEST_BYTES,
+        payload={
+            "checksum": image_checksum(image),
+            "ckpt_id": image.ckpt_id,
+            "stored_bytes": image.stored_bytes,
+            "delta": image.delta,
+            "parent_image": image.parent_image,
+        },
+    )
+    yield from sys.fsync(mfd)
+    yield from sys.close(mfd)
+
+
+def end_stream_span(tracer, track: str, name: str, cat: str, cpu_s: float, stats) -> float:
+    """Close a span around ``sys.stream`` calls with what they measured:
+    ``io_wait_s`` is the time the CPU stage sat waiting on the device,
+    ``cpu_wait_s`` the reverse -- the larger one names the bottleneck."""
+    blocks, io_wait, cpu_wait = stats
+    if not tracer.enabled:
+        return tracer.end(track, name, cat=cat)
+    tracer.count("mtcp.stream_io_wait_s", io_wait)
+    tracer.count("mtcp.stream_cpu_wait_s", cpu_wait)
+    return tracer.end(
+        track, name, cat=cat, blocks=blocks, cpu_s=round(cpu_s, 9),
+        io_wait_s=round(io_wait, 9), cpu_wait_s=round(cpu_wait, 9),
+    )
 
 
 def _store_rpc(sys: Sys, runtime: "DmtcpRuntime", image: CheckpointImage, request: dict, frame_bytes: int, expect: str, purpose: str):
@@ -615,20 +683,7 @@ def _write_image_store(sys: Sys, runtime: "DmtcpRuntime", image: CheckpointImage
             yield from sys.fsync(ifd)
             yield from sys.close(ifd)
             yield from sys.rename(path + ".tmp", path)
-            mfd = yield from sys.open(path + ".manifest", "w")
-            yield from sys.write(
-                mfd,
-                MANIFEST_BYTES,
-                payload={
-                    "checksum": image_checksum(image),
-                    "ckpt_id": image.ckpt_id,
-                    "stored_bytes": image.stored_bytes,
-                    "delta": False,
-                    "parent_image": None,
-                },
-            )
-            yield from sys.fsync(mfd)
-            yield from sys.close(mfd)
+            yield from _write_manifest(sys, path, image)
         else:
             ifd = yield from sys.open(path, "w")
             yield from sys.write(ifd, mbytes, payload=image)
@@ -671,33 +726,53 @@ def _write_image_store(sys: Sys, runtime: "DmtcpRuntime", image: CheckpointImage
 
 
 def read_image(sys: Sys, path: str, validate: bool = False):
-    """Restart step 0: pull the image file back off storage.
+    """Restart step 0: the header pass over one image and its ancestry.
 
-    A delta image names its parent via ``parent_image``; the whole chain
-    is read (honest I/O cost per file) and attached to the returned leaf
-    image as ``image.chain``, base first, for restore_memory to replay.
+    The restart process needs only what the header holds -- fd table,
+    connection table, pid map -- to restore files and reconnect sockets
+    before it forks, so it reads :data:`METADATA_BYTES` of each file
+    and leaves the descriptor open at that offset: the forked child
+    streams the payload itself (:func:`restore_memory`).  A store
+    manifest is all header (the reference rows follow the fixed part);
+    it is read whole and closed.
+
+    A delta image names its parent via ``parent_image``; every link's
+    header is read and the chain attached to the returned leaf image as
+    ``image.chain``, base first.  Returns ``(leaf, fds, nbytes)``:
+    ``fds`` are the chain's open descriptors in the same order (none
+    for a store manifest) and ``nbytes`` is what the pass read.
 
     With ``validate`` (the supervised path: ``dmtcp_restart --validate``)
     each file's ``.manifest`` sidecar, when present, is read back and its
-    checksum compared -- a torn or swapped image fails loudly here
-    instead of resuming a corrupt computation.
+    checksum compared -- a torn or swapped image fails loudly here,
+    before any child is forked, instead of resuming a corrupt computation.
     """
-    leaf = yield from _read_one_image(sys, path, validate)
-    chain = [leaf]
-    node = leaf
-    while node.parent_image is not None:
-        node = yield from _read_one_image(sys, node.parent_image, validate)
+    chain, fds, total = [], [], 0
+    while path is not None:
+        node, fd, nbytes = yield from _read_header(sys, path, validate)
         chain.append(node)
-    leaf.chain = list(reversed(chain))
-    return leaf
+        if fd is not None:
+            fds.append(fd)
+        total += nbytes
+        path = node.parent_image
+    leaf = chain[0]
+    leaf.chain = chain[::-1]
+    return leaf, fds[::-1], total
 
 
-def _read_one_image(sys: Sys, path: str, validate: bool = False):
+def _read_header(sys: Sys, path: str, validate: bool):
     fd = yield from sys.open(path, "r")
-    nbytes, payload = yield from sys.read(fd, 1 << 62)
-    yield from sys.close(fd)
-    if payload is None:
+    nbytes, image = yield from sys.read(fd, METADATA_BYTES)
+    if image is None:
         raise SyscallError("EIO", f"no checkpoint payload in {path}")
+    if image.store_refs is not None:
+        # the fixed part says how many reference rows follow
+        rows = store_manifest_bytes(image) - nbytes
+        if rows > 0:
+            yield from sys.read(fd, rows)
+            nbytes += rows
+        yield from sys.close(fd)
+        fd = None
     if validate:
         st = yield from sys.stat(path + ".manifest")
         if st is not None:
@@ -705,13 +780,25 @@ def _read_one_image(sys: Sys, path: str, validate: bool = False):
             _n, manifest = yield from sys.read(mfd, 1 << 62)
             yield from sys.close(mfd)
             expected = manifest.get("checksum") if manifest else None
-            if expected != image_checksum(payload):
+            if expected != image_checksum(image):
                 raise SyscallError("EIO", f"checksum mismatch in {path}")
-    return payload
+    return image, fd, nbytes
 
 
-def restore_memory(sys: Sys, world, process, image: CheckpointImage):
-    """Restart step 5a: rebuild the address space from the region table.
+def restore_memory(sys: Sys, world, process, image: CheckpointImage, fds=()):
+    """Restart step 5a: stream the payload in and rebuild the address space.
+
+    ``fds`` are the descriptors :func:`read_image` left open, inherited
+    across ``fork`` and positioned past each header.  The chain is
+    replayed base first, link by link: each file is piped through
+    ``sys.stream`` -- block *k*+1 is read while block *k* is gunzipped
+    and its pages instantiated (an uncompressed link has no gunzip
+    child to read ahead and is one block: read, then mapped) -- and
+    closed.  The full base
+    instantiates every page, each delta only its dirty pages, so the
+    cost is honest about the replay work of an incremental restart.
+    Returns ``(cpu_s, (blocks, io_wait_s, cpu_wait_s))`` summed over the
+    chain, for :func:`end_stream_span`.
 
     Private regions are re-mapped directly; shared (mmap-backed) regions
     go through the mmap syscall so the paper's backing-file rules apply
@@ -720,6 +807,7 @@ def restore_memory(sys: Sys, world, process, image: CheckpointImage):
     """
     refs = image.store_refs
     store = world.store
+    blocks, cpu_s, io_wait, cpu_wait = 0, 0.0, 0.0, 0.0
     if refs is not None and store is not None:
         # Store mode: stream every chunk concurrently from its nearest
         # live replica (fetch submits the disk/NIC work immediately, so
@@ -736,28 +824,36 @@ def restore_memory(sys: Sys, world, process, image: CheckpointImage):
         if nworkers > 1 and len(stream_seconds) > 1:
             decompress = compression._critical_path(stream_seconds, nworkers)
         instantiate = instantiate_bytes / world.spec.os.page_restore_bps
-        if decompress + instantiate > 0:
-            yield from sys.cpu(decompress + instantiate)
+        cpu_s = decompress + instantiate
+        if cpu_s > 0:
+            yield from sys.cpu(cpu_s)
         for fut in futures:
             yield fut
     else:
-        # Replay the image chain, base first: the full base instantiates
-        # every page, each delta gunzips and overwrites only its dirty
-        # pages.  The charged cost is therefore honest about the extra
-        # replay work an incremental restart does on top of a full one.
-        chain = image.chain or [image]
-        decompress = 0.0
-        instantiate_bytes = 0
-        for img in chain:
+        for img, fd in zip(image.chain or [image], fds):
             nworkers = min(max(img.gzip_workers, 1), max(world.spec.cpu.cores, 1))
             est = _estimate(world, img.payload_regions(), img.compressed, nworkers)
-            decompress += est.decompress_seconds
-            instantiate_bytes += est.input_bytes
-        # gunzip plus page instantiation: copying image bytes into fresh
-        # mappings and faulting them in (Table 1b's dominant restore cost)
-        instantiate = instantiate_bytes / world.spec.os.page_restore_bps
-        if decompress + instantiate > 0:
-            yield from sys.cpu(decompress + instantiate)
+            # gunzip plus page instantiation: copying image bytes into
+            # fresh mappings and faulting them in (Table 1b's dominant
+            # restore cost)
+            link_cpu = (
+                est.decompress_seconds
+                + est.input_bytes / world.spec.os.page_restore_bps
+            )
+            payload = img.stored_bytes - METADATA_BYTES
+            # only a gunzip child in the pipe reads ahead of the process;
+            # an uncompressed link is one block: read it, then map it
+            block = (
+                _device_block(payload, est.input_bytes)
+                if img.compressed
+                else max(payload, 1)
+            )
+            n, io_w, cpu_w = yield from sys.stream(fd, payload, link_cpu, block)
+            yield from sys.close(fd)
+            blocks += n
+            cpu_s += link_cpu
+            io_wait += io_w
+            cpu_wait += cpu_w
     from repro.kernel.memory import AddressSpace, PROFILES
 
     space = AddressSpace(world.spec.os.page_bytes)
@@ -781,6 +877,7 @@ def restore_memory(sys: Sys, world, process, image: CheckpointImage):
             restored.chunk_gens = dict(region.chunk_gens or {})
             restored.dirty_fraction = 0.0
             restored.written = False
+    return cpu_s, (blocks, io_wait, cpu_wait)
 
 
 def _restore_shared_region(sys: Sys, process, region: RegionImage):

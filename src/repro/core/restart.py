@@ -83,11 +83,17 @@ def make_restart_program(computation: "DmtcpComputation"):
             hello["tenant"] = tenant
         yield from send_frame(sys, cfd, hello, P.CTL_FRAME_BYTES)
 
+        # ---- step 0: header pass -- payloads stay on storage -------------
         tracer.begin(track, "image_read", cat="restart")
         images = []
+        image_fds = []  # per image: the open descriptors of its chain
+        header_bytes = 0
         for path in paths:
-            images.append((yield from mtcp.read_image(sys, path, validate=validate)))
-        dur_read = tracer.end(track, "image_read", cat="restart", n=len(paths))
+            image, fds, nbytes = yield from mtcp.read_image(sys, path, validate=validate)
+            images.append(image)
+            image_fds.append(fds)
+            header_bytes += nbytes
+        tracer.end(track, "image_read", cat="restart", n=len(paths), bytes=header_bytes)
 
         # ---- step 1: reopen files, recreate ptys, re-bind listeners ------
         tracer.begin(track, "restore_files", cat="restart")
@@ -225,13 +231,7 @@ def make_restart_program(computation: "DmtcpComputation"):
             track, "reconnect", cat="restart",
             accepted=len(need_accept), connected=len(need_connect),
         )
-        stage_times = {
-            "restore_files": stage_files,
-            "reconnect": stage_reconnect,
-            # reading the images off storage counts towards Table 1b's
-            # restore-memory stage (shared across this host's processes)
-            "image_read": dur_read / max(len(images), 1),
-        }
+        stage_times = {"restore_files": stage_files, "reconnect": stage_reconnect}
 
         # ---- step 3: fork into user processes ---------------------------
         all_vpids = set()
@@ -240,12 +240,15 @@ def make_restart_program(computation: "DmtcpComputation"):
         children = []
         restore_ctx = _make_restore_ctx()
         restore_ctx["pty_rename"] = pty_rename
-        for image in images:
+        for image, own_fds in zip(images, image_fds):
             fdmap = {f.fd: (desc_fd[_endpoint_key(f)], f.cloexec) for f in image.fds}
             while True:
                 gate = _make_gate()
                 pid = yield from sys.fork(
-                    _make_restore_child(computation, image, fdmap, stage_times, gate, restore_ctx)
+                    _make_restore_child(
+                        computation, image, fdmap, own_fds,
+                        stage_times, gate, restore_ctx,
+                    )
                 )
                 if pid in all_vpids and pid != image.vpid:
                     # virtual-pid conflict (Section 4.5): kill and re-fork
@@ -331,8 +334,12 @@ def _restore_connector(sys: Sys, key: str, host: str, port: int, desc_fd: dict):
     desc_fd[("ep", key, "connect")] = fd
 
 
-def _make_restore_child(computation, image, fdmap: dict, stage_times: dict, gate: dict, restore_ctx: dict):
-    """Child body: Figure 2 steps 4-5, then hand off to the manager."""
+def _make_restore_child(computation, image, fdmap: dict, image_fds: list, stage_times: dict, gate: dict, restore_ctx: dict):
+    """Child body: Figure 2 steps 4-5, then hand off to the manager.
+
+    ``image_fds`` are the inherited descriptors of this child's own
+    image chain, positioned past the headers the restart process read.
+    """
 
     def restore_child(sys: Sys):
         """One restored user process (Figure 2 steps 4-5 + manager)."""
@@ -351,9 +358,16 @@ def _make_restore_child(computation, image, fdmap: dict, stage_times: dict, gate
             temp = _TEMP_FD_BASE + i
             yield from sys.dup2(src_fd, temp)
             temp_of[target_fd] = temp
-        for fd in sorted(process.fds):
-            if fd < _TEMP_FD_BASE:
-                yield from sys.close(fd)
+        # the image itself moves out of the user's fd range the same way
+        own_image = []
+        for fd in image_fds:
+            temp = _TEMP_FD_BASE + len(fdmap) + len(own_image)
+            yield from sys.dup2(fd, temp)
+            own_image.append(temp)
+        # one sweep drops everything inherited from the restart process,
+        # the siblings' images included: a close per fd would put every
+        # image of the host on every child's critical path
+        yield from sys.close_range(0, _TEMP_FD_BASE - 1)
         for target_fd, temp in sorted(temp_of.items()):
             yield from sys.dup2(temp, target_fd)
             yield from sys.close(temp)
@@ -364,9 +378,11 @@ def _make_restore_child(computation, image, fdmap: dict, stage_times: dict, gate
         tracer = world.tracer
         child_track = f"{host}/{image.program}[{image.vpid}]"
         tracer.begin(child_track, "restore_memory", cat="restart")
-        yield from mtcp.restore_memory(sys, world, process, image)
+        cpu_s, stats = yield from mtcp.restore_memory(sys, world, process, image, own_image)
         threads = mtcp.adopt_threads(world, process, image)
-        dur_restore = tracer.end(child_track, "restore_memory", cat="restart")
+        dur_restore = mtcp.end_stream_span(
+            tracer, child_track, "restore_memory", "restart", cpu_s, stats
+        )
         tracer.count("restart.processes_restored")
         tracer.count("restart.threads_adopted", len(threads))
 
@@ -398,10 +414,7 @@ def _make_restore_child(computation, image, fdmap: dict, stage_times: dict, gate
             runtime.map_pty(virt_name, new_real)
         process.user_state["dmtcp"] = runtime
         process.sys = image.sys_ref
-        runtime.restart_stages = dict(stage_times)
-        runtime.restart_stages["restore_memory"] = (
-            dur_restore + runtime.restart_stages.pop("image_read", 0.0)
-        )
+        runtime.restart_stages = dict(stage_times, restore_memory=dur_restore)
         # restored regions are fully dirty (fresh mappings), so the next
         # incremental checkpoint must write a full base image
         runtime.last_image_path = None

@@ -46,7 +46,11 @@ class PageCachedDisk:
 
     * per-writer fill rate = ``cache_write_bps / n`` while dirty < limit,
       else ``disk_bps / n``;
-    * the dirty set drains at ``disk_bps`` whenever it is non-empty;
+    * the dirty set drains at ``disk_bps`` whenever it is non-empty --
+      except while a block stream holds write-back (``hold_writeback``):
+      the flusher leaves a file that is still being appended alone
+      unless a ``sync`` waits, so a trickled image is as dirty when its
+      stream closes as one written in a single call;
     * ``sync()`` resolves when all writers have finished and the dirty set
       has fully drained.
     """
@@ -72,6 +76,8 @@ class PageCachedDisk:
         self._last_update = 0.0
         self._next_event: Optional[Event] = None
         self._sync_waiters: list[Future] = []
+        #: Open block streams deferring write-back (see hold_writeback).
+        self._holds = 0
         self._write_name = f"{name}:write"
         #: Reads of data still resident in the cache (just-written images).
         self._cached_reads = BandwidthResource(
@@ -112,6 +118,18 @@ class PageCachedDisk:
         res = self._cached_reads if cached else self._disk_reads
         return res.submit(nbytes)
 
+    def hold_writeback(self) -> None:
+        """A block stream opens: defer write-back until it releases."""
+        self._advance()
+        self._holds += 1
+        self._reschedule()
+
+    def release_writeback(self) -> None:
+        """The stream closed (or died): its blocks may drain now."""
+        self._advance()
+        self._holds -= 1
+        self._reschedule()
+
     def sync(self) -> Future:
         """Resolve when every pending write is durable on the platter."""
         fut = Future(f"{self.name}:sync")
@@ -150,6 +168,8 @@ class PageCachedDisk:
         return self.spec.disk_bps
 
     def _drain_rate(self) -> float:
+        if self._holds and not self._sync_waiters:
+            return 0.0  # write-back deferred (at the limit writers throttle)
         if self.dirty_bytes > self._eps:
             return self.spec.disk_bps
         # empty cache: drain tracks inflow up to disk speed

@@ -114,6 +114,12 @@ class MountTable:
             return self.node.san.write(nbytes, self.node.san_path)
         return self.node.disk.write(nbytes)
 
+    def page_cache(self, mount: Mount):
+        """The write-back cache ``charge_write`` lands in (None: the SAN)."""
+        if mount.storage == "san" and self.node.san is not None:
+            return None
+        return self.node.disk
+
     def charge_read(self, mount: Mount, nbytes: float, cached: bool) -> Future:
         """Bill a read (page-cache-hot or cold) to the storage device."""
         if mount.storage == "san" and self.node.san is not None:

@@ -202,6 +202,10 @@ class Sys:
         """Close an fd (last close releases the description)."""
         return (yield Call("close", (fd,)))
 
+    def close_range(self, lo: int, hi: int):
+        """Close every open fd in ``[lo, hi]`` with one call."""
+        return (yield Call("close_range", (lo, hi)))
+
     def dup2(self, oldfd: int, newfd: int):
         """Duplicate ``oldfd`` onto ``newfd`` (shared description)."""
         return (yield Call("dup2", (oldfd, newfd)))
@@ -213,6 +217,24 @@ class Sys:
     def write(self, fd: int, nbytes: int, payload: Any = None):
         """Write ``nbytes`` (optionally attaching a ``payload`` object); returns n."""
         return (yield Call("write", (fd, nbytes, payload)))
+
+    def stream(
+        self,
+        fd: int,
+        nbytes: int,
+        cpu_s: float,
+        block_bytes: int,
+        write: bool = False,
+        payload: Any = None,
+    ):
+        """Pipe ``nbytes`` between memory and file ``fd`` through a CPU
+        stage costing ``cpu_s`` in total, ``block_bytes`` at a time: the
+        CPU works on one block while the device moves its neighbour (a
+        two-block buffer).  Writing compresses then writes (attaching
+        ``payload`` with the last block); reading reads then expands,
+        from the current offset, clamped to end of file.  Returns
+        ``(blocks, io_wait_s, cpu_wait_s)``."""
+        return (yield Call("stream", (fd, nbytes, cpu_s, block_bytes, write, payload)))
 
     def lseek(self, fd: int, offset: int):
         """Set the file offset."""

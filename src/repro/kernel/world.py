@@ -181,6 +181,149 @@ class _FileReadFinish:
         self.task.complete_call((self.n, desc.file.payload))
 
 
+class _BlockStream:
+    """A double-buffered block stream between a CPU stage and the storage
+    device behind an open file (see ``World._sys_stream``).
+
+    Step *j* runs the first stage on block *j* and the second stage on
+    block *j*-1 at the same time and ends when both have finished, so
+    each stage holds at most one block and a block reaches the second
+    stage only after the first has finished with it.  Writing, the
+    first stage is the CPU (a byte is billed to the device only after
+    its CPU share has been spent); reading, it is the device.  Stage
+    completions are resource callbacks: the calling task is resumed
+    once, when the last block has left the second stage.
+
+    A write stream into a page cache holds that cache's write-back until
+    it ends (``PageCachedDisk.hold_writeback``): blocks trickling in
+    under the platter's speed would otherwise all be durable when the
+    last one lands, and a ``sync`` after the image would cost nothing.
+    """
+
+    __slots__ = (
+        "world", "task", "current", "process", "desc", "write",
+        "payload", "left", "block", "cpu_per_byte", "ahead", "io_bytes",
+        "waiting", "blocks", "timed", "t_cpu", "t_io", "io_wait", "cpu_wait",
+        "cache",
+    )
+
+    def __init__(self, world, task, process, desc, nbytes, cpu_s, block_bytes, write, payload):
+        self.world = world
+        self.task = task
+        #: False once the task was killed or its kernel context sealed.
+        self.current = _StillCurrent(task)
+        self.process = process
+        self.desc = desc
+        self.write = write
+        self.payload = payload
+        #: Bytes the first stage has not taken yet.
+        self.left = nbytes
+        # without a CPU stage there is nothing to overlap: one block
+        self.block = block_bytes if cpu_s > 0 else nbytes
+        self.cpu_per_byte = cpu_s / nbytes
+        #: Size of the block the first stage finished in the last step.
+        self.ahead = 0
+        self.io_bytes = 0
+        self.waiting = 0
+        self.blocks = 0
+        #: Stage-wait accounting runs only under the tracer (_trace_hot).
+        self.timed = world.engine._trace_hot is not None
+        self.t_cpu = self.t_io = 0.0
+        self.io_wait = self.cpu_wait = 0.0
+        #: The page cache whose write-back this stream holds, if any.
+        self.cache = desc.table.page_cache(desc.mount) if write else None
+        if self.cache is not None:
+            self.cache.hold_writeback()
+
+    def _live(self) -> bool:
+        """Is the caller still there?  If not, issue nothing further."""
+        if self.current():
+            return True
+        self._release()
+        return False
+
+    def _release(self) -> None:
+        cache, self.cache = self.cache, None
+        if cache is not None:
+            cache.release_writeback()
+
+    def step(self) -> None:
+        """Begin one step: the second stage takes the block the first
+        stage just finished, the first stage takes the next one."""
+        if not self._live():
+            return
+        ready = self.ahead
+        left = self.left
+        nxt = left if left < self.block else self.block
+        if not ready and not nxt:
+            self._release()
+            self.task.complete_call((self.blocks, self.io_wait, self.cpu_wait))
+            return
+        self.left = left - nxt
+        self.ahead = nxt
+        if nxt:
+            self.blocks += 1
+        io_bytes, cpu_bytes = (ready, nxt) if self.write else (nxt, ready)
+        self.waiting = (1 if io_bytes else 0) + (1 if cpu_bytes else 0)
+        if self.timed:
+            self.t_cpu = self.t_io = self.world.engine.now
+        if io_bytes:
+            self.io_bytes = io_bytes
+            desc = self.desc
+            if self.write:
+                try:
+                    self.world._check_disk_space(self.process, desc)
+                except SyscallError as err:
+                    self._release()
+                    self.task.fail_call(err)
+                    return
+                fut = desc.table.charge_write(desc.mount, io_bytes)
+            else:
+                fut = desc.table.charge_read(
+                    desc.mount, io_bytes, self.world._page_cached(desc)
+                )
+            fut.add_done(self._io_done)
+        if cpu_bytes:
+            self.process.node.cpu_burst(cpu_bytes * self.cpu_per_byte).add_done(
+                self._cpu_done
+            )
+
+    def _io_done(self) -> None:
+        if not self._live():
+            return
+        desc = self.desc
+        desc.offset += self.io_bytes
+        if self.write:
+            file = desc.file
+            file.size = max(file.size, desc.offset)
+            file.last_write_time = self.world.engine.now
+            if self.payload is not None and not self.ahead and not self.left:
+                file.payload = self.payload  # the last block completes the file
+        if self.timed:
+            self.t_io = self.world.engine.now
+        self._stage_done()
+
+    def _cpu_done(self) -> None:
+        if not self._live():
+            return
+        if self.timed:
+            self.t_cpu = self.world.engine.now
+        self._stage_done()
+
+    def _stage_done(self) -> None:
+        self.waiting -= 1
+        if self.waiting:
+            return
+        if self.timed:
+            # a stage that idled this step kept the step's start time
+            lag = self.t_io - self.t_cpu
+            if lag > 0:
+                self.io_wait += lag
+            else:
+                self.cpu_wait -= lag
+        self.step()
+
+
 class _RecvAttempt:
     """One blocking recv: retries itself whenever data may have arrived."""
 
@@ -1006,6 +1149,11 @@ class World:
         process.drop_fd(fd)
         task.complete_call(None)
 
+    def _sys_close_range(self, task, thread, process, lo, hi) -> None:
+        for fd in sorted(f for f in process.fds if lo <= f <= hi):
+            process.drop_fd(fd)
+        task.complete_call(None)
+
     def _sys_dup2(self, task, thread, process, oldfd, newfd) -> None:
         desc = process.get_fd(oldfd)
         process.install_fd(newfd, desc)
@@ -1017,12 +1165,23 @@ class World:
             raise SyscallError("EINVAL", f"fd {fd} is not a file; use send")
         if not desc.writable:
             raise SyscallError("EBADF", f"fd {fd} not writable")
+        self._check_disk_space(process, desc)
+        fut = desc.table.charge_write(desc.mount, nbytes)
+        fut.add_done(_FileWriteFinish(self, task, desc, nbytes, payload, fut))
+
+    def _check_disk_space(self, process, desc) -> None:
+        """ENOSPC while the node's local disk is full (fault injection)."""
         if desc.mount.storage == "local":
             ns = self.nodes[process.node.hostname]
             if ns.disk_full_until > self.engine.now:
                 raise SyscallError("ENOSPC", desc.file.path)
-        fut = desc.table.charge_write(desc.mount, nbytes)
-        fut.add_done(_FileWriteFinish(self, task, desc, nbytes, payload, fut))
+
+    def _page_cached(self, desc) -> bool:
+        """Is the file still resident in the page cache (just written)?"""
+        return (
+            self.engine.now - desc.file.last_write_time
+            < self.spec.disk.cache_retention_s
+        )
 
     def _sys_read(self, task, thread, process, fd, nbytes) -> None:
         desc = process.get_fd(fd)
@@ -1033,12 +1192,28 @@ class World:
         if n == 0:
             task.complete_call((0, None))
             return
-        cached = (
-            self.engine.now - desc.file.last_write_time
-            < self.spec.disk.cache_retention_s
-        )
-        fut = desc.table.charge_read(desc.mount, n, cached)
+        fut = desc.table.charge_read(desc.mount, n, self._page_cached(desc))
         fut.add_done(_FileReadFinish(task, desc, n, fut))
+
+    def _sys_stream(self, task, thread, process, fd, nbytes, cpu_s, block_bytes, write, payload) -> None:
+        """See :meth:`Sys.stream` and :class:`_BlockStream`; the stage
+        waits in the result are measured only under the tracer."""
+        desc = process.get_fd(fd)
+        if not isinstance(desc, OpenFile):
+            raise SyscallError("EINVAL", f"fd {fd} is not a file")
+        if block_bytes <= 0:
+            raise SyscallError("EINVAL", f"block size {block_bytes}")
+        if write:
+            if not desc.writable:
+                raise SyscallError("EBADF", f"fd {fd} not writable")
+        else:
+            nbytes = max(min(nbytes, desc.file.size - desc.offset), 0)
+        if nbytes <= 0:  # nothing to move: the CPU stage alone
+            self._settle(task, process.node.cpu_burst(cpu_s), value=(0, 0.0, 0.0))
+            return
+        _BlockStream(
+            self, task, process, desc, nbytes, cpu_s, block_bytes, write, payload
+        ).step()
 
     def _sys_lseek(self, task, thread, process, fd, offset) -> None:
         desc = process.get_fd(fd)
