@@ -4,7 +4,7 @@ NAS/MG under OpenMPI on 8 nodes: uncompressed / compressed / forked."""
 import pytest
 
 from repro.harness.report import table
-from repro.harness.table1 import PAPER_TABLE1A, PAPER_TABLE1B, run_table1
+from repro.harness.table1 import PAPER_TABLE1B, run_table1
 
 from benchmarks._util import run_timed, save_and_print, save_json
 
@@ -27,11 +27,7 @@ def test_table1_summary_shapes(benchmark):
     benchmark(lambda: None)
     rows_a = []
     for mode in ("uncompressed", "compressed", "forked"):
-        r = _RESULTS[mode]
-        paper = PAPER_TABLE1A[mode]
-        for stage, measured in r.ckpt_stages.items():
-            rows_a.append((mode, stage, measured, paper.get(stage, float("nan"))))
-        rows_a.append((mode, "TOTAL", r.ckpt_total, sum(paper.values())))
+        rows_a.extend(_RESULTS[mode].table1a_rows())
     rows_b = []
     for mode in ("uncompressed", "compressed"):
         r = _RESULTS[mode]

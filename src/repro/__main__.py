@@ -111,6 +111,7 @@ def _trace(argv: list[str]) -> int:
         "dmtcp.drained_bytes",
         "dmtcp.refilled_bytes",
         "mtcp.pages_written",
+        "mtcp.write_hidden_s",
         "mtcp.stream_io_wait_s",
         "mtcp.stream_cpu_wait_s",
         "store.chunks_leased",

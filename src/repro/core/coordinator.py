@@ -392,6 +392,10 @@ def _abort_checkpoint(sys: Sys, state: CoordinatorState, reason: str):
     parked, state.store_parked = state.store_parked, {}
     for owner in sorted(parked):
         yield from _bounce_stale_arrival(sys, state, parked[owner][0])
+    if state.store is not None:
+        # every writer of the generation rolls back (or is dead): the
+        # leases go back, whoever still counts as a member
+        state.store.release()
     yield from _broadcast_members(sys, state, P.msg(P.MSG_CKPT_ABORT, reason=reason))
     for cmd_fd in state.pending_command_fds:
         yield from _send_safe(sys, state, cmd_fd, P.msg("aborted", reason=reason))

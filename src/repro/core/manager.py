@@ -9,6 +9,11 @@ request executes, with six cluster-wide barriers:
   peer handshakes) -> 5 write checkpoint to disk -> 6 refill kernel
   buffers (send drained data back; sender re-sends) -> 7 resume.
 
+User memory cannot change between Barrier 2 and stage 7, so the image's
+payload starts streaming when Barrier 2 releases, beside stages 3-4;
+stage 5 proper is the header, which needs the drain, and the commit
+(see ``_checkpoint_stages``).
+
 On restart the recreated manager rejoins at Barrier 5 ("the user process
 will resume at Barrier 5 of the checkpoint algorithm", Section 4.4) and
 replays stages 6-7.
@@ -267,7 +272,7 @@ def run_checkpoint(sys: Sys, runtime: "DmtcpRuntime", fd: int, asm: FrameAssembl
     # rollback bookkeeping: which irreversible steps have already run
     ctx: dict = {
         "stage": None, "suspended": False, "drained": {},
-        "image_path": None, "image_committed": False, "refill_done": False,
+        "writer": None, "refill_done": False,
     }
     try:
         yield from _checkpoint_stages(
@@ -291,10 +296,34 @@ def _checkpoint_stages(
     ctx: dict,
     timeout: Optional[float],
 ):
+    """The stages of one checkpoint, in the paper's order -- except that
+    the image write does not wait for the drain.
+
+    User memory is frozen from the release of ``BARRIER_SUSPENDED`` to
+    stage 7 (the barrier is global, user threads stay suspended), and
+    all stages 3-4 can still change is what the image *header* holds:
+    the manager's drain buffers, the ``peer_dead`` flags, the connection
+    table.  So the image is planned and its payload starts streaming at
+    Barrier 2, on a manager-kind thread beside the election and the
+    drain (:class:`repro.core.mtcp.ImageWriter`); after
+    ``BARRIER_DRAINED`` the manager seals the header, joins the payload,
+    puts the header in front and commits the file, then arrives at
+    Barrier 5.  A checkpoint costs ``suspend + max(elect + drain,
+    payload) + header`` instead of their sum.  Forked checkpointing
+    forks after the drain: the COW snapshot must contain the drained
+    buffers, and its write is off the critical path anyway.
+
+    ``stages["write"]`` stays Barrier 4 -> Barrier 5, what the
+    computation waits for; the record's ``write_hidden_s`` is the part
+    of the write that ran under stages 3-4.
+    """
+    from repro.core import mtcp
+
     process = runtime.process
     world = runtime.world
     tracer = world.tracer
     ckpt_id = message["ckpt_id"]
+    forked = bool(message.get("forked"))
 
     # ---- stage 2: suspend user threads --------------------------------
     clock.begin("suspend")
@@ -321,6 +350,10 @@ def _checkpoint_stages(
     yield from barrier(sys, fd, asm, P.BARRIER_SUSPENDED, timeout)
     clock.end("suspend")
     ctx["stage"] = None
+    # from here until Barrier 5 a partial image may exist: rollback owns it
+    ctx["writer"] = writer = mtcp.ImageWriter(runtime, ckpt_id)
+    if not forked:
+        writer.start()
 
     # ---- stage 3: elect shared-FD leaders ------------------------------
     clock.begin("elect")
@@ -361,30 +394,26 @@ def _checkpoint_stages(
     clock.end("drain")
     ctx["stage"] = None
 
-    # ---- stage 5: write checkpoint to disk ------------------------------
-    from repro.core import mtcp
-
+    # ---- stage 5: seal the header, commit the image ----------------------
     clock.begin("write")
     ctx["stage"] = "write"
-    image = mtcp.build_image(runtime, ckpt_id, drained)
-    image_path = mtcp.image_path(runtime, ckpt_id)
-    ctx["image_path"] = image_path
-    forked = bool(message.get("forked"))
+    writer.seal(drained)
     if forked:
         # forked checkpointing: a COW child compresses and writes in the
         # background while the parent rejoins the barrier immediately
         def _writer_child(child_sys):
-            yield from mtcp.write_image(child_sys, runtime, image, image_path)
+            yield from writer.write(child_sys)
             yield from child_sys.exit(0)
 
         yield from sys.fork(_writer_child)
     else:
-        yield from mtcp.write_image(sys, runtime, image, image_path)
+        yield from writer.finish(sys)
     yield from barrier(sys, fd, asm, P.BARRIER_CHECKPOINTED, timeout)
     # every member has finished its write: the on-disk set is globally
     # consistent, so even if a later stage aborts the image must survive
     # (incremental deltas may already chain to it next round)
-    ctx["image_committed"] = True
+    ctx["writer"] = None
+    image = writer.image
     if mtcp.incremental_enabled(process.env) or mtcp.store_enabled(process.env):
         # every process has finished writing (Barrier 5 released) and user
         # threads stay suspended until stage 7, so clearing dirty bits --
@@ -393,21 +422,21 @@ def _checkpoint_stages(
         for region in process.address_space.regions:
             region.clean()
     if mtcp.incremental_enabled(process.env):
-        runtime.last_image_path = image_path
+        runtime.last_image_path = writer.path
         runtime.chain_depth = image.chain_depth
     clock.end("write")
     ctx["stage"] = None
 
     # ---- stage 6: refill kernel buffers ---------------------------------
-    from repro.core.mtcp import endpoint_dead
-
     clock.begin("refill")
     ctx["stage"] = "refill"
     alive = [
         sfd for sfd in led
-        if sfd in process.fds and not endpoint_dead(process.get_fd(sfd))
+        if sfd in process.fds and not mtcp.endpoint_dead(process.get_fd(sfd))
     ]
     yield from _refill_all(runtime, alive, drained, timeout)
+    # a dead peer re-sends nothing: what its endpoint held goes back
+    _requeue_drained(process, {sfd: drained.get(sfd) for sfd in led if sfd not in alive})
     # the peers' re-sends have landed in our rx buffers: rolling back
     # now must NOT requeue the drained data a second time
     ctx["refill_done"] = True
@@ -430,11 +459,12 @@ def _checkpoint_stages(
         image_bytes=image.image_bytes,
         stored_bytes=image.stored_bytes,
         compressed=image.compressed,
+        write_hidden_s=writer.hidden_s,
     )
     yield from coord_send(
         sys,
         fd,
-        P.msg(P.MSG_CKPT_DONE, record=record, image_path=image_path, host=process.node.hostname),
+        P.msg(P.MSG_CKPT_DONE, record=record, image_path=writer.path, host=process.node.hostname),
     )
     if not message.get("kill"):
         yield from sys.resume_threads()
@@ -451,9 +481,12 @@ def _rollback_checkpoint(sys: Sys, runtime: "DmtcpRuntime", fd: int, clock: Stag
     The checkpoint attempt dies; the computation survives.  Drained but
     not-yet-refilled socket data is pushed back onto the *front* of each
     receive buffer so the application still sees every byte exactly
-    once, in order.  Half-written artifacts are unlinked; a fully
-    written (post-Barrier-5) image is kept because incremental deltas
-    may already chain to it.
+    once, in order.  From Barrier 2 on a partial image may exist and
+    its payload may still be streaming: the writer is stopped first, its
+    descriptors closed, then what it made is unlinked
+    (:meth:`repro.core.mtcp.ImageWriter.abort`).  A fully written
+    (post-Barrier-5) image is kept because incremental deltas may
+    already chain to it.
     """
     process = runtime.process
     tracer = runtime.world.tracer
@@ -461,24 +494,10 @@ def _rollback_checkpoint(sys: Sys, runtime: "DmtcpRuntime", fd: int, clock: Stag
     if stage is not None:
         clock.end(stage)  # balance the tracer's span stack
     if not ctx.get("refill_done"):
-        for sfd, chunks in ctx.get("drained", {}).items():
-            entry = process.fds.get(sfd)
-            if entry is None or not chunks:
-                continue
-            rx = getattr(entry.description, "rx", None)
-            if rx is not None:
-                rx.requeue_front(chunks)
-    doomed = []
-    image_path = ctx.get("image_path")
-    if image_path:
-        doomed.append(image_path + ".tmp")
-        if not ctx.get("image_committed"):
-            doomed.extend([image_path, image_path + ".manifest"])
-    for path in doomed:
-        try:
-            yield from sys.unlink(path)
-        except SyscallError:
-            pass
+        _requeue_drained(process, ctx.get("drained", {}))
+    writer = ctx.get("writer")
+    if writer is not None:
+        yield from writer.abort(sys)
     for sfd, owner in getattr(runtime, "saved_owners", {}).items():
         try:
             yield from sys.fcntl(sfd, "F_SETOWN", owner)
@@ -617,6 +636,18 @@ def _drain_endpoint(sys: Sys, runtime: "DmtcpRuntime", sfd: int, out: dict, time
         tracer.count("dmtcp.drained_chunks", len(chunks), tenant=tenant)
         tracer.count("dmtcp.drained_bytes", sum(c.nbytes for c in chunks), tenant=tenant)
     out[sfd] = chunks
+
+
+def _requeue_drained(process, drained: dict[int, list]) -> None:
+    """Put drained chunks back at the front of the buffers they came out
+    of, so the application still sees every byte exactly once, in order."""
+    for sfd, chunks in drained.items():
+        entry = process.fds.get(sfd)
+        if entry is None or not chunks:
+            continue
+        rx = getattr(entry.description, "rx", None)
+        if rx is not None:
+            rx.requeue_front(chunks)
 
 
 def _refill_all(runtime: "DmtcpRuntime", led: list[int], drained: dict[int, list], timeout: Optional[float] = None):

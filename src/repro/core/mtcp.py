@@ -8,7 +8,8 @@ so the process resumes at Barrier 5 of the checkpoint algorithm.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+import copy
+from typing import TYPE_CHECKING, Optional
 
 from repro.core import compression
 from repro.core import protocol as P
@@ -196,8 +197,17 @@ def plan_delta(runtime: "DmtcpRuntime") -> bool:
     return total > 0 and dirty / total <= spec.incremental_dirty_threshold
 
 
-def build_image(runtime: "DmtcpRuntime", ckpt_id: int, drained: dict[int, list]) -> CheckpointImage:
-    """Snapshot the process: memory map, threads, FD table, connections.
+def plan_image(runtime: "DmtcpRuntime", ckpt_id: int) -> CheckpointImage:
+    """The half of an image that is frozen once ``BARRIER_SUSPENDED``
+    releases: who the process is and what its memory holds.
+
+    That barrier is global and user threads stay suspended until stage
+    7, so from here on no region, private or shared, can change: the
+    region rows, the delta plan, the store chunk manifest, the
+    compression estimate and the sizes computed now are the ones a
+    build after the drain would compute.  What the drain can still
+    change -- descriptors, connections, drained data -- is left empty
+    for :func:`seal_image`.
 
     With the incremental pipeline (``DMTCP_INCREMENTAL=1``) and a usable
     parent image, the image is a *delta*: every region row keeps its full
@@ -224,14 +234,67 @@ def build_image(runtime: "DmtcpRuntime", ckpt_id: int, drained: dict[int, list])
         )
         for r in process.address_space.regions
     ]
-    threads = [
+    parent_rt = None
+    if process.parent is not None:
+        parent_rt = process.parent.user_state.get("dmtcp")
+    image = CheckpointImage(
+        ckpt_id=ckpt_id,
+        hostname=process.node.hostname,
+        vpid=runtime.vpid,
+        program=process.program,
+        argv=list(process.argv),
+        env=dict(process.env),
+        regions=regions,
+        threads=[],
+        fds=[],
+        connections={},
+        parent_vpid=parent_rt.vpid if parent_rt else 0,
+        sid_vpid=process.sid,
+        ctty_name=process.ctty.name if process.ctty else None,
+        termios=dict(process.ctty.termios) if process.ctty else None,
+        signal_handlers=dict(process.signal_handlers),
+        sys_ref=runtime.sys,
+    )
+    compressed = runtime.process.env.get("DMTCP_GZIP", "1") == "1"
+    image.compressed = compressed
+    image.delta = delta
+    if delta:
+        image.parent_image = runtime.last_image_path
+        image.chain_depth = runtime.chain_depth + 1
+    image.gzip_workers = gzip_workers(runtime)
+    store = runtime.world.store
+    if store is not None and store_enabled(process.env):
+        _build_store_manifest(runtime, image, store)
+    else:
+        est = _estimate(
+            runtime.world, image.payload_regions(), compressed, image.gzip_workers
+        )
+        image.image_bytes = est.input_bytes + METADATA_BYTES
+        image.stored_bytes = est.output_bytes + METADATA_BYTES
+    return image
+
+
+def seal_image(runtime: "DmtcpRuntime", image: CheckpointImage, drained: dict[int, list], fd_nums) -> None:
+    """The half of an image known only after ``BARRIER_DRAINED``: the
+    header.  Threads, the FD table with the post-election owners and the
+    ``peer_dead`` flags, the connection table, the drained data, the pid
+    map and the app state are read now, after the drain.
+
+    ``fd_nums`` is the descriptor set as the suspend barrier left it: a
+    descriptor opened since belongs to the checkpoint itself (the image
+    file, a lease connection) and never enters an image.
+    """
+    process = runtime.process
+    image.threads = [
         ThreadImage(t.name, t.task)
         for t in process.threads
         if t.kind == "user" and t.task is not None and not t.task.done
     ]
-    fds = []
-    for fd_num in sorted(process.fds):
-        entry = process.fds[fd_num]
+    image.fds = fds = []
+    for fd_num in sorted(fd_nums):
+        entry = process.fds.get(fd_num)
+        if entry is None:
+            continue
         desc = entry.description
         info = runtime.conn_table.get(fd_num)
         if isinstance(desc, OpenFile):
@@ -279,54 +342,16 @@ def build_image(runtime: "DmtcpRuntime", ckpt_id: int, drained: dict[int, list])
                     desc_key=id(desc),
                 )
             )
-    connections = {
+    image.connections = {
         conn_key(info.conn_id): info.clone()
         for _fd, info in runtime.conn_table.items()
         if info.conn_id is not None
     }
-    parent_rt = None
-    if process.parent is not None:
-        parent_rt = process.parent.user_state.get("dmtcp")
-    image = CheckpointImage(
-        ckpt_id=ckpt_id,
-        hostname=process.node.hostname,
-        vpid=runtime.vpid,
-        program=process.program,
-        argv=list(process.argv),
-        env=dict(process.env),
-        regions=regions,
-        threads=threads,
-        fds=fds,
-        connections=connections,
-        drained=dict(drained),
-        pid_map=dict(runtime.pids.v2r),
-        parent_vpid=parent_rt.vpid if parent_rt else 0,
-        sid_vpid=process.sid,
-        ctty_name=process.ctty.name if process.ctty else None,
-        termios=dict(process.ctty.termios) if process.ctty else None,
-        signal_handlers=dict(process.signal_handlers),
-        sys_ref=runtime.sys,
-    )
+    image.drained = dict(drained)
+    image.pid_map = dict(runtime.pids.v2r)
     from repro.core.export import capture_app_state
 
     image.app_state = capture_app_state(process)
-    compressed = runtime.process.env.get("DMTCP_GZIP", "1") == "1"
-    image.compressed = compressed
-    image.delta = delta
-    if delta:
-        image.parent_image = runtime.last_image_path
-        image.chain_depth = runtime.chain_depth + 1
-    image.gzip_workers = gzip_workers(runtime)
-    store = runtime.world.store
-    if store is not None and store_enabled(process.env):
-        _build_store_manifest(runtime, image, store)
-    else:
-        est = _estimate(
-            runtime.world, image.payload_regions(), compressed, image.gzip_workers
-        )
-        image.image_bytes = est.input_bytes + METADATA_BYTES
-        image.stored_bytes = est.output_bytes + METADATA_BYTES
-    return image
 
 
 def store_manifest_bytes(image: CheckpointImage) -> int:
@@ -379,106 +404,6 @@ def _build_store_manifest(runtime: "DmtcpRuntime", image: CheckpointImage, store
     image.stored_bytes = store_manifest_bytes(image) + int(stored)
 
 
-def write_image(sys: Sys, runtime: "DmtcpRuntime", image: CheckpointImage, path: str):
-    """Stage 5: stream user-space memory through gzip to the image file.
-
-    A compressed image is cut into :data:`STREAM_BLOCK_BYTES` blocks of
-    memory and piped through ``sys.stream``: block *k*+1 is gzipped
-    while block *k* is being written, and a full disk is noticed at the
-    block it refuses.  An image of one block, or one without a
-    gzip stage, has nothing to overlap and issues the plain calls: the
-    CPU burst (gzip, or the memcpy of an uncompressed image), then one
-    write.  With ``DMTCP_ATOMIC_IMAGES=1`` the same bytes go to a
-    ``.tmp`` sibling that is fsynced and renamed, then certified by a
-    checksummed ``.manifest``.
-
-    Runs on its own tracer track (``<host>/mtcp[<vpid>]``): with forked
-    checkpointing the COW child writes in the background while the parent
-    proceeds, so the write span must not nest inside the parent's stage
-    spans.  The span closes with ``blocks``, ``cpu_s`` and the stream's
-    ``io_wait_s`` / ``cpu_wait_s``.
-    """
-    world = runtime.world
-    store = world.store
-    if store is not None and store_enabled(runtime.process.env):
-        yield from _write_image_store(sys, runtime, image, path, store)
-        return
-    tracer = world.tracer
-    track = f"{image.hostname}/mtcp[{image.vpid}]"
-    tracer.begin(track, "mtcp.write", cat="mtcp", path=path, delta=image.delta)
-    try:
-        est = _estimate(
-            world, image.payload_regions(), image.compressed, image.gzip_workers
-        )
-        cpu_s = est.compress_seconds
-        piped = image.compressed and image.image_bytes > STREAM_BLOCK_BYTES
-        # a serial image's stage waits are clocked only under the tracer
-        clock = tracer.clock if tracer.enabled else _no_clock
-        serial_cpu = 0.0
-        if cpu_s > 0 and not piped:
-            t0 = clock()
-            yield from sys.cpu(cpu_s)
-            serial_cpu = clock() - t0
-        # crash-safe path: a torn write only ever exists as *.tmp, and
-        # the manifest (written last) certifies the final file
-        atomic = atomic_images_enabled(runtime.process.env)
-        fd = yield from sys.open(path + ".tmp" if atomic else path, "w")
-        try:
-            if piped:
-                stats = yield from sys.stream(
-                    fd, image.stored_bytes, cpu_s,
-                    _device_block(image.stored_bytes, image.image_bytes),
-                    write=True, payload=image,
-                )
-            else:
-                t0 = clock()
-                yield from sys.write(fd, image.stored_bytes, payload=image)
-                # serial: each stage sat out the whole of the other
-                stats = (1, clock() - t0, serial_cpu)
-            if atomic:
-                yield from sys.fsync(fd)
-        except SyscallError:
-            # a refused write (ENOSPC) must not leave the descriptor in
-            # the fd table the next checkpoint records
-            yield from sys.close(fd)
-            raise
-        yield from sys.close(fd)
-        if atomic:
-            yield from sys.rename(path + ".tmp", path)
-            yield from _write_manifest(sys, path, image)
-    except SyscallError:
-        tracer.end(track, "mtcp.write", cat="mtcp")  # balance the span stack
-        raise
-    end_stream_span(tracer, track, "mtcp.write", "mtcp", cpu_s, stats)
-    if tracer.enabled:
-        page_bytes = world.spec.os.page_bytes
-        tracer.count("mtcp.images_written")
-        tracer.count("mtcp.image_bytes", image.image_bytes)
-        tracer.count("mtcp.stored_bytes", image.stored_bytes)
-        tracer.count("mtcp.pages_written", -(-image.stored_bytes // page_bytes))
-        if image.delta:
-            tracer.count("mtcp.delta_images")
-            full_pages = sum(
-                -(-r.size // page_bytes) for r in image.regions
-            )
-            written_pages = sum(
-                -(-payload // page_bytes)
-                for payload, _profile in image.payload_regions()
-            )
-            tracer.count("mtcp.pages_skipped", full_pages - written_pages)
-        tracer.instant(
-            track,
-            "mtcp.compression",
-            cat="mtcp",
-            compressed=image.compressed,
-            delta=image.delta,
-            chain_depth=image.chain_depth,
-            image_bytes=image.image_bytes,
-            stored_bytes=image.stored_bytes,
-            ratio=round(image.stored_bytes / max(image.image_bytes, 1), 6),
-        )
-
-
 def _write_manifest(sys: Sys, path: str, image: CheckpointImage):
     """Record the checksummed ``.manifest`` sidecar of a renamed image."""
     mfd = yield from sys.open(path + ".manifest", "w")
@@ -497,7 +422,7 @@ def _write_manifest(sys: Sys, path: str, image: CheckpointImage):
     yield from sys.close(mfd)
 
 
-def end_stream_span(tracer, track: str, name: str, cat: str, cpu_s: float, stats) -> float:
+def end_stream_span(tracer, track: str, name: str, cat: str, cpu_s: float, stats, **more) -> float:
     """Close a span around ``sys.stream`` calls with what they measured:
     ``io_wait_s`` is the time the CPU stage sat waiting on the device,
     ``cpu_wait_s`` the reverse -- the larger one names the bottleneck."""
@@ -508,7 +433,7 @@ def end_stream_span(tracer, track: str, name: str, cat: str, cpu_s: float, stats
     tracer.count("mtcp.stream_cpu_wait_s", cpu_wait)
     return tracer.end(
         track, name, cat=cat, blocks=blocks, cpu_s=round(cpu_s, 9),
-        io_wait_s=round(io_wait, 9), cpu_wait_s=round(cpu_wait, 9),
+        io_wait_s=round(io_wait, 9), cpu_wait_s=round(cpu_wait, 9), **more,
     )
 
 
@@ -588,31 +513,227 @@ def _store_rpc(sys: Sys, runtime: "DmtcpRuntime", image: CheckpointImage, reques
     raise last_err
 
 
-def _write_image_store(sys: Sys, runtime: "DmtcpRuntime", image: CheckpointImage, path: str, store):
-    """Stage 5, store mode: dedup against the cluster store, push unique bytes.
+class ImageWriter:
+    """One process's image of one checkpoint, from the plan to the file.
 
-    The writer sends its chunk manifest to the coordinator over a private
-    connection; the coordinator leases back only the chunks nobody has
-    stored yet (everything else is a dedup hit).  Leased chunks are
-    compressed (parallel gzip over independent chunk streams) and their
-    bytes pushed to each chunk's rendezvous-primary host; the image file
-    itself shrinks to a manifest.  Checkpoint cost is therefore
-    proportional to this writer's share of the *unique* bytes.
+    The image goes to storage in two halves, on either side of the
+    drain.  The *payload* -- user memory, piped through gzip, or in store
+    mode this writer's leased chunks -- is fixed by :func:`plan_image`
+    when ``BARRIER_SUSPENDED`` releases, so :meth:`start` streams it from
+    there on a manager-kind thread of the process while the manager
+    elects and drains.  The *header* exists only after the drain:
+    :meth:`seal` fills it in and :meth:`finish` joins the payload thread
+    (raising what it failed with), puts the header into the
+    :data:`METADATA_BYTES` slot reserved at the front of the file and
+    only then makes the file a checkpoint -- payload object attached,
+    ``fsync`` + ``rename`` + ``.manifest`` under
+    ``DMTCP_ATOMIC_IMAGES=1``, and in store mode the manifest file (all
+    header) followed by ``MSG_STORE_COMMIT``.  The layout on storage is
+    what a single write of the whole image left there.
+
+    Forked checkpointing calls :meth:`write` instead, in the COW child
+    after the seal: the snapshot must contain the drained buffers, and
+    its write is off the critical path already.
+
+    :meth:`abort` is the rollback: from :meth:`start` on a partial image
+    exists, so it stops the thread where it stands before it unlinks.
+
+    The ``mtcp.write`` span runs on its own tracer track
+    (``<host>/mtcp[<vpid>]``, the write is concurrent with the manager's
+    stage spans) from the first payload call to the commit and closes
+    with ``hidden_s`` / ``exposed_s`` -- how much of it ran before the
+    seal -- next to the stream's ``blocks``, ``cpu_s``, ``io_wait_s``
+    and ``cpu_wait_s``.
     """
-    world = runtime.world
-    tracer = world.tracer
-    env = runtime.process.env
-    track = f"{image.hostname}/mtcp[{image.vpid}]"
-    tracer.begin(track, "mtcp.write", cat="mtcp", path=path, store=True)
-    try:
-        refs = image.store_refs or []
-        wire = []
-        for digest, nbytes, profile in refs:
+
+    __slots__ = (
+        "runtime", "image", "path", "target", "track", "atomic", "store",
+        "fds_at_suspend", "thread", "error", "fd", "renamed", "segment",
+        "span_open", "began_at", "sealed_at", "payload_s", "hidden_s", "cpu_s",
+        "stats", "wire", "need",
+    )
+
+    def __init__(self, runtime: "DmtcpRuntime", ckpt_id: int):
+        process = runtime.process
+        self.runtime = runtime
+        self.image = image = plan_image(runtime, ckpt_id)
+        self.path = path = image_path(runtime, ckpt_id)
+        self.track = f"{image.hostname}/mtcp[{image.vpid}]"
+        self.atomic = atomic_images_enabled(process.env)
+        #: Crash-safe path: a torn write only ever exists as ``*.tmp``,
+        #: and the manifest (written last) certifies the final file.
+        self.target = path + ".tmp" if self.atomic else path
+        store = runtime.world.store
+        self.store = store if store is not None and store_enabled(process.env) else None
+        #: The fd table as the suspend barrier left it: what the header
+        #: records, and what a rollback leaves open.
+        self.fds_at_suspend = frozenset(process.fds)
+        self.thread = None
+        #: What the payload thread failed with; raised by :meth:`finish`.
+        self.error: Optional[BaseException] = None
+        #: The image file while it is open.
+        self.fd: Optional[int] = None
+        #: What a rollback unlinks is :attr:`target` until an atomic image
+        #: is renamed (the final name is the *previous* checkpoint until
+        #: then, without ``-c<id>`` names), the final name and its
+        #: manifest after; and the store segment this writer pushed,
+        #: until its chunks are committed.
+        self.renamed = False
+        self.segment: Optional[str] = None
+        self.span_open = False
+        self.began_at = self.sealed_at = 0.0
+        #: Seconds from the span's begin to the payload's last byte
+        #: (clocked under the tracer only).
+        self.payload_s = 0.0
+        #: Seconds of the write that ran before the seal, under the drain.
+        self.hidden_s = 0.0
+        self.cpu_s = 0.0
+        self.stats = (0, 0.0, 0.0)
+        self.wire: list = []
+        self.need: list = []
+
+    # -- the protocol's three calls ----------------------------------------
+    def start(self) -> None:
+        """Stream the payload from now on, beside the calling manager."""
+        process = self.runtime.process
+        self.thread = self.runtime.world.spawn_thread(
+            process, self._payload_thread(Sys()), "mtcp-writer", kind="manager"
+        )
+
+    def seal(self, drained: dict[int, list]) -> None:
+        """The drain barrier released: complete the header."""
+        seal_image(self.runtime, self.image, drained, self.fds_at_suspend)
+        self.sealed_at = self.runtime.world.tracer.clock()
+
+    def finish(self, sys: Sys):
+        """Join the payload thread, then commit the sealed image."""
+        task = self.thread.task
+        if not task.done:
+            yield task.done_future
+        if self.error is not None:
+            raise self.error
+        yield from self._commit(sys)
+
+    def write(self, sys: Sys):
+        """Payload, then commit, in turn: the forked child's whole job,
+        on the snapshot of this state that the fork gave it."""
+        child = copy.copy(self)
+        yield from child._payload(sys)
+        yield from child._commit(sys)
+
+    def abort(self, sys: Sys):
+        """Rollback: stop the payload where it stands, close what this
+        checkpoint opened, unlink what it made.  A killed task's block
+        stream issues nothing further and releases the write-back hold."""
+        if self.thread is not None:
+            self.thread.task.kill()
+        self._end_span()
+        process = self.runtime.process
+        for fd in sorted(set(process.fds) - self.fds_at_suspend):
+            try:
+                yield from sys.close(fd)
+            except SyscallError:
+                pass
+        doomed = [self.path, self.path + ".manifest"] if self.renamed else [self.target]
+        if self.segment:
+            doomed.append(self.segment)
+        for path in doomed:
+            try:
+                yield from sys.unlink(path)
+            except SyscallError:
+                pass
+
+    # -- payload -------------------------------------------------------------
+    def _payload_thread(self, sys: Sys):
+        try:
+            yield from self._payload(sys)
+        except (SyscallError, CheckpointAborted) as err:
+            self.error = err
+
+    def _payload(self, sys: Sys):
+        tracer = self.runtime.world.tracer
+        image = self.image
+        args = {"store": True} if self.store is not None else {"delta": image.delta}
+        self.began_at = tracer.begin(
+            self.track, "mtcp.write", cat="mtcp", path=self.path, **args
+        )
+        self.span_open = True
+        try:
+            if self.store is not None:
+                yield from self._push_chunks(sys)
+            else:
+                yield from self._stream_memory(sys)
+        except (SyscallError, CheckpointAborted):
+            self._end_span()
+            raise
+        if tracer.enabled:
+            self.payload_s = tracer.clock() - self.began_at
+
+    def _stream_memory(self, sys: Sys):
+        """User memory through gzip into the file, behind the header slot.
+
+        A compressed image is cut into :data:`STREAM_BLOCK_BYTES` blocks
+        of memory and piped through ``sys.stream``: block *k*+1 is
+        gzipped while block *k* is being written, and a full disk is
+        noticed at the block it refuses.  An image of one block, or one
+        without a gzip stage, has nothing to overlap and issues the plain
+        calls: the CPU burst (gzip, or the memcpy of an uncompressed
+        image), then one write.
+        """
+        world = self.runtime.world
+        tracer = world.tracer
+        image = self.image
+        est = _estimate(
+            world, image.payload_regions(), image.compressed, image.gzip_workers
+        )
+        self.cpu_s = cpu_s = est.compress_seconds
+        nbytes = image.stored_bytes - METADATA_BYTES
+        piped = image.compressed and image.image_bytes > STREAM_BLOCK_BYTES
+        # a serial image's stage waits are clocked only under the tracer
+        clock = tracer.clock if tracer.enabled else _no_clock
+        serial_cpu = 0.0
+        if cpu_s > 0 and not piped:
+            t0 = clock()
+            yield from sys.cpu(cpu_s)
+            serial_cpu = clock() - t0
+        self.fd = fd = yield from sys.open(self.target, "w")
+        if piped:
+            self.stats = yield from sys.stream(
+                fd, nbytes, cpu_s,
+                _device_block(image.stored_bytes, image.image_bytes),
+                write=True, offset=METADATA_BYTES,
+            )
+        else:
+            t0 = clock()
+            if nbytes:
+                yield from sys.write(fd, nbytes, offset=METADATA_BYTES)
+            # serial: each stage sat out the whole of the other
+            self.stats = (1, clock() - t0, serial_cpu)
+
+    def _push_chunks(self, sys: Sys):
+        """Store mode: dedup against the cluster store, push unique bytes.
+
+        The writer sends its chunk manifest to the coordinator over a
+        private connection; the coordinator parks it until the whole
+        generation has reported and leases back only the chunks nobody
+        has stored yet (everything else is a dedup hit).  Leased chunks
+        are compressed (parallel gzip over independent chunk streams) and
+        their bytes pushed to each chunk's rendezvous-primary host.
+        Checkpoint cost is therefore proportional to this writer's share
+        of the *unique* bytes.
+        """
+        runtime = self.runtime
+        world = runtime.world
+        tracer = world.tracer
+        image = self.image
+        env = runtime.process.env
+        wire = self.wire
+        for digest, nbytes, profile in image.store_refs or []:
             est = _chunk_estimate(world, digest, nbytes, profile, image.compressed)
             wire.append([digest, nbytes, profile, est.output_bytes])
         # the lease arrives once every writer of this generation has
         # reported: this span is the wait, not work
-        tracer.begin(track, "store.lease_wait", cat="store")
+        tracer.begin(self.track, "store.lease_wait", cat="store")
         try:
             reply = yield from _store_rpc(
                 sys,
@@ -630,8 +751,8 @@ def _write_image_store(sys: Sys, runtime: "DmtcpRuntime", image: CheckpointImage
                 "store-lease",
             )
         finally:
-            tracer.end(track, "store.lease_wait", cat="store")
-        need = reply["need"]
+            tracer.end(self.track, "store.lease_wait", cat="store")
+        self.need = need = reply["need"]
         # Compress only the leased chunks -- independent streams, LPT over
         # the image's gzip workers.
         stream_seconds = []
@@ -659,10 +780,12 @@ def _write_image_store(sys: Sys, runtime: "DmtcpRuntime", image: CheckpointImage
                 remote_bytes[target] = remote_bytes.get(target, 0.0) + stored
         if local_bytes:
             ckpt_dir = env.get("DMTCP_CKPT_DIR", "/tmp/dmtcp")
-            seg = f"{ckpt_dir}/store_seg_{image.hostname}-{image.vpid}-c{image.ckpt_id}.dat"
-            sfd = yield from sys.open(seg, "w")
+            self.segment = (
+                f"{ckpt_dir}/store_seg_{image.hostname}-{image.vpid}-c{image.ckpt_id}.dat"
+            )
+            sfd = yield from sys.open(self.segment, "w")
             yield from sys.write(sfd, local_bytes)
-            if atomic_images_enabled(env):
+            if self.atomic:
                 yield from sys.fsync(sfd)
             yield from sys.close(sfd)
         me = world.machine.node(image.hostname)
@@ -674,51 +797,105 @@ def _write_image_store(sys: Sys, runtime: "DmtcpRuntime", image: CheckpointImage
             push_futures.append(dst.disk.write(nbytes))
         for fut in push_futures:
             yield fut
-        # The image file is now just the manifest.
+        # The image file will be just the manifest.
         image.stored_bytes = store_manifest_bytes(image) + int(leased_stored)
-        mbytes = store_manifest_bytes(image)
-        if atomic_images_enabled(env):
-            ifd = yield from sys.open(path + ".tmp", "w")
-            yield from sys.write(ifd, mbytes, payload=image)
-            yield from sys.fsync(ifd)
-            yield from sys.close(ifd)
-            yield from sys.rename(path + ".tmp", path)
-            yield from _write_manifest(sys, path, image)
+
+    # -- commit --------------------------------------------------------------
+    def _commit(self, sys: Sys):
+        """The sealed header goes in front and the file becomes a
+        checkpoint.  A store image is all header: its manifest file is
+        written whole here, then the pushed chunks are committed."""
+        runtime = self.runtime
+        image = self.image
+        path = self.path
+        try:
+            if self.store is not None:
+                fd = yield from sys.open(self.target, "w")
+                yield from sys.write(fd, store_manifest_bytes(image), payload=image)
+            else:
+                fd = self.fd
+                yield from sys.write(fd, METADATA_BYTES, payload=image, offset=0)
+            if self.atomic:
+                yield from sys.fsync(fd)
+            yield from sys.close(fd)
+            if self.atomic:
+                yield from sys.rename(self.target, path)
+                self.renamed = True
+                yield from _write_manifest(sys, path, image)
+            if self.store is not None:
+                digests = [self.wire[index][0] for index, _target in self.need]
+                yield from _store_rpc(
+                    sys,
+                    runtime,
+                    image,
+                    P.msg(P.MSG_STORE_COMMIT, host=image.hostname, digests=digests),
+                    64 + 16 * max(len(digests), 1),
+                    P.MSG_STORE_OK,
+                    "store-commit",
+                )
+                self.segment = None  # the store's from here on
+        except (SyscallError, CheckpointAborted):
+            self._end_span()
+            raise
+        self._close_span()
+
+    # -- the span ------------------------------------------------------------
+    def _end_span(self) -> None:
+        """Balance the span stack of a write that did not finish."""
+        if self.span_open:
+            self.span_open = False
+            self.runtime.world.tracer.end(self.track, "mtcp.write", cat="mtcp")
+
+    def _close_span(self) -> None:
+        world = self.runtime.world
+        tracer = world.tracer
+        image = self.image
+        self.span_open = False
+        begin = self.began_at
+        self.hidden_s = hidden = max(self.sealed_at - begin, 0.0)
+        if not tracer.enabled:
+            tracer.end(self.track, "mtcp.write", cat="mtcp")
+            return
+        split = {
+            "payload_s": round(self.payload_s, 9),
+            "hidden_s": round(hidden, 9),
+            "exposed_s": round(tracer.clock() - begin - hidden, 9),
+        }
+        if self.store is not None:
+            tracer.end(self.track, "mtcp.write", cat="mtcp", **split)
         else:
-            ifd = yield from sys.open(path, "w")
-            yield from sys.write(ifd, mbytes, payload=image)
-            yield from sys.close(ifd)
-        digests = [wire[index][0] for index, _target in need]
-        yield from _store_rpc(
-            sys,
-            runtime,
-            image,
-            P.msg(P.MSG_STORE_COMMIT, host=image.hostname, digests=digests),
-            64 + 16 * max(len(digests), 1),
-            P.MSG_STORE_OK,
-            "store-commit",
-        )
-    except (SyscallError, CheckpointAborted):
-        tracer.end(track, "mtcp.write", cat="mtcp")
-        raise
-    tracer.end(track, "mtcp.write", cat="mtcp")
-    if tracer.enabled:
+            end_stream_span(
+                tracer, self.track, "mtcp.write", "mtcp", self.cpu_s, self.stats, **split
+            )
         page_bytes = world.spec.os.page_bytes
+        tracer.count("mtcp.write_hidden_s", hidden)
         tracer.count("mtcp.images_written")
         tracer.count("mtcp.image_bytes", image.image_bytes)
         tracer.count("mtcp.stored_bytes", image.stored_bytes)
         tracer.count("mtcp.pages_written", -(-image.stored_bytes // page_bytes))
-        tracer.count("store.manifest_chunks", len(refs))
-        tracer.count("store.chunks_leased", len(need))
+        if self.store is not None:
+            refs = image.store_refs or []
+            tracer.count("store.manifest_chunks", len(refs))
+            tracer.count("store.chunks_leased", len(self.need))
+            kind = {"delta": False, "store": True, "chunks": len(refs), "leased": len(self.need)}
+        else:
+            if image.delta:
+                tracer.count("mtcp.delta_images")
+                full_pages = sum(
+                    -(-r.size // page_bytes) for r in image.regions
+                )
+                written_pages = sum(
+                    -(-payload // page_bytes)
+                    for payload, _profile in image.payload_regions()
+                )
+                tracer.count("mtcp.pages_skipped", full_pages - written_pages)
+            kind = {"delta": image.delta, "chain_depth": image.chain_depth}
         tracer.instant(
-            track,
+            self.track,
             "mtcp.compression",
             cat="mtcp",
             compressed=image.compressed,
-            delta=False,
-            store=True,
-            chunks=len(refs),
-            leased=len(need),
+            **kind,
             image_bytes=image.image_bytes,
             stored_bytes=image.stored_bytes,
             ratio=round(image.stored_bytes / max(image.image_bytes, 1), 6),

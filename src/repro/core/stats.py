@@ -74,6 +74,10 @@ class CheckpointRecord:
     image_bytes: int
     stored_bytes: int
     compressed: bool
+    #: Seconds of the image write that ran before ``BARRIER_DRAINED``
+    #: released, under stages 3-4; ``stages["write"]`` is the exposed
+    #: rest (Barrier 4 -> Barrier 5).  0 for a forked checkpoint.
+    write_hidden_s: float = 0.0
 
     @property
     def total(self) -> float:

@@ -24,6 +24,8 @@ def table(headers: list[str], rows: Iterable[Iterable], title: str = "") -> str:
 
 
 def _fmt(value) -> str:
+    if isinstance(value, tuple):  # one cell, several readings
+        return " / ".join(_fmt(v) for v in value)
     if isinstance(value, float):
         if value == 0:
             return "0"

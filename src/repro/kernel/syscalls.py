@@ -214,9 +214,13 @@ class Sys:
         """Read up to ``nbytes``; returns ``(n, payload)``."""
         return (yield Call("read", (fd, nbytes)))
 
-    def write(self, fd: int, nbytes: int, payload: Any = None):
-        """Write ``nbytes`` (optionally attaching a ``payload`` object); returns n."""
-        return (yield Call("write", (fd, nbytes, payload)))
+    def write(self, fd: int, nbytes: int, payload: Any = None, offset: Optional[int] = None):
+        """Write ``nbytes`` (optionally attaching a ``payload`` object) at
+        the file offset, or at ``offset`` if given (``pwrite`` that also
+        moves the offset); returns n."""
+        if offset is None:
+            return (yield Call("write", (fd, nbytes, payload)))
+        return (yield Call("write", (fd, nbytes, payload), {"offset": offset}))
 
     def stream(
         self,
@@ -226,15 +230,18 @@ class Sys:
         block_bytes: int,
         write: bool = False,
         payload: Any = None,
+        offset: Optional[int] = None,
     ):
         """Pipe ``nbytes`` between memory and file ``fd`` through a CPU
         stage costing ``cpu_s`` in total, ``block_bytes`` at a time: the
         CPU works on one block while the device moves its neighbour (a
         two-block buffer).  Writing compresses then writes (attaching
         ``payload`` with the last block); reading reads then expands,
-        from the current offset, clamped to end of file.  Returns
-        ``(blocks, io_wait_s, cpu_wait_s)``."""
-        return (yield Call("stream", (fd, nbytes, cpu_s, block_bytes, write, payload)))
+        clamped to end of file.  Starts at the file offset, or at
+        ``offset`` if given.  Returns ``(blocks, io_wait_s, cpu_wait_s)``."""
+        return (
+            yield Call("stream", (fd, nbytes, cpu_s, block_bytes, write, payload, offset))
+        )
 
     def lseek(self, fd: int, offset: int):
         """Set the file offset."""

@@ -1159,13 +1159,15 @@ class World:
         process.install_fd(newfd, desc)
         task.complete_call(newfd)
 
-    def _sys_write(self, task, thread, process, fd, nbytes, payload) -> None:
+    def _sys_write(self, task, thread, process, fd, nbytes, payload, offset=None) -> None:
         desc = process.get_fd(fd)
         if not isinstance(desc, OpenFile):
             raise SyscallError("EINVAL", f"fd {fd} is not a file; use send")
         if not desc.writable:
             raise SyscallError("EBADF", f"fd {fd} not writable")
         self._check_disk_space(process, desc)
+        if offset is not None:
+            desc.offset = offset
         fut = desc.table.charge_write(desc.mount, nbytes)
         fut.add_done(_FileWriteFinish(self, task, desc, nbytes, payload, fut))
 
@@ -1195,7 +1197,7 @@ class World:
         fut = desc.table.charge_read(desc.mount, n, self._page_cached(desc))
         fut.add_done(_FileReadFinish(task, desc, n, fut))
 
-    def _sys_stream(self, task, thread, process, fd, nbytes, cpu_s, block_bytes, write, payload) -> None:
+    def _sys_stream(self, task, thread, process, fd, nbytes, cpu_s, block_bytes, write, payload, offset=None) -> None:
         """See :meth:`Sys.stream` and :class:`_BlockStream`; the stage
         waits in the result are measured only under the tracer."""
         desc = process.get_fd(fd)
@@ -1203,6 +1205,8 @@ class World:
             raise SyscallError("EINVAL", f"fd {fd} is not a file")
         if block_bytes <= 0:
             raise SyscallError("EINVAL", f"block size {block_bytes}")
+        if offset is not None:
+            desc.offset = offset
         if write:
             if not desc.writable:
                 raise SyscallError("EBADF", f"fd {fd} not writable")

@@ -339,6 +339,18 @@ class Task:
         if not self.done_future.done:
             self.done_future.reject(TaskCancelled(self.name))
 
+    def kill(self) -> None:
+        """:meth:`drop` the task and unwind its generator at once.
+
+        For a task whose owner lives on (a checkpoint rollback stopping
+        its image writer): the generator's ``finally`` blocks -- which
+        must not yield -- run now, in order, instead of whenever the
+        collector finds the abandoned frame.
+        """
+        self.drop()
+        self._scheduler.tasks.discard(self)
+        self.gen.close()
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Task {self.name} {self.state.value}>"
 

@@ -311,24 +311,31 @@ class ChunkStore:
             self.world.tracer.count_max("store.lease_max_share", share)
         return out
 
-    def release(self, owner: tuple) -> int:
-        """Drop the uncommitted leases of a writer that died; returns how
-        many chunks were orphaned (each is re-leased by the next
-        generation that references it)."""
-        self._granted.pop(owner, None)
+    def release(self, owner: Optional[tuple] = None) -> int:
+        """Drop the uncommitted leases of a writer that died -- or, with
+        no ``owner``, of every writer: the generation was aborted.
+        Returns how many chunks were orphaned (each is re-leased by the
+        next generation that references it)."""
+        if owner is None:
+            self._granted.clear()
+        else:
+            self._granted.pop(owner, None)
         released = 0
         for meta in self.chunks.values():
-            if meta.lease_owner == owner:
+            holder = meta.lease_owner
+            if holder is not None and (owner is None or holder == owner):
                 meta.lease_owner = meta.lease_ckpt = meta.pending_target = None
                 released += 1
         return released
 
     def commit(self, digests: Iterable[str], writer_host: str) -> int:
-        """Mark leased chunks durable after the writer pushed their bytes."""
+        """Mark leased chunks durable after the writer pushed their bytes.
+        A chunk whose lease was released meanwhile (its generation was
+        aborted) stays as it is: the next generation leases it again."""
         committed = 0
         for digest in digests:
             meta = self.chunks.get(digest)
-            if meta is None or meta.durable:
+            if meta is None or meta.durable or meta.lease_owner is None:
                 continue
             meta.durable = True
             meta.lease_owner = None
