@@ -51,41 +51,6 @@ def save_json(name: str, payload: dict, path: pathlib.Path | None = None) -> pat
     return out
 
 
-def _strip_wall_keys(obj):
-    """Drop every key containing 'wall' (host wall-clock: noisy, not
-    comparable across machines) from a nested JSON payload."""
-    if isinstance(obj, dict):
-        return {
-            k: _strip_wall_keys(v)
-            for k, v in obj.items()
-            if "wall" not in str(k).lower()
-        }
-    if isinstance(obj, list):
-        return [_strip_wall_keys(v) for v in obj]
-    return obj
-
-
-def merge_bench_summary(root: pathlib.Path | None = None) -> pathlib.Path:
-    """Roll every repo-root ``BENCH_*.json`` up into ``BENCH_summary.json``.
-
-    One committed file holding the whole perf surface of a revision:
-    each bench's payload keyed by its name (``BENCH_store.json`` ->
-    ``"store"``), wall-clock keys stripped so the summary -- like its
-    inputs -- is byte-identical across same-seed runs.
-    """
-    root = pathlib.Path(root) if root is not None else REPO_ROOT
-    merged = {}
-    for path in sorted(root.glob("BENCH_*.json")):
-        if path.name == "BENCH_summary.json":
-            continue
-        merged[path.stem[len("BENCH_"):]] = _strip_wall_keys(
-            json.loads(path.read_text())
-        )
-    out = root / "BENCH_summary.json"
-    out.write_text(json.dumps(merged, indent=2, sort_keys=True) + "\n")
-    return out
-
-
 def run_once(benchmark, fn):
     """Run a driver exactly once under pytest-benchmark's clock."""
     return benchmark.pedantic(fn, rounds=1, iterations=1)
@@ -181,8 +146,3 @@ def _compare_node(old, new, path, tol, wall_tol, failures) -> None:
     scale = max(abs(old), abs(new), 1e-30)
     if abs(old - new) / scale > tol:
         failures.append(f"{path}: simulated metric drift {old!r} -> {new!r}")
-
-
-if __name__ == "__main__":
-    # `python benchmarks/_util.py` regenerates the roll-up by hand
-    print(merge_bench_summary())

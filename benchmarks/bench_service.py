@@ -32,7 +32,6 @@ from repro.harness.service import run_service_comparison, run_service_overload
 
 from benchmarks._util import (
     REPO_ROOT,
-    merge_bench_summary,
     quick_mode,
     run_timed,
     save_and_print,
@@ -119,7 +118,6 @@ def test_service_bench(benchmark):
     # the cross-PR file at the repo root: virtual-time only, so two
     # same-seed runs are byte-identical (CI service-smoke diffs them)
     save_json("BENCH_service", payload, path=REPO_ROOT / "BENCH_service.json")
-    merge_bench_summary()
 
     # -- acceptance gates ----------------------------------------------
     top = points[-1]

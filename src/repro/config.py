@@ -128,16 +128,10 @@ class DmtcpSpec:
     drain_token_bytes: int = 32
     #: Coordinator processing cost per barrier message.
     coord_msg_s: float = 8e-6
-    #: Handshake payload exchanged by connect/accept wrappers.
-    handshake_bytes: int = 64
     #: The drain loop's no-more-data verification interval: after the
     #: last token arrives, one more poll round confirms quiescence
     #: (dominates Table 1a's ~0.1 s drain stage).
     drain_poll_s: float = 0.1
-    #: Default checkpoint directory inside the simulated FS.
-    checkpoint_dir: str = "/tmp/dmtcp"
-    #: Whether `gzip` compression is enabled by default (paper default: yes).
-    compression_default: bool = True
     #: Incremental checkpointing (``DMTCP_INCREMENTAL=1``): maximum number
     #: of delta images chained to one full base before the next checkpoint
     #: falls back to a full image (bounds restart-chain replay cost).
@@ -174,8 +168,9 @@ class DmtcpSpec:
     #: identity (host/vpid/purpose) so peers decorrelate while runs stay
     #: byte-identical per seed.
     retry_jitter: float = 0.25
-    #: dmtcp_command: bounded retries when the coordinator answers busy
-    #: (honouring its retry-after hint) before giving up with EXIT_BUSY.
+    #: Attempt budget of a supervised member's store RPC
+    #: (``mtcp._store_rpc``) and of the service scheduler's re-requests
+    #: after a busy refusal.
     command_retry_attempts: int = 5
     #: Respawned coordinator: after a failover interrupted a checkpoint,
     #: retry it as soon as the pre-crash membership re-registers -- or

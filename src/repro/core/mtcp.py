@@ -86,13 +86,10 @@ MANIFEST_BYTES = 256
 def gzip_workers(runtime: "DmtcpRuntime") -> int:
     """Parallel gzip stream count for this process's images.
 
-    ``DMTCP_GZIP_WORKERS`` overrides explicitly; otherwise the incremental
-    pipeline uses every core of the node (per :class:`CpuSpec`) and the
-    classic pipeline keeps the paper's single serial gzip.
+    The incremental and store pipelines use every core of the node (per
+    :class:`CpuSpec`); the classic pipeline keeps the paper's single
+    serial gzip.
     """
-    raw = runtime.process.env.get("DMTCP_GZIP_WORKERS")
-    if raw is not None:
-        return max(int(raw), 1)
     if incremental_enabled(runtime.process.env) or store_enabled(runtime.process.env):
         return max(runtime.world.spec.cpu.cores, 1)
     return 1
@@ -1033,7 +1030,7 @@ def restore_memory(sys: Sys, world, process, image: CheckpointImage, fds=()):
             cpu_wait += cpu_w
     from repro.kernel.memory import AddressSpace, PROFILES
 
-    space = AddressSpace(world.spec.os.page_bytes)
+    space = AddressSpace(world.spec.os.page_bytes, world.region_ids)
     process.address_space = space
     for region in image.regions:
         if region.shared and region.path is not None:

@@ -48,7 +48,7 @@ from typing import Optional
 
 from repro.errors import SyscallError
 from repro.kernel.sockets import ListenerSocket, SocketEndpoint, connect_endpoints
-from repro.sim.tasks import Future, IOCompletion
+from repro.sim.tasks import Completion, Future
 
 __all__ = ["FabricPeer", "FabricLayer", "RemoteProcess", "install_fabric"]
 
@@ -170,7 +170,7 @@ class FabricLayer:
         #: (cid, side) -> that side's *local real* endpoint
         self.conns: dict[tuple, SocketEndpoint] = {}
         #: cid -> the connect() syscall awaiting ack/rst
-        self.pending: dict[tuple, IOCompletion] = {}
+        self.pending: dict[tuple, Completion] = {}
         binding.handlers.update(
             syn=self.on_syn, ack=self.on_ack, rst=self.on_rst,
             dat=self.on_dat, fin=self.on_fin,
@@ -201,7 +201,7 @@ class FabricLayer:
         proxy.origin = "accept"
         connect_endpoints(ep, proxy)
         self.conns[(cid, "c")] = ep
-        self.pending[cid] = IOCompletion(task)
+        self.pending[cid] = Completion(task)
         self.binding.post(
             process.node.hostname,
             host,
@@ -239,9 +239,10 @@ class FabricLayer:
         world.engine.call_after(latency, _FabricEstablish(listener, server_ep))
 
     def on_ack(self, msg: tuple) -> None:
+        # a frozen caller refuses the ack: its connect re-issues at thaw
         completion = self.pending.pop(msg[5], None)
-        if completion is not None:
-            completion.deliver()
+        if completion is not None and completion.awake:
+            completion.ok()
 
     def on_rst(self, msg: tuple) -> None:
         cid = msg[5]
@@ -250,9 +251,8 @@ class FabricLayer:
         if ep is not None:  # unwire: the connection never existed
             ep.peer = None
             ep.connected = False
-        if completion is not None:
-            completion.exc = SyscallError("ECONNREFUSED", f"{cid[0]} -> fabric {cid}")
-            completion.deliver()
+        if completion is not None and completion.awake:
+            completion.fail(SyscallError("ECONNREFUSED", f"{cid[0]} -> fabric {cid}"))
 
     def on_dat(self, msg: tuple) -> None:
         ep = self.conns.get(msg[5])

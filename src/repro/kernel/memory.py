@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -112,8 +112,6 @@ PROFILES: dict[str, ContentProfile] = {
 class MemoryRegion:
     """One mapping in an address space (like a line of /proc/pid/maps)."""
 
-    _ids = itertools.count(1)
-
     def __init__(
         self,
         start: int,
@@ -123,10 +121,13 @@ class MemoryRegion:
         perms: str = "rw-p",
         path: Optional[str] = None,
         shared: bool = False,
+        region_id: int = 0,
     ):
         if size <= 0:
             raise KernelError(f"region size must be positive, got {size}")
-        self.region_id = next(MemoryRegion._ids)
+        #: The handle ``mmap`` returns: from the address space's counter,
+        #: which is its world's (0 for a region outside any address space).
+        self.region_id = region_id
         self.start = start
         self.size = size
         self.kind = kind  # code | data | heap | stack | anon | shm | lib
@@ -164,12 +165,12 @@ class MemoryRegion:
         """Reset dirty tracking (called after an incremental checkpoint)."""
         self.dirty_fraction = 0.0
 
-    def clone(self) -> "MemoryRegion":
-        """Copy for fork(): shared regions are aliased, private ones copied."""
-        if self.shared:
-            return self
+    def clone(self, region_id: int) -> "MemoryRegion":
+        """The private copy fork() makes, under its own ``region_id``
+        (shared regions are aliased: see ``AddressSpace.fork_copy``)."""
         dup = MemoryRegion(
-            self.start, self.size, self.kind, self.profile, self.perms, self.path, False
+            self.start, self.size, self.kind, self.profile, self.perms, self.path,
+            False, region_id,
         )
         dup.dirty_fraction = self.dirty_fraction
         dup.content_key = self.content_key
@@ -191,8 +192,10 @@ class AddressSpace:
     #: Where anonymous mmaps begin (library/heap space sits below).
     MMAP_BASE = 0x7F00_0000_0000
 
-    def __init__(self, page_bytes: int = 4096):
+    def __init__(self, page_bytes: int = 4096, ids: Optional[Iterator[int]] = None):
         self.page_bytes = page_bytes
+        #: The world's region-id counter (a bare space counts alone).
+        self._ids = ids if ids is not None else itertools.count(1)
         self.regions: list[MemoryRegion] = []
         self._next_addr = self.MMAP_BASE
         self._heap: Optional[MemoryRegion] = None
@@ -223,7 +226,7 @@ class AddressSpace:
         """Create a page-aligned mapping; returns the new region."""
         size = self._round_up(size)
         start = at if at is not None else self._alloc(size)
-        region = MemoryRegion(start, size, kind, profile, perms, path, shared)
+        region = MemoryRegion(start, size, kind, profile, perms, path, shared, next(self._ids))
         if self.content_tag is not None:
             region.content_key = (
                 f"{self.content_tag}:{self._content_seq}:{kind}:{profile.name}:{size}"
@@ -262,9 +265,9 @@ class AddressSpace:
 
     def fork_copy(self) -> "AddressSpace":
         """The child's address space: private copied, shared aliased."""
-        dup = AddressSpace(self.page_bytes)
+        dup = AddressSpace(self.page_bytes, self._ids)
         dup._next_addr = self._next_addr
-        dup.regions = [r.clone() for r in self.regions]
+        dup.regions = [r if r.shared else r.clone(next(self._ids)) for r in self.regions]
         # The child's future allocations are its own content lineage.
         dup._content_seq = self._content_seq
         return dup

@@ -73,6 +73,8 @@ DEFAULT_SPEC = ProgramSpec(
 class Thread:
     """One thread of a process; wraps a sim task."""
 
+    __slots__ = ("tid", "process", "name", "kind", "task", "parked_send")
+
     _tids = itertools.count(1)
 
     def __init__(self, process: "Process", name: str, kind: str = "user"):
@@ -83,6 +85,10 @@ class Thread:
         #: the DMTCP checkpoint-manager thread, which keeps running.
         self.kind = kind
         self.task: Optional[Task] = None
+        #: The ticket of this thread's last send that blocked on flow
+        #: control (see ``World._sys_send_chunk``): a re-issue of that same
+        #: call finds its reservation here instead of queueing another.
+        self.parked_send = None
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Thread {self.name} tid={self.tid} of pid={self.process.pid}>"
@@ -119,7 +125,7 @@ class Process:
         self.env = dict(env)
         self.parent = parent
         self.children: list[Process] = []
-        self.address_space = AddressSpace(world.spec.os.page_bytes)
+        self.address_space = AddressSpace(world.spec.os.page_bytes, world.region_ids)
         self.fds: dict[int, FdEntry] = {}
         self._next_fd = 3  # 0-2 notionally reserved for stdio
         self.threads: list[Thread] = []
@@ -197,7 +203,9 @@ class Process:
 
     def build_image_from_spec(self, spec: ProgramSpec) -> None:
         """Lay out the initial address space at exec time."""
-        self.address_space = AddressSpace(self.world.spec.os.page_bytes)
+        self.address_space = AddressSpace(
+            self.world.spec.os.page_bytes, self.world.region_ids
+        )
         # Program name keys content identity: every rank of the same
         # binary lays out the same regions, so the chunk store dedups
         # their unwritten pages across the whole computation.

@@ -9,12 +9,9 @@ when thawed -- mirroring how futex waits restart after a signal.
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING
 
 from repro.errors import SyscallError
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.sim.tasks import Task
+from repro.sim.tasks import Completion, Task
 
 
 class Semaphore:
@@ -28,7 +25,7 @@ class Semaphore:
         self.sem_id = next(Semaphore._ids)
         self.name = name or f"sem-{self.sem_id}"
         self.value = value
-        self._waiters: list["Task"] = []
+        self._waiters: list[Completion] = []
 
     def try_acquire(self) -> bool:
         """Take a permit if immediately available (no queue-jumping)."""
@@ -37,27 +34,19 @@ class Semaphore:
             return True
         return False
 
-    def park(self, task: "Task") -> None:
+    def park(self, task: Task) -> None:
         """Queue a task waiting for a permit."""
-        self._waiters.append(task)
+        self._waiters.append(Completion(task))
 
-    def unpark(self, task: "Task") -> None:
+    def unpark(self, task: Task) -> None:
         """Remove a (frozen) task from the wait queue if still present."""
-        try:
-            self._waiters.remove(task)
-        except ValueError:
-            pass
+        self._waiters = [w for w in self._waiters if w.task is not task]
 
     def release(self) -> None:
         """Hand the permit to the first runnable waiter, else increment."""
-        from repro.sim.tasks import TaskState
-
-        # Hand the permit to the first waiter that can actually run.
         while self._waiters:
-            task = self._waiters.pop(0)
-            if task.done or task.state is TaskState.FROZEN:
-                # frozen waiters re-issue their acquire at thaw
-                continue
-            task.complete_call(None)
-            return
+            waiter = self._waiters.pop(0)
+            if waiter.awake:  # frozen waiters re-issue their acquire at thaw
+                waiter.ok()
+                return
         self.value += 1

@@ -54,11 +54,6 @@ class Call:
 Scheduler._call_type = Call
 
 
-def _call(name: str, *args: Any, **kwargs: Any):
-    result = yield Call(name, args, kwargs)
-    return result
-
-
 class Sys:
     """Raw (un-hijacked) syscall interface.
 

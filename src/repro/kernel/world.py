@@ -13,6 +13,7 @@ the simulation's ``LD_PRELOAD``.
 
 from __future__ import annotations
 
+import itertools
 from typing import Any, Callable, Optional
 
 from repro.config import HardwareSpec
@@ -38,7 +39,7 @@ from repro.kernel.sync import Semaphore
 from repro.kernel.syscalls import Sys
 from repro.obs.tracer import Tracer
 from repro.sim.rng import RandomStreams
-from repro.sim.tasks import Scheduler, Task, TaskState, _FINISHED_STATES
+from repro.sim.tasks import Completion, Scheduler, Task, TaskState, _FINISHED_STATES
 
 #: Environment variable that triggers hijack-library injection, the
 #: simulation's LD_PRELOAD=dmtcphijack.so.
@@ -47,138 +48,52 @@ HIJACK_ENV = "DMTCP_HIJACK"
 SIGHUP, SIGINT, SIGKILL, SIGTERM, SIGCHLD = 1, 2, 9, 15, 17
 
 
-class _StillCurrent:
-    """Guard for completion callbacks: the task must still be waiting on
-    the same call, in the same kernel epoch (see World._still_current).
-
-    A slotted callable object instead of a closure: the syscall path
-    creates one of these per blocking call, and avoiding the closure-cell
-    allocations is measurable at Fig-5 scale (see DESIGN.md §8).
-    """
-
-    __slots__ = ("task", "epoch", "call")
-
-    def __init__(self, task: Task):
-        self.task = task
-        self.epoch = task.epoch
-        self.call = task.pending_call
-
-    def __call__(self) -> bool:
-        task = self.task
-        return (
-            task.state not in _FINISHED_STATES
-            and task.epoch == self.epoch
-            and task.pending_call is self.call
-            and self.call is not None
-        )
-
-
-class _Settle:
+class _Settle(Completion):
     """Completes a task's pending call when ``fut`` settles.
 
-    Registered directly via ``Future.add_done`` (zero-arg) and reads the
-    settled future's slots, so one object replaces the two closures the
-    ``when_settled`` wrapper used to allocate per blocking syscall.
+    Registered directly via ``Future.add_done`` (zero-arg): one slotted
+    object per blocking syscall, no closure cells (see DESIGN.md §8).
     """
 
-    __slots__ = ("task", "epoch", "call", "fut", "transform", "value")
+    __slots__ = ("fut",)
 
-    def __init__(self, task: Task, fut, transform=None, value=None):
-        self.task = task
-        self.epoch = task.epoch
-        self.call = task.pending_call
+    def __init__(self, task: Task, fut, value=None):
+        Completion.__init__(self, task, value)
         self.fut = fut
-        #: Optional result override: ``transform(fut.value)`` if callable,
-        #: else the constant ``value`` when it is not None.
-        self.transform = transform
-        self.value = value
 
     def __call__(self) -> None:
-        task = self.task
-        if (
-            task.state in _FINISHED_STATES
-            or task.epoch != self.epoch
-            or task.pending_call is not self.call
-            or self.call is None
-        ):
-            return
-        fut = self.fut
-        exc = fut._exc
-        if exc is not None:
-            task.fail_call(exc)
-        elif self.transform is not None:
-            task.complete_call(self.transform(fut._value))
-        elif self.value is not None:
-            task.complete_call(self.value)
-        else:
-            task.complete_call(fut._value)
+        self.settle(self.fut)
 
 
-class _CompleteAfter:
-    """Completes a task's pending call with ``value`` after a delay."""
+class _FileIO(Completion):
+    """Applies a completed file read or write (see _sys_write, _sys_read):
+    the descriptor and the file move only if the caller is still there."""
 
-    __slots__ = ("task", "epoch", "call", "value")
+    __slots__ = ("world", "desc", "fut", "write", "payload")
 
-    def __init__(self, task: Task, value):
-        self.task = task
-        self.epoch = task.epoch
-        self.call = task.pending_call
-        self.value = value
-
-    def __call__(self) -> None:
-        task = self.task
-        if (
-            task.state not in _FINISHED_STATES
-            and task.epoch == self.epoch
-            and task.pending_call is self.call
-            and self.call is not None
-        ):
-            task.complete_call(self.value)
-
-
-class _FileWriteFinish:
-    """Applies a completed file write's side effects (see _sys_write)."""
-
-    __slots__ = ("world", "task", "desc", "nbytes", "payload", "fut")
-
-    def __init__(self, world, task, desc, nbytes, payload, fut):
+    def __init__(self, world, task, desc, nbytes, fut, write, payload=None):
+        Completion.__init__(self, task, nbytes)
         self.world = world
-        self.task = task
         self.desc = desc
-        self.nbytes = nbytes
+        self.fut = fut
+        self.write = write
         self.payload = payload
-        self.fut = fut
 
     def __call__(self) -> None:
-        if self.fut._exc is not None or self.task.state in _FINISHED_STATES:
+        if self.fut._exc is not None or not self.live:
             return
         desc = self.desc
-        nbytes = self.nbytes
+        nbytes = self.value
         desc.offset += nbytes
-        desc.file.size = max(desc.file.size, desc.offset)
-        desc.file.last_write_time = self.world.engine.now
-        if self.payload is not None:
-            desc.file.payload = self.payload
-        self.task.complete_call(nbytes)
-
-
-class _FileReadFinish:
-    """Delivers a completed file read (see _sys_read)."""
-
-    __slots__ = ("task", "desc", "n", "fut")
-
-    def __init__(self, task, desc, n, fut):
-        self.task = task
-        self.desc = desc
-        self.n = n
-        self.fut = fut
-
-    def __call__(self) -> None:
-        if self.fut._exc is not None or self.task.state in _FINISHED_STATES:
+        if not self.write:
+            self.ok((nbytes, desc.file.payload))
             return
-        desc = self.desc
-        desc.offset += self.n
-        self.task.complete_call((self.n, desc.file.payload))
+        file = desc.file
+        file.size = max(file.size, desc.offset)
+        file.last_write_time = self.world.engine.now
+        if self.payload is not None:
+            file.payload = self.payload
+        self.ok(nbytes)
 
 
 class _BlockStream:
@@ -201,7 +116,7 @@ class _BlockStream:
     """
 
     __slots__ = (
-        "world", "task", "current", "process", "desc", "write",
+        "world", "current", "process", "desc", "write",
         "payload", "left", "block", "cpu_per_byte", "ahead", "io_bytes",
         "waiting", "blocks", "timed", "t_cpu", "t_io", "io_wait", "cpu_wait",
         "cache",
@@ -209,9 +124,8 @@ class _BlockStream:
 
     def __init__(self, world, task, process, desc, nbytes, cpu_s, block_bytes, write, payload):
         self.world = world
-        self.task = task
-        #: False once the task was killed or its kernel context sealed.
-        self.current = _StillCurrent(task)
+        #: Dead once the task was killed or its kernel context sealed.
+        self.current = Completion(task)
         self.process = process
         self.desc = desc
         self.write = write
@@ -237,7 +151,7 @@ class _BlockStream:
 
     def _live(self) -> bool:
         """Is the caller still there?  If not, issue nothing further."""
-        if self.current():
+        if self.current.live:
             return True
         self._release()
         return False
@@ -257,7 +171,7 @@ class _BlockStream:
         nxt = left if left < self.block else self.block
         if not ready and not nxt:
             self._release()
-            self.task.complete_call((self.blocks, self.io_wait, self.cpu_wait))
+            self.current.ok((self.blocks, self.io_wait, self.cpu_wait))
             return
         self.left = left - nxt
         self.ahead = nxt
@@ -275,7 +189,7 @@ class _BlockStream:
                     self.world._check_disk_space(self.process, desc)
                 except SyscallError as err:
                     self._release()
-                    self.task.fail_call(err)
+                    self.current.fail(err)
                     return
                 fut = desc.table.charge_write(desc.mount, io_bytes)
             else:
@@ -324,59 +238,38 @@ class _BlockStream:
         self.step()
 
 
-class _RecvAttempt:
-    """One blocking recv: retries itself whenever data may have arrived."""
+class _RecvAttempt(Completion):
+    """One blocking recv: retries itself whenever data may have arrived.
 
-    __slots__ = ("task", "epoch", "ep")
+    A chunk is taken only for an awake caller: a frozen thread leaves it
+    in the queue for the drain and re-issues the recv at thaw.  A timed
+    recv (SO_RCVTIMEO analogue) keeps its timeout in the value slot and
+    :meth:`expire` as its timer.
+    """
 
-    def __init__(self, task: Task, ep):
-        self.task = task
-        self.epoch = task.epoch
+    __slots__ = ("ep",)
+
+    def __init__(self, task: Task, ep, timeout=None):
+        Completion.__init__(self, task, timeout)
         self.ep = ep
 
     def __call__(self) -> None:
-        task = self.task
-        if task.state in _FINISHED_STATES or task.epoch != self.epoch or task.state is TaskState.FROZEN:
-            return
-        if task.pending_call is None:
+        if not self.awake:
             return
         ep = self.ep
         chunk = ep.rx.take()
         if chunk is not None:
-            task.complete_call(chunk)
+            self.ok(chunk)
         elif ep.rx.eof or ep.closed:
-            task.complete_call(None)
+            self.ok(None)
         else:
             ep.rx.add_data_waiter(self)
 
-
-class _RecvTimeout:
-    """Expires a blocking recv with ETIMEDOUT (SO_RCVTIMEO analogue).
-
-    Fires only if the task is still parked on the *same* recv call in the
-    same epoch; otherwise the recv completed (or the process moved on)
-    and the timer is stale.
-    """
-
-    __slots__ = ("attempt", "call", "timeout")
-
-    def __init__(self, attempt: _RecvAttempt, call, timeout: float):
-        self.attempt = attempt
-        self.call = call
-        self.timeout = timeout
-
-    def __call__(self) -> None:
-        attempt = self.attempt
-        task = attempt.task
-        if (
-            task.state in _FINISHED_STATES
-            or task.epoch != attempt.epoch
-            or task.state is TaskState.FROZEN
-            or task.pending_call is not self.call
-        ):
-            return
-        attempt.ep.rx.remove_data_waiter(attempt)
-        task.fail_call(SyscallError("ETIMEDOUT", f"recv idle for {self.timeout}s"))
+    def expire(self) -> None:
+        """ETIMEDOUT, if the caller is still parked on this same recv."""
+        if self.awake:
+            self.ep.rx.remove_data_waiter(self)
+            self.fail(SyscallError("ETIMEDOUT", f"recv idle for {self.value}s"))
 
 
 class _NodeState:
@@ -444,6 +337,8 @@ class World:
         self._listeners: dict[tuple[str, int], ListenerSocket] = {}
         self._unix_listeners: dict[tuple[str, str], ListenerSocket] = {}
         self.shm_segments: dict[tuple[str, str], Any] = {}
+        #: Memory-region ids, handed to every address space of this world.
+        self.region_ids = itertools.count(1)
         #: Interposition registry: env-var name -> factory.  A process
         #: whose environment carries the variable gets its syscall
         #: interface wrapped by the factory (the LD_PRELOAD analogue).
@@ -838,41 +733,12 @@ class World:
         except SyscallError as err:
             task.fail_call(err)
 
-    def _still_current(self, task: Task) -> _StillCurrent:
-        """Guard for completion callbacks: the task must still be waiting
-        on the same call, in the same kernel epoch.
-
-        A frozen/thawed task re-issues its call, re-registering fresh
-        callbacks; stale ones from the first issue must not fire twice.
-        While frozen, ``pending_call`` is still the same object, so
-        results that land during suspension are delivered (stored by
-        ``complete_call`` as the frozen result).
-        """
-        return _StillCurrent(task)
-
-    def _settle(self, task: Task, fut, transform=None, value=None) -> None:
-        """Complete ``task``'s pending call when ``fut`` settles.
-
-        ``transform`` maps the future's value; ``value`` (if not None)
-        replaces it outright -- cheaper than a per-call lambda.
-        """
-        if fut._done:
-            # settle immediately without allocating the callback object;
-            # the epoch/pending-call guards trivially hold mid-handler
-            exc = fut._exc
-            if exc is not None:
-                task.fail_call(exc)
-            elif transform is not None:
-                task.complete_call(transform(fut._value))
-            elif value is not None:
-                task.complete_call(value)
-            else:
-                task.complete_call(fut._value)
-            return
-        fut.add_done(_Settle(task, fut, transform, value))
-
-    def _complete_after(self, task: Task, delay: float, value=None) -> None:
-        self.engine.call_after(delay, _CompleteAfter(task, value))
+    def _settle(self, task: Task, fut, value=None) -> _Settle:
+        """Complete ``task``'s pending call when ``fut`` settles, with the
+        future's value or, if not None, with ``value``."""
+        ticket = _Settle(task, fut, value)
+        fut.add_done(ticket)
+        return ticket
 
     # ------------------------------------------------------------------
     # Trivial process syscalls
@@ -890,7 +756,7 @@ class World:
         task.complete_call(self.engine.now)
 
     def _sys_sleep(self, task, thread, process, seconds: float) -> None:
-        self._complete_after(task, seconds)
+        self._call_after(seconds, Completion(task))
 
     def _sys_cpu(self, task, thread, process, seconds: float) -> None:
         self._settle(task, process.node.cpu_burst(seconds))
@@ -933,8 +799,10 @@ class World:
         return self.spec.os.fork_base_s + mb * self.spec.os.fork_per_mb_s
 
     def _sys_fork(self, task, thread, process, child_main, *args) -> None:
+        done = Completion(task)
+
         def do_fork() -> None:
-            if task.done or not process.alive:
+            if not done.live:
                 return
             ns = self.node_state(process.node.hostname)
             pid = ns.alloc_pid()
@@ -950,13 +818,8 @@ class World:
             child.ctty = process.ctty
             child.sid = process.sid
             child.sys = self._make_sys(child)
-            thread_obj = Thread(child, f"{child.program}[{pid}]")
-            child.threads.append(thread_obj)
-            gen = self._thread_body(thread_obj, child_main(child.sys, *args), is_main=True)
-            t = self.scheduler.spawn(gen, name=thread_obj.name, handler=self._dispatch)
-            t.context = thread_obj
-            thread_obj.task = t
-            task.complete_call(pid)
+            self._start_main_thread(child, lambda sys, argv: child_main(sys, *args))
+            done.ok(pid)
 
         self.engine.call_after(self._fork_cost(process), do_fork)
 
@@ -987,9 +850,10 @@ class World:
 
     def _sys_spawn(self, task, thread, process, program, argv, env) -> None:
         spec, main = self.lookup_program(program)
+        done = Completion(task)
 
         def do_spawn() -> None:
-            if task.done or not process.alive:
+            if not done.live:
                 return
             merged = dict(process.env)
             if env:
@@ -997,7 +861,7 @@ class World:
             child = self.spawn_process(
                 process.node.hostname, program, argv, merged, parent=process
             )
-            task.complete_call(child.pid)
+            done.ok(child.pid)
 
         self.engine.call_after(
             self._fork_cost(process) + self.spec.os.exec_s, do_spawn
@@ -1011,15 +875,15 @@ class World:
         child = next((c for c in process.children if c.pid == pid), None)
         if child is None:
             raise SyscallError("ECHILD", f"pid {pid}")
-        current = self._still_current(task)
+        done = Completion(task)
 
         def reap() -> None:
-            if not current():
+            if not done.live:
                 return
             if child in process.children:
                 process.children.remove(child)
             self.reap_process(child)
-            task.complete_call((pid, child.exit_code))
+            done.ok((pid, child.exit_code))
 
         if child.state == "zombie":
             reap()
@@ -1038,13 +902,7 @@ class World:
         target = next((t for t in process.threads if t.tid == tid), None)
         if target is None or target.task is None:
             raise SyscallError("ESRCH", f"tid {tid}")
-        current = self._still_current(task)
-
-        def joined() -> None:
-            if current():
-                task.complete_call(None)
-
-        target.task.done_future.add_done(joined)
+        target.task.done_future.add_done(Completion(task))
 
     def _semaphores(self, process: Process) -> dict[int, Semaphore]:
         return process.user_state.setdefault("_semaphores", {})
@@ -1143,7 +1001,7 @@ class World:
             file.payload = None
         desc = OpenFile(file, mount, ns.mounts, flags)
         fd = process.alloc_fd(desc)
-        self._complete_after(task, self.spec.disk.op_latency_s, fd)
+        self._call_after(self.spec.disk.op_latency_s, Completion(task, fd))
 
     def _sys_close(self, task, thread, process, fd) -> None:
         process.drop_fd(fd)
@@ -1169,7 +1027,7 @@ class World:
         if offset is not None:
             desc.offset = offset
         fut = desc.table.charge_write(desc.mount, nbytes)
-        fut.add_done(_FileWriteFinish(self, task, desc, nbytes, payload, fut))
+        fut.add_done(_FileIO(self, task, desc, nbytes, fut, True, payload))
 
     def _check_disk_space(self, process, desc) -> None:
         """ENOSPC while the node's local disk is full (fault injection)."""
@@ -1195,7 +1053,7 @@ class World:
             task.complete_call((0, None))
             return
         fut = desc.table.charge_read(desc.mount, n, self._page_cached(desc))
-        fut.add_done(_FileReadFinish(task, desc, n, fut))
+        fut.add_done(_FileIO(self, task, desc, n, fut, False))
 
     def _sys_stream(self, task, thread, process, fd, nbytes, cpu_s, block_bytes, write, payload, offset=None) -> None:
         """See :meth:`Sys.stream` and :class:`_BlockStream`; the stage
@@ -1248,7 +1106,7 @@ class World:
         if ns.mounts.resolve(new) is not mount:
             raise SyscallError("EXDEV", f"{old} -> {new}")
         mount.namespace.rename(old, new)
-        self._complete_after(task, self.spec.disk.op_latency_s, None)
+        self._call_after(self.spec.disk.op_latency_s, Completion(task))
 
     def _sys_stat(self, task, thread, process, path) -> None:
         ns = self.node_state(process.node.hostname)
@@ -1326,20 +1184,17 @@ class World:
         desc = process.get_fd(fd)
         if not isinstance(desc, ListenerSocket):
             raise SyscallError("EINVAL", f"fd {fd} is not listening")
-        epoch = task.epoch
+        done = Completion(task)
 
         def attempt() -> None:
-            if task.done or task.epoch != epoch or task.state is TaskState.FROZEN:
-                return
-            if task.pending_call is None:
+            if not done.awake:
                 return
             if desc.backlog:
                 ep = desc.backlog.pop(0)
                 ep.origin = "accept"
-                new_fd = process.alloc_fd(ep)
-                task.complete_call(new_fd)
+                done.ok(process.alloc_fd(ep))
             elif desc.closed:
-                task.fail_call(SyscallError("EBADF", "listener closed"))
+                done.fail(SyscallError("EBADF", "listener closed"))
             else:
                 desc.wait_backlog().add_done(attempt)
 
@@ -1357,15 +1212,10 @@ class World:
             return
         listener = self.lookup_listener(host, port, path)
         rtt = 2 * self.spec.network.latency_s if process.node.hostname != host else 1e-6
+        done = Completion(task)
+        refused = SyscallError("ECONNREFUSED", f"{host}:{port or path}")
         if listener is None or listener.closed:
-            epoch = task.epoch
-
-            def refuse() -> None:
-                if task.done or task.epoch != epoch:
-                    return
-                task.fail_call(SyscallError("ECONNREFUSED", f"{host}:{port or path}"))
-
-            self.engine.call_after(rtt, refuse)
+            self.engine.call_after(rtt, done.fail, refused)
             return
         server_ep = SocketEndpoint(self, listener.node, ep.domain)
         server_ep.origin = "accept"
@@ -1380,13 +1230,13 @@ class World:
         connect_endpoints(ep, server_ep)
 
         def establish() -> None:
+            if not done.live:
+                return
             if listener.closed:
-                if not task.done:
-                    task.fail_call(SyscallError("ECONNREFUSED", f"{host}:{port or path}"))
+                done.fail(refused)
                 return
             listener.push_established(server_ep)
-            if not task.done:
-                task.complete_call(None)
+            done.ok()
 
         self.engine.call_after(rtt, establish)
 
@@ -1394,23 +1244,29 @@ class World:
         self._sys_send_chunk(task, thread, process, fd, Chunk(nbytes, data=data, ctrl=ctrl))
 
     def _sys_send_chunk(self, task, thread, process, fd, chunk, force=False) -> None:
+        parked = thread.parked_send
+        if parked is not None and parked.live:
+            # this same call, re-issued at a thaw that no drain came
+            # before: its first issue's reservation still stands in the
+            # peer's queue and its ticket completes this one
+            return
         ep = self._socket_desc(process, fd)
         check_pipe_direction(ep, "send")
         accepted = transmit(self, ep, chunk, force=force)
         if accepted is None:  # copied into the kernel synchronously
             task.complete_call(chunk.nbytes)
         else:
-            self._settle(task, accepted, value=chunk.nbytes)
+            thread.parked_send = self._settle(task, accepted, value=chunk.nbytes)
 
     def _sys_recv(self, task, thread, process, fd, timeout=None) -> None:
         ep = self._socket_desc(process, fd)
         check_pipe_direction(ep, "recv")
-        attempt = _RecvAttempt(task, ep)
+        attempt = _RecvAttempt(task, ep, timeout)
         attempt()
         if timeout is not None and task.pending_call is not None:
-            self.engine.call_after(
-                timeout, _RecvTimeout(attempt, task.pending_call, timeout)
-            )
+            # the function and a 1-tuple, not a bound method: ~10^4 of these
+            # timers sit in the heap at once on the service workloads
+            self.engine.call_after(timeout, _RecvAttempt.expire, attempt)
 
     def _sys_setsockopt(self, task, thread, process, fd, option, value) -> None:
         desc = process.get_fd(fd)
@@ -1502,17 +1358,17 @@ class World:
     # ------------------------------------------------------------------
     def _sys_ssh(self, task, thread, process, host, program, argv, env) -> None:
         self.node_state(host)  # raises EHOSTUNREACH for unknown hosts
-        epoch = task.epoch
+        done = Completion(task)
 
         def spawn_remote() -> None:
-            if task.done or task.epoch != epoch:
+            if not done.live:
                 return
             try:
                 child = self.spawn_process(host, program, argv, env or {}, parent=None)
             except SyscallError as err:  # e.g. EHOSTDOWN mid-connect
-                task.fail_call(err)
+                done.fail(err)
                 return
-            task.complete_call((host, child.pid))
+            done.ok((host, child.pid))
 
         self.engine.call_after(self.spec.os.ssh_connect_s, spawn_remote)
 
@@ -1533,8 +1389,10 @@ class World:
         ]
         cost = self.spec.os.suspend_quiesce_s + len(targets) * self.spec.os.signal_delivery_s
 
+        done = Completion(task)
+
         def do_suspend() -> None:
-            if task.done:
+            if not done.live:
                 return
             for t in targets:
                 sems = self._semaphores(process)
@@ -1544,7 +1402,7 @@ class World:
                 # re-issues at thaw
                 for sem in sems.values():
                     sem.unpark(t.task)
-            task.complete_call(len(targets))
+            done.ok(len(targets))
 
         self.engine.call_after(cost, do_suspend)
 

@@ -19,6 +19,26 @@ kernel context on a different simulated host.  This mirrors Linux's
 ``ERESTARTSYS``: the generator never observes the interruption, which is
 exactly the transparency property the paper's MTCP layer provides with
 signals.  Handlers must therefore make call effects atomic-at-completion.
+
+A call that finishes *later* than its handler returned (a timer, a device
+or network future, a wait queue) is finished through one
+:class:`Completion` -- a ticket taken at dispatch that records
+``(task, pending_call, epoch)`` and answers two questions:
+
+* **live** -- the task is not finished, its epoch has not moved and it
+  still waits on that same call.  A live ticket may deliver a *result*;
+  if the task is frozen, ``complete_call`` parks the result for thaw and
+  the call is not re-issued.
+* **awake** -- live and not frozen.  Only an awake ticket may *take
+  something on the task's behalf* (a chunk, a backlog entry, a permit, a
+  fabric ack): a frozen task leaves it where it is, for the drain, and
+  takes it when its call is re-issued at thaw.
+
+A call whose *effect* happens at completion (fork, connect, a file
+offset) checks the ticket **before** the effect.  :meth:`Task.seal` moves
+the epoch, which makes every ticket of the old kernel context dead at
+once: nothing that context still delivers changes the continuation, a
+descriptor, a file or a process table of the restarted one.
 """
 
 from __future__ import annotations
@@ -75,10 +95,6 @@ class Future:
             self._callbacks = [fn]
         else:
             self._callbacks.append(fn)
-
-    def when_settled(self, fn: "Callable[[Any, Optional[BaseException]], None]") -> None:
-        """Run ``fn(value, exc)`` when the future settles."""
-        self.add_done(lambda: fn(self._value, self._exc))
 
     @property
     def done(self) -> bool:
@@ -202,10 +218,10 @@ class Task:
         #: (value, exc) delivered at thaw -- the simulated analogue of a
         #: syscall finishing while the process is stopped.
         self._frozen_result: Optional[tuple[Any, Optional[BaseException]]] = None
-        #: Bumped by :meth:`seal`.  Kernel-side completion callbacks capture
-        #: the epoch at dispatch time and refuse to act if it has moved on
-        #: -- this severs a checkpointed continuation from stale events of
-        #: the dead pre-checkpoint kernel context.
+        #: Bumped by :meth:`seal`.  A :class:`Completion` records the epoch
+        #: at dispatch time and is dead once it has moved on -- this severs
+        #: a checkpointed continuation from stale events of the dead
+        #: pre-checkpoint kernel context.
         self.epoch = 0
 
     # ------------------------------------------------------------------
@@ -303,7 +319,7 @@ class Task:
             self._scheduler._schedule_resume(self, resume_value)
 
     def seal(self) -> None:
-        """Invalidate completion callbacks issued under the old epoch.
+        """Invalidate every :class:`Completion` taken under the old epoch.
 
         Called when a frozen continuation's kernel context is destroyed
         (checkpoint-then-kill): whatever the dead context still delivers
@@ -355,64 +371,63 @@ class Task:
         return f"<Task {self.name} {self.state.value}>"
 
 
-class IOCompletion:
-    """A reified I/O completion aimed at a blocked task.
+class Completion:
+    """The ticket that finishes a pending call after its handler returned
+    (the rule is in the module docstring).
 
-    This is the task/IO-completion boundary made explicit.  Kernel
-    handlers historically finished calls by invoking
-    ``task.complete_call``/``fail_call`` directly from whatever closure
-    observed the hardware event, each re-implementing the "is this
-    completion still current?" guard (task finished, epoch moved on by
-    :meth:`Task.seal`, task frozen by a checkpoint, call already
-    serviced).  An ``IOCompletion`` captures the target task and its
-    epoch at creation time and centralizes that guard in
-    :meth:`deliver`, so a completion can travel as plain data -- queued,
-    timestamped, shipped across the shard fabric (repro.sim.parallel) --
-    and be delivered later without the producer holding live kernel
-    references.  The node-local hot paths keep calling
-    ``complete_call`` directly; this type is the seam for completions
-    that cross an execution boundary.
+    Taken at dispatch, held by whatever fires later: a timer, a
+    ``Future.add_done``, a wait queue, a cross-shard message.  A stale
+    ticket delivers nothing.  Calling the ticket delivers its ``value``
+    slot, so a parked completion is this one object.
     """
 
-    __slots__ = ("task", "value", "exc", "epoch")
+    __slots__ = ("task", "call", "epoch", "value")
 
-    def __init__(
-        self, task: "Task", value: Any = None, exc: Optional[BaseException] = None
-    ):
+    def __init__(self, task: "Task", value: Any = None):
         self.task = task
-        self.value = value
-        self.exc = exc
+        self.call = task.pending_call
         self.epoch = task.epoch
+        self.value = value
 
-    def stale(self) -> bool:
-        """True when delivering would be a no-op (target moved on)."""
+    @property
+    def live(self) -> bool:
+        """May a result be delivered?  (Parked by the task if frozen.)"""
         task = self.task
         return (
-            task.done
-            or task.epoch != self.epoch
-            or task.state is TaskState.FROZEN
-            or task.pending_call is None
+            task.state not in _FINISHED_STATES
+            and task.epoch == self.epoch
+            and task.pending_call is self.call
+            and self.call is not None
         )
 
-    def deliver(self) -> bool:
-        """Complete (or fail) the pending call; False if stale.
+    @property
+    def awake(self) -> bool:
+        """May something be taken on the task's behalf right now?"""
+        return self.live and self.task.state is not TaskState.FROZEN
 
-        A frozen target refuses delivery -- its pending call is
-        re-dispatched whole at thaw, exactly like the kernel's own wait
-        queues -- and a sealed epoch severs completions from a dead
-        pre-checkpoint context.
-        """
-        if self.stale():
-            return False
-        if self.exc is not None:
-            self.task.fail_call(self.exc)
+    def ok(self, value: Any = None) -> None:
+        """Complete the call with ``value`` if the ticket is live."""
+        if self.live:
+            self.task.complete_call(value)
+
+    def fail(self, exc: BaseException) -> None:
+        """Fail the call with ``exc`` if the ticket is live."""
+        if self.live:
+            self.task.fail_call(exc)
+
+    def settle(self, fut: Future) -> None:
+        """Deliver a settled future's outcome; a ``value`` that is not
+        None replaces the future's own."""
+        if fut._exc is not None:
+            self.fail(fut._exc)
         else:
-            self.task.complete_call(self.value)
-        return True
+            self.ok(fut._value if self.value is None else self.value)
+
+    def __call__(self) -> None:
+        self.ok(self.value)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        kind = "fail" if self.exc is not None else "ok"
-        return f"<IOCompletion {kind} -> {self.task.name} epoch={self.epoch}>"
+        return f"<Completion {self.call!r} -> {self.task.name} epoch={self.epoch}>"
 
 
 class FailureLog:
@@ -515,20 +530,6 @@ class Scheduler:
         self.tasks.add(task)
         self._schedule_resume(task, None)
         return task
-
-    def complete_at(self, time: float, completion: IOCompletion) -> Event:
-        """Deliver an :class:`IOCompletion` at absolute virtual ``time``.
-
-        The deferred-delivery half of the task/IO-completion split: the
-        producer decides *when* the effect lands (e.g. a cross-shard
-        message's arrival timestamp); the completion itself decides
-        *whether* it still applies.
-        """
-        return self.engine.call_at(time, completion.deliver)
-
-    def complete_after(self, delay: float, completion: IOCompletion) -> Event:
-        """Deliver an :class:`IOCompletion` after ``delay`` virtual seconds."""
-        return self.engine.call_after(delay, completion.deliver)
 
     # ------------------------------------------------------------------
     # Internal trampoline

@@ -85,6 +85,40 @@ def test_fork_private_region_dirty_state_diverges():
     assert child_private.dirty_fraction == 0.75  # child unaffected
 
 
+def test_region_ids_are_counted_per_world():
+    # store digests of written chunks mix the region id into the lineage,
+    # so the second world of an interpreter must number the same program's
+    # regions as the first one did (fork copies included)
+    from repro.cluster import build_cluster
+
+    def region_ids():
+        world = build_cluster(n_nodes=1, seed=3)
+        seen = []
+
+        def child(sys):
+            seen.append((yield from sys.mmap(4096)))
+            pid = yield from sys.getpid()
+            space = world.find_process("node00", pid).address_space
+            seen.append([r.region_id for r in space.regions])
+
+        def main(sys, argv):
+            seen.append((yield from sys.mmap(8192, "numeric")))
+            seen.append((yield from sys.sbrk(4096)))
+            yield from sys.waitpid((yield from sys.fork(child)))
+
+        world.register_program("p", main)
+        parent = world.spawn_process("node00", "p")
+        world.engine.run()
+        assert not world.scheduler.failures
+        return seen, [r.region_id for r in parent.address_space.regions]
+
+    seen, parent_ids = region_ids()
+    assert (seen, parent_ids) == region_ids()
+    child_ids = seen[3]
+    # the private copies fork made are the child's own
+    assert len(set(child_ids)) == len(child_ids) and not set(child_ids) & set(parent_ids)
+
+
 def test_dirty_tracking_touch_and_clean():
     region = MemoryRegion(0, 4096, "heap", PROFILES["text"])
     assert region.dirty_fraction == 1.0  # born dirty

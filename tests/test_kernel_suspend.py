@@ -9,8 +9,9 @@ flight keeps moving into kernel buffers while user threads sleep.
 import pytest
 
 from repro.cluster import build_cluster
+from repro.errors import SyscallError
 from repro.kernel.syscalls import connect_retry
-from repro.sim.tasks import TaskState
+from repro.sim.tasks import Completion, TaskState
 
 
 @pytest.fixture()
@@ -203,14 +204,13 @@ def test_destroy_with_continuations_keeps_generators_thawable(world):
 def test_sealed_task_ignores_stale_completions(world):
     """After seal(), events from the dead kernel context cannot touch the
     continuation (no spurious EPIPE into a restarted process)."""
-    from repro.sim.tasks import Scheduler
-
     eng = world.engine
     sched = world.scheduler
     delivered = []
+    tickets = []
 
     def handler_never(task, call):
-        pass  # blocked forever
+        tickets.append(Completion(task))  # taken at dispatch, never fired
 
     def body():
         value = yield "op"
@@ -218,18 +218,54 @@ def test_sealed_task_ignores_stale_completions(world):
 
     task = sched.spawn(body(), handler=handler_never)
     eng.run()
+    (stale,) = tickets
+    assert stale.live and stale.awake
     task.freeze()
+    assert stale.live and not stale.awake  # a result would be parked
     task.seal()
-    # stale completion from the old context: must be ignored because the
-    # guard in kernel callbacks checks the epoch -- simulate the guard here
-    epoch_at_dispatch = task.epoch - 1
-    if task.epoch == epoch_at_dispatch and not task.done:
-        task.complete_call("stale")  # pragma: no cover
+    assert not stale.live and not stale.awake
+    # stale completions from the old context: dropped, nothing is parked
+    stale.ok("stale")
+    stale.fail(SyscallError("EPIPE", "from the dead context"))
+    stale()
+    assert task._frozen_result is None and task.pending_call == "op"
     # thaw under a completing handler: the call re-issues cleanly
 
     def handler_completes(task2, call):
         task2.complete_call("fresh")
 
     task.thaw(handler=handler_completes)
+    stale.ok("stale")  # ... and not after the thaw either
     eng.run()
     assert delivered == ["fresh"]
+    assert not sched.failures
+
+
+def test_send_parked_on_flow_control_is_sent_once_when_resumed_undrained(world):
+    """A checkpoint that aborts before the drain resumes the threads with
+    nothing read: the re-issued send must wait on the reservation its
+    first issue queued, not queue a second one beside it."""
+    got = []
+
+    def producer(sys, fd):
+        for i in range(8):
+            yield from sys.send(fd, 30_000, data=i)
+
+    def main(sys, argv):
+        a, b = yield from sys.socketpair()
+        tid = yield from sys.thread_create(producer, a)
+        yield from sys.sleep(0.5)  # the producer is parked on a full buffer
+        yield from sys.suspend_threads()
+        yield from sys.sleep(0.5)  # nobody drains
+        yield from sys.resume_threads()
+        try:
+            while True:
+                got.append((yield from sys.recv(b, timeout=1.0)).data)
+        except SyscallError as err:
+            assert err.errno == "ETIMEDOUT"
+        yield from sys.thread_join(tid)
+
+    world.register_program("p", main)
+    world.spawn_process("node00", "p")
+    run(world)
+    assert got == [0, 1, 2, 3, 4, 5, 6, 7]

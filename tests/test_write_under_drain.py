@@ -484,9 +484,7 @@ def test_abort_while_the_stream_is_running_leaves_nothing_behind(fault, store):
     assert {p.pid: set(p.fds) for p in survivors} == open_before
     no_failures(world)
     if fault == "enospc":
-        # this rollback came after the drain and lost the application
-        # nothing.  (One before the drain re-issues the producer's send
-        # that sat blocked on flow control at suspend: ROADMAP, debts.)
+        # nobody the pipeline needs has died: the application lost nothing
         world.engine.run_until(lambda: done["ok"])
         assert received == _reference()
     # nothing the killed writers left in the engine calls into them
@@ -494,6 +492,28 @@ def test_abort_while_the_stream_is_running_leaves_nothing_behind(fault, store):
         world.destroy_process(process)
     world.engine.run()
     assert world.engine.pending == 0
+    no_failures(world)
+
+
+def test_abort_before_the_drain_with_every_member_alive_loses_and_repeats_nothing():
+    """The coordinator's path to the bystander stalls while the election
+    barrier is open, the watchdog aborts, and the threads resume with
+    nothing drained: the producer's send that sat blocked on flow control
+    at suspend is re-issued, and must not be queued a second time."""
+    world, comp, received, done = _pipeline(n_nodes=4, spec=ABORT_SPEC, supervise=True)
+    FaultInjector(world, comp).arm(
+        FaultPlan.schedule([FaultEvent(
+            "delay-coord-frames", target="node03",
+            phase="coordinator/barrier:election-completed", duration=1.0,
+        )])
+    )
+    handle = comp.request_checkpoint()
+    world.engine.run_until(lambda: handle["outcome"] is not None)
+    assert handle["outcome"] == "aborted"
+    world.engine.run_until(lambda: done["ok"])
+    snap = world.tracer.snapshot()
+    assert snap.get("dmtcp.drained_chunks", 0) == 0  # the abort came first
+    assert len(_members(world)) == 5 and received == _reference()
     no_failures(world)
 
 
@@ -580,8 +600,5 @@ def test_checkpoint_costs_the_longer_of_drain_and_payload(heap_mb, gzip, layout,
     serial = stages["suspend"] + under + payload_s + tail
     assert record.total == pytest.approx(serial - min(under, payload_s), abs=1e-7)
     assert record.total < serial
-    # same seed, same trace, to the byte (store digests of written chunks
-    # take the process-wide region counter, so store runs are compared
-    # across processes: CI's store-smoke runs its bench twice and cmp's)
-    if layout != "store":
-        assert _one_checkpoint(*config)[3] == dump
+    # same seed, same trace, to the byte
+    assert _one_checkpoint(*config)[3] == dump
