@@ -95,7 +95,7 @@ def _trace(argv: list[str]) -> int:
         tracer.write_jsonl(args.jsonl)
 
     ckpt_spans = {s["name"] for s in tracer.spans(cat="ckpt")}
-    restart_spans = {s["name"] for s in tracer.spans(cat="restart")}
+    restart_spans = {s["name"] for s in tracer.spans() if s["cat"] in ("restart", "mtcp")}
     counters = tracer.snapshot()
     print(f"scenario {args.scenario!r} (seed {args.seed}): "
           f"{len(tracer.events)} events, {len(counters)} counters -> {out}")

@@ -125,16 +125,19 @@ def manager_main(runtime: "DmtcpRuntime", restart_image: Optional[CheckpointImag
     tenant = env.get("DMTCP_TENANT")
     if tenant:
         hello["tenant"] = tenant
-    yield from coord_send(sys, fd, hello)
     supervise = env.get("DMTCP_SUPERVISE") == "1"
     spec = runtime.world.spec.dmtcp
     if restart_image is not None:
         try:
+            yield from coord_send(sys, fd, hello)
             yield from _rejoin_after_restart(sys, runtime, fd, asm, restart_image)
         except (SyscallError, CheckpointAborted):
-            # a peer died mid-restart: this attempt is void; exit so the
+            # the coordinator or a peer died mid-restart (even between our
+            # connect and our hello): this attempt is void; exit so the
             # supervisor can retry the whole gang from the images
             yield from sys.exit(1)
+    else:
+        yield from coord_send(sys, fd, hello)
 
     while True:
         try:
@@ -260,8 +263,8 @@ def run_checkpoint(sys: Sys, runtime: "DmtcpRuntime", fd: int, asm: FrameAssembl
     process = runtime.process
     world = runtime.world
     tracer = world.tracer
-    track = proc_track(process.node.hostname, process.program, runtime.vpid)
     tenant = process.env.get("DMTCP_TENANT") or None
+    track = proc_track(process.node.hostname, process.program, runtime.vpid, tenant)
     clock = StageClock(tracer, track, cat="ckpt", tenant=tenant)
     ckpt_id = message["ckpt_id"]
     runtime.in_checkpoint = True
@@ -523,10 +526,10 @@ def _rejoin_after_restart(sys: Sys, runtime: "DmtcpRuntime", fd: int, asm: Frame
     """Restart steps 5-7 (Figure 2): rejoin at Barrier 5, refill, resume."""
     world = runtime.world
     tracer = world.tracer
-    track = proc_track(
-        runtime.process.node.hostname, runtime.process.program, runtime.vpid
-    )
     tenant = runtime.process.env.get("DMTCP_TENANT") or None
+    track = proc_track(
+        runtime.process.node.hostname, runtime.process.program, runtime.vpid, tenant
+    )
     supervise = runtime.process.env.get("DMTCP_SUPERVISE") == "1"
     timeout = world.spec.dmtcp.member_recv_timeout_s if supervise else None
     yield from barrier(sys, fd, asm, "restart-" + P.BARRIER_CHECKPOINTED, timeout)

@@ -25,6 +25,7 @@ from repro.kernel.filesystem import OpenFile
 from repro.kernel.sockets import ListenerSocket, SocketEndpoint
 from repro.kernel.streams import FrameAssembler
 from repro.kernel.syscalls import Sys, recv_frame, send_frame
+from repro.obs.tracer import proc_track
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.hijack import DmtcpRuntime
@@ -536,7 +537,8 @@ class ImageWriter:
     exists, so it stops the thread where it stands before it unlinks.
 
     The ``mtcp.write`` span runs on its own tracer track
-    (``<host>/mtcp[<vpid>]``, the write is concurrent with the manager's
+    (``proc_track(host, "mtcp", vpid, tenant)``, ``<host>/mtcp[<vpid>]``
+    outside service mode; the write is concurrent with the manager's
     stage spans) from the first payload call to the commit and closes
     with ``hidden_s`` / ``exposed_s`` -- how much of it ran before the
     seal -- next to the stream's ``blocks``, ``cpu_s``, ``io_wait_s``
@@ -555,7 +557,9 @@ class ImageWriter:
         self.runtime = runtime
         self.image = image = plan_image(runtime, ckpt_id)
         self.path = path = image_path(runtime, ckpt_id)
-        self.track = f"{image.hostname}/mtcp[{image.vpid}]"
+        self.track = proc_track(
+            image.hostname, "mtcp", image.vpid, process.env.get("DMTCP_TENANT")
+        )
         self.atomic = atomic_images_enabled(process.env)
         #: Crash-safe path: a torn write only ever exists as ``*.tmp``,
         #: and the manifest (written last) certifies the final file.

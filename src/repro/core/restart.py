@@ -2,16 +2,23 @@
 
 One restart process per host executes Figure 2's steps:
 
+0. read every image's header, all images at once (one reader thread
+   per image; the payloads stay on storage for the children);
 1. reopen files and recreate ptys (and re-bind listener sockets);
 2. recreate and reconnect sockets, using the coordinator's discovery
    service to find the new address of each peer's restart process --
    acceptors advertise their restore listener, connectors dial it and
-   the two sides handshake on the globally unique connection ID;
+   the two sides handshake on the globally unique connection ID.  The
+   restarter sleeps until the next advertisement or accepted
+   re-connection, never on a timer;
 3. fork into the N user processes (this ordering is what lets sockets
    shared between processes be shared again -- descriptions created
    before fork are inherited);
-4. each child rearranges file descriptors with dup2/close;
-5. MTCP restores memory and threads; the process rejoins the checkpoint
+4. each child rearranges file descriptors with dup2/close as soon as it
+   is forked;
+5. MTCP restores memory and threads -- each child streams its own
+   payload while its siblings are still being forked, and only then
+   waits for the host-wide pid map; the process rejoins the checkpoint
    algorithm at Barrier 5;
 6-7. kernel buffers are refilled and user threads resume (manager.py).
 """
@@ -26,6 +33,8 @@ from repro.core.manager import manager_main
 from repro.errors import SyscallError
 from repro.kernel.streams import FrameAssembler
 from repro.kernel.syscalls import Sys, connect_retry, recv_frame, send_frame
+from repro.obs.tracer import proc_track
+from repro.sim.tasks import Future
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.launch import DmtcpComputation
@@ -65,6 +74,7 @@ def make_restart_program(computation: "DmtcpComputation"):
         paths = args[1:]
         my_host = yield from sys.gethostname()
         my_pid = yield from sys.getpid()
+        my_proc = world.find_process(my_host, my_pid)
         # pid-qualified: relocation can land several restarters on a host
         track = f"{my_host}/restart[{my_pid}]"
         t0 = yield from sys.time()
@@ -84,16 +94,34 @@ def make_restart_program(computation: "DmtcpComputation"):
         yield from send_frame(sys, cfd, hello, P.CTL_FRAME_BYTES)
 
         # ---- step 0: header pass -- payloads stay on storage -------------
-        tracer.begin(track, "image_read", cat="restart")
-        images = []
-        image_fds = []  # per image: the open descriptors of its chain
-        header_bytes = 0
-        for path in paths:
-            image, fds, nbytes = yield from mtcp.read_image(sys, path, validate=validate)
-            images.append(image)
-            image_fds.append(fds)
-            header_bytes += nbytes
-        tracer.end(track, "image_read", cat="restart", n=len(paths), bytes=header_bytes)
+        # Every open is a fixed latency that no other work waits on, so
+        # each image gets its own reader (a delta chain is still walked
+        # leaf to base inside it).  The span is MTCP image I/O (cat
+        # "mtcp", like ``mtcp.write``: the ledger's declared stage rows
+        # are the cat "restart" spans); the stage reaches every restored
+        # process's record through ``stage_times``.
+        tracer.begin(track, "image_read", cat="mtcp")
+        headers: list = [None] * len(paths)
+        yield from _join([
+            world.spawn_thread(
+                my_proc,
+                _header_reader(Sys(), path, validate, headers, i),
+                f"restore-read-{i}",
+                kind="manager",
+            )
+            for i, path in enumerate(paths)
+        ])
+        for header in headers:
+            if isinstance(header, SyscallError):
+                # e.g. a --validate checksum mismatch: fail before any fork
+                tracer.end(track, "image_read", cat="mtcp")
+                raise header
+        images = [image for image, _fds, _n in headers]
+        image_fds = [fds for _image, fds, _n in headers]  # per image: its chain
+        stage_read = tracer.end(
+            track, "image_read", cat="mtcp",
+            n=len(paths), bytes=sum(n for _image, _fds, n in headers),
+        )
 
         # ---- step 1: reopen files, recreate ptys, re-bind listeners ------
         tracer.begin(track, "restore_files", cat="restart")
@@ -161,9 +189,7 @@ def make_restart_program(computation: "DmtcpComputation"):
                     key = _endpoint_key(f)
                     if key not in desc_fd:
                         a, b = yield from sys.socketpair()
-                        my_pid = yield from sys.getpid()
-                        proc = world.find_process(my_host, my_pid)
-                        ep = proc.get_fd(a)
+                        ep = my_proc.get_fd(a)
                         for chunk in image.drained.get(f.fd, []):
                             ep.rx.push(chunk)
                         yield from sys.close(b)
@@ -184,12 +210,14 @@ def make_restart_program(computation: "DmtcpComputation"):
                 P.msg(P.MSG_ADVERTISE, key=key, host=my_host, port=rl_addr[1]),
                 P.CTL_FRAME_BYTES,
             )
-        my_proc = world.find_process(my_host, (yield from sys.getpid()))
-        accept_done = {"n": 0}
+        # the acceptor and the advertisement reader record what they
+        # discover here and settle the restarter's pending wake
+        pending = set(need_connect)
+        discovery = {"accepted": 0, "pending": pending, "wake": None}
         if need_accept:
             world.spawn_thread(
                 my_proc,
-                _restore_acceptor(Sys(), rlfd, len(need_accept), desc_fd, accept_done),
+                _restore_acceptor(Sys(), rlfd, len(need_accept), desc_fd, discovery),
                 "restore-acceptor",
                 kind="manager",
             )
@@ -200,17 +228,15 @@ def make_restart_program(computation: "DmtcpComputation"):
         adverts: dict[str, tuple] = {}
         world.spawn_thread(
             my_proc,
-            _advert_reader(Sys(), cfd, coord_asm, adverts),
+            _advert_reader(Sys(), cfd, coord_asm, adverts, discovery),
             "restore-advert-reader",
             kind="manager",
         )
         # dial out as advertisements arrive (Section 4.4: asynchronous
         # "until all sockets are restored"; both sides may have moved)
-        pending = set(need_connect)
         connectors = []
-        while pending:
-            ready = sorted(pending & set(adverts))
-            for key in ready:
+        while True:
+            for key in sorted(pending & adverts.keys()):
                 pending.discard(key)
                 host, port = adverts[key]
                 connectors.append(
@@ -221,29 +247,36 @@ def make_restart_program(computation: "DmtcpComputation"):
                         kind="manager",
                     )
                 )
-            if pending:
-                yield from sys.sleep(0.003)
-        for t in connectors:
-            yield t.task.done_future
-        while accept_done["n"] < len(need_accept):
-            yield from sys.sleep(0.001)
+            if not pending:
+                break
+            yield from _next_discovery(discovery)
+        yield from _join(connectors)
+        while discovery["accepted"] < len(need_accept):
+            yield from _next_discovery(discovery)
         stage_reconnect = tracer.end(
             track, "reconnect", cat="restart",
             accepted=len(need_accept), connected=len(need_connect),
         )
-        stage_times = {"restore_files": stage_files, "reconnect": stage_reconnect}
+        stage_times = {
+            "image_read": stage_read,
+            "restore_files": stage_files,
+            "reconnect": stage_reconnect,
+        }
 
         # ---- step 3: fork into user processes ---------------------------
+        # each child starts restoring the moment its own vpid check
+        # passes; only the host-wide pid map waits for the last fork
         all_vpids = set()
         for image in images:
             all_vpids.update(image.pid_map.keys())
         children = []
-        restore_ctx = _make_restore_ctx()
-        restore_ctx["pty_rename"] = pty_rename
+        restore_ctx = {
+            "vpid_map": {}, "all_forked": Future("all-forked"), "pty_rename": pty_rename,
+        }
         for image, own_fds in zip(images, image_fds):
             fdmap = {f.fd: (desc_fd[_endpoint_key(f)], f.cloexec) for f in image.fds}
             while True:
-                gate = _make_gate()
+                gate = Future("restore-gate")
                 pid = yield from sys.fork(
                     _make_restore_child(
                         computation, image, fdmap, own_fds,
@@ -252,13 +285,13 @@ def make_restart_program(computation: "DmtcpComputation"):
                 )
                 if pid in all_vpids and pid != image.vpid:
                     # virtual-pid conflict (Section 4.5): kill and re-fork
-                    gate["future"].resolve("doomed")
+                    gate.resolve("doomed")
                     try:
                         yield from sys.waitpid(pid)
                     except SyscallError:
                         pass
                     continue
-                gate["future"].resolve("proceed")
+                gate.resolve("proceed")
                 children.append((image, pid))
                 restore_ctx["vpid_map"][image.vpid] = pid
                 break
@@ -270,14 +303,13 @@ def make_restart_program(computation: "DmtcpComputation"):
         by_vpid = {
             image.vpid: world.find_process(my_host, pid) for image, pid in children
         }
-        restart_proc = world.find_process(my_host, (yield from sys.getpid()))
         for image, pid in children:
             if image.parent_vpid and image.parent_vpid in by_vpid:
                 child_proc = world.find_process(my_host, pid)
                 parent_proc = by_vpid[image.parent_vpid]
                 if child_proc is not None and parent_proc is not None:
-                    if restart_proc is not None and child_proc in restart_proc.children:
-                        restart_proc.children.remove(child_proc)
+                    if my_proc is not None and child_proc in my_proc.children:
+                        my_proc.children.remove(child_proc)
                     child_proc.parent = parent_proc
                     parent_proc.children.append(child_proc)
         # the restart process's work is done; children carry on (its exit
@@ -287,19 +319,39 @@ def make_restart_program(computation: "DmtcpComputation"):
     return dmtcp_restart_main
 
 
-def _make_gate():
-    from repro.sim.tasks import Future
-
-    return {"future": Future("restore-gate")}
-
-
-def _make_restore_ctx():
-    from repro.sim.tasks import Future
-
-    return {"vpid_map": {}, "all_forked": Future("all-forked")}
+def _join(threads: list):
+    """Wait for every thread to finish."""
+    for thread in threads:
+        while not thread.task.done:
+            yield thread.task.done_future
 
 
-def _advert_reader(sys: Sys, cfd: int, asm: FrameAssembler, adverts: dict):
+def _header_reader(sys: Sys, path: str, validate: bool, headers: list, i: int):
+    """Restart step 0 for one image: ``headers[i]`` becomes what
+    :func:`mtcp.read_image` returned, or the error it raised, which the
+    restarter re-raises once every reader is done."""
+    try:
+        headers[i] = yield from mtcp.read_image(sys, path, validate=validate)
+    except SyscallError as err:
+        headers[i] = err
+
+
+def _next_discovery(discovery: dict):
+    """Sleep until the next pending advertisement or accepted re-connection.
+
+    The caller re-checks what it waits for: a suspend/resume cycle can
+    wake a raw future wait spuriously."""
+    discovery["wake"] = wake = Future("restore-discovery")
+    yield wake
+
+
+def _discovered(discovery: dict) -> None:
+    wake = discovery["wake"]
+    if wake is not None and not wake.done:
+        wake.resolve(None)
+
+
+def _advert_reader(sys: Sys, cfd: int, asm: FrameAssembler, adverts: dict, discovery: dict):
     """Drain discovery broadcasts for the lifetime of the restart."""
     while True:
         message = yield from recv_frame(sys, cfd, asm)
@@ -308,6 +360,10 @@ def _advert_reader(sys: Sys, cfd: int, asm: FrameAssembler, adverts: dict):
         body = message[0]
         if body["kind"] == P.MSG_ADVERTISE_BCAST:
             adverts[body["key"]] = (body["host"], body["port"])
+            # every restarter hears every advertisement; only one this
+            # restarter still has to dial is worth a wake
+            if body["key"] in discovery["pending"]:
+                _discovered(discovery)
         elif body["kind"] == P.MSG_CKPT_ABORT:
             # the coordinator gave up on this restart (a peer restarter
             # died or stalled): exit now so half-restored descriptions --
@@ -316,15 +372,16 @@ def _advert_reader(sys: Sys, cfd: int, asm: FrameAssembler, adverts: dict):
             yield from sys.exit(1)
 
 
-def _restore_acceptor(sys: Sys, rlfd: int, expected: int, desc_fd: dict, done: dict):
+def _restore_acceptor(sys: Sys, rlfd: int, expected: int, desc_fd: dict, discovery: dict):
     """Accept re-connections; the first chunk names the connection ID."""
-    while done["n"] < expected:
+    while discovery["accepted"] < expected:
         fd = yield from sys.accept(rlfd)
         chunk = yield from sys.recv(fd)
         tag, key = chunk.data
         assert tag == RESTORE_TAG, f"unexpected restore handshake {tag!r}"
         desc_fd[("ep", key, "accept")] = fd
-        done["n"] += 1
+        discovery["accepted"] += 1
+        _discovered(discovery)
 
 
 def _restore_connector(sys: Sys, key: str, host: str, port: int, desc_fd: dict):
@@ -334,7 +391,7 @@ def _restore_connector(sys: Sys, key: str, host: str, port: int, desc_fd: dict):
     desc_fd[("ep", key, "connect")] = fd
 
 
-def _make_restore_child(computation, image, fdmap: dict, image_fds: list, stage_times: dict, gate: dict, restore_ctx: dict):
+def _make_restore_child(computation, image, fdmap: dict, image_fds: list, stage_times: dict, gate: Future, restore_ctx: dict):
     """Child body: Figure 2 steps 4-5, then hand off to the manager.
 
     ``image_fds`` are the inherited descriptors of this child's own
@@ -344,10 +401,9 @@ def _make_restore_child(computation, image, fdmap: dict, image_fds: list, stage_
     def restore_child(sys: Sys):
         """One restored user process (Figure 2 steps 4-5 + manager)."""
         world = computation.world
-        verdict = yield gate["future"]  # wait for the vpid-conflict check
+        verdict = yield gate  # wait for the vpid-conflict check only
         if verdict == "doomed":
             return  # our real pid collided with a restored vpid; re-forked
-        yield restore_ctx["all_forked"]  # and for the host-wide pid map
         rpid = yield from sys.getpid()
         host = yield from sys.gethostname()
         process = world.find_process(host, rpid)
@@ -376,7 +432,7 @@ def _make_restore_child(computation, image, fdmap: dict, image_fds: list, stage_
 
         # ---- step 5: restore memory and threads --------------------------
         tracer = world.tracer
-        child_track = f"{host}/{image.program}[{image.vpid}]"
+        child_track = proc_track(host, image.program, image.vpid, image.env.get("DMTCP_TENANT"))
         tracer.begin(child_track, "restore_memory", cat="restart")
         cpu_s, stats = yield from mtcp.restore_memory(sys, world, process, image, own_image)
         threads = mtcp.adopt_threads(world, process, image)
@@ -406,11 +462,14 @@ def _make_restore_child(computation, image, fdmap: dict, image_fds: list, stage_
         runtime.process = process
         runtime.world = world
         runtime.pids.rebase_self(rpid)
+        all_forked = restore_ctx["all_forked"]
+        if not all_forked.done:
+            yield all_forked  # for the host-wide pid map
         for vpid, new_rpid in restore_ctx["vpid_map"].items():
             if vpid != image.vpid and runtime.pids.knows_vpid(vpid):
                 runtime.pids.record(vpid, new_rpid)
         # ptsname virtualization: the app keeps seeing the original names
-        for virt_name, new_real in restore_ctx.get("pty_rename", {}).items():
+        for virt_name, new_real in restore_ctx["pty_rename"].items():
             runtime.map_pty(virt_name, new_real)
         process.user_state["dmtcp"] = runtime
         process.sys = image.sys_ref

@@ -22,7 +22,11 @@ CKPT_STAGES = [
     "write",
     "refill",
 ]
+#: ``image_read`` is the restarter's header pass, carried into every
+#: restored process's record; its span is MTCP image I/O (cat ``mtcp``,
+#: like ``mtcp.write``), the rest are cat ``restart`` spans.
 RESTART_STAGES = [
+    "image_read",
     "restore_files",
     "reconnect",
     "restore_memory",

@@ -65,8 +65,16 @@ class TraceEvent:
         return f"<TraceEvent {self.ph} t={self.ts:.9f} {self.track} {self.name}>"
 
 
-def proc_track(hostname: str, program: str, vpid: int) -> str:
-    """Canonical track name for one simulated process."""
+def proc_track(hostname: str, program: str, vpid: int, tenant: Optional[str] = None) -> str:
+    """Canonical track name for one simulated process.
+
+    Virtual pids are unique per computation, not per host: a tenant
+    restored onto another tenant's host can hold the vpids that tenant's
+    processes hold as real pids.  In service mode the tenant therefore
+    qualifies the process part (``host/tenant:program[vpid]``); without
+    one the name is ``host/program[vpid]``."""
+    if tenant:
+        return f"{hostname}/{tenant}:{program}[{vpid}]"
     return f"{hostname}/{program}[{vpid}]"
 
 

@@ -271,7 +271,7 @@ def test_restart_stage_records_cover_table1b(world):
     restart = comp.restart()
     assert len(restart.records) == 1
     stages = restart.records[0]["stages"]
-    for name in ("restore_files", "reconnect", "restore_memory", "refill"):
+    for name in ("image_read", "restore_files", "reconnect", "restore_memory", "refill"):
         assert name in stages, stages
     assert stages["restore_memory"] > 0
     no_failures(world)

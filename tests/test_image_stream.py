@@ -450,7 +450,7 @@ def test_no_image_descriptor_leaks_into_restored_processes():
     # every child streamed its own payload: nine spans, each with its I/O
     spans = [s for s in world.tracer.spans(cat="restart") if s["name"] == "restore_memory"]
     assert len(spans) == 9 and all(s["args"]["blocks"] == 1 for s in spans)
-    (header_pass,) = [s for s in world.tracer.spans(cat="restart") if s["name"] == "image_read"]
+    (header_pass,) = [s for s in world.tracer.spans(cat="mtcp") if s["name"] == "image_read"]
     assert header_pass["args"] == {"n": 9, "bytes": 9 * mtcp.METADATA_BYTES}
     no_failures(world)
 
@@ -492,7 +492,9 @@ def test_restore_memory_stage_is_each_childs_own_span():
     outcome = comp.restart(plan=kill.plan)
     stage = {r["program"]: r["stages"]["restore_memory"] for r in outcome.records}
     assert stage["big"] > 10 * stage["small"] > 0
-    assert all("image_read" not in r["stages"] for r in outcome.records)
+    # the header pass is the restarter's, shared: one figure for both
+    (header_pass,) = {r["stages"]["image_read"] for r in outcome.records}
+    assert header_pass > 0
     no_failures(world)
 
 

@@ -190,6 +190,48 @@ def test_defrag_migration_consolidates_free_cores():
     assert big.state == "running"
     assert big.host == host1
     assert sched.cross_tenant_failures == 0
+    # pin's restored vpids equal sticky's real pids on host2: neither
+    # tenant's checkpoint may close a span the other opened
+    assert not world.scheduler.failures, list(world.scheduler.failures)
+    assert len(_tenant_ranks(world, "sticky")) == 6
+
+
+def _tenant_ranks(world, tenant):
+    return [
+        p for p in world.live_processes()
+        if p.program == "svc_worker" and p.env.get("DMTCP_TENANT") == tenant
+    ]
+
+
+def test_tenants_with_equal_vpids_on_one_host_trace_apart():
+    """Virtual pids are unique per computation, not per host: restoring
+    tenant ``b`` onto ``a``'s host gives b's ranks the vpids that a's
+    ranks hold as real pids.  Their simultaneous checkpoints must trace
+    on separate tracks (a shared one raised ``TraceError`` and killed a
+    rank's manager)."""
+    world, hub, registry = _service_world(n_nodes=3)
+    world.tracer.enable()
+    from repro.service.scheduler import register_worker_program
+
+    jobs = {}
+    register_worker_program(world, jobs)
+    a = registry.create_tenant("aaa")
+    b = registry.create_tenant("bbb")
+    _launch_ranks(a, "node01", "aaa", 2, jobs)
+    _launch_ranks(b, "node02", "bbb", 2, jobs)
+    world.engine.run(until=0.5)
+    kill = b.checkpoint(kill=True)
+    b.restart(plan=kill.plan, placement={"node02": "node01"})
+    ranks_a, ranks_b = _tenant_ranks(world, "aaa"), _tenant_ranks(world, "bbb")
+    assert {p.node.hostname for p in ranks_a + ranks_b} == {"node01"}
+    assert {p.pid for p in ranks_a} == {p.user_state["dmtcp"].vpid for p in ranks_b}
+    handles = [a.request_checkpoint(), b.request_checkpoint()]
+    world.engine.run_until(lambda: all(h["outcome"] is not None for h in handles))
+    assert all(isinstance(h["outcome"], CheckpointOutcome) for h in handles)
+    world.engine.run(until=world.engine.now + 0.5)
+    assert not world.scheduler.failures, list(world.scheduler.failures)
+    assert len(_tenant_ranks(world, "aaa")) == len(_tenant_ranks(world, "bbb")) == 2
+    assert world.tracer.open_spans() == 0
 
 
 def test_tenant_tagged_tracing_and_plain_export():
