@@ -4,7 +4,7 @@ NAS/MG under OpenMPI on 8 nodes: uncompressed / compressed / forked."""
 import pytest
 
 from repro.harness.report import table
-from repro.harness.table1 import PAPER_TABLE1B, run_table1
+from repro.harness.table1 import run_table1
 
 from benchmarks._util import run_timed, save_and_print, save_json
 
@@ -30,12 +30,7 @@ def test_table1_summary_shapes(benchmark):
         rows_a.extend(_RESULTS[mode].table1a_rows())
     rows_b = []
     for mode in ("uncompressed", "compressed"):
-        r = _RESULTS[mode]
-        paper = PAPER_TABLE1B[mode]
-        for stage, measured in r.restart_stages.items():
-            # image_read (the header pass) has no row in the paper
-            rows_b.append((mode, stage, measured, paper.get(stage, "—")))
-        rows_b.append((mode, "TOTAL", r.restart_total, sum(paper.values())))
+        rows_b.extend(_RESULTS[mode].table1b_rows())
     text = (
         table(["mode", "stage", "measured_s", "paper_s"], rows_a,
               title="Table 1a -- checkpoint stages (NAS/MG, OpenMPI, 8 nodes)")

@@ -433,16 +433,21 @@ def _checkpoint_stages(
     # ---- stage 6: refill kernel buffers ---------------------------------
     clock.begin("refill")
     ctx["stage"] = "refill"
-    alive = [
-        sfd for sfd in led
-        if sfd in process.fds and not mtcp.endpoint_dead(process.get_fd(sfd))
-    ]
-    yield from _refill_all(runtime, alive, drained, timeout)
-    # a dead peer re-sends nothing: what its endpoint held goes back
-    _requeue_drained(process, {sfd: drained.get(sfd) for sfd in led if sfd not in alive})
-    # the peers' re-sends have landed in our rx buffers: rolling back
-    # now must NOT requeue the drained data a second time
-    ctx["refill_done"] = True
+    if not message.get("kill"):
+        alive = [
+            sfd for sfd in led
+            if sfd in process.fds and not mtcp.endpoint_dead(process.get_fd(sfd))
+        ]
+        returns = return_drained(world, process, alive, drained)
+        yield from _refill_all(runtime, returns, timeout)
+        # a dead peer re-sends nothing: what its endpoint held goes back
+        _requeue_drained(process, {sfd: drained.get(sfd) for sfd in led if sfd not in alive})
+        # the peers' re-sends have landed in our rx buffers: rolling back
+        # now must NOT requeue the drained data a second time
+        ctx["refill_done"] = True
+    # a --kill checkpoint's processes retire and never read these buffers
+    # again (the drained bytes live in the image header), so they refill
+    # nothing; a rollback still requeues every drained byte exactly once
     yield from barrier(sys, fd, asm, P.BARRIER_REFILLED, timeout)
     clock.end("refill")
     ctx["stage"] = None
@@ -535,9 +540,10 @@ def _rejoin_after_restart(sys: Sys, runtime: "DmtcpRuntime", fd: int, asm: Frame
     yield from barrier(sys, fd, asm, "restart-" + P.BARRIER_CHECKPOINTED, timeout)
     tracer.begin(track, "refill", cat="restart", tenant=tenant)
     try:
-        dead_fds = {f.fd for f in image.fds if f.peer_dead}
-        led = sorted(set(image.drained) - dead_fds)
-        yield from _refill_all(runtime, led, image.drained, timeout)
+        # the drained bytes went back while memory streamed in (the
+        # restored child started the returns): only the re-sends are left
+        returns, runtime.refill_returns = runtime.refill_returns, {}
+        yield from _refill_all(runtime, returns, timeout)
         yield from barrier(sys, fd, asm, "restart-" + P.BARRIER_REFILLED, timeout)
     except (SyscallError, CheckpointAborted):
         # balance the span stack
@@ -653,42 +659,64 @@ def _requeue_drained(process, drained: dict[int, list]) -> None:
             rx.requeue_front(chunks)
 
 
-def _refill_all(runtime: "DmtcpRuntime", led: list[int], drained: dict[int, list], timeout: Optional[float] = None):
-    """Stage 6: per-endpoint refill threads, then join them all."""
-    world = runtime.world
-    process = runtime.process
-    tenant = process.env.get("DMTCP_TENANT") or None
-    threads = []
-    for sfd in led:
-        gen = _refill_endpoint(
-            Sys(), sfd, drained.get(sfd, []), world.tracer, timeout, tenant=tenant
+def return_drained(world, process, led: list[int], drained: dict[int, list]) -> dict:
+    """Refill, first half: one manager thread per led endpoint sends its
+    drained data back to the sender (Section 4.3 step 6: "DMTCP then
+    sends the drained socket buffer data back to the sender").  Returns
+    ``{sfd: thread}`` for :func:`_refill_all`."""
+    return {
+        sfd: world.spawn_thread(
+            process, _send_back(Sys(), sfd, drained.get(sfd, [])),
+            f"refill-return-fd{sfd}", kind="manager",
         )
-        threads.append(world.spawn_thread(process, gen, f"refill-fd{sfd}", kind="manager"))
-    for t in threads:
-        yield t.task.done_future
+        for sfd in led
+    }
 
 
-def _refill_endpoint(sys: Sys, sfd: int, my_drained: list, tracer=None, timeout: Optional[float] = None, tenant=None):
-    """Send drained data back to its sender; re-send what the peer drained.
-
-    Section 4.3 step 6: "DMTCP then sends the drained socket buffer data
-    back to the sender.  The sender refills the kernel socket buffers by
-    resending the data."
-    """
+def _send_back(sys: Sys, sfd: int, my_drained: list):
+    """One endpoint's return trip; False when the peer has vanished."""
     payload_bytes = sum(c.nbytes for c in my_drained)
     try:
         yield from send_frame(
             sys, sfd, (REFILL_TAG, my_drained), P.CTL_FRAME_BYTES + payload_bytes
         )
     except SyscallError:
-        return  # peer vanished between drain and refill; nothing to do
+        return False  # peer vanished between drain and refill
+    return True
+
+
+def _refill_all(runtime: "DmtcpRuntime", returns: dict, timeout: Optional[float] = None):
+    """Refill, second half: per endpoint, take the peer's frame and
+    re-send it (:func:`_refill_endpoint`); join them all."""
+    world = runtime.world
+    process = runtime.process
+    tenant = process.env.get("DMTCP_TENANT") or None
+    threads = []
+    for sfd, sender in returns.items():
+        gen = _refill_endpoint(Sys(), sfd, sender, world.tracer, timeout, tenant=tenant)
+        threads.append(world.spawn_thread(process, gen, f"refill-fd{sfd}", kind="manager"))
+    for t in threads:
+        yield t.task.done_future
+
+
+def _refill_endpoint(sys: Sys, sfd: int, sender, tracer=None, timeout: Optional[float] = None, tenant=None):
+    """Re-send what the peer drained: "The sender refills the kernel
+    socket buffers by resending the data."
+
+    The peer's frame is taken *before* our own return (``sender``, from
+    :func:`return_drained`) is joined: when both sides drained more
+    than a socket buffer holds, each return completes only as the other
+    side reads it.  The re-sends go out after the join, behind our frame.
+    """
     asm = FrameAssembler()
     try:
         result = yield from recv_frame(sys, sfd, asm, timeout=timeout)
     except SyscallError:
-        return  # dead peer will never send its refill frame; give up
-    if result is None:
-        return  # peer side closed before checkpoint; nothing to re-send
+        result = None  # dead peer will never send its refill frame
+    while not sender.task.done:
+        yield sender.task.done_future
+    if result is None or not sender.task.result:
+        return  # the peer is gone, or closed before checkpoint
     (tag, peer_chunks), _size = result
     assert tag == REFILL_TAG, f"unexpected frame during refill: {tag}"
     if tracer is not None and tracer.enabled:

@@ -20,7 +20,11 @@ One restart process per host executes Figure 2's steps:
    payload while its siblings are still being forked, and only then
    waits for the host-wide pid map; the process rejoins the checkpoint
    algorithm at Barrier 5;
-6-7. kernel buffers are refilled and user threads resume (manager.py).
+6. kernel buffers are refilled: each child sends its drained bytes
+   back to their senders as soon as its descriptors are in place, under
+   its own memory restore; after Barrier 5 the manager takes the peers'
+   frames and re-sends them (manager.py);
+7. user threads resume.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from typing import TYPE_CHECKING
 
 from repro.core import mtcp
 from repro.core import protocol as P
-from repro.core.manager import manager_main
+from repro.core.manager import manager_main, return_drained
 from repro.errors import SyscallError
 from repro.kernel.streams import FrameAssembler
 from repro.kernel.syscalls import Sys, connect_retry, recv_frame, send_frame
@@ -326,6 +330,12 @@ def _join(threads: list):
             yield thread.task.done_future
 
 
+def _close_return_span(tracer, track: str, senders: list, nbytes: int):
+    """End the ``refill_return`` span once every send-back is done."""
+    yield from _join(senders)
+    tracer.end(track, "refill_return", cat="mtcp", n=len(senders), bytes=nbytes)
+
+
 def _header_reader(sys: Sys, path: str, validate: bool, headers: list, i: int):
     """Restart step 0 for one image: ``headers[i]`` becomes what
     :func:`mtcp.read_image` returned, or the error it raised, which the
@@ -430,9 +440,32 @@ def _make_restore_child(computation, image, fdmap: dict, image_fds: list, stage_
             if fdmap[target_fd][1]:
                 yield from sys.fcntl(target_fd, "F_SETFD_CLOEXEC", 1)
 
-        # ---- step 5: restore memory and threads --------------------------
+        # ---- step 6, first half: send the drained bytes back -------------
+        # every peer socket was reconnected before the fork, so the return
+        # trip runs under restore_memory; the manager's refill only takes
+        # the peers' frames and re-sends them.  The span is MTCP's, on the
+        # process's own MTCP track: it overlaps the stage spans
         tracer = world.tracer
-        child_track = proc_track(host, image.program, image.vpid, image.env.get("DMTCP_TENANT"))
+        tenant = image.env.get("DMTCP_TENANT")
+        dead_fds = {f.fd for f in image.fds if f.peer_dead}
+        led = sorted(set(image.drained) - dead_fds)
+        returns = {}
+        if led:
+            mtcp_track = proc_track(host, "mtcp", image.vpid, tenant)
+            tracer.begin(mtcp_track, "refill_return", cat="mtcp")
+            returns = return_drained(world, process, led, image.drained)
+            world.spawn_thread(
+                process,
+                _close_return_span(
+                    tracer, mtcp_track, list(returns.values()),
+                    sum(c.nbytes for fd in led for c in image.drained[fd]),
+                ),
+                "refill-return-span",
+                kind="manager",
+            )
+
+        # ---- step 5: restore memory and threads --------------------------
+        child_track = proc_track(host, image.program, image.vpid, tenant)
         tracer.begin(child_track, "restore_memory", cat="restart")
         cpu_s, stats = yield from mtcp.restore_memory(sys, world, process, image, own_image)
         threads = mtcp.adopt_threads(world, process, image)
@@ -474,6 +507,7 @@ def _make_restore_child(computation, image, fdmap: dict, image_fds: list, stage_
         process.user_state["dmtcp"] = runtime
         process.sys = image.sys_ref
         runtime.restart_stages = dict(stage_times, restore_memory=dur_restore)
+        runtime.refill_returns = returns
         # restored regions are fully dirty (fresh mappings), so the next
         # incremental checkpoint must write a full base image
         runtime.last_image_path = None

@@ -54,6 +54,19 @@ class Table1Result:
         rows.append((self.mode, "TOTAL", self.ckpt_total, sum(paper.values())))
         return rows
 
+    def table1b_rows(self) -> list[tuple]:
+        """This column's restart rows.  ``image_read`` (the header pass)
+        has no paper row; the refill's return trip runs under
+        ``restore_memory``, so the refill row is the peers' re-sends."""
+        paper = PAPER_TABLE1B[self.mode]
+        labels = {"refill": "refill (return under restore_memory)"}
+        rows = [
+            (self.mode, labels.get(stage, stage), measured, paper.get(stage, "—"))
+            for stage, measured in self.restart_stages.items()
+        ]
+        rows.append((self.mode, "TOTAL", self.restart_total, sum(paper.values())))
+        return rows
+
 
 def run_table1(
     mode: str,

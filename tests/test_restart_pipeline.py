@@ -13,6 +13,8 @@ import ast
 import inspect
 from dataclasses import replace
 
+import pytest
+
 from repro.cluster import build_cluster
 from repro.config import CLUSTER_2008
 from repro.core import mtcp
@@ -20,6 +22,8 @@ from repro.core import restart as restart_mod
 from repro.core.launch import DmtcpComputation
 from repro.faults.supervisor import _image_file
 from repro.kernel.filesystem import OpenFile
+from repro.kernel.streams import FrameAssembler
+from repro.kernel.syscalls import connect_retry, recv_frame, send_frame
 from repro.kernel.process import ProgramSpec, RegionSpec
 from repro.mpi import mpi_init, register_openmpi
 
@@ -342,3 +346,110 @@ def test_restart_never_sleeps():
         and node.func.attr == "sleep"
     ]
     assert sleeps == []
+
+
+# ----------------------------------------------------------------------
+# (7) the refill's return trip runs under restore_memory
+# ----------------------------------------------------------------------
+
+BULK_FRAMES, BULK_FRAME_BYTES = 4, 50_000  # 200 kB each way: 3 socket buffers
+
+
+def _bulk_pair(got: dict, frames: int):
+    """Two peers that each send the other ``frames`` 50 kB frames, into
+    receive buffers enlarged to hold all of them, and only read them a
+    second later."""
+
+    def main(sys, argv):
+        name, peer = argv[1], argv[2]
+        yield from sys.sbrk(16 * MB, "numeric")
+        if peer == "-":
+            lfd = yield from sys.socket()
+            yield from sys.bind(lfd, 7300)
+            yield from sys.listen(lfd)
+            fd = yield from sys.accept(lfd)
+        else:
+            fd = yield from sys.socket()
+            yield from connect_retry(sys, fd, peer, 7300)
+        yield from sys.setsockopt(fd, "SO_RCVBUF", 4 * BULK_FRAMES * BULK_FRAME_BYTES)
+        yield from sys.sleep(0.1)  # both buffers are large before a byte moves
+        for i in range(frames):
+            yield from send_frame(sys, fd, (name, i), BULK_FRAME_BYTES)
+        yield from sys.sleep(1.0)
+        asm = FrameAssembler()
+        for _ in range(frames):
+            payload, size = yield from recv_frame(sys, fd, asm)
+            got.setdefault(name, []).append((payload, size))
+
+    return main
+
+
+def _bulk_run(restart: bool, frames: int = BULK_FRAMES):
+    world = build_cluster(n_nodes=2, seed=5)
+    world.tracer.enable()
+    got: dict = {}
+    world.register_program("bulk", _bulk_pair(got, frames))
+    comp = DmtcpComputation(world)
+    comp.launch("node00", "bulk", ["bulk", "a", "-"])
+    comp.launch("node01", "bulk", ["bulk", "b", "node00"])
+    world.engine.run(until=0.5)
+    kill = None
+    if restart:
+        kill = comp.checkpoint(kill=True)
+        comp.restart(plan=kill.plan)
+    world.engine.run(until=world.engine.now + 3.0)
+    no_failures(world)
+    return got, world, kill
+
+
+def test_refill_larger_than_a_socket_buffer_both_ways_restarts_in_order():
+    """Each side's return frame outgrows the restored peer's 64 kB
+    buffer, so it completes only as the peer reads: a receiver that
+    joined its own return before reading would deadlock both."""
+    reference, _, _ = _bulk_run(restart=False)
+    assert reference == {
+        name: [((name_of_peer, i), BULK_FRAME_BYTES) for i in range(BULK_FRAMES)]
+        for name, name_of_peer in (("a", "b"), ("b", "a"))
+    }
+    got, world, kill = _bulk_run(restart=True)
+    buffer = world.spec.network.socket_buffer_bytes
+    drained = [
+        sum(c.nbytes for c in chunks)
+        for host, paths in kill.plan.images_by_host.items()
+        for path in paths
+        for chunks in _image_file(world, host, path).payload.drained.values()
+    ]
+    assert len(drained) == 2 and min(drained) > buffer
+    assert got == reference
+    snap = world.tracer.snapshot()
+    assert snap["dmtcp.refilled_bytes"] == sum(drained)
+
+
+@pytest.mark.parametrize("frames", [1, BULK_FRAMES])
+def test_refill_frame_leaves_before_the_childs_memory_is_restored(frames):
+    """The return starts with the child's memory restore; one that fits
+    the restored peer's buffer is over before the restore is."""
+    _got, world, kill = _bulk_run(restart=True, frames=frames)
+    restores = {
+        s["track"].split("/")[0]: s
+        for s in world.tracer.spans(cat="restart") if s["name"] == "restore_memory"
+    }
+    returns = {
+        s["track"].split("/")[0]: s
+        for s in world.tracer.spans(cat="mtcp") if s["name"] == "refill_return"
+    }
+    assert sorted(returns) == sorted(restores) == ["node00", "node01"]
+    for host, span in returns.items():
+        (path,) = kill.plan.images_by_host[host]
+        image = _image_file(world, host, path).payload
+        assert span["track"] == f"{host}/mtcp[{image.vpid}]"
+        assert span["args"] == {
+            "n": 1,
+            "bytes": sum(c.nbytes for chunks in image.drained.values() for c in chunks),
+        }
+        assert span["begin"] == restores[host]["begin"]
+        if frames == 1:
+            assert span["end"] < restores[host]["end"]
+    # what the restart's refill stage has left: the peers' re-sends
+    refills = [s for s in world.tracer.spans(cat="restart") if s["name"] == "refill"]
+    assert len(refills) == 2

@@ -602,3 +602,56 @@ def test_checkpoint_costs_the_longer_of_drain_and_payload(heap_mb, gzip, layout,
     assert record.total < serial
     # same seed, same trace, to the byte
     assert _one_checkpoint(*config)[3] == dump
+
+
+# ----------------------------------------------------------------------
+# (6) a --kill checkpoint refills nothing
+# ----------------------------------------------------------------------
+
+def test_kill_checkpoint_refills_nothing_and_the_restart_refills_it_all():
+    """Its processes retire with the drained bytes in their image
+    headers; only the restart sends them back."""
+    world, comp, received, done = _pipeline()
+    comp.checkpoint()
+    snap = world.tracer.snapshot()
+    drained, refilled = snap["dmtcp.drained_bytes"], snap["dmtcp.refilled_bytes"]
+    # a checkpoint that resumes refills what its drain took, less what
+    # sat on the half-open endpoint: no peer re-sends that residue
+    residue = 3 * 2016
+    assert refilled == drained - residue > 0
+    kill = comp.checkpoint(kill=True)
+    snap = world.tracer.snapshot()
+    kill_drained = snap["dmtcp.drained_bytes"] - drained
+    assert kill_drained > residue
+    assert snap["dmtcp.refilled_bytes"] == refilled
+    comp.restart(plan=kill.plan)
+    snap = world.tracer.snapshot()
+    assert snap["dmtcp.refilled_bytes"] - refilled == kill_drained - residue
+    world.engine.run_until(lambda: done["ok"])
+    assert received == _reference()
+    no_failures(world)
+
+
+def test_kill_checkpoint_aborted_at_the_refill_barrier_loses_and_repeats_nothing():
+    """No member sent a byte back, so the rollback requeues every drained
+    byte exactly once and the application runs on as if never stopped.
+    (The watchdog waits out the ~0.7 s streams, then holds the bystander
+    past the refill barrier.)"""
+    world, comp, received, done = _pipeline(n_nodes=4, spec=ABORT_SPEC, supervise=True)
+    comp.state.barrier_timeout_s = 1.5
+    FaultInjector(world, comp).arm(
+        FaultPlan.schedule([FaultEvent(
+            "delay-coord-frames", target="node03",
+            phase="coordinator/barrier:refilled", duration=3.0,
+        )])
+    )
+    handle = comp.request_checkpoint(kill=True)
+    world.engine.run_until(lambda: handle["outcome"] is not None)
+    assert handle["outcome"] == "aborted"
+    world.engine.run_until(lambda: done["ok"])
+    snap = world.tracer.snapshot()
+    assert snap["dmtcp.drained_bytes"] > 0  # the abort came after the drain
+    assert snap.get("dmtcp.refilled_bytes", 0) == 0
+    assert snap["mtcp.images_written"] == 5  # and after the write
+    assert len(_members(world)) == 5 and received == _reference()
+    no_failures(world)
