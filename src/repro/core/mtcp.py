@@ -13,6 +13,7 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.core import compression
 from repro.core import protocol as P
+from repro.core.helpers import HelperGroup
 from repro.core.imagefile import (
     CheckpointImage,
     FdImage,
@@ -420,19 +421,17 @@ def _write_manifest(sys: Sys, path: str, image: CheckpointImage):
     yield from sys.close(mfd)
 
 
-def end_stream_span(tracer, track: str, name: str, cat: str, cpu_s: float, stats, **more) -> float:
-    """Close a span around ``sys.stream`` calls with what they measured:
-    ``io_wait_s`` is the time the CPU stage sat waiting on the device,
-    ``cpu_wait_s`` the reverse -- the larger one names the bottleneck."""
+def stream_span_args(tracer, cpu_s: float, stats) -> dict:
+    """What a span around ``sys.stream`` calls closes with: ``io_wait_s``
+    is the time the CPU stage sat waiting on the device, ``cpu_wait_s``
+    the reverse -- the larger one names the bottleneck."""
     blocks, io_wait, cpu_wait = stats
-    if not tracer.enabled:
-        return tracer.end(track, name, cat=cat)
     tracer.count("mtcp.stream_io_wait_s", io_wait)
     tracer.count("mtcp.stream_cpu_wait_s", cpu_wait)
-    return tracer.end(
-        track, name, cat=cat, blocks=blocks, cpu_s=round(cpu_s, 9),
-        io_wait_s=round(io_wait, 9), cpu_wait_s=round(cpu_wait, 9), **more,
-    )
+    return {
+        "blocks": blocks, "cpu_s": round(cpu_s, 9),
+        "io_wait_s": round(io_wait, 9), "cpu_wait_s": round(cpu_wait, 9),
+    }
 
 
 def _store_rpc(sys: Sys, runtime: "DmtcpRuntime", image: CheckpointImage, request: dict, frame_bytes: int, expect: str, purpose: str):
@@ -547,7 +546,7 @@ class ImageWriter:
 
     __slots__ = (
         "runtime", "image", "path", "target", "track", "atomic", "store",
-        "fds_at_suspend", "thread", "error", "fd", "renamed", "segment",
+        "fds_at_suspend", "helpers", "fd", "renamed", "segment",
         "span_open", "began_at", "sealed_at", "payload_s", "hidden_s", "cpu_s",
         "stats", "wire", "need",
     )
@@ -569,9 +568,8 @@ class ImageWriter:
         #: The fd table as the suspend barrier left it: what the header
         #: records, and what a rollback leaves open.
         self.fds_at_suspend = frozenset(process.fds)
-        self.thread = None
-        #: What the payload thread failed with; raised by :meth:`finish`.
-        self.error: Optional[BaseException] = None
+        #: The payload thread, from :meth:`start` on.
+        self.helpers: Optional[HelperGroup] = None
         #: The image file while it is open.
         self.fd: Optional[int] = None
         #: What a rollback unlinks is :attr:`target` until an atomic image
@@ -596,10 +594,8 @@ class ImageWriter:
     # -- the protocol's three calls ----------------------------------------
     def start(self) -> None:
         """Stream the payload from now on, beside the calling manager."""
-        process = self.runtime.process
-        self.thread = self.runtime.world.spawn_thread(
-            process, self._payload_thread(Sys()), "mtcp-writer", kind="manager"
-        )
+        self.helpers = HelperGroup(self.runtime.world, self.runtime.process)
+        self.helpers.spawn("payload", self._payload(Sys()), "mtcp-writer")
 
     def seal(self, drained: dict[int, list]) -> None:
         """The drain barrier released: complete the header."""
@@ -607,12 +603,9 @@ class ImageWriter:
         self.sealed_at = self.runtime.world.tracer.clock()
 
     def finish(self, sys: Sys):
-        """Join the payload thread, then commit the sealed image."""
-        task = self.thread.task
-        if not task.done:
-            yield task.done_future
-        if self.error is not None:
-            raise self.error
+        """Join the payload thread (raising what it failed with), then
+        commit the sealed image."""
+        yield from self.helpers.join()
         yield from self._commit(sys)
 
     def write(self, sys: Sys):
@@ -626,8 +619,8 @@ class ImageWriter:
         """Rollback: stop the payload where it stands, close what this
         checkpoint opened, unlink what it made.  A killed task's block
         stream issues nothing further and releases the write-back hold."""
-        if self.thread is not None:
-            self.thread.task.kill()
+        if self.helpers is not None:
+            self.helpers.kill()
         self._end_span()
         process = self.runtime.process
         for fd in sorted(set(process.fds) - self.fds_at_suspend):
@@ -645,12 +638,6 @@ class ImageWriter:
                 pass
 
     # -- payload -------------------------------------------------------------
-    def _payload_thread(self, sys: Sys):
-        try:
-            yield from self._payload(sys)
-        except (SyscallError, CheckpointAborted) as err:
-            self.error = err
-
     def _payload(self, sys: Sys):
         tracer = self.runtime.world.tracer
         image = self.image
@@ -862,12 +849,9 @@ class ImageWriter:
             "hidden_s": round(hidden, 9),
             "exposed_s": round(tracer.clock() - begin - hidden, 9),
         }
-        if self.store is not None:
-            tracer.end(self.track, "mtcp.write", cat="mtcp", **split)
-        else:
-            end_stream_span(
-                tracer, self.track, "mtcp.write", "mtcp", self.cpu_s, self.stats, **split
-            )
+        if self.store is None:
+            split = {**stream_span_args(tracer, self.cpu_s, self.stats), **split}
+        tracer.end(self.track, "mtcp.write", cat="mtcp", **split)
         page_bytes = world.spec.os.page_bytes
         tracer.count("mtcp.write_hidden_s", hidden)
         tracer.count("mtcp.images_written")
@@ -976,7 +960,7 @@ def restore_memory(sys: Sys, world, process, image: CheckpointImage, fds=()):
     instantiates every page, each delta only its dirty pages, so the
     cost is honest about the replay work of an incremental restart.
     Returns ``(cpu_s, (blocks, io_wait_s, cpu_wait_s))`` summed over the
-    chain, for :func:`end_stream_span`.
+    chain, for :func:`stream_span_args`.
 
     Private regions are re-mapped directly; shared (mmap-backed) regions
     go through the mmap syscall so the paper's backing-file rules apply

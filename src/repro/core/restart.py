@@ -25,6 +25,11 @@ One restart process per host executes Figure 2's steps:
    its own memory restore; after Barrier 5 the manager takes the peers'
    frames and re-sends them (manager.py);
 7. user threads resume.
+
+As in a checkpoint, a ``StageClock`` owns the open step (the restarter's
+clock hands its times on to each child's) and every thread a step starts
+is a ``HelperGroup`` member (core/helpers.py): joined in spawn order,
+its error re-raised at the join.
 """
 
 from __future__ import annotations
@@ -33,7 +38,9 @@ from typing import TYPE_CHECKING
 
 from repro.core import mtcp
 from repro.core import protocol as P
+from repro.core.helpers import HelperGroup
 from repro.core.manager import manager_main, return_drained
+from repro.core.stats import StageClock
 from repro.errors import SyscallError
 from repro.kernel.streams import FrameAssembler
 from repro.kernel.syscalls import Sys, connect_retry, recv_frame, send_frame
@@ -80,7 +87,7 @@ def make_restart_program(computation: "DmtcpComputation"):
         my_pid = yield from sys.getpid()
         my_proc = world.find_process(my_host, my_pid)
         # pid-qualified: relocation can land several restarters on a host
-        track = f"{my_host}/restart[{my_pid}]"
+        clock = StageClock(tracer, f"{my_host}/restart[{my_pid}]", cat="restart")
         t0 = yield from sys.time()
 
         # -- coordinator / discovery connection ---------------------------
@@ -103,32 +110,23 @@ def make_restart_program(computation: "DmtcpComputation"):
         # leaf to base inside it).  The span is MTCP image I/O (cat
         # "mtcp", like ``mtcp.write``: the ledger's declared stage rows
         # are the cat "restart" spans); the stage reaches every restored
-        # process's record through ``stage_times``.
-        tracer.begin(track, "image_read", cat="mtcp")
-        headers: list = [None] * len(paths)
-        yield from _join([
-            world.spawn_thread(
-                my_proc,
-                _header_reader(Sys(), path, validate, headers, i),
-                f"restore-read-{i}",
-                kind="manager",
-            )
-            for i, path in enumerate(paths)
-        ])
-        for header in headers:
-            if isinstance(header, SyscallError):
-                # e.g. a --validate checksum mismatch: fail before any fork
-                tracer.end(track, "image_read", cat="mtcp")
-                raise header
+        # process's record through the clock's ``stages``.
+        clock.begin("image_read", cat="mtcp")
+        readers = HelperGroup(world, my_proc)
+        for i, path in enumerate(paths):
+            readers.spawn(i, mtcp.read_image(Sys(), path, validate=validate), f"restore-read-{i}")
+        try:
+            headers = yield from readers.join()
+        except SyscallError:
+            # e.g. a --validate checksum mismatch: fail before any fork
+            clock.close()
+            raise
         images = [image for image, _fds, _n in headers]
         image_fds = [fds for _image, fds, _n in headers]  # per image: its chain
-        stage_read = tracer.end(
-            track, "image_read", cat="mtcp",
-            n=len(paths), bytes=sum(n for _image, _fds, n in headers),
-        )
+        clock.end("image_read", n=len(paths), bytes=sum(n for _image, _fds, n in headers))
 
         # ---- step 1: reopen files, recreate ptys, re-bind listeners ------
-        tracer.begin(track, "restore_files", cat="restart")
+        clock.begin("restore_files")
         desc_fd: dict[tuple, int] = {}
         pty_rename: dict[str, str] = {}
         for image in images:
@@ -163,10 +161,10 @@ def make_restart_program(computation: "DmtcpComputation"):
                         yield from sys.tcsetattr(sfd, f.termios)
                     desc_fd[("pty", f.pty_name, "master")] = mfd
                     desc_fd[("pty", f.pty_name, "slave")] = sfd
-        stage_files = tracer.end(track, "restore_files", cat="restart")
+        clock.end("restore_files")
 
         # ---- step 2: recreate and reconnect sockets ----------------------
-        tracer.begin(track, "reconnect", cat="restart")
+        clock.begin("reconnect")
         # socketpairs and promoted pipes: both ends live on this host
         pair_keys_done = set()
         need_accept: set[str] = set()
@@ -238,34 +236,20 @@ def make_restart_program(computation: "DmtcpComputation"):
         )
         # dial out as advertisements arrive (Section 4.4: asynchronous
         # "until all sockets are restored"; both sides may have moved)
-        connectors = []
+        connectors = HelperGroup(world, my_proc)
         while True:
             for key in sorted(pending & adverts.keys()):
                 pending.discard(key)
                 host, port = adverts[key]
-                connectors.append(
-                    world.spawn_thread(
-                        my_proc,
-                        _restore_connector(Sys(), key, host, port, desc_fd),
-                        f"restore-connect-{key[-8:]}",
-                        kind="manager",
-                    )
-                )
+                connector = _restore_connector(Sys(), key, host, port, desc_fd)
+                connectors.spawn(key, connector, f"restore-connect-{key[-8:]}")
             if not pending:
                 break
             yield from _next_discovery(discovery)
-        yield from _join(connectors)
+        yield from connectors.join()
         while discovery["accepted"] < len(need_accept):
             yield from _next_discovery(discovery)
-        stage_reconnect = tracer.end(
-            track, "reconnect", cat="restart",
-            accepted=len(need_accept), connected=len(need_connect),
-        )
-        stage_times = {
-            "image_read": stage_read,
-            "restore_files": stage_files,
-            "reconnect": stage_reconnect,
-        }
+        clock.end("reconnect", accepted=len(need_accept), connected=len(need_connect))
 
         # ---- step 3: fork into user processes ---------------------------
         # each child starts restoring the moment its own vpid check
@@ -284,7 +268,7 @@ def make_restart_program(computation: "DmtcpComputation"):
                 pid = yield from sys.fork(
                     _make_restore_child(
                         computation, image, fdmap, own_fds,
-                        stage_times, gate, restore_ctx,
+                        clock.stages, gate, restore_ctx,
                     )
                 )
                 if pid in all_vpids and pid != image.vpid:
@@ -321,29 +305,6 @@ def make_restart_program(computation: "DmtcpComputation"):
         return len(children)
 
     return dmtcp_restart_main
-
-
-def _join(threads: list):
-    """Wait for every thread to finish."""
-    for thread in threads:
-        while not thread.task.done:
-            yield thread.task.done_future
-
-
-def _close_return_span(tracer, track: str, senders: list, nbytes: int):
-    """End the ``refill_return`` span once every send-back is done."""
-    yield from _join(senders)
-    tracer.end(track, "refill_return", cat="mtcp", n=len(senders), bytes=nbytes)
-
-
-def _header_reader(sys: Sys, path: str, validate: bool, headers: list, i: int):
-    """Restart step 0 for one image: ``headers[i]`` becomes what
-    :func:`mtcp.read_image` returned, or the error it raised, which the
-    restarter re-raises once every reader is done."""
-    try:
-        headers[i] = yield from mtcp.read_image(sys, path, validate=validate)
-    except SyscallError as err:
-        headers[i] = err
 
 
 def _next_discovery(discovery: dict):
@@ -401,11 +362,13 @@ def _restore_connector(sys: Sys, key: str, host: str, port: int, desc_fd: dict):
     desc_fd[("ep", key, "connect")] = fd
 
 
-def _make_restore_child(computation, image, fdmap: dict, image_fds: list, stage_times: dict, gate: Future, restore_ctx: dict):
+def _make_restore_child(computation, image, fdmap: dict, image_fds: list, stages: dict, gate: Future, restore_ctx: dict):
     """Child body: Figure 2 steps 4-5, then hand off to the manager.
 
     ``image_fds`` are the inherited descriptors of this child's own
-    image chain, positioned past the headers the restart process read.
+    image chain, positioned past the headers the restart process read;
+    ``stages`` are the restarter's stage times, which the child's clock
+    carries on into its record.
     """
 
     def restore_child(sys: Sys):
@@ -446,32 +409,24 @@ def _make_restore_child(computation, image, fdmap: dict, image_fds: list, stage_
         # the peers' frames and re-sends them.  The span is MTCP's, on the
         # process's own MTCP track: it overlaps the stage spans
         tracer = world.tracer
-        tenant = image.env.get("DMTCP_TENANT")
+        tenant = image.env.get("DMTCP_TENANT") or None
         dead_fds = {f.fd for f in image.fds if f.peer_dead}
         led = sorted(set(image.drained) - dead_fds)
-        returns = {}
+        returns = return_drained(world, process, led, image.drained)
         if led:
-            mtcp_track = proc_track(host, "mtcp", image.vpid, tenant)
-            tracer.begin(mtcp_track, "refill_return", cat="mtcp")
-            returns = return_drained(world, process, led, image.drained)
-            world.spawn_thread(
-                process,
-                _close_return_span(
-                    tracer, mtcp_track, list(returns.values()),
-                    sum(c.nbytes for fd in led for c in image.drained[fd]),
-                ),
-                "refill-return-span",
-                kind="manager",
+            returns.open_span(
+                proc_track(host, "mtcp", image.vpid, tenant), "refill_return", "mtcp",
+                "refill-return-span", n=len(led),
+                bytes=sum(c.nbytes for fd in led for c in image.drained[fd]),
             )
 
         # ---- step 5: restore memory and threads --------------------------
-        child_track = proc_track(host, image.program, image.vpid, tenant)
-        tracer.begin(child_track, "restore_memory", cat="restart")
+        clock = StageClock(tracer, proc_track(host, image.program, image.vpid, tenant), "restart", tenant)
+        clock.stages.update(stages)
+        clock.begin("restore_memory")
         cpu_s, stats = yield from mtcp.restore_memory(sys, world, process, image, own_image)
         threads = mtcp.adopt_threads(world, process, image)
-        dur_restore = mtcp.end_stream_span(
-            tracer, child_track, "restore_memory", "restart", cpu_s, stats
-        )
+        clock.end("restore_memory", **mtcp.stream_span_args(tracer, cpu_s, stats))
         tracer.count("restart.processes_restored")
         tracer.count("restart.threads_adopted", len(threads))
 
@@ -506,8 +461,6 @@ def _make_restore_child(computation, image, fdmap: dict, image_fds: list, stage_
             runtime.map_pty(virt_name, new_real)
         process.user_state["dmtcp"] = runtime
         process.sys = image.sys_ref
-        runtime.restart_stages = dict(stage_times, restore_memory=dur_restore)
-        runtime.refill_returns = returns
         # restored regions are fully dirty (fresh mappings), so the next
         # incremental checkpoint must write a full base image
         runtime.last_image_path = None
@@ -515,17 +468,12 @@ def _make_restore_child(computation, image, fdmap: dict, image_fds: list, stage_
 
         world.spawn_thread(
             process,
-            manager_main(runtime, restart_image=image),
+            manager_main(runtime, restart_image=image, restart_clock=clock, refill_returns=returns),
             f"ckpt-manager[{rpid}]",
             kind="manager",
         )
-        # linger like MTCP's motherofall thread until the app finishes.
-        # Re-check after every wake: this thread is itself checkpointable,
-        # and a suspend/resume cycle wakes raw future waits spuriously.
-        while True:
-            live = [t for t in threads if not t.task.done]
-            if not live:
-                break
-            yield live[0].task.done_future
+        # linger like MTCP's motherofall thread until the app finishes
+        # (this thread is itself checkpointable: the join re-checks)
+        yield from HelperGroup(world, process, threads).join()
 
     return restore_child

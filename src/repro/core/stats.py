@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from statistics import mean
+from typing import Optional
 
 from repro.obs.tracer import Tracer
 
@@ -35,30 +36,42 @@ RESTART_STAGES = [
 
 
 class StageClock:
-    """Accumulates (stage -> duration) for one process's checkpoint.
+    """Accumulates (stage -> duration) for one process's checkpoint or restart.
 
     Each stage is one tracer span on ``track``; durations come from the
     tracer's span measurements (which work even when recording is off).
+    The clock knows its open stage, so an error path ends it with
+    :meth:`close` without tracking which stage it was in.
     """
 
-    __slots__ = ("tracer", "track", "cat", "tenant", "t_start", "stages")
+    __slots__ = ("tracer", "track", "cat", "tenant", "stages", "open", "open_cat")
 
     def __init__(self, tracer: Tracer, track: str, cat: str = "ckpt", tenant=None):
         self.tracer = tracer
         self.track = track
         self.cat = cat
         self.tenant = tenant
-        self.t_start = tracer.clock()
         self.stages: dict[str, float] = {}
+        #: The stage whose span is open (None between stages), and its cat.
+        self.open: Optional[str] = None
+        self.open_cat = cat
 
-    def begin(self, stage: str) -> None:
-        """Open the span for ``stage``."""
-        self.tracer.begin(self.track, stage, cat=self.cat, tenant=self.tenant)
+    def begin(self, stage: str, cat: Optional[str] = None) -> None:
+        """Open the span for ``stage`` (cat ``cat``, default the clock's)."""
+        self.open_cat = cat or self.cat
+        self.tracer.begin(self.track, stage, cat=self.open_cat, tenant=self.tenant)
+        self.open = stage
 
-    def end(self, stage: str) -> None:
-        """Close the open stage span, accumulating its duration."""
-        duration = self.tracer.end(self.track, stage, cat=self.cat, tenant=self.tenant)
+    def end(self, stage: str, **args) -> None:
+        """Close the open stage span with ``args``, accumulating its duration."""
+        duration = self.tracer.end(self.track, stage, cat=self.open_cat, tenant=self.tenant, **args)
+        self.open = None
         self.stages[stage] = self.stages.get(stage, 0.0) + duration
+
+    def close(self) -> None:
+        """Error path: end the open stage, if there is one."""
+        if self.open is not None:
+            self.end(self.open)
 
     @property
     def total(self) -> float:

@@ -23,7 +23,7 @@ from repro.faults.supervisor import _image_file
 from repro.kernel.process import ProgramSpec, RegionSpec
 from repro.kernel.streams import CTRL_DRAIN_TOKEN
 from repro.kernel.world import HIJACK_ENV
-from repro.obs.tracer import PH_BEGIN
+from repro.obs.tracer import PH_BEGIN, proc_track
 
 #: Shrunk supervision timeouts so every abort resolves in a few
 #: simulated seconds instead of the production-scale defaults.
@@ -136,6 +136,10 @@ def test_peer_dies_at_barrier_cluster_returns_to_running(phase):
     # no torn images left on any live node
     assert _leaked_drain_tokens(world) == []
     assert _tmp_images(world) == []
+    # the rollback closed every stage span and the image writer's span
+    host = survivor.node.hostname
+    for program in (survivor.program, "mtcp"):
+        assert world.tracer.open_spans(proc_track(host, program, runtime.vpid)) == 0
 
     # the silent crash is a fault, not a bug: nothing died unhandled
     assert not world.scheduler.failures

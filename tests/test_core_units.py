@@ -1,17 +1,29 @@
 """Unit tests for DMTCP core data structures: compression model,
-connection table, pid virtualization, image format, stats."""
+connection table, pid virtualization, image format, stats, and the
+stage helpers."""
+
+import ast
+import inspect
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster import build_cluster
 from repro.config import CpuSpec
 from repro.core import compression
+from repro.core import manager as manager_mod
+from repro.core import mtcp as mtcp_mod
+from repro.core import restart as restart_mod
 from repro.core.connection import ConnectionId, ConnectionInfo, ConnectionTable
+from repro.core.helpers import HelperGroup
 from repro.core.imagefile import RestartPlan, conn_key
 from repro.core.pidvirt import PidTable
 from repro.core.stats import CKPT_STAGES, CheckpointRecord, StageClock, aggregate_stages
+from repro.errors import SyscallError
 from repro.kernel.memory import PROFILES
+from repro.kernel.syscalls import Sys
+from repro.obs import Tracer
 
 
 # ----------------------------------------------------------------------
@@ -164,8 +176,6 @@ def test_property_pidtable_translation_consistent(pairs):
 # ----------------------------------------------------------------------
 
 def test_stage_clock_accumulates():
-    from repro.obs import Tracer
-
     t = {"now": 0.0}
     tracer = Tracer(clock=lambda: t["now"])
     clock = StageClock(tracer, "h/p[1]")
@@ -182,8 +192,6 @@ def test_stage_clock_accumulates():
 
 def test_stage_clock_spans_match_record(tmp_path):
     """The Table-1 numbers and the exported trace are the same spans."""
-    from repro.obs import Tracer
-
     t = {"now": 0.0}
     tracer = Tracer(clock=lambda: t["now"], enabled=True)
     clock = StageClock(tracer, "h/p[1]")
@@ -194,6 +202,32 @@ def test_stage_clock_spans_match_record(tmp_path):
     spans = {s["name"]: s["duration"] for s in tracer.spans(cat="ckpt")}
     assert spans == pytest.approx(clock.stages)
     assert tracer.open_spans() == 0
+
+
+def test_stage_clock_close_ends_only_the_open_stage():
+    t = {"now": 0.0}
+    tracer = Tracer(clock=lambda: t["now"], enabled=True)
+    clock = StageClock(tracer, "h/p[1]")
+    clock.close()  # nothing open: a no-op
+    assert tracer.open_spans() == 0 and clock.stages == {}
+    tracer.begin("h/p[1]", "outer")
+    clock.begin("drain", cat="mtcp")
+    t["now"] = 0.5
+    clock.close()
+    assert tracer.open_spans("h/p[1]") == 1  # the outer span is not the clock's
+    assert clock.open is None and clock.stages == {"drain": 0.5}
+    assert [s["cat"] for s in tracer.spans(track="h/p[1]")] == ["mtcp"]
+    clock.close()
+    assert tracer.open_spans("h/p[1]") == 1
+
+
+def test_stage_clock_end_carries_span_args():
+    tracer = Tracer(clock=lambda: 0.0, enabled=True)
+    clock = StageClock(tracer, "h/restart[1]", cat="restart")
+    clock.begin("reconnect")
+    clock.end("reconnect", accepted=2, connected=1)
+    (span,) = tracer.spans(cat="restart")
+    assert span["args"] == {"accepted": 2, "connected": 1}
 
 
 def test_aggregate_stages_means():
@@ -218,3 +252,186 @@ def test_restart_plan_script_rendering():
     assert "DMTCP_COORD_HOST=node00" in script
     assert "ssh node01 dmtcp_restart /tmp/dmtcp/a.dmtcp /tmp/dmtcp/b.dmtcp &" in script
     assert plan.total_processes == 2
+
+
+# ----------------------------------------------------------------------
+# Stage helpers
+# ----------------------------------------------------------------------
+
+def _helper_world(main):
+    """One process whose main thread runs ``main(sys, group)``; what it
+    returns lands in ``box["out"]``."""
+    world = build_cluster(n_nodes=1, seed=5)
+    box = {}
+
+    def prog(sys, argv):
+        box["out"] = yield from main(sys, HelperGroup(world, box["proc"]))
+
+    world.register_program("helpers", prog)
+    box["proc"] = world.spawn_process("node00", "helpers")
+    return world, box
+
+
+def _sleep_then(delay, value=None, errno=None):
+    sys = Sys()
+    yield from sys.sleep(delay)
+    if errno is not None:
+        raise SyscallError(errno, "helper failed")
+    return value
+
+
+def test_helper_error_is_kept_and_reraised_by_join():
+    def main(sys, group):
+        group.spawn("a", _sleep_then(0.1, errno="EIO"), "helper-a")
+        yield from sys.sleep(0.2)
+        alive = box["proc"].state  # the helper has failed by now
+        try:
+            yield from group.join()
+        except SyscallError as err:
+            return alive, err.errno
+
+    world, box = _helper_world(main)
+    world.engine.run()
+    assert box["out"] == ("running", "EIO")
+    assert box["proc"].exit_code == 0
+    assert not world.scheduler.failures
+
+
+def test_helper_join_raises_the_first_error_in_spawn_order():
+    def main(sys, group):
+        group.spawn("late", _sleep_then(0.2, errno="EIO"), "helper-late")
+        group.spawn("early", _sleep_then(0.1, errno="ENOSPC"), "helper-early")
+        group.spawn("ok", _sleep_then(0.1, value=3), "helper-ok")
+        try:
+            yield from group.join()
+        except SyscallError as err:
+            return err.errno, group.results
+
+    world, box = _helper_world(main)
+    world.engine.run()
+    assert box["out"] == ("EIO", {"ok": 3})
+    assert not world.scheduler.failures
+
+
+def test_helper_join_returns_results_in_spawn_order():
+    def main(sys, group):
+        group.spawn("b", _sleep_then(0.2, value="slow"), "helper-b")
+        group.spawn("a", _sleep_then(0.1, value="fast"), "helper-a")
+        return (yield from group.join())
+
+    world, box = _helper_world(main)
+    world.engine.run()
+    assert box["out"] == ["slow", "fast"]
+
+
+def test_helper_join_waits_through_a_spurious_wake():
+    def main(sys, group):
+        group.spawn("slow", _sleep_then(1.0, value="done"), "helper-slow")
+        results = yield from group.join()
+        return results, world.engine.now
+
+    def suspend_resume():
+        # a suspend/resume cycle resumes a raw future wait with None
+        task = box["proc"].threads[0].task
+        task.freeze()
+        task.thaw()
+
+    world, box = _helper_world(main)
+    world.engine.call_at(0.5, suspend_resume)
+    world.engine.run()
+    results, joined_at = box["out"]
+    assert results == ["done"]
+    assert joined_at >= 1.0
+
+
+def test_helper_kill_leaves_no_member_and_no_open_span():
+    track = "node00/helpers[1]"
+
+    def main(sys, group):
+        for i in range(2):
+            group.spawn(i, _sleep_then(5.0), f"helper-{i}")
+        group.open_span(track, "helping", "test", "helping-span", n=2)
+        yield from sys.sleep(0.5)
+        tasks = [t.task for t in group.threads.values()] + [group.watcher.task]
+        group.kill()
+        return tasks
+
+    world, box = _helper_world(main)
+    world.engine.run()
+    assert box["out"] and not set(box["out"]) & world.scheduler.tasks
+    assert world.tracer.open_spans(track) == 0
+    assert not world.scheduler.failures
+
+
+def test_helper_span_closes_when_the_last_member_returns():
+    track = "node00/helpers[1]"
+
+    def main(sys, group):
+        group.spawn(0, _sleep_then(0.3), "helper-0")
+        group.spawn(1, _sleep_then(0.1), "helper-1")
+        group.open_span(track, "helping", "test", "helping-span", n=2)
+        yield from sys.sleep(1.0)
+
+    world, box = _helper_world(main)
+    world.tracer.enable()
+    world.engine.run()
+    (span,) = world.tracer.spans(track=track)
+    assert span["duration"] == pytest.approx(0.3, abs=1e-3)
+    assert span["args"] == {"n": 2}
+
+
+#: The stage idioms the helpers replaced, fenced out of the protocol
+#: modules: (rule, modules it covers, a snippet that puts it back).
+STAGE_FENCE = {
+    "done_future": (
+        (manager_mod, restart_mod, mtcp_mod),
+        "while not thread.task.done:\n    yield thread.task.done_future\n",
+    ),
+    "ctx_stage": (
+        (manager_mod, restart_mod, mtcp_mod),
+        'ctx["stage"] = "drain"\n',
+    ),
+    "tracer_span": (
+        (manager_mod, restart_mod),
+        'world.tracer.begin(track, "refill", cat="restart")\n',
+    ),
+}
+
+
+def _fence_hits(source: str, rule: str) -> list[int]:
+    """Lines of ``source`` that break ``rule``."""
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        if rule == "done_future":
+            bad = isinstance(node, ast.Attribute) and node.attr == "done_future"
+        elif rule == "ctx_stage":
+            key = None
+            if isinstance(node, ast.Subscript) and getattr(node.value, "id", None) == "ctx":
+                key = node.slice
+            elif (
+                isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "get" and getattr(node.func.value, "id", None) == "ctx"
+                and node.args
+            ):
+                key = node.args[0]
+            bad = isinstance(key, ast.Constant) and key.value == "stage"
+        else:
+            bad = (
+                isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("begin", "end")
+                and "tracer" in (
+                    getattr(node.func.value, "id", None), getattr(node.func.value, "attr", None)
+                )
+            )
+        if bad:
+            hits.append(node.lineno)
+    return hits
+
+
+@pytest.mark.parametrize("rule", sorted(STAGE_FENCE))
+def test_stage_idioms_stay_in_the_helpers(rule):
+    modules, snippet = STAGE_FENCE[rule]
+    for module in modules:
+        assert _fence_hits(inspect.getsource(module), rule) == [], module.__name__
+    # the fence sees the idiom when it is put back
+    assert _fence_hits(snippet, rule) == [len(snippet.splitlines())]
