@@ -132,14 +132,6 @@ class DmtcpSpec:
     #: last token arrives, one more poll round confirms quiescence
     #: (dominates Table 1a's ~0.1 s drain stage).
     drain_poll_s: float = 0.1
-    #: Incremental checkpointing (``DMTCP_INCREMENTAL=1``): maximum number
-    #: of delta images chained to one full base before the next checkpoint
-    #: falls back to a full image (bounds restart-chain replay cost).
-    incremental_max_chain: int = 8
-    #: Incremental checkpointing: if the dirty ratio of the address space
-    #: exceeds this, a delta would barely save anything -- write a full
-    #: image and restart the chain instead.
-    incremental_dirty_threshold: float = 0.9
     # -- supervision layer (enabled via DMTCP_SUPERVISE=1; every default
     # below is inert when supervision is off, so healthy-path event
     # streams and all committed benchmarks are unchanged) ---------------

@@ -67,12 +67,6 @@ class DmtcpRuntime:
         #: coordinator failover so the replacement rebuilds its id space
         #: from the members (resilience layer, DESIGN.md section 15).
         self.last_ckpt_id = 0
-        #: Incremental checkpointing: path of this process's newest image
-        #: (the parent of the next delta) and how many deltas the current
-        #: chain already holds.  Reset on exec (new address space) and on
-        #: restart (fresh mappings are fully dirty -> next image is full).
-        self.last_image_path: Optional[str] = None
-        self.chain_depth = 0
         #: The WrappedSys bound to this runtime (set by the factory).
         self.sys: Optional["WrappedSys"] = None
 
@@ -182,10 +176,6 @@ class WrappedSys(Sys):
     def execve(self, program, argv, env=None):
         """exec wrapper: stashes the library state across the image swap."""
         self.rt.computation.stash_for_exec(self.rt)
-        # exec replaces the address space: the old image chain describes
-        # memory that no longer exists, so the next checkpoint is full
-        self.rt.last_image_path = None
-        self.rt.chain_depth = 0
         return (yield from self.raw.execve(program, argv, self._dmtcp_env(env)))
 
     def spawn(self, program, argv, env=None):

@@ -23,21 +23,14 @@ from repro.core.connection import ConnectionId, ConnectionInfo
 
 @dataclass
 class RegionImage:
-    """One row of the memory-region table.
-
-    ``size`` is always the full mapping size (restart needs it to rebuild
-    the address space even from a delta image).  In a delta image
-    ``dirty_bytes`` is the page-rounded number of bytes actually carried
-    by this image -- only the pages written since the parent image; in a
-    full image it is ``None`` (the payload is the whole region).
-    """
+    """One row of the memory-region table; ``size`` is the full mapping
+    size, which restart rebuilds the address space from."""
 
     kind: str
     size: int
     profile: str
     path: Optional[str] = None
     shared: bool = False
-    dirty_bytes: Optional[int] = None
     #: Original region id, restored verbatim: MTCP maps memory back at its
     #: original addresses, so the app's held region handles stay valid.
     region_id: Optional[int] = None
@@ -124,33 +117,14 @@ class CheckpointImage:
     image_bytes: int = 0
     stored_bytes: int = 0
     compressed: bool = True
-    #: Incremental checkpointing (DMTCP_INCREMENTAL=1): a delta image
-    #: carries only each region's dirty pages and chains to the previous
-    #: image on disk via ``parent_image``; ``chain_depth`` counts delta
-    #: links back to the full base (0 for a full image).
-    delta: bool = False
-    parent_image: Optional[str] = None
-    chain_depth: int = 0
     #: gzip worker streams used to write this image (restart mirrors it).
     gzip_workers: int = 1
-    #: Transient: the resolved image chain, base first, set by
-    #: ``mtcp.read_image`` when it follows ``parent_image`` links.
-    chain: Optional[list] = None
     #: Optional serializable app state (SerializableState protocol).
     app_state: Any = None
 
     def payload_regions(self) -> list[tuple[int, str]]:
-        """``(payload_bytes, profile)`` per region: what this image stores.
-
-        For a full image that is every region's full size; for a delta
-        image only the dirty pages captured at build time.
-        """
-        if not self.delta:
-            return [(r.size, r.profile) for r in self.regions]
-        return [
-            (r.size if r.dirty_bytes is None else r.dirty_bytes, r.profile)
-            for r in self.regions
-        ]
+        """``(payload_bytes, profile)`` per region: what this image stores."""
+        return [(r.size, r.profile) for r in self.regions]
 
     @property
     def store_refs(self) -> Optional[list]:

@@ -86,7 +86,6 @@ class DmtcpComputation:
         port: int = 7779,
         ckpt_dir: str = "/tmp/dmtcp",
         compression: bool = True,
-        incremental: bool = False,
         interval: float = 0.0,
         supervise: bool = False,
         tree_fanout: Optional[int] = None,
@@ -138,7 +137,6 @@ class DmtcpComputation:
         self.port = port
         self.ckpt_dir = ckpt_dir
         self.compression = compression
-        self.incremental = incremental
         #: hierarchical coordination (repro.coord.tree): one gateway per
         #: node, arranged in a fanout-ary forest under the coordinator
         self.tree_fanout = tree_fanout
@@ -282,8 +280,6 @@ class DmtcpComputation:
             "DMTCP_CKPT_DIR": self.ckpt_dir,
             "DMTCP_GZIP": "1" if self.compression else "0",
         }
-        if self.incremental:
-            env["DMTCP_INCREMENTAL"] = "1"
         if self.store is not None:
             env["DMTCP_STORE"] = "1"
             env["DMTCP_STORE_REPLICAS"] = str(self.store.replicas)
@@ -557,11 +553,8 @@ class DmtcpComputation:
         storage or an scp before restart would)."""
         src_ns = self.world.node_state(src_host)
         dst_ns = self.world.node_state(dst_host)
-        pending = list(paths)
-        while pending:
-            path = pending.pop()
-            src_mount = src_ns.mounts.resolve(path)
-            file = src_mount.namespace.lookup(path)
+        for path in paths:
+            file = src_ns.mounts.resolve(path).namespace.lookup(path)
             if file is None:
                 raise RestartError(f"missing image {path} on {src_host}")
             dst_mount = dst_ns.mounts.resolve(path)
@@ -570,11 +563,6 @@ class DmtcpComputation:
                 copy.size = file.size
                 copy.payload = file.payload
                 copy.last_write_time = file.last_write_time
-            # a delta image is useless without its ancestors: follow the
-            # parent chain so the whole lineage travels with the leaf
-            parent = getattr(file.payload, "parent_image", None)
-            if parent is not None:
-                pending.append(parent)
 
     def run_command(self, cmd: str, arg: str = "") -> None:
         """Run a generic ``dmtcp command <cmd>`` client to completion."""

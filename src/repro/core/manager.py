@@ -401,19 +401,15 @@ def _checkpoint_stages(
     yield from barrier(sys, fd, asm, P.BARRIER_CHECKPOINTED, timeout)
     # every member has finished its write: the on-disk set is globally
     # consistent, so even if a later stage aborts the image must survive
-    # (incremental deltas may already chain to it next round)
     ctx["writer"] = None
     image = writer.image
-    if mtcp.incremental_enabled(process.env) or mtcp.store_enabled(process.env):
+    if mtcp.store_enabled(process.env):
         # every process has finished writing (Barrier 5 released) and user
         # threads stay suspended until stage 7, so clearing dirty bits --
         # including on regions shared with sibling processes -- cannot race
         # with a write that the image missed
         for region in process.address_space.regions:
             region.clean()
-    if mtcp.incremental_enabled(process.env):
-        runtime.last_image_path = writer.path
-        runtime.chain_depth = image.chain_depth
     clock.end("write")
 
     # ---- stage 6: refill kernel buffers ---------------------------------
@@ -472,8 +468,8 @@ def _rollback_checkpoint(sys: Sys, runtime: "DmtcpRuntime", fd: int, clock: Stag
     its payload may still be streaming: the writer is stopped first, its
     descriptors closed, then what it made is unlinked
     (:meth:`repro.core.mtcp.ImageWriter.abort`).  A fully written
-    (post-Barrier-5) image is kept because incremental deltas may
-    already chain to it.
+    (post-Barrier-5) image is kept: every member committed its own, so
+    the set is a restorable checkpoint.
     """
     process = runtime.process
     tracer = runtime.world.tracer

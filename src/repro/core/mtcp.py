@@ -47,13 +47,8 @@ def _no_clock() -> float:
 def _device_block(stored: int, raw: int) -> int:
     """Bytes on the device of one :data:`STREAM_BLOCK_BYTES` block of
     ``raw`` memory that is stored as ``stored`` bytes (rounded up; at
-    least one, also for a link with no payload)."""
+    least one, also for an image with no payload)."""
     return max(-(-stored * STREAM_BLOCK_BYTES // max(raw, 1)), 1)
-
-
-def incremental_enabled(env: dict) -> bool:
-    """Is the incremental checkpoint pipeline on for this process?"""
-    return env.get("DMTCP_INCREMENTAL", "0") == "1"
 
 
 def store_enabled(env: dict) -> bool:
@@ -77,7 +72,7 @@ def image_checksum(image: CheckpointImage) -> str:
     get wrong."""
     return (
         f"{image.ckpt_id}:{image.hostname}:{image.vpid}:{image.program}:"
-        f"{image.image_bytes}:{image.stored_bytes}:{image.chain_depth}"
+        f"{image.image_bytes}:{image.stored_bytes}"
     )
 
 
@@ -88,11 +83,10 @@ MANIFEST_BYTES = 256
 def gzip_workers(runtime: "DmtcpRuntime") -> int:
     """Parallel gzip stream count for this process's images.
 
-    The incremental and store pipelines use every core of the node (per
-    :class:`CpuSpec`); the classic pipeline keeps the paper's single
-    serial gzip.
+    The store pipeline uses every core of the node (per :class:`CpuSpec`);
+    the classic pipeline keeps the paper's single serial gzip.
     """
-    if incremental_enabled(runtime.process.env) or store_enabled(runtime.process.env):
+    if store_enabled(runtime.process.env):
         return max(runtime.world.spec.cpu.cores, 1)
     return 1
 
@@ -150,50 +144,18 @@ def image_path(runtime: "DmtcpRuntime", ckpt_id: int = 0) -> str:
     directory is shared storage, where same-pid processes on different
     hosts would otherwise overwrite each other's images.
 
-    With the incremental pipeline the name additionally carries the
-    checkpoint id: a delta image chains to its parent *file*, so
-    successive checkpoints must not overwrite each other.
+    In store mode the name additionally carries the checkpoint id: each
+    generation's manifest is its own file, so an older generation stays
+    restorable when the newest one is torn.
     """
     ckpt_dir = runtime.process.env.get("DMTCP_CKPT_DIR", "/tmp/dmtcp")
     host = runtime.process.node.hostname
     stamp = f"{runtime.process.start_time:.6f}".replace(".", "")
-    suffix = f"-c{ckpt_id}" if incremental_enabled(runtime.process.env) else ""
+    suffix = f"-c{ckpt_id}" if store_enabled(runtime.process.env) else ""
     return (
         f"{ckpt_dir}/ckpt_{runtime.process.program}_"
         f"{host}-{runtime.vpid}-{stamp}{suffix}.dmtcp"
     )
-
-
-def _page_round(nbytes: float, page_bytes: int) -> int:
-    """Round a byte count up to whole pages (what MTCP actually writes)."""
-    return -(-int(nbytes) // page_bytes) * page_bytes
-
-
-def plan_delta(runtime: "DmtcpRuntime") -> bool:
-    """Should this checkpoint be a delta image chained to the last one?
-
-    Policy (config: :class:`DmtcpSpec`): incremental must be enabled and a
-    parent image must exist; the chain must be shorter than
-    ``incremental_max_chain``; and the address-space dirty ratio must not
-    exceed ``incremental_dirty_threshold`` (past that a delta saves
-    nothing and only lengthens restart replay).
-    """
-    if store_enabled(runtime.process.env):
-        # Store images are always "full" manifests: unchanged chunks dedup
-        # against prior generations in the store itself, so delta chains
-        # (and their orphaned-lineage failure mode) are unnecessary.
-        return False
-    if not incremental_enabled(runtime.process.env):
-        return False
-    if runtime.last_image_path is None:
-        return False
-    spec = runtime.world.spec.dmtcp
-    if runtime.chain_depth >= spec.incremental_max_chain:
-        return False
-    space = runtime.process.address_space
-    total = space.total_bytes
-    dirty = sum(r.size * r.dirty_fraction for r in space.regions)
-    return total > 0 and dirty / total <= spec.incremental_dirty_threshold
 
 
 def plan_image(runtime: "DmtcpRuntime", ckpt_id: int) -> CheckpointImage:
@@ -202,34 +164,15 @@ def plan_image(runtime: "DmtcpRuntime", ckpt_id: int) -> CheckpointImage:
 
     That barrier is global and user threads stay suspended until stage
     7, so from here on no region, private or shared, can change: the
-    region rows, the delta plan, the store chunk manifest, the
-    compression estimate and the sizes computed now are the ones a
-    build after the drain would compute.  What the drain can still
-    change -- descriptors, connections, drained data -- is left empty
-    for :func:`seal_image`.
-
-    With the incremental pipeline (``DMTCP_INCREMENTAL=1``) and a usable
-    parent image, the image is a *delta*: every region row keeps its full
-    mapping size (restart rebuilds the address space from it) but the
-    payload -- and therefore the gzip and disk cost -- covers only the
-    pages dirtied since the parent image, page-rounded.
+    region rows, the store chunk manifest, the compression estimate and
+    the sizes computed now are the ones a build after the drain would
+    compute.  What the drain can still change -- descriptors,
+    connections, drained data -- is left empty for :func:`seal_image`.
     """
     process = runtime.process
-    delta = plan_delta(runtime)
-    page_bytes = runtime.world.spec.os.page_bytes
     regions = [
         RegionImage(
-            r.kind,
-            r.size,
-            r.profile.name,
-            r.path,
-            r.shared,
-            dirty_bytes=(
-                min(_page_round(r.size * r.dirty_fraction, page_bytes), r.size)
-                if delta
-                else None
-            ),
-            region_id=r.region_id,
+            r.kind, r.size, r.profile.name, r.path, r.shared, region_id=r.region_id
         )
         for r in process.address_space.regions
     ]
@@ -256,10 +199,6 @@ def plan_image(runtime: "DmtcpRuntime", ckpt_id: int) -> CheckpointImage:
     )
     compressed = runtime.process.env.get("DMTCP_GZIP", "1") == "1"
     image.compressed = compressed
-    image.delta = delta
-    if delta:
-        image.parent_image = runtime.last_image_path
-        image.chain_depth = runtime.chain_depth + 1
     image.gzip_workers = gzip_workers(runtime)
     store = runtime.world.store
     if store is not None and store_enabled(process.env):
@@ -413,8 +352,6 @@ def _write_manifest(sys: Sys, path: str, image: CheckpointImage):
             "checksum": image_checksum(image),
             "ckpt_id": image.ckpt_id,
             "stored_bytes": image.stored_bytes,
-            "delta": image.delta,
-            "parent_image": image.parent_image,
         },
     )
     yield from sys.fsync(mfd)
@@ -524,9 +461,10 @@ class ImageWriter:
     :data:`METADATA_BYTES` slot reserved at the front of the file and
     only then makes the file a checkpoint -- payload object attached,
     ``fsync`` + ``rename`` + ``.manifest`` under
-    ``DMTCP_ATOMIC_IMAGES=1``, and in store mode the manifest file (all
-    header) followed by ``MSG_STORE_COMMIT``.  The layout on storage is
-    what a single write of the whole image left there.
+    ``DMTCP_ATOMIC_IMAGES=1``, and in store mode ``MSG_STORE_COMMIT``.
+    Both kinds open their file in the payload thread and commit through
+    the same header write; a store image is all header.  The layout on
+    storage is what a single write of the whole image left there.
 
     Forked checkpointing calls :meth:`write` instead, in the COW child
     after the seal: the snapshot must contain the drained buffers, and
@@ -640,8 +578,7 @@ class ImageWriter:
     # -- payload -------------------------------------------------------------
     def _payload(self, sys: Sys):
         tracer = self.runtime.world.tracer
-        image = self.image
-        args = {"store": True} if self.store is not None else {"delta": image.delta}
+        args = {"store": True} if self.store is not None else {}
         self.began_at = tracer.begin(
             self.track, "mtcp.write", cat="mtcp", path=self.path, **args
         )
@@ -715,6 +652,9 @@ class ImageWriter:
         tracer = world.tracer
         image = self.image
         env = runtime.process.env
+        # the manifest's file: its open is a fixed latency, paid here under
+        # the drain rather than after the seal
+        self.fd = yield from sys.open(self.target, "w")
         wire = self.wire
         for digest, nbytes, profile in image.store_refs or []:
             est = _chunk_estimate(world, digest, nbytes, profile, image.compressed)
@@ -791,18 +731,16 @@ class ImageWriter:
     # -- commit --------------------------------------------------------------
     def _commit(self, sys: Sys):
         """The sealed header goes in front and the file becomes a
-        checkpoint.  A store image is all header: its manifest file is
-        written whole here, then the pushed chunks are committed."""
+        checkpoint.  A store image is all header (its reference rows
+        follow the fixed part); once it is in, the pushed chunks are
+        committed."""
         runtime = self.runtime
         image = self.image
         path = self.path
+        fd = self.fd
+        header = METADATA_BYTES if self.store is None else store_manifest_bytes(image)
         try:
-            if self.store is not None:
-                fd = yield from sys.open(self.target, "w")
-                yield from sys.write(fd, store_manifest_bytes(image), payload=image)
-            else:
-                fd = self.fd
-                yield from sys.write(fd, METADATA_BYTES, payload=image, offset=0)
+            yield from sys.write(fd, header, payload=image, offset=0)
             if self.atomic:
                 yield from sys.fsync(fd)
             yield from sys.close(fd)
@@ -858,23 +796,12 @@ class ImageWriter:
         tracer.count("mtcp.image_bytes", image.image_bytes)
         tracer.count("mtcp.stored_bytes", image.stored_bytes)
         tracer.count("mtcp.pages_written", -(-image.stored_bytes // page_bytes))
+        kind = {}
         if self.store is not None:
             refs = image.store_refs or []
             tracer.count("store.manifest_chunks", len(refs))
             tracer.count("store.chunks_leased", len(self.need))
-            kind = {"delta": False, "store": True, "chunks": len(refs), "leased": len(self.need)}
-        else:
-            if image.delta:
-                tracer.count("mtcp.delta_images")
-                full_pages = sum(
-                    -(-r.size // page_bytes) for r in image.regions
-                )
-                written_pages = sum(
-                    -(-payload // page_bytes)
-                    for payload, _profile in image.payload_regions()
-                )
-                tracer.count("mtcp.pages_skipped", full_pages - written_pages)
-            kind = {"delta": image.delta, "chain_depth": image.chain_depth}
+            kind = {"store": True, "chunks": len(refs), "leased": len(self.need)}
         tracer.instant(
             self.track,
             "mtcp.compression",
@@ -888,41 +815,23 @@ class ImageWriter:
 
 
 def read_image(sys: Sys, path: str, validate: bool = False):
-    """Restart step 0: the header pass over one image and its ancestry.
+    """Restart step 0: the header pass over one image.
 
     The restart process needs only what the header holds -- fd table,
     connection table, pid map -- to restore files and reconnect sockets
-    before it forks, so it reads :data:`METADATA_BYTES` of each file
-    and leaves the descriptor open at that offset: the forked child
-    streams the payload itself (:func:`restore_memory`).  A store
-    manifest is all header (the reference rows follow the fixed part);
-    it is read whole and closed.
-
-    A delta image names its parent via ``parent_image``; every link's
-    header is read and the chain attached to the returned leaf image as
-    ``image.chain``, base first.  Returns ``(leaf, fds, nbytes)``:
-    ``fds`` are the chain's open descriptors in the same order (none
-    for a store manifest) and ``nbytes`` is what the pass read.
+    before it forks, so it reads :data:`METADATA_BYTES` of the file and
+    leaves the descriptor open at that offset: the forked child streams
+    the payload itself (:func:`restore_memory`).  A store manifest is
+    all header (the reference rows follow the fixed part); it is read
+    whole and closed.  Returns ``(image, fd, nbytes)``: ``fd`` is the
+    open descriptor (None for a store manifest) and ``nbytes`` is what
+    the pass read.
 
     With ``validate`` (the supervised path: ``dmtcp_restart --validate``)
-    each file's ``.manifest`` sidecar, when present, is read back and its
+    the file's ``.manifest`` sidecar, when present, is read back and its
     checksum compared -- a torn or swapped image fails loudly here,
     before any child is forked, instead of resuming a corrupt computation.
     """
-    chain, fds, total = [], [], 0
-    while path is not None:
-        node, fd, nbytes = yield from _read_header(sys, path, validate)
-        chain.append(node)
-        if fd is not None:
-            fds.append(fd)
-        total += nbytes
-        path = node.parent_image
-    leaf = chain[0]
-    leaf.chain = chain[::-1]
-    return leaf, fds[::-1], total
-
-
-def _read_header(sys: Sys, path: str, validate: bool):
     fd = yield from sys.open(path, "r")
     nbytes, image = yield from sys.read(fd, METADATA_BYTES)
     if image is None:
@@ -947,20 +856,18 @@ def _read_header(sys: Sys, path: str, validate: bool):
     return image, fd, nbytes
 
 
-def restore_memory(sys: Sys, world, process, image: CheckpointImage, fds=()):
+def restore_memory(sys: Sys, world, process, image: CheckpointImage, fd: Optional[int] = None):
     """Restart step 5a: stream the payload in and rebuild the address space.
 
-    ``fds`` are the descriptors :func:`read_image` left open, inherited
-    across ``fork`` and positioned past each header.  The chain is
-    replayed base first, link by link: each file is piped through
-    ``sys.stream`` -- block *k*+1 is read while block *k* is gunzipped
-    and its pages instantiated (an uncompressed link has no gunzip
-    child to read ahead and is one block: read, then mapped) -- and
-    closed.  The full base
-    instantiates every page, each delta only its dirty pages, so the
-    cost is honest about the replay work of an incremental restart.
-    Returns ``(cpu_s, (blocks, io_wait_s, cpu_wait_s))`` summed over the
-    chain, for :func:`stream_span_args`.
+    ``fd`` is the descriptor :func:`read_image` left open, inherited
+    across ``fork`` and positioned past the header.  The payload is piped
+    through ``sys.stream`` -- block *k*+1 is read while block *k* is
+    gunzipped and its pages instantiated (an uncompressed image has no
+    gunzip child to read ahead and is one block: read, then mapped) --
+    and the file closed.  A store manifest has no payload of its own
+    (and no ``fd``): its chunks are fetched from the store.  Returns
+    ``(cpu_s, (blocks, io_wait_s, cpu_wait_s))``, for
+    :func:`stream_span_args`.
 
     Private regions are re-mapped directly; shared (mmap-backed) regions
     go through the mmap syscall so the paper's backing-file rules apply
@@ -968,14 +875,13 @@ def restore_memory(sys: Sys, world, process, image: CheckpointImage, fds=()):
     writable, else map file contents as-is).
     """
     refs = image.store_refs
-    store = world.store
-    blocks, cpu_s, io_wait, cpu_wait = 0, 0.0, 0.0, 0.0
-    if refs is not None and store is not None:
+    nworkers = min(max(image.gzip_workers, 1), max(world.spec.cpu.cores, 1))
+    stats = (0, 0.0, 0.0)
+    if refs is not None:
         # Store mode: stream every chunk concurrently from its nearest
         # live replica (fetch submits the disk/NIC work immediately, so
         # transfers overlap the decompress/instantiate CPU burst below).
-        futures, _info = store.fetch(process.node.hostname, refs)
-        nworkers = min(max(image.gzip_workers, 1), max(world.spec.cpu.cores, 1))
+        futures, _info = world.store.fetch(process.node.hostname, refs)
         stream_seconds = []
         instantiate_bytes = 0
         for digest, nbytes, profile in refs:
@@ -992,30 +898,20 @@ def restore_memory(sys: Sys, world, process, image: CheckpointImage, fds=()):
         for fut in futures:
             yield fut
     else:
-        for img, fd in zip(image.chain or [image], fds):
-            nworkers = min(max(img.gzip_workers, 1), max(world.spec.cpu.cores, 1))
-            est = _estimate(world, img.payload_regions(), img.compressed, nworkers)
-            # gunzip plus page instantiation: copying image bytes into
-            # fresh mappings and faulting them in (Table 1b's dominant
-            # restore cost)
-            link_cpu = (
-                est.decompress_seconds
-                + est.input_bytes / world.spec.os.page_restore_bps
-            )
-            payload = img.stored_bytes - METADATA_BYTES
-            # only a gunzip child in the pipe reads ahead of the process;
-            # an uncompressed link is one block: read it, then map it
-            block = (
-                _device_block(payload, est.input_bytes)
-                if img.compressed
-                else max(payload, 1)
-            )
-            n, io_w, cpu_w = yield from sys.stream(fd, payload, link_cpu, block)
-            yield from sys.close(fd)
-            blocks += n
-            cpu_s += link_cpu
-            io_wait += io_w
-            cpu_wait += cpu_w
+        est = _estimate(world, image.payload_regions(), image.compressed, nworkers)
+        # gunzip plus page instantiation: copying image bytes into fresh
+        # mappings and faulting them in (Table 1b's dominant restore cost)
+        cpu_s = est.decompress_seconds + est.input_bytes / world.spec.os.page_restore_bps
+        payload = image.stored_bytes - METADATA_BYTES
+        # only a gunzip child in the pipe reads ahead of the process; an
+        # uncompressed image is one block: read it, then map it
+        block = (
+            _device_block(payload, est.input_bytes)
+            if image.compressed
+            else max(payload, 1)
+        )
+        stats = yield from sys.stream(fd, payload, cpu_s, block)
+        yield from sys.close(fd)
     from repro.kernel.memory import AddressSpace, PROFILES
 
     space = AddressSpace(world.spec.os.page_bytes, world.region_ids)
@@ -1039,7 +935,7 @@ def restore_memory(sys: Sys, world, process, image: CheckpointImage, fds=()):
             restored.chunk_gens = dict(region.chunk_gens or {})
             restored.dirty_fraction = 0.0
             restored.written = False
-    return cpu_s, (blocks, io_wait, cpu_wait)
+    return cpu_s, stats
 
 
 def _restore_shared_region(sys: Sys, process, region: RegionImage):

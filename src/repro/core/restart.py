@@ -34,7 +34,7 @@ its error re-raised at the join.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Optional
 
 from repro.core import mtcp
 from repro.core import protocol as P
@@ -106,8 +106,7 @@ def make_restart_program(computation: "DmtcpComputation"):
 
         # ---- step 0: header pass -- payloads stay on storage -------------
         # Every open is a fixed latency that no other work waits on, so
-        # each image gets its own reader (a delta chain is still walked
-        # leaf to base inside it).  The span is MTCP image I/O (cat
+        # each image gets its own reader.  The span is MTCP image I/O (cat
         # "mtcp", like ``mtcp.write``: the ledger's declared stage rows
         # are the cat "restart" spans); the stage reaches every restored
         # process's record through the clock's ``stages``.
@@ -121,9 +120,9 @@ def make_restart_program(computation: "DmtcpComputation"):
             # e.g. a --validate checksum mismatch: fail before any fork
             clock.close()
             raise
-        images = [image for image, _fds, _n in headers]
-        image_fds = [fds for _image, fds, _n in headers]  # per image: its chain
-        clock.end("image_read", n=len(paths), bytes=sum(n for _image, _fds, n in headers))
+        images = [image for image, _fd, _n in headers]
+        image_fds = [fd for _image, fd, _n in headers]  # None for a store manifest
+        clock.end("image_read", n=len(paths), bytes=sum(n for _image, _fd, n in headers))
 
         # ---- step 1: reopen files, recreate ptys, re-bind listeners ------
         clock.begin("restore_files")
@@ -261,13 +260,13 @@ def make_restart_program(computation: "DmtcpComputation"):
         restore_ctx = {
             "vpid_map": {}, "all_forked": Future("all-forked"), "pty_rename": pty_rename,
         }
-        for image, own_fds in zip(images, image_fds):
+        for image, image_fd in zip(images, image_fds):
             fdmap = {f.fd: (desc_fd[_endpoint_key(f)], f.cloexec) for f in image.fds}
             while True:
                 gate = Future("restore-gate")
                 pid = yield from sys.fork(
                     _make_restore_child(
-                        computation, image, fdmap, own_fds,
+                        computation, image, fdmap, image_fd,
                         clock.stages, gate, restore_ctx,
                     )
                 )
@@ -362,11 +361,12 @@ def _restore_connector(sys: Sys, key: str, host: str, port: int, desc_fd: dict):
     desc_fd[("ep", key, "connect")] = fd
 
 
-def _make_restore_child(computation, image, fdmap: dict, image_fds: list, stages: dict, gate: Future, restore_ctx: dict):
+def _make_restore_child(computation, image, fdmap: dict, image_fd: Optional[int], stages: dict, gate: Future, restore_ctx: dict):
     """Child body: Figure 2 steps 4-5, then hand off to the manager.
 
-    ``image_fds`` are the inherited descriptors of this child's own
-    image chain, positioned past the headers the restart process read;
+    ``image_fd`` is the inherited descriptor of this child's own image,
+    positioned past the header the restart process read (None for a
+    store manifest);
     ``stages`` are the restarter's stage times, which the child's clock
     carries on into its record.
     """
@@ -388,11 +388,10 @@ def _make_restore_child(computation, image, fdmap: dict, image_fds: list, stages
             yield from sys.dup2(src_fd, temp)
             temp_of[target_fd] = temp
         # the image itself moves out of the user's fd range the same way
-        own_image = []
-        for fd in image_fds:
-            temp = _TEMP_FD_BASE + len(fdmap) + len(own_image)
-            yield from sys.dup2(fd, temp)
-            own_image.append(temp)
+        own_image = None
+        if image_fd is not None:
+            own_image = _TEMP_FD_BASE + len(fdmap)
+            yield from sys.dup2(image_fd, own_image)
         # one sweep drops everything inherited from the restart process,
         # the siblings' images included: a close per fd would put every
         # image of the host on every child's critical path
@@ -461,10 +460,6 @@ def _make_restore_child(computation, image, fdmap: dict, image_fds: list, stages
             runtime.map_pty(virt_name, new_real)
         process.user_state["dmtcp"] = runtime
         process.sys = image.sys_ref
-        # restored regions are fully dirty (fresh mappings), so the next
-        # incremental checkpoint must write a full base image
-        runtime.last_image_path = None
-        runtime.chain_depth = 0
 
         world.spawn_thread(
             process,

@@ -26,7 +26,7 @@ class LineageSkipped(Exception):
     """A checkpoint's images were dropped by the supervisor's selection
     filter -- work after that checkpoint is lost.  Recorded in the
     world's :class:`FailureLog` so the loss is queryable instead of
-    silent (ROADMAP: "a lost node orphans a whole delta lineage")."""
+    silent."""
 
 
 def _image_file(world: "World", host: str, path: str):
@@ -39,33 +39,29 @@ def _image_file(world: "World", host: str, path: str):
 
 
 def _image_valid(world: "World", host: str, path: str) -> bool:
-    """Is the image (and its whole delta ancestry) restorable?
+    """Is the image restorable?
 
-    Checks, per file in the chain: it exists, it holds a payload (a torn
-    write never does), and -- when a ``.manifest`` sidecar exists -- the
-    recorded checksum matches.  This is the supervisor's *selection*
-    filter; ``dmtcp_restart --validate`` re-checks with honest I/O.
+    It exists, it holds a payload (a torn write never does), -- when a
+    ``.manifest`` sidecar exists -- the recorded checksum matches, and a
+    store manifest's chunks all have a live replica.  This is the
+    supervisor's *selection* filter; ``dmtcp_restart --validate``
+    re-checks with honest I/O.
     """
     from repro.core.mtcp import image_checksum
 
-    seen = set()
-    while path is not None and path not in seen:
-        seen.add(path)
-        file = _image_file(world, host, path)
-        if file is None or file.payload is None:
+    file = _image_file(world, host, path)
+    if file is None or file.payload is None:
+        return False
+    manifest = _image_file(world, host, path + ".manifest")
+    if manifest is not None and manifest.payload is not None:
+        if manifest.payload.get("checksum") != image_checksum(file.payload):
             return False
-        manifest = _image_file(world, host, path + ".manifest")
-        if manifest is not None and manifest.payload is not None:
-            if manifest.payload.get("checksum") != image_checksum(file.payload):
-                return False
-        store = world.store
-        if store is not None and getattr(file.payload, "store_refs", None):
-            # manifest image: every chunk must have a live durable replica
-            # (anti-entropy repair works to make this true again after a
-            # node loss, so a briefly-degraded lineage is not orphaned)
-            if not store.image_restorable(file.payload):
-                return False
-        path = getattr(file.payload, "parent_image", None)
+    store = world.store
+    if store is not None and getattr(file.payload, "store_refs", None):
+        # a store manifest: every chunk must have a live durable replica
+        # (anti-entropy repair works to make this true again after a node
+        # loss, so a briefly-degraded generation is not skipped for good)
+        return store.image_restorable(file.payload)
     return True
 
 

@@ -6,8 +6,9 @@
 * coordinator barrier load (Section 5.4/6: "the single checkpoint
   coordinator ... is not a bottleneck");
 * DejaVu comparison (Section 2: ~45% runtime overhead vs ~0 for DMTCP);
-* incremental pipeline (DMTCP_INCREMENTAL=1): full vs delta-chain
-  checkpoints over the Figure 3 desktop suite.
+* incremental checkpoints as store generations (``store=True``): full
+  images vs generations that lease only changed chunks, over the
+  Figure 3 desktop suite.
 """
 
 from __future__ import annotations
@@ -145,14 +146,17 @@ def run_dejavu_comparison(seed: int = 0, iters: int = 20, ranks: int = 8) -> Dej
 
 @dataclass
 class IncrementalAblation:
-    """Full vs incremental (DMTCP_INCREMENTAL=1) pipeline for one app.
+    """Full images vs store generations for one app.
 
     ``full_*`` figures come from the paper's default pipeline (every
-    checkpoint writes the whole address space); ``incr_*`` from the
-    delta-chain pipeline over the same checkpoint schedule.  The final
-    incremental checkpoint kills the computation and the restart replays
-    the base+delta chain, so ``restored_total_mb`` vs
-    ``original_total_mb`` verifies the round trip.
+    checkpoint writes the whole address space); ``incr_*`` from store
+    generations (``DmtcpComputation(store=True)``) over the same
+    checkpoint schedule, where a checkpoint leases and writes only the
+    chunks no earlier generation stored.  ``manifest_chunks`` /
+    ``chunks_leased`` are per checkpoint.  The final store checkpoint
+    kills the computation and the restart fetches that generation back,
+    so ``restored_total_mb`` vs ``original_total_mb`` verifies the round
+    trip.
     """
 
     app: str
@@ -161,8 +165,8 @@ class IncrementalAblation:
     incr_ckpt_s: list[float] = field(default_factory=list)
     full_stored_mb: float = 0.0
     incr_stored_mb: float = 0.0
-    delta_images: int = 0
-    pages_skipped: int = 0
+    manifest_chunks: list[int] = field(default_factory=list)
+    chunks_leased: list[int] = field(default_factory=list)
     estimate_cache_hits: int = 0
     restart_s: float = 0.0
     original_total_mb: float = 0.0
@@ -170,7 +174,7 @@ class IncrementalAblation:
 
     @property
     def steady_speedup(self) -> float:
-        """Full / incremental checkpoint time, after the base image."""
+        """Full / incremental checkpoint time, after the first one."""
         full = sum(self.full_ckpt_s[1:]) or sum(self.full_ckpt_s)
         incr = sum(self.incr_ckpt_s[1:]) or sum(self.incr_ckpt_s)
         return full / incr if incr else 1.0
@@ -179,6 +183,12 @@ class IncrementalAblation:
     def bytes_saved_ratio(self) -> float:
         """1 - incremental/full stored bytes over the whole schedule."""
         return 1.0 - self.incr_stored_mb / self.full_stored_mb if self.full_stored_mb else 0.0
+
+    @property
+    def steady_delta_us(self) -> float:
+        """Last incremental minus last full checkpoint, microseconds: at
+        the drain floor, the store-commit round trip a generation pays."""
+        return (self.incr_ckpt_s[-1] - self.full_ckpt_s[-1]) * 1e6
 
 
 def _hijacked_total_bytes(world) -> int:
@@ -202,8 +212,8 @@ def run_incremental_ablation(
 
     The desktop apps dirty little memory between checkpoints (their
     steady state is computation over an already-built working set), so
-    the workload is well over 50% clean after the base image -- the
-    regime where a delta chain should win on both stored bytes and
+    the workload is well over 50% clean after the first image -- the
+    regime where a store generation should win on both stored bytes and
     checkpoint latency.
     """
     from repro.apps.shell_apps import program_for
@@ -220,26 +230,28 @@ def run_incremental_ablation(
         result.full_ckpt_s.append(ckpt.duration)
         result.full_stored_mb += ckpt.total_stored_bytes / MB
 
-    # -- incremental pipeline ------------------------------------------
+    # -- store generations ---------------------------------------------
     world = build_desktop(seed)
     world.tracer.enable()
-    comp = DmtcpComputation(world, incremental=True)
+    comp = DmtcpComputation(world, store=True)
     comp.launch("node00", program_for(app))
     world.engine.run(until=warmup_s)
+    counters = world.tracer.counters
     kill = None
     for i in range(checkpoints):
         last = i == checkpoints - 1
         if last:
             result.original_total_mb = _hijacked_total_bytes(world) / MB
+        chunks = counters.get("store.manifest_chunks", 0)
+        leased = counters.get("store.chunks_leased", 0)
         ckpt = comp.checkpoint(kill=last)
         result.incr_ckpt_s.append(ckpt.duration)
         result.incr_stored_mb += ckpt.total_stored_bytes / MB
+        result.manifest_chunks.append(int(counters["store.manifest_chunks"] - chunks))
+        result.chunks_leased.append(int(counters["store.chunks_leased"] - leased))
         if last:
             kill = ckpt
-    counters = world.tracer.snapshot()
-    result.delta_images = int(counters.get("mtcp.delta_images", 0))
-    result.pages_skipped = int(counters.get("mtcp.pages_skipped", 0))
-    result.estimate_cache_hits = int(counters.get("mtcp.estimate_cache_hits", 0))
+    result.estimate_cache_hits = int(counters.get("store.estimate_cache_hits", 0))
     restart = comp.restart(plan=kill.plan)
     result.restart_s = restart.duration
     result.restored_total_mb = _hijacked_total_bytes(world) / MB

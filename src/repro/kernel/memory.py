@@ -162,7 +162,7 @@ class MemoryRegion:
         self.written = True
 
     def clean(self) -> None:
-        """Reset dirty tracking (called after an incremental checkpoint)."""
+        """Reset dirty tracking (after a store-mode or DejaVu checkpoint)."""
         self.dirty_fraction = 0.0
 
     def clone(self, region_id: int) -> "MemoryRegion":

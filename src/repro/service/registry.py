@@ -36,7 +36,6 @@ class TenantRegistry:
         interval: float = 0.0,
         supervise: bool = True,
         compression: bool = False,
-        incremental: bool = False,
     ) -> DmtcpComputation:
         """Build one tenant's computation and attach it to the hub.
 
@@ -55,7 +54,6 @@ class TenantRegistry:
             interval=interval,
             supervise=supervise,
             compression=compression,
-            incremental=incremental,
             tenant=name,
             external_coordinator=True,
         )

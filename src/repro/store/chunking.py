@@ -20,8 +20,8 @@ dirty chunk prefix; bumped digests are additionally keyed on the
 region's private lineage (its ``region_id``, preserved across restarts),
 because two ranks writing "the same" region diverge in content even
 though they started identical.  Unchanged chunks keep their digests, so
-successive checkpoint generations dedup against each other -- the
-incremental-delta win without parent-image chains.
+successive checkpoint generations dedup against each other: a store
+generation is this repo's incremental checkpoint.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ Pid alignment: pids are allocated per node, and tree mode consumes one
 pid per node for its gateway.  The star world therefore spawns one
 inert placeholder process per node at the same point, so every app
 lands on the same vpid in both worlds and the checksums (which cover
-``ckpt_id:hostname:vpid:program:image_bytes:stored_bytes:chain_depth``)
+``ckpt_id:hostname:vpid:program:image_bytes:stored_bytes``)
 are directly comparable.
 """
 
@@ -185,11 +185,11 @@ def test_fanout_covering_all_nodes_equals_star():
     _assert_equivalent([1, 2, 1, 2], seed=8, fanout=16)
 
 
-def test_incremental_chain_equals_star():
-    """Delta images (chain_depth > 0 in the checksum) are byte-identical
-    through the tree: full base, then an incremental on dirty pages."""
-    star_world, star = _build([1, 1, 1], seed=9, incremental=True)
-    tree_world, tree = _build([1, 1, 1], seed=9, fanout=2, incremental=True)
+def test_store_generation_equals_star():
+    """Store generations are byte-identical through the tree: a first
+    generation, then one that leases only the changed chunks."""
+    star_world, star = _build([1, 1, 1], seed=9, store=True)
+    tree_world, tree = _build([1, 1, 1], seed=9, fanout=2, store=True)
     for comp in (star, tree):
         comp.checkpoint()
     star_world.engine.run(until=star_world.engine.now + 1.0)

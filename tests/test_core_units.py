@@ -1,9 +1,11 @@
 """Unit tests for DMTCP core data structures: compression model,
-connection table, pid virtualization, image format, stats, and the
-stage helpers."""
+connection table, pid virtualization, image format, stats, the stage
+helpers, and the fences that keep replaced idioms out."""
 
 import ast
 import inspect
+import pathlib
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -254,6 +256,24 @@ def test_restart_plan_script_rendering():
     assert plan.total_processes == 2
 
 
+@pytest.mark.parametrize("store", [True, False], ids=["store", "default"])
+def test_image_path_names_each_store_generation(store):
+    env = {"DMTCP_CKPT_DIR": "/ckpt", "DMTCP_STORE": "1" if store else "0"}
+    node = SimpleNamespace(hostname="node03")
+    process = SimpleNamespace(env=env, node=node, start_time=1.25, program="bc")
+    runtime = SimpleNamespace(process=process, vpid=40001)
+    paths = [mtcp_mod.image_path(runtime, ckpt_id) for ckpt_id in (1, 2)]
+    if store:
+        # every generation's manifest is its own file: older ones survive
+        assert paths == [
+            "/ckpt/ckpt_bc_node03-40001-1250000-c1.dmtcp",
+            "/ckpt/ckpt_bc_node03-40001-1250000-c2.dmtcp",
+        ]
+    else:
+        # a full image overwrites the one stable name
+        assert paths == ["/ckpt/ckpt_bc_node03-40001-1250000.dmtcp"] * 2
+
+
 # ----------------------------------------------------------------------
 # Stage helpers
 # ----------------------------------------------------------------------
@@ -435,3 +455,57 @@ def test_stage_idioms_stay_in_the_helpers(rule):
         assert _fence_hits(inspect.getsource(module), rule) == [], module.__name__
     # the fence sees the idiom when it is put back
     assert _fence_hits(snippet, rule) == [len(snippet.splitlines())]
+
+
+#: The delta-chain image format, replaced by store generations: none of
+#: these identifiers may come back anywhere under ``src/repro``.
+CHAIN_IDENTIFIERS = frozenset({
+    "parent_image", "chain_depth", "last_image_path", "plan_delta",
+    "incremental_enabled", "DMTCP_INCREMENTAL", "incremental_max_chain",
+    "incremental_dirty_threshold",
+})
+#: ``image.delta`` and ``image.chain`` are fenced as attributes, and
+#: ``dirty_bytes`` as a keyword (the page cache keeps its own counter).
+CHAIN_ATTRIBUTES = frozenset({"delta", "chain"})
+
+#: The format put back: every fenced identifier, once.
+CHAIN_SNIPPET = """\
+def plan_delta(runtime):
+    spec = runtime.world.spec.dmtcp
+    if not incremental_enabled(runtime.process.env.get("DMTCP_INCREMENTAL")):
+        return False
+    if runtime.chain_depth >= spec.incremental_max_chain:
+        return False
+    region = RegionImage("heap", 4096, "numeric", dirty_bytes=4096)
+    image.parent_image = runtime.last_image_path
+    return image.delta or image.chain or spec.incremental_dirty_threshold
+"""
+
+
+def _chain_hits(source: str) -> set[str]:
+    """The delta-chain identifiers ``source`` uses."""
+    hits = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in CHAIN_ATTRIBUTES:
+            hits.add(f".{node.attr}")
+        elif isinstance(node, ast.keyword) and node.arg == "dirty_bytes":
+            hits.add("dirty_bytes=")
+        elif isinstance(node, ast.Constant):
+            if node.value in CHAIN_IDENTIFIERS:
+                hits.add(node.value)
+        else:
+            for field in ("id", "attr", "name", "arg"):
+                name = getattr(node, field, None)
+                if name in CHAIN_IDENTIFIERS:
+                    hits.add(name)
+    return hits
+
+
+def test_delta_chain_identifiers_stay_deleted():
+    package = pathlib.Path(mtcp_mod.__file__).parent.parent
+    for path in sorted(package.rglob("*.py")):
+        assert _chain_hits(path.read_text()) == set(), path.relative_to(package)
+    # the fence sees the format when it is put back
+    assert _chain_hits(CHAIN_SNIPPET) == (
+        CHAIN_IDENTIFIERS | {".delta", ".chain", "dirty_bytes="}
+    )

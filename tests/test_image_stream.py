@@ -4,8 +4,8 @@ Covers the kernel primitive (``sys.stream``: a double-buffered block
 pipeline between a CPU stage and a file's device) against the serial
 reference it replaces, and the DMTCP paths built on it: the multi-block
 image write (plain, atomic, forked), ENOSPC noticed at the block that
-hits it, the restart header pass plus per-child payload stream, and the
-link-by-link replay of an incremental chain.
+hits it, the restart header pass plus per-child payload stream, and a
+store generation's restart, which reads one manifest and streams nothing.
 """
 
 from dataclasses import replace
@@ -529,79 +529,17 @@ def _toucher(sys, argv):
         yield from sys.mem_touch(region, 0.05)
 
 
-def _incremental_chain(world, supervise=False):
-    world.register_program("toucher", _toucher)
-    comp = DmtcpComputation(world, incremental=True, supervise=supervise)
-    comp.launch("node00", "toucher")
-    world.engine.run(until=1.0)
-    for _ in range(3):
-        comp.checkpoint()
-        world.engine.run(until=world.engine.now + 0.5)
-    kill = comp.checkpoint(kill=True)
-    (leaf,) = kill.plan.images_by_host["node00"]
-    chain = []
-    path = leaf
-    while path is not None:
-        chain.append(path)
-        path = _image_file(world, "node00", path).payload.parent_image
-    return comp, kill, chain[::-1]
-
-
-def test_incremental_chain_is_streamed_link_by_link_base_first():
-    world = build_cluster(n_nodes=1, seed=23)
-    comp, kill, chain = _incremental_chain(world)
-    assert len(chain) == 4  # full base + three deltas
-    streamed = []
-    raw = world._sys_stream
-
-    def spy(task, thread, process, fd, *args):
-        desc = process.get_fd(fd)
-        streamed.append((desc.file.path, desc.offset))
-        return raw(task, thread, process, fd, *args)
-
-    world._sys_handlers["stream"] = spy
-    disk = world.machine.node("node00").disk
-    read_before = disk.bytes_read
-    comp.restart(plan=kill.plan)
-    # each link exactly once, oldest first, from just past its header
-    assert streamed == [(path, mtcp.METADATA_BYTES) for path in chain]
-    stored = sum(_image_file(world, "node00", p).payload.stored_bytes for p in chain)
-    assert disk.bytes_read - read_before == stored
-    world.engine.run(until=world.engine.now + 0.5)
-    no_failures(world)
-
-
-def test_delta_link_without_payload_restarts():
-    """Nothing dirtied since the parent image: the link is all header,
-    and its (empty) stream still charges the link's CPU share."""
-    world = build_cluster(n_nodes=1, seed=23)
-
-    def idle(sys, argv):
-        yield from sys.mmap(8 * MB, "numeric")
-        for _ in range(4000):
-            yield from sys.sleep(0.05)
-
-    world.register_program("idle", idle)
-    comp = DmtcpComputation(world, incremental=True)
-    comp.launch("node00", "idle")
-    world.engine.run(until=1.0)
-    comp.checkpoint()
-    kill = comp.checkpoint(kill=True)
-    (leaf,) = kill.plan.images_by_host["node00"]
-    image = _image_file(world, "node00", leaf).payload
-    assert image.delta and image.stored_bytes == mtcp.METADATA_BYTES
-    outcome = comp.restart(plan=kill.plan)
-    assert len(outcome.records) == 1
-    world.engine.run(until=world.engine.now + 0.5)
-    no_failures(world)
-
-
 def test_validate_rejects_a_swapped_manifest_before_any_fork():
     world = build_cluster(n_nodes=1, seed=23, spec=FAST_SPEC)
     world.tracer.enable()
-    comp, kill, chain = _incremental_chain(world, supervise=True)
-    # the base's manifest now certifies some other image
-    manifest = _image_file(world, "node00", chain[0] + ".manifest")
+    world.register_program("toucher", _toucher)
+    comp = DmtcpComputation(world, supervise=True)
+    comp.launch("node00", "toucher")
+    world.engine.run(until=1.0)
+    kill = comp.checkpoint(kill=True)
+    (path,) = kill.plan.images_by_host["node00"]
+    # the manifest now certifies some other image
+    manifest = _image_file(world, "node00", path + ".manifest")
     manifest.payload = dict(manifest.payload, checksum="swapped")
     forks_before = world.tracer.snapshot().get("sys.fork", 0)
     streams_before = world.tracer.snapshot().get("sys.stream", 0)
@@ -614,3 +552,38 @@ def test_validate_rejects_a_swapped_manifest_before_any_fork():
     assert snap.get("sys.fork", 0) == forks_before
     assert snap.get("sys.stream", 0) == streams_before
     world.scheduler.failures.clear()
+
+
+def test_store_generation_restart_reads_one_manifest_and_streams_no_payload():
+    """Earlier generations are not replayed: the header pass reads the
+    newest manifest whole, and the child fetches its chunks from the
+    store instead of streaming a payload from the image file."""
+    world = build_cluster(n_nodes=2, seed=23)
+    world.tracer.enable()
+    world.register_program("toucher", _toucher)
+    comp = DmtcpComputation(world, store=True)
+    comp.launch("node00", "toucher")
+    world.engine.run(until=1.0)
+    for _ in range(3):
+        comp.checkpoint()
+        world.engine.run(until=world.engine.now + 0.5)
+    kill = comp.checkpoint(kill=True)
+    (path,) = kill.plan.images_by_host["node00"]
+    image = _image_file(world, "node00", path).payload
+    opened = []
+    raw_open = world._sys_open
+
+    def spy(task, thread, process, name, flags):
+        if name.endswith(".dmtcp"):
+            opened.append((name, flags))
+        return raw_open(task, thread, process, name, flags)
+
+    world._sys_handlers["open"] = spy
+    streams_before = world.tracer.snapshot().get("sys.stream", 0)
+    comp.restart(plan=kill.plan)
+    assert opened == [(path, "r")]
+    (header_pass,) = [s for s in world.tracer.spans(cat="mtcp") if s["name"] == "image_read"]
+    assert header_pass["args"] == {"n": 1, "bytes": mtcp.store_manifest_bytes(image)}
+    assert world.tracer.snapshot().get("sys.stream", 0) == streams_before
+    world.engine.run(until=world.engine.now + 0.5)
+    no_failures(world)

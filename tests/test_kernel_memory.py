@@ -53,9 +53,9 @@ def test_fork_copy_private_regions_diverge_shared_alias():
 
 
 def test_fork_shared_region_dirty_state_stays_aliased():
-    # Incremental checkpointing depends on this: a shared region is one
-    # physical mapping, so a child's post-fork writes must show up in the
-    # parent's next delta image, and the parent cleaning at Barrier 5
+    # Store generations depend on this: a shared region is one physical
+    # mapping, so a child's post-fork writes must bump the chunks of the
+    # parent's next generation, and the parent cleaning at Barrier 5
     # must clean the child's view too.
     space = AddressSpace()
     shared = space.map_region(8192, "shm", PROFILES["numeric"], shared=True)

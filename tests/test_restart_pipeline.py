@@ -89,15 +89,6 @@ def _spy_forks(world) -> list:
     return forked
 
 
-def _chain(world, host, leaf):
-    """An image's chain, base first."""
-    chain, path = [], leaf
-    while path is not None:
-        chain.append(path)
-        path = _image_file(world, host, path).payload.parent_image
-    return chain[::-1]
-
-
 # ----------------------------------------------------------------------
 # (1) the header pass and the payload stream overlap what they used to wait on
 # ----------------------------------------------------------------------
@@ -172,45 +163,43 @@ def test_validate_failure_in_one_of_eight_readers_forks_nothing_and_leaks_nothin
 
 
 # ----------------------------------------------------------------------
-# (3) delta chains of different depths, each to its own child
+# (3) store generations of different ages, each to its own child
 # ----------------------------------------------------------------------
 
 def _toucher(sys, argv):
-    region = yield from sys.mmap(24 * MB, "numeric")
+    region = yield from sys.mmap((24 if argv[1] == "old" else 8) * MB, "numeric")
     for _ in range(4000):
         yield from sys.sleep(0.05)
         yield from sys.mem_touch(region, 0.05)
 
 
-def test_each_child_replays_its_own_chain_base_first_in_argv_order():
-    world = build_cluster(n_nodes=1, seed=23)
+def test_each_child_restores_its_own_generation_in_argv_order():
+    world = build_cluster(n_nodes=2, seed=23)
     world.register_program("toucher", _toucher)
-    comp = DmtcpComputation(world, incremental=True)
-    comp.launch("node00", "toucher", ["toucher", "deep"])
+    comp = DmtcpComputation(world, store=True)
+    comp.launch("node00", "toucher", ["toucher", "old"])
     world.engine.run(until=1.0)
     comp.checkpoint()
     world.engine.run(until=world.engine.now + 0.5)
     comp.checkpoint()
-    comp.launch("node00", "toucher", ["toucher", "shallow"])
+    comp.launch("node00", "toucher", ["toucher", "new"])
     world.engine.run(until=world.engine.now + 0.5)
     kill = comp.checkpoint(kill=True)
     paths = kill.plan.images_by_host["node00"]
-    chains = [_chain(world, "node00", leaf) for leaf in paths]
-    assert sorted(len(c) for c in chains) == [1, 3]
+    images = [_image_file(world, "node00", path).payload for path in paths]
+    # one manifest per process, both of this generation, whatever its age
+    assert [image.ckpt_id for image in images] == [kill.ckpt_id] * 2
+    assert sorted(image.argv[1] for image in images) == ["new", "old"]
 
-    streamed = _spy_streams(world)
     comp.restart(plan=kill.plan)
     restored = sorted(
         (p for p in world.live_processes() if p.user_state.get("dmtcp") is not None),
         key=lambda p: p.pid,
     )
     # forked in argv order: the k-th child restored the k-th image
-    assert [p.user_state["dmtcp"].vpid for p in restored] == [
-        _image_file(world, "node00", leaf).payload.vpid for leaf in paths
-    ]
-    for process, chain in zip(restored, chains):
-        mine = [(path, offset) for pid, path, offset in streamed if pid == process.pid]
-        assert mine == [(path, mtcp.METADATA_BYTES) for path in chain]
+    assert [p.user_state["dmtcp"].vpid for p in restored] == [i.vpid for i in images]
+    for process, image in zip(restored, images):
+        assert process.address_space.total_bytes == sum(r.size for r in image.regions)
     world.engine.run(until=world.engine.now + 0.5)
     no_failures(world)
 

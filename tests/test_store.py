@@ -320,7 +320,7 @@ def test_store_rejects_forked_checkpoints():
 def test_supervisor_logs_lineage_skip_when_newest_images_invalid():
     world = build_world(2, seed=0)
     _register_heapworker(world)
-    comp = DmtcpComputation(world, incremental=True)
+    comp = DmtcpComputation(world, store=True)
     comp.launch("node00", "heapworker")
     world.engine.run(until=1.0)
     comp.checkpoint()

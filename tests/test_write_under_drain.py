@@ -126,7 +126,8 @@ def _register_pipeline(world, received: list, done: dict):
 MODES = {
     "plain": ({}, None),
     "atomic": ({}, {"DMTCP_ATOMIC_IMAGES": "1"}),
-    "incremental": ({"incremental": True}, None),
+    # a store generation with two before it: it leases the dirtied chunks
+    "incremental": ({"store": True}, None),
     "store": ({"store": True}, None),
     "san": ({"ckpt_dir": "/san/dmtcp"}, None),
 }
@@ -164,7 +165,8 @@ def _members(world):
 
 def _dirty_heaps(world, fraction: float) -> None:
     """Every member wrote ``fraction`` of its heap since the last image
-    (so a delta, too, has a payload that outlasts the drain)."""
+    (so a later store generation, too, has a payload that outlasts the
+    drain)."""
     for process in _members(world):
         for region in process.address_space.regions:
             if region.size == HEAP_MB * MB:
@@ -174,7 +176,7 @@ def _dirty_heaps(world, fraction: float) -> None:
 def _run_pipeline(mode=None):
     """Run the pipeline to completion; with ``mode``, checkpoint + kill +
     restart on the way (an incremental run first takes two more
-    checkpoints, so the restart replays a chain of depth 2).  Returns
+    checkpoints, so the restart is from a third store generation).  Returns
     ``(received, world, kill_outcome)``."""
     world, comp, received, done = _pipeline(mode)
     kill = None
@@ -240,7 +242,7 @@ def test_output_invariant_with_data_in_flight_and_a_stream_outlasting_the_drain(
         )
         assert rec.stages["write"] > 0.01  # and there was payload left
     if mode == "incremental":
-        assert {image.chain_depth for image in images} == {2}
+        assert {image.ckpt_id for image in images} == {3}
 
 
 # ----------------------------------------------------------------------
@@ -290,7 +292,7 @@ def test_nothing_is_committed_before_the_drain_barrier_releases(mode):
     outcome = comp.checkpoint()
     (at_release,) = seen
     # the payload was on its way ...
-    if mode == "store":
+    if comp.store is not None:
         assert len(at_release["lease_waits"]) == 4  # leased under the drain
     else:
         assert at_release["image_bytes"] > 0
@@ -521,10 +523,10 @@ def test_abort_before_the_drain_with_every_member_alive_loses_and_repeats_nothin
 # (5) the critical path is max(elect + drain, payload), never the sum
 # ----------------------------------------------------------------------
 
-def _one_checkpoint(heap_mb, gzip, store, incremental, atomic, san):
-    """One process, one timed checkpoint (the second, so an incremental
-    run times a delta).  Returns the record, the write span and the
-    trace as JSON lines."""
+def _one_checkpoint(heap_mb, gzip, store, atomic, san):
+    """One process, one timed checkpoint (the second, so a store run
+    times a generation that leases only the changed chunks).  Returns
+    the record, the write span and the trace as JSON lines."""
     import io
 
     from repro.core.compression import ESTIMATE_CACHE
@@ -546,7 +548,7 @@ def _one_checkpoint(heap_mb, gzip, store, incremental, atomic, san):
 
     world.register_program("app", app)
     comp = DmtcpComputation(
-        world, compression=gzip, store=store, incremental=incremental,
+        world, compression=gzip, store=store,
         ckpt_dir="/san/dmtcp" if san else "/tmp/dmtcp",
     )
     comp.launch("node01", "app", env={"DMTCP_ATOMIC_IMAGES": "1"} if atomic else None)
@@ -570,12 +572,12 @@ def _one_checkpoint(heap_mb, gzip, store, incremental, atomic, san):
 @given(
     heap_mb=st.integers(min_value=1, max_value=40),
     gzip=st.booleans(),
-    layout=st.sampled_from(["plain", "store", "incremental"]),
+    store=st.booleans(),
     atomic=st.booleans(),
     san=st.booleans(),
 )
-def test_checkpoint_costs_the_longer_of_drain_and_payload(heap_mb, gzip, layout, atomic, san):
-    config = (heap_mb, gzip, layout == "store", layout == "incremental", atomic, san)
+def test_checkpoint_costs_the_longer_of_drain_and_payload(heap_mb, gzip, store, atomic, san):
+    config = (heap_mb, gzip, store, atomic, san)
     record, span, suspend, dump = _one_checkpoint(*config)
     stages, args = record.stages, span["args"]
     under = stages["elect"] + stages["drain"]
