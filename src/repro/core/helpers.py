@@ -8,6 +8,9 @@ every wake: a suspend/resume cycle wakes a raw future wait spuriously.
 The group's span closes on the normal and the caught-error path only,
 never in ``finally`` (``Task.drop`` leaves a crashed process's
 generators unclosed for the collector).  DESIGN.md section 4.1.
+
+The group holds its members' tasks, not their threads: a finished
+manager thread retires from its process and lets go of its task.
 """
 
 from __future__ import annotations
@@ -24,20 +27,23 @@ class HelperGroup:
     theirs.
     """
 
-    __slots__ = ("world", "process", "threads", "results", "errors", "span", "watcher")
+    __slots__ = ("world", "process", "tasks", "results", "errors", "span", "watcher")
 
     def __init__(self, world, process, threads=()):
         self.world = world
         self.process = process
-        self.threads = dict(enumerate(threads))
+        self.tasks = {key: thread.task for key, thread in enumerate(threads)}
         self.results: dict = {}
         self.errors: dict = {}
         self.span = None
         self.watcher = None
 
+    def _spawn(self, gen, name: str):
+        return self.world.spawn_thread(self.process, gen, name, kind="manager").task
+
     def spawn(self, key, gen, name: str) -> None:
         """Run ``gen`` as member ``key`` on a manager-kind thread."""
-        self.threads[key] = self.world.spawn_thread(self.process, self._run(key, gen), name, kind="manager")
+        self.tasks[key] = self._spawn(self._run(key, gen), name)
 
     def _run(self, key, gen):
         try:
@@ -46,14 +52,13 @@ class HelperGroup:
             self.errors[key] = err
 
     def _wait_all(self):
-        for thread in self.threads.values():
-            task = thread.task
+        for task in self.tasks.values():
             while not task.done:
                 yield task.done_future
 
     def wait(self, key):
         """Join member ``key``: its result, or the error it raised."""
-        task = self.threads[key].task
+        task = self.tasks[key]
         while not task.done:
             yield task.done_future
         if key in self.errors:
@@ -64,17 +69,17 @@ class HelperGroup:
         """Join every member: their results in spawn order, or the first
         error in spawn order."""
         yield from self._wait_all()
-        for key in self.threads:
+        for key in self.tasks:
             if key in self.errors:
                 raise self.errors[key]
-        return [self.results.get(key) for key in self.threads]
+        return [self.results.get(key) for key in self.tasks]
 
     def open_span(self, track: str, name: str, cat: str, watcher: str, **args) -> None:
         """Open a span now that closes with ``args`` when the last member
         returns (thread ``watcher`` joins them), or at :meth:`kill`."""
         self.world.tracer.begin(track, name, cat=cat)
         self.span = (track, name, cat)
-        self.watcher = self.world.spawn_thread(self.process, self._watch(args), watcher, kind="manager")
+        self.watcher = self._spawn(self._watch(args), watcher)
 
     def _watch(self, args: dict):
         yield from self._wait_all()
@@ -89,7 +94,7 @@ class HelperGroup:
     def kill(self) -> None:
         """Rollback: stop every live member where it stands (each one's
         ``finally`` blocks run now), then close the span."""
-        for thread in [*self.threads.values(), self.watcher]:
-            if thread is not None and not thread.task.done:
-                thread.task.kill()
+        for task in [*self.tasks.values(), self.watcher]:
+            if task is not None and not task.done:
+                task.kill()
         self._close_span()

@@ -76,6 +76,26 @@ def resolve_store_replicas(explicit: Optional[int], spec) -> int:
     return replicas
 
 
+class _OutcomeSink:
+    """Subscribed to a coordinator outcome list: fills ``handle["outcome"]``
+    once, then unsubscribes.  An object, not a closure: a closure that
+    removes itself from the list reaches itself through its own cell, a
+    cycle only the collector frees (DESIGN.md §8)."""
+
+    __slots__ = ("handle", "listeners")
+
+    def __init__(self, listeners: list):
+        self.handle: dict = {"outcome": None}
+        self.listeners = listeners
+        listeners.append(self)
+
+    def __call__(self, outcome) -> None:
+        if self.handle["outcome"] is None:
+            self.handle["outcome"] = outcome
+            if self in self.listeners:
+                self.listeners.remove(self)
+
+
 class DmtcpComputation:
     """One coordinator plus every process launched under it."""
 
@@ -368,14 +388,7 @@ class DmtcpComputation:
                 "the store's lease/commit exchange finalizes stored_bytes "
                 "inside the write, which a background COW writer would race"
             )
-        handle: dict = {"outcome": None}
-
-        def on_complete(outcome: CheckpointOutcome) -> None:
-            if handle["outcome"] is None:
-                handle["outcome"] = outcome
-                self.state.on_checkpoint_complete.remove(on_complete)
-
-        self.state.on_checkpoint_complete.append(on_complete)
+        sink = _OutcomeSink(self.state.on_checkpoint_complete)
         argv = ["dmtcp_command", "checkpoint"]
         if kill:
             argv.append("--kill")
@@ -390,19 +403,17 @@ class DmtcpComputation:
         def on_exit() -> None:
             # the command client exited: a refusal travels in the exit
             # code (the coordinator's "busy"/"aborted" reply); otherwise
-            # on_complete resolves the handle when the checkpoint lands
+            # the sink fills the handle when the checkpoint lands
             from repro.core.coordinator import EXIT_ABORTED, EXIT_BUSY
 
             refusal = {EXIT_BUSY: "busy", EXIT_ABORTED: "aborted"}.get(
                 proc.exit_code
             )
-            if refusal is not None and handle["outcome"] is None:
-                handle["outcome"] = refusal
-                if on_complete in self.state.on_checkpoint_complete:
-                    self.state.on_checkpoint_complete.remove(on_complete)
+            if refusal is not None:
+                sink(refusal)
 
         proc.exited.add_done(on_exit)
-        return handle
+        return sink.handle
 
     def checkpoint(
         self, kill: bool = False, forked: bool = False, timeout: float = 3600.0
@@ -456,14 +467,7 @@ class DmtcpComputation:
         placement = placement or {}
         if self.store is not None:
             self._check_store_restorable(plan)
-        handle: dict = {"outcome": None}
-
-        def on_complete(outcome: RestartOutcome) -> None:
-            if handle["outcome"] is None:
-                handle["outcome"] = outcome
-                self.state.on_restart_complete.remove(on_complete)
-
-        self.state.on_restart_complete.append(on_complete)
+        sink = _OutcomeSink(self.state.on_restart_complete)
         total = plan.total_processes
         for orig_host, paths in sorted(plan.images_by_host.items()):
             target = placement.get(orig_host, orig_host)
@@ -476,7 +480,7 @@ class DmtcpComputation:
                 argv.append("--validate")  # verify image manifests
             argv.extend([str(total), *paths])
             self.world.spawn_process(target, self._restart_program, argv, env)
-        return handle
+        return sink.handle
 
     def _check_store_restorable(self, plan) -> None:
         """Fail fast when a manifest references chunks with no live

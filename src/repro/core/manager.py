@@ -637,7 +637,7 @@ def _refill_all(runtime: "DmtcpRuntime", returns: HelperGroup, timeout: Optional
     tracer = runtime.world.tracer
     tenant = runtime.process.env.get("DMTCP_TENANT") or None
     resends = HelperGroup(runtime.world, runtime.process)
-    for sfd in returns.threads:
+    for sfd in returns.tasks:
         resends.spawn(sfd, _refill_endpoint(Sys(), sfd, returns, tracer, timeout, tenant), f"refill-fd{sfd}")
     yield from resends.join()
 

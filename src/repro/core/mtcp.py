@@ -967,6 +967,6 @@ def adopt_threads(world, process, image: CheckpointImage) -> list:
     for timg in image.threads:
         thread = timg.continuation.context
         thread.process = process
-        process.threads.append(thread)
+        process.add_thread(thread)
         adopted.append(thread)
     return adopted

@@ -90,6 +90,19 @@ class Thread:
         #: call finds its reservation here instead of queueing another.
         self.parked_send = None
 
+    def retire(self) -> None:
+        """A finished manager-kind thread leaves its process.
+
+        It drops out of ``process.threads`` and lets go of its task, so
+        the task's ``context`` back-pointer forms no cycle: whoever still
+        holds the task (a helper group, the failure log) frees both by
+        reference counting.
+        """
+        threads = self.process.threads
+        if self in threads:
+            threads.remove(self)
+        self.task = None
+
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Thread {self.name} tid={self.tid} of pid={self.process.pid}>"
 
@@ -129,6 +142,10 @@ class Process:
         self.fds: dict[int, FdEntry] = {}
         self._next_fd = 3  # 0-2 notionally reserved for stdio
         self.threads: list[Thread] = []
+        #: Threads started since exec, finished manager threads included:
+        #: names ``thread_create`` threads, so it must not shrink when a
+        #: manager thread retires.
+        self.threads_started = 0
         self.state = "running"  # running | zombie | dead
         self.exit_code: Optional[int] = None
         self.exited = Future(f"exit:{pid}")
@@ -186,6 +203,11 @@ class Process:
         child._next_fd = self._next_fd
 
     # ------------------------------------------------------------------
+    def add_thread(self, thread: Thread) -> None:
+        """Count ``thread`` in and list it among this process's threads."""
+        self.threads.append(thread)
+        self.threads_started += 1
+
     @property
     def alive(self) -> bool:
         """Is the process still running (not zombie/dead)?"""

@@ -272,6 +272,31 @@ class _RecvAttempt(Completion):
             self.fail(SyscallError("ETIMEDOUT", f"recv idle for {self.value}s"))
 
 
+class _AcceptAttempt(Completion):
+    """One blocking accept: retries itself whenever the backlog may have
+    grown.  Only an awake caller takes a backlog entry."""
+
+    __slots__ = ("listener", "process")
+
+    def __init__(self, task: Task, listener: ListenerSocket, process: Process):
+        Completion.__init__(self, task)
+        self.listener = listener
+        self.process = process
+
+    def __call__(self) -> None:
+        if not self.awake:
+            return
+        listener = self.listener
+        if listener.backlog:
+            ep = listener.backlog.pop(0)
+            ep.origin = "accept"
+            self.ok(self.process.alloc_fd(ep))
+        elif listener.closed:
+            self.fail(SyscallError("EBADF", "listener closed"))
+        else:
+            listener.wait_backlog().add_done(self)
+
+
 class _NodeState:
     """Per-node kernel tables."""
 
@@ -433,7 +458,7 @@ class World:
 
     def _start_main_thread(self, process: Process, main: Callable) -> Thread:
         thread = Thread(process, f"{process.program}[{process.pid}]")
-        process.threads.append(thread)
+        process.add_thread(thread)
         gen = self._thread_body(thread, main(process.sys, process.argv), is_main=True)
         task = self.scheduler.spawn(gen, name=thread.name, handler=self._dispatch)
         task.context = thread
@@ -443,14 +468,20 @@ class World:
     def spawn_thread(
         self, process: Process, gen, name: str, kind: str = "user"
     ) -> Thread:
-        """Start an extra thread in ``process`` driving ``gen``."""
+        """Start an extra thread in ``process`` driving ``gen``.
+
+        A manager-kind thread retires when its task finishes; a user
+        thread stays listed, for ``thread_join`` to find by tid.
+        """
         thread = Thread(process, name, kind=kind)
-        process.threads.append(thread)
+        process.add_thread(thread)
         task = self.scheduler.spawn(
             self._thread_body(thread, gen, is_main=False), name=name, handler=self._dispatch
         )
         task.context = thread
         thread.task = task
+        if kind == "manager":
+            task.done_future.add_done(thread.retire)
         return thread
 
     def _thread_body(self, thread: Thread, gen, is_main: bool):
@@ -835,6 +866,7 @@ class World:
                 if t.task is not task and not t.task.done:
                     t.task.drop()
             process.threads = []
+            process.threads_started = 0
             process.user_state.clear()
             process.signal_handlers = {}
             process.program = program
@@ -894,7 +926,7 @@ class World:
     # Threads and semaphores
     # ------------------------------------------------------------------
     def _sys_thread_create(self, task, thread, process, fn, *args) -> None:
-        name = f"{process.program}[{process.pid}]-t{len(process.threads)}"
+        name = f"{process.program}[{process.pid}]-t{process.threads_started}"
         new_thread = self.spawn_thread(process, fn(process.sys, *args), name)
         task.complete_call(new_thread.tid)
 
@@ -1184,21 +1216,7 @@ class World:
         desc = process.get_fd(fd)
         if not isinstance(desc, ListenerSocket):
             raise SyscallError("EINVAL", f"fd {fd} is not listening")
-        done = Completion(task)
-
-        def attempt() -> None:
-            if not done.awake:
-                return
-            if desc.backlog:
-                ep = desc.backlog.pop(0)
-                ep.origin = "accept"
-                done.ok(process.alloc_fd(ep))
-            elif desc.closed:
-                done.fail(SyscallError("EBADF", "listener closed"))
-            else:
-                desc.wait_backlog().add_done(attempt)
-
-        attempt()
+        _AcceptAttempt(task, desc, process)()
 
     def _sys_connect(self, task, thread, process, fd, host, port, path) -> None:
         ep = self._socket_desc(process, fd)

@@ -13,18 +13,25 @@ goes, not simulated time.  This module runs a scenario under
 When the scenario exposes a tracer (the ``obs`` trace scenarios do), its
 counters are attached to the report so host time can be read against
 simulated volume (events fired, context switches, syscalls dispatched).
+
+cProfile bills a cyclic-collector pass to whichever frame allocated when
+it triggered, so the report clocks the collector on its own line, from
+``gc.callbacks``: passes per generation and host seconds inside them.
 """
 
 from __future__ import annotations
 
 import cProfile
 import dataclasses
+import gc
 import io
 import pstats
 import time
 from typing import Callable, Optional
 
-__all__ = ["PERF_SCENARIOS", "ProfileReport", "profile_scenario", "format_report"]
+__all__ = [
+    "PERF_SCENARIOS", "CollectorClock", "ProfileReport", "profile_scenario", "format_report",
+]
 
 
 # ----------------------------------------------------------------------
@@ -130,6 +137,34 @@ class ProfileReport:
     top_functions: list[tuple[float, int, str]]
     #: Tracer counters, when the scenario returned an enabled tracer.
     counters: dict[str, float]
+    #: Cyclic-collector passes per generation (0, 1, 2) during the run.
+    collections: list[int] = dataclasses.field(default_factory=lambda: [0, 0, 0])
+    #: Host seconds spent inside those passes.
+    collector_s: float = 0.0
+
+
+class CollectorClock:
+    """Counts and times cyclic-collector passes while installed in
+    ``gc.callbacks`` (use it as a context manager)."""
+
+    def __init__(self) -> None:
+        self.collections = [0, 0, 0]
+        self.seconds = 0.0
+        self._t0 = 0.0
+
+    def __call__(self, phase: str, info: dict) -> None:
+        if phase == "start":
+            self._t0 = time.perf_counter()
+        else:
+            self.seconds += time.perf_counter() - self._t0
+            self.collections[info["generation"]] += 1
+
+    def __enter__(self) -> "CollectorClock":
+        gc.callbacks.append(self)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        gc.callbacks.remove(self)
 
 
 def _subsystem_of(filename: str) -> str:
@@ -150,11 +185,12 @@ def profile_scenario(name: str, seed: int = 0, top: int = 25) -> ProfileReport:
         )
     fn = PERF_SCENARIOS[name]
     prof = cProfile.Profile()
-    t0 = time.perf_counter()
-    prof.enable()
-    result = fn(seed)
-    prof.disable()
-    wall = time.perf_counter() - t0
+    with CollectorClock() as collector:
+        t0 = time.perf_counter()
+        prof.enable()
+        result = fn(seed)
+        prof.disable()
+        wall = time.perf_counter() - t0
 
     stats = pstats.Stats(prof, stream=io.StringIO())
     subsystems: dict[str, float] = {}
@@ -181,6 +217,8 @@ def profile_scenario(name: str, seed: int = 0, top: int = 25) -> ProfileReport:
         subsystems=dict(sorted(subsystems.items(), key=lambda kv: kv[1], reverse=True)),
         top_functions=rows[:top],
         counters=counters,
+        collections=collector.collections,
+        collector_s=collector.seconds,
     )
 
 
@@ -189,6 +227,9 @@ def format_report(report: ProfileReport) -> str:
     out = [
         f"profile {report.scenario!r} (seed {report.seed}): "
         f"{report.wall_s:.3f} s host wall, {report.total_calls} calls",
+        "collector: {} gen0 / {} gen1 / {} gen2 passes, {:.3f} s host".format(
+            *report.collections, report.collector_s
+        ),
         "",
         "host time by subsystem (tottime):",
     ]

@@ -5,7 +5,7 @@ callbacks at virtual times.  Determinism is guaranteed by breaking ties in
 (time, insertion sequence) order, so two runs with the same seed replay the
 same interleaving.
 
-Two hot-path design points (see DESIGN.md §8):
+Three hot-path design points (see DESIGN.md §8):
 
 * Heap entries are ``(time, seq, event)`` tuples, so ``heapq`` compares
   floats and ints at C speed instead of calling ``Event.__lt__``.
@@ -17,18 +17,48 @@ Two hot-path design points (see DESIGN.md §8):
   time always carry smaller sequence numbers than anything in the FIFO
   -- draining the heap first, then the FIFO, replays the exact global
   ``(time, seq)`` order the pure-heap engine produces.
+* CPython's cyclic collector is suspended while events fire (the
+  ``timeit`` pattern).  A run frees what it drops by reference counting,
+  so an automatic collection would only re-scan the live world; an
+  explicit ``gc.collect()`` still works.
 """
 
 from __future__ import annotations
 
+import gc
 import heapq
 import itertools
+import threading
 from collections import deque
 from typing import Any, Callable, Optional
 
 from repro.errors import SimulationError
 
 _new_event = object.__new__
+
+#: Runs in flight across every engine of the interpreter (inline shard
+#: backends overlap in threads), and whether the collector was enabled
+#: when the first of them began: the last one out restores it.
+_gc_lock = threading.Lock()
+_gc_runs = 0
+_gc_was_enabled = False
+
+
+def _suspend_gc() -> None:
+    global _gc_runs, _gc_was_enabled
+    with _gc_lock:
+        if not _gc_runs:
+            _gc_was_enabled = gc.isenabled()
+            gc.disable()
+        _gc_runs += 1
+
+
+def _restore_gc() -> None:
+    global _gc_runs
+    with _gc_lock:
+        _gc_runs -= 1
+        if not _gc_runs and _gc_was_enabled:
+            gc.enable()
 
 
 def _drain_cancelled(heap: list, ready: deque) -> None:
@@ -326,6 +356,7 @@ class Engine:
         ready = self._ready
         heappop = heapq.heappop
         fired = 0
+        _suspend_gc()
         try:
             while True:
                 if (heap and heap[0][2].cancelled) or (ready and ready[0].cancelled):
@@ -368,6 +399,7 @@ class Engine:
                         f"engine exceeded {max_events} events; likely a livelock"
                     )
         finally:
+            _restore_gc()
             self.events_fired += fired
             self._running = False
 
@@ -382,6 +414,7 @@ class Engine:
         ready = self._ready
         heappop = heapq.heappop
         fired = 0
+        _suspend_gc()
         try:
             while not predicate():
                 if (heap and heap[0][2].cancelled) or (ready and ready[0].cancelled):
@@ -412,5 +445,6 @@ class Engine:
                         f"engine exceeded {max_events} events waiting for predicate"
                     )
         finally:
+            _restore_gc()
             self.events_fired += fired
             self._running = False

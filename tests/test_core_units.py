@@ -372,7 +372,7 @@ def test_helper_kill_leaves_no_member_and_no_open_span():
             group.spawn(i, _sleep_then(5.0), f"helper-{i}")
         group.open_span(track, "helping", "test", "helping-span", n=2)
         yield from sys.sleep(0.5)
-        tasks = [t.task for t in group.threads.values()] + [group.watcher.task]
+        tasks = [*group.tasks.values(), group.watcher]
         group.kill()
         return tasks
 
