@@ -49,9 +49,11 @@ def test_coordinator_not_a_bottleneck(benchmark):
     ckpts = [r.checkpoint_s for r in central]
     assert max(ckpts) < 2.0 * min(ckpts), ckpts
     # the distributed coordinator cuts root barrier traffic to O(nodes):
-    # constant in the process count, and far below central at scale
+    # constant in the process count, and far below central at scale --
+    # and, since a gateway forwards the moment its node's members have
+    # all arrived, it costs no checkpoint time over the star at any size
     for c, d in zip(central, tree):
         assert d.barrier_messages <= c.barrier_messages / 2
-        assert d.checkpoint_s < 1.5 * c.checkpoint_s  # no regression
+        assert d.checkpoint_s <= c.checkpoint_s, (d.processes, d.checkpoint_s, c.checkpoint_s)
     assert tree[-1].barrier_messages == tree[0].barrier_messages
     assert tree[-1].barrier_messages < central[-1].barrier_messages / 10

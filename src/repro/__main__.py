@@ -103,11 +103,18 @@ def _trace(argv: list[str]) -> int:
           f"{sorted(ckpt_spans & set(CKPT_STAGES))}")
     print(f"  restart stages traced:    "
           f"{sorted(restart_spans & set(RESTART_STAGES))}")
+    if any(key.startswith("coord.gw_") for key in counters):
+        # a tree run: "did a barrier wait on a timer?" is answered even
+        # when the answer is no
+        counters.setdefault("coord.gw_flushes_complete", 0)
+        counters.setdefault("coord.gw_flushes_window", 0)
     for key in (
         "sim.events_fired",
         "sched.context_switches",
         "sys.total",
         "coord.barriers_released",
+        "coord.gw_flushes_complete",
+        "coord.gw_flushes_window",
         "dmtcp.drained_bytes",
         "dmtcp.refilled_bytes",
         "mtcp.pages_written",

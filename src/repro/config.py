@@ -179,10 +179,11 @@ class DmtcpSpec:
     hub_retry_after_s: float = 0.05
     # -- hierarchical coordination (repro.coord.tree; enabled via
     # DmtcpComputation(tree_fanout=N), inert otherwise) -----------------
-    #: Gateway arrival-coalescing window: a gateway batches the barrier
-    #: arrivals landing within this span into one upstream count, so the
-    #: root handles O(fanout) messages per barrier and end-to-end barrier
-    #: latency is O(depth * flush) instead of O(members).
+    #: Gateway straggler bound: a gateway forwards a barrier's count the
+    #: moment every child with a registered member has reported (so a
+    #: barrier costs depth x hop, and the root handles O(fanout) messages
+    #: per barrier); arrivals still waiting on a child this long after
+    #: the barrier's first one go up without it.
     tree_flush_s: float = 5e-4
     #: Gateway -> child heartbeat interval (supervised tree mode): each
     #: gateway probes its own children so silent subtree deaths surface

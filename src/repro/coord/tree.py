@@ -12,17 +12,37 @@ Section-6 two-level combining tree (one combiner per node).
 
 Wire protocol (framed msgs, same transport as the star)
 -------------------------------------------------------
-Upstream, a gateway aggregates the barrier verb -- arrivals landing
-within a short virtual-time window coalesce into one counted
-``barrier-count`` delta, exactly the distributed barrier the paper's
+Upstream, a gateway aggregates the barrier verb into one counted
+``barrier-count`` delta -- exactly the distributed barrier the paper's
 Section 6 proposes -- and forwards every identity-bearing verb (hello,
 ckpt-done, ckpt-failed, ...) verbatim, caching each hello it relays.
 The root therefore keys tree members by ``(host, vpid)`` rather than by
 connection, and no envelope or routing layer exists.
 
+A barrier's count goes up the moment every child with a registered
+member at or below it has reported (the reduction-tree rule: a count
+of reporting children against a count of registered ones, O(1) per
+arrival).  The ``tree_flush_s`` window, opened by a barrier's first
+arrival, bounds stragglers: a child that registered after the round
+began, a slow child, or a child whose death is not yet seen gets the
+others' arrivals forwarded when the window closes.  At a top-level
+gateway it also caps the frames into the root, the one dispatcher the
+whole tree shares: at most one count per barrier goes up on completion
+within an open window, and arrivals behind it ride the window's close.
+That matters on restart, where each restored member registers just
+before it arrives, so a subtree is "whole" after every arrival and a
+bare count rule sends the root one frame per member (3 911 instead of
+446 on a 4096-member restart; at 32k the root's queue of them delayed
+the release).  A gateway's own fan-in is bounded by its fanout and its
+node's members, so below the top level every completion goes up at
+once.  A barrier therefore costs ``depth x hop`` when the subtree is
+whole, and at most one window per level when not.
+
 Downstream there are only broadcasts (do-checkpoint, abort, die: one
 copy per gateway, fanned to every child) and per-name barrier releases
-(each gateway releases exactly the children that contributed).
+(each gateway releases exactly the children that contributed).  Both
+reach child gateways before local members: the deeper subtree is the
+one the next barrier waits for.
 
 Failure semantics: a gateway that loses a *member* child reports
 ``member-gone`` with the barrier names already counted upstream, so the
@@ -132,6 +152,9 @@ def make_gateway_program(tracer=None):
             "parent": (parent_host, parent_port),
             "hostname": hostname,
             "flush_s": flush_s,
+            #: a top-level gateway feeds the root, the one dispatcher the
+            #: whole tree shares: only it caps its counts at one a window
+            "root_facing": parent_port != GATEWAY_PORT,
             "supervise": supervise,
             #: reconnect schedule: the shared resilience policy, seeded
             #: by this gateway's hostname so sibling gateways orphaned by
@@ -155,13 +178,20 @@ def make_gateway_program(tracer=None):
             #: hello that passed through here, for replay after an
             #: upstream reconnect and for member-gone reports
             "hellos": {},
+            #: child fd -> members registered at or below it; a barrier
+            #: is complete once len(this) children have reported
+            "registered": {},
             #: per-barrier bookkeeping, all cleared on release or abort
             "waiting": {},  # name -> set of member fds awaiting release
             "relay_children": {},  # name -> set of child-gateway fds
             "pending_m": {},  # name -> member fds arrived, not yet flushed
             "flushed_m": {},  # name -> member fds whose arrival went up
             "pending_n": {},  # name -> aggregated child-gateway count
-            "flush_scheduled": False,
+            #: name -> sequence number of its open window, and (root-
+            #: facing only) the names whose count already went up in it
+            "windows": {},
+            "window_seq": 0,
+            "sent": set(),
         }
         up_fd = yield from sys.socket()
         yield from connect_retry(sys, up_fd, parent_host, parent_port)
@@ -170,13 +200,13 @@ def make_gateway_program(tracer=None):
         lfd = yield from sys.socket()
         yield from sys.bind(lfd, port)
         yield from sys.listen(lfd, backlog=1024)
-        yield from sys.thread_create(_gw_uplink, gw, gw["up_gen"])
+        yield from sys.thread_create(_gw_uplink, gw, gw["up_gen"], detached=True)
         if supervise:
             yield from sys.thread_create(_gw_heartbeat, gw, heartbeat_s)
         while True:
             cfd = yield from sys.accept(lfd)
             gw["children"][cfd] = {"gateway": False}
-            yield from sys.thread_create(_gw_downlink, gw, cfd)
+            yield from sys.thread_create(_gw_downlink, gw, cfd, detached=True)
 
     return gateway_main
 
@@ -197,30 +227,57 @@ def _gw_up_send(sys: Sys, gw: dict, message: dict):
 
 
 def _gw_clear_barriers(gw: dict) -> None:
-    for key in ("waiting", "relay_children", "pending_m", "flushed_m", "pending_n"):
+    for key in (
+        "waiting", "relay_children", "pending_m", "flushed_m", "pending_n",
+        "windows", "sent",
+    ):
         gw[key].clear()
 
 
+def _gw_register(gw: dict, message: dict, cfd: int) -> None:
+    """Cache a member's identity frame; count it against its child."""
+    key = (message["host"], message["vpid"])
+    old = gw["hellos"].get(key)
+    if old is None or old["cfd"] != cfd:
+        _gw_forget(gw, key)  # a restored member's hello on a new connection
+        gw["registered"][cfd] = gw["registered"].get(cfd, 0) + 1
+    gw["hellos"][key] = {"msg": message, "cfd": cfd}
+
+
+def _gw_forget(gw: dict, key: tuple) -> None:
+    """Drop a member's cached identity and its count against its child."""
+    entry = gw["hellos"].pop(key, None)
+    if entry is None:
+        return
+    cfd = entry["cfd"]
+    left = gw["registered"][cfd] - 1
+    if left:
+        gw["registered"][cfd] = left
+    else:
+        del gw["registered"][cfd]
+
+
 def _gw_downlink(sys: Sys, gw: dict, cfd: int):
-    """Serve one child: aggregate its barrier verb, forward the rest."""
+    """Serve one child: aggregate its barrier verb, forward the rest.
+    The child's descriptor is closed once its departure is reported."""
     asm = FrameAssembler()
     while True:
         result = yield from recv_frame(sys, cfd, asm)
         if result is None:
             yield from _gw_child_gone(sys, gw, cfd)
-            return
+            break
         message = result[0]
         kind = message["kind"]
         if kind == P.MSG_BARRIER:
             name = message["name"]
             gw["waiting"].setdefault(name, set()).add(cfd)
             gw["pending_m"].setdefault(name, set()).add(cfd)
-            yield from _gw_schedule_flush(sys, gw)
+            yield from _gw_arrived(sys, gw, name)
         elif kind == P.MSG_BARRIER_COUNT:
             name = message["name"]
             gw["pending_n"][name] = gw["pending_n"].get(name, 0) + message["n"]
             gw["relay_children"].setdefault(name, set()).add(cfd)
-            yield from _gw_schedule_flush(sys, gw)
+            yield from _gw_arrived(sys, gw, name)
         elif kind == P.MSG_GW_HELLO:
             # subtree shape is private: remember, don't forward
             gw["children"][cfd]["gateway"] = True
@@ -228,61 +285,95 @@ def _gw_downlink(sys: Sys, gw: dict, cfd: int):
             # re-registrations refresh the cached identity frame, so an
             # upstream replay after a *second* failover carries the
             # member's freshest generation and checkpoint lineage
-            gw["hellos"][(message["host"], message["vpid"])] = {
-                "msg": message,
-                "cfd": cfd,
-            }
+            _gw_register(gw, message, cfd)
             yield from _gw_up_send(sys, gw, message)
         elif kind == P.MSG_MEMBER_GONE:
-            gw["hellos"].pop((message["host"], message["vpid"]), None)
+            _gw_forget(gw, (message["host"], message["vpid"]))
             yield from _gw_up_send(sys, gw, message)
+            yield from _gw_recheck(sys, gw)
         elif kind == P.MSG_SUBTREE_GONE:
             for host, vpid in message.get("members", ()):
-                gw["hellos"].pop((host, vpid), None)
+                _gw_forget(gw, (host, vpid))
             yield from _gw_up_send(sys, gw, message)
         elif kind == P.MSG_PING or kind == P.MSG_PONG:
             pass  # liveness is the send itself
         elif kind == P.MSG_GOODBYE:
             yield from _gw_child_gone(sys, gw, cfd, goodbye=True)
-            return
+            break
         else:
             # ckpt-done, ckpt-failed, restart records, future verbs: the
             # tree is transparent to everything it does not aggregate
             yield from _gw_up_send(sys, gw, message)
+    yield from sys.close(cfd)
 
 
-def _gw_schedule_flush(sys: Sys, gw: dict):
-    """Coalesce arrivals: one flush fires ``flush_s`` after the first
-    pending arrival, sending a single counted delta per barrier."""
-    if gw["flush_scheduled"]:
-        return
-    gw["flush_scheduled"] = True
-    yield from sys.thread_create(_gw_flush_timer, gw)
+def _gw_complete(gw: dict, name: str) -> bool:
+    """Has every child with a registered member reported for ``name``?"""
+    reported = len(gw["waiting"].get(name, ())) + len(
+        gw["relay_children"].get(name, ())
+    )
+    return reported >= len(gw["registered"])
 
 
-def _gw_flush_timer(sys: Sys, gw: dict):
-    yield from sys.sleep(gw["flush_s"])
-    gw["flush_scheduled"] = False
+def _gw_arrived(sys: Sys, gw: dict, name: str):
+    """An arrival landed: forward the count now if the subtree is whole
+    (and, root-facing, no count for ``name`` went up in the open
+    window); otherwise it waits for the window, which opens now if none
+    is."""
+    if _gw_complete(gw, name) and name not in gw["sent"]:
+        yield from _gw_flush(sys, gw, name, complete=True)
+    if name not in gw["windows"]:
+        gw["window_seq"] += 1
+        gw["windows"][name] = gw["window_seq"]
+        yield from sys.thread_create(
+            _gw_window, gw, name, gw["window_seq"], detached=True
+        )
+
+
+def _gw_recheck(sys: Sys, gw: dict):
+    """A child left: any barrier it was holding back may be whole now."""
     for name in sorted(set(gw["pending_m"]) | set(gw["pending_n"])):
-        moved = gw["pending_m"].pop(name, set())
-        n = len(moved) + gw["pending_n"].pop(name, 0)
-        if not n:
-            continue
-        if moved:
-            gw["flushed_m"].setdefault(name, set()).update(moved)
-        _gw_count(gw, "coord.gw_flushes")
-        yield from _gw_up_send(sys, gw, P.msg(P.MSG_BARRIER_COUNT, name=name, n=n))
+        if _gw_complete(gw, name) and name not in gw["sent"]:
+            yield from _gw_flush(sys, gw, name, complete=True)
+
+
+def _gw_window(sys: Sys, gw: dict, name: str, seq: int):
+    """Close the window ``flush_s`` after it opened and forward what
+    collected in it (stragglers, or arrivals behind a count that already
+    went up), unless the release or an abort closed it first."""
+    yield from sys.sleep(gw["flush_s"])
+    if gw["windows"].get(name) == seq:
+        del gw["windows"][name]
+        gw["sent"].discard(name)
+        yield from _gw_flush(sys, gw, name, complete=False)
+
+
+def _gw_flush(sys: Sys, gw: dict, name: str, complete: bool):
+    """Send one barrier's pending arrivals upstream as a single count."""
+    moved = gw["pending_m"].pop(name, set())
+    n = len(moved) + gw["pending_n"].pop(name, 0)
+    if not n:
+        return
+    if moved:
+        gw["flushed_m"].setdefault(name, set()).update(moved)
+    if complete and gw["root_facing"]:
+        gw["sent"].add(name)
+    _gw_count(
+        gw, "coord.gw_flushes_complete" if complete else "coord.gw_flushes_window"
+    )
+    yield from _gw_up_send(sys, gw, P.msg(P.MSG_BARRIER_COUNT, name=name, n=n))
 
 
 def _gw_release(sys: Sys, gw: dict, name: str):
-    """Fan one barrier release down to everyone who contributed."""
+    """Fan one barrier release down to everyone who contributed, child
+    gateways first: their subtrees are the deeper ones."""
     members = sorted(gw["waiting"].pop(name, set()))
     relays = sorted(gw["relay_children"].pop(name, set()))
-    gw["pending_m"].pop(name, None)
-    gw["flushed_m"].pop(name, None)
-    gw["pending_n"].pop(name, None)
+    for key in ("pending_m", "flushed_m", "pending_n", "windows"):
+        gw[key].pop(name, None)
+    gw["sent"].discard(name)
     release = P.msg(P.MSG_BARRIER_RELEASE, name=name)
-    for fd in members + relays:
+    for fd in relays + members:
         try:
             yield from send_frame(sys, fd, release, P.CTL_FRAME_BYTES)
         except SyscallError:
@@ -290,8 +381,9 @@ def _gw_release(sys: Sys, gw: dict, name: str):
 
 
 def _gw_fan_down(sys: Sys, gw: dict, message: dict):
-    """Broadcast a verb to every child (members and child gateways)."""
-    for cfd in sorted(gw["children"]):
+    """Broadcast a verb to every child, child gateways before members."""
+    children = gw["children"]
+    for cfd in sorted(children, key=lambda fd: (not children[fd]["gateway"], fd)):
         try:
             yield from send_frame(sys, cfd, message, P.CTL_FRAME_BYTES)
         except SyscallError:
@@ -312,9 +404,10 @@ def _gw_child_gone(sys: Sys, gw: dict, cfd: int, goodbye: bool = False):
     if info is None:
         return  # already handled by the heartbeat or a failed send
     if info["gateway"]:
+        # no completion re-check: the root aborts the round on subtree-gone
         members = sorted(k for k, v in gw["hellos"].items() if v["cfd"] == cfd)
         for key in members:
-            gw["hellos"].pop(key, None)
+            _gw_forget(gw, key)
         for fds in gw["relay_children"].values():
             fds.discard(cfd)
         _gw_count(gw, "coord.gw_subtrees_lost")
@@ -331,7 +424,7 @@ def _gw_child_gone(sys: Sys, gw: dict, cfd: int, goodbye: bool = False):
     key = next((k for k, v in gw["hellos"].items() if v["cfd"] == cfd), None)
     if key is None:
         return  # never said hello; the root does not know it exists
-    gw["hellos"].pop(key, None)
+    _gw_forget(gw, key)
     _gw_count(gw, "coord.gw_members_lost")
     yield from _gw_up_send(
         sys,
@@ -344,6 +437,7 @@ def _gw_child_gone(sys: Sys, gw: dict, cfd: int, goodbye: bool = False):
             goodbye=goodbye,
         ),
     )
+    yield from _gw_recheck(sys, gw)
 
 
 def _gw_heartbeat(sys: Sys, gw: dict, interval: float):
@@ -433,6 +527,6 @@ def _gw_upstream_lost(sys: Sys, gw: dict, gen: int):
                 sys, gw, dict(entry["msg"], kind=P.MSG_REREGISTER)
             )
         _gw_count(gw, "coord.gw_reconnects")
-        yield from sys.thread_create(_gw_uplink, gw, gw["up_gen"])
+        yield from sys.thread_create(_gw_uplink, gw, gw["up_gen"], detached=True)
         return
     yield from sys.exit(1)  # upstream never came back

@@ -264,7 +264,7 @@ def make_coordinator_program(state: CoordinatorState):
             yield from sys.thread_create(_heartbeat, state)
         while True:
             cfd = yield from sys.accept(lfd)
-            yield from sys.thread_create(_handle_connection, state, cfd)
+            yield from sys.thread_create(_handle_connection, state, cfd, detached=True)
 
     return coordinator_main
 
@@ -424,15 +424,18 @@ def _abort_in_flight(sys: Sys, state: CoordinatorState, reason: str):
 
 
 def _handle_connection(sys: Sys, state: CoordinatorState, cfd: int):
+    """Serve one connection until it leaves, then close our end: a
+    departed member, restarter or command client holds no descriptor."""
     asm = FrameAssembler()
     while True:
         result = yield from recv_frame(sys, cfd, asm)
         if result is None:
             yield from _handle_disconnect(sys, state, cfd)
-            return
+            break
         keep = yield from _dispatch_message(sys, state, cfd, result[0])
         if not keep:
-            return
+            break
+    yield from sys.close(cfd)
 
 
 def _dispatch_message(sys: Sys, state: CoordinatorState, cfd: int, message: dict):

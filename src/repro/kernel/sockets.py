@@ -71,12 +71,19 @@ class SocketEndpoint(Description):
         self.close_endpoint()
 
     def close_endpoint(self) -> None:
-        """Half-close towards the peer (FIN after data in flight lands)."""
+        """Half-close towards the peer (FIN after data in flight lands).
+
+        The second end to close unlinks the pair: no descriptor holds
+        either end any more, and a linked pair would be a reference cycle
+        per connection (DESIGN.md §8).
+        """
         if self.closed:
             return
         self.closed = True
         peer = self.peer
-        if peer is not None and not peer.closed:
+        if peer is not None and peer.closed:
+            self.peer = peer.peer = None
+        elif peer is not None:
             fin = getattr(peer, "fabric_fin", None)
             if fin is not None:
                 # cross-shard peer: the FIN becomes a fabric message whose

@@ -136,9 +136,15 @@ class Sys:
         return (yield Call("nodes"))
 
     # -- threads and synchronization -------------------------------------
-    def thread_create(self, fn, *args: Any):
-        """Start ``fn(sys, *args)`` as a new thread; returns its tid."""
-        return (yield Call("thread_create", (fn, *args)))
+    def thread_create(self, fn, *args: Any, detached: bool = False):
+        """Start ``fn(sys, *args)`` as a new thread; returns its tid.
+
+        A ``detached`` thread cannot be joined and leaves its process
+        when it finishes (``pthread_detach``): a server's per-connection
+        and per-timer threads use it so finished ones do not pile up.
+        """
+        kwargs = {"detached": True} if detached else _NO_KWARGS
+        return (yield Call("thread_create", (fn, *args), kwargs))
 
     def thread_join(self, tid: int):
         """Block until thread ``tid`` finishes."""

@@ -466,12 +466,14 @@ class World:
         return thread
 
     def spawn_thread(
-        self, process: Process, gen, name: str, kind: str = "user"
+        self, process: Process, gen, name: str, kind: str = "user",
+        detached: bool = False,
     ) -> Thread:
         """Start an extra thread in ``process`` driving ``gen``.
 
-        A manager-kind thread retires when its task finishes; a user
-        thread stays listed, for ``thread_join`` to find by tid.
+        A manager-kind or detached thread retires when its task finishes;
+        any other user thread stays listed, for ``thread_join`` to find
+        by tid.
         """
         thread = Thread(process, name, kind=kind)
         process.add_thread(thread)
@@ -480,7 +482,7 @@ class World:
         )
         task.context = thread
         thread.task = task
-        if kind == "manager":
+        if kind == "manager" or detached:
             task.done_future.add_done(thread.retire)
         return thread
 
@@ -542,14 +544,19 @@ class World:
     def destroy_process(self, process: Process, keep_continuations: bool = False) -> None:
         """Hard kill from outside (cluster failure / checkpoint teardown).
 
-        With ``keep_continuations`` the thread tasks are left frozen and
-        sealed -- the restart path thaws them inside rebuilt processes.
+        With ``keep_continuations`` the user threads' tasks are left
+        frozen and sealed -- the restart path thaws them inside rebuilt
+        processes.  Manager-kind threads are dropped: an image never holds
+        one (the restored process starts a fresh manager).
         """
         if process.state == "dead":
             return
         if keep_continuations:
             for thread in process.live_threads:
                 task = thread.task
+                if thread.kind == "manager":
+                    task.drop()
+                    continue
                 if task.state is not TaskState.FROZEN and not task.done:
                     task.freeze()
                 task.seal()
@@ -925,9 +932,11 @@ class World:
     # ------------------------------------------------------------------
     # Threads and semaphores
     # ------------------------------------------------------------------
-    def _sys_thread_create(self, task, thread, process, fn, *args) -> None:
+    def _sys_thread_create(self, task, thread, process, fn, *args, detached=False) -> None:
         name = f"{process.program}[{process.pid}]-t{process.threads_started}"
-        new_thread = self.spawn_thread(process, fn(process.sys, *args), name)
+        new_thread = self.spawn_thread(
+            process, fn(process.sys, *args), name, detached=detached
+        )
         task.complete_call(new_thread.tid)
 
     def _sys_thread_join(self, task, thread, process, tid) -> None:

@@ -7,7 +7,7 @@ are deterministic: the same name and seed produce the same trace.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Optional
 
 from repro.cluster import build_cluster
 from repro.core.launch import DmtcpComputation
@@ -46,7 +46,9 @@ def _pingpong_apps(world) -> None:
     world.register_program("trace_client", client_main)
 
 
-def ckpt_restart(seed: int = 0, store: bool = False) -> Tracer:
+def ckpt_restart(
+    seed: int = 0, store: bool = False, tree_fanout: Optional[int] = None
+) -> Tracer:
     """2-node checkpoint -> kill -> restart of a communicating pair.
 
     Covers all 5 checkpoint stages (suspend/elect/drain/write/refill),
@@ -54,12 +56,15 @@ def ckpt_restart(seed: int = 0, store: bool = False) -> Tracer:
     every coordinator barrier, and the MTCP write path -- with ``store``
     the chunk-store one, whose ``store.lease_wait`` span on each
     ``<host>/mtcp[<vpid>]`` track separates waiting for the generation's
-    lease from compressing and pushing the leased chunks.
+    lease from compressing and pushing the leased chunks.  With
+    ``tree_fanout`` the barriers travel through the gateway tree, and the
+    ``coord.gw_flushes_complete`` / ``coord.gw_flushes_window`` counters
+    say whether any barrier waited on the straggler window.
     """
     world = build_cluster(n_nodes=2, seed=seed)
     world.tracer.enable()
     _pingpong_apps(world)
-    comp = DmtcpComputation(world, store=store)
+    comp = DmtcpComputation(world, store=store, tree_fanout=tree_fanout)
     comp.launch("node00", "trace_server")
     comp.launch("node01", "trace_client")
     world.engine.run(until=0.5)
@@ -102,6 +107,8 @@ def migrate(seed: int = 0) -> Tracer:
 SCENARIOS: dict[str, Callable[[int], Tracer]] = {
     "ckpt-restart": ckpt_restart,
     "store": lambda seed: ckpt_restart(seed, store=True),
+    # fanout 1 on two nodes: a two-deep gateway chain
+    "tree": lambda seed: ckpt_restart(seed, tree_fanout=1),
     "checkpoint": checkpoint_only,
     "migrate": migrate,
 }

@@ -160,7 +160,7 @@ def _make_hub_program(hub: CoordinatorHub):
         yield from sys.thread_create(_hub_heartbeat, hub)
         while True:
             cfd = yield from sys.accept(lfd)
-            yield from sys.thread_create(_hub_connection, hub, cfd)
+            yield from sys.thread_create(_hub_connection, hub, cfd, detached=True)
 
     return hub_main
 
@@ -171,10 +171,16 @@ def _hub_connection(sys: Sys, hub: CoordinatorHub, cfd: int):
     The first frame's ``tenant`` field binds the connection; a frame
     without one (or naming an unknown tenant) drops the connection --
     single-tenant clients belong on a plain coordinator, not the hub.
+
+    The reader closes the connection at its EOF, after queueing the
+    disconnect: the peer is gone, so a send the dispatcher makes before
+    it applies the disconnect fails either way, and the close stays off
+    the dispatcher's critical path.
     """
     asm = FrameAssembler()
     tenant: Optional[str] = None
     admitted = False
+    said_goodbye = False
     while True:
         result = yield from recv_frame(sys, cfd, asm)
         if result is None:
@@ -183,9 +189,12 @@ def _hub_connection(sys: Sys, hub: CoordinatorHub, cfd: int):
                 # coordinator state dropped the cfd, so a second
                 # disconnect would be noise -- consume the tombstone
                 hub.finished.discard(cfd)
-            elif tenant is not None and admitted:
+            elif tenant is not None and admitted and not said_goodbye:
                 yield from _enqueue(sys, hub, (tenant, cfd, None))
+            yield from sys.close(cfd)
             return
+        if said_goodbye:
+            continue  # the dispatcher drops the connection at the goodbye
         message = result[0]
         if tenant is None:
             tenant = message.get("tenant")
@@ -217,11 +226,10 @@ def _hub_connection(sys: Sys, hub: CoordinatorHub, cfd: int):
             continue
         admitted = True
         yield from _enqueue(sys, hub, (tenant, cfd, message))
-        if message.get("kind") == P.MSG_GOODBYE:
-            # the dispatcher will drop the connection when it applies
-            # this frame; stop reading now rather than waiting for the
-            # peer's close to enqueue a redundant disconnect
-            return
+        # the dispatcher drops the connection when it applies a goodbye;
+        # read on only to close at the peer's EOF, which then queues no
+        # redundant disconnect
+        said_goodbye = message.get("kind") == P.MSG_GOODBYE
 
 
 def _enqueue(sys: Sys, hub: CoordinatorHub, item: tuple):
@@ -318,8 +326,8 @@ def _apply_tenant(sys: Sys, hub: CoordinatorHub, state: CoordinatorState, items:
             if not keep and message["kind"] != P.MSG_GOODBYE:
                 # retired mid-stream (dead store peer): tombstone the cfd so
                 # the reader's eventual EOF does not re-disconnect it.
-                # GOODBYE needs no tombstone -- the reader stopped at the
-                # frame itself and will never report an EOF
+                # GOODBYE needs no tombstone -- the reader queues nothing
+                # after the frame itself
                 hub.finished.add(cfd)
     yield from flush()
 

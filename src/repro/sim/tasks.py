@@ -344,8 +344,10 @@ class Task:
         """Abandon the task entirely without closing its generator.
 
         Used when a checkpointed process image is discarded; the generator
-        is simply released to the garbage collector.
+        is simply released to the garbage collector.  The task leaves the
+        scheduler's live set at once.
         """
+        self._scheduler.tasks.discard(self)
         if self._resume_event is not None:
             self._resume_event.cancel()
             self._resume_event = None
@@ -364,7 +366,6 @@ class Task:
         collector finds the abandoned frame.
         """
         self.drop()
-        self._scheduler.tasks.discard(self)
         self.gen.close()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
