@@ -314,6 +314,9 @@ def _service(argv: list[str]) -> int:
     print(f"  per-message p50 {p['ckpt_latency_p50_s'] * 1e3:7.2f} ms  "
           f"p99 {p['ckpt_latency_p99_s'] * 1e3:7.2f} ms")
     print(f"  p99 speedup from batching: {report['p99_ratio']:g}x")
+    print(f"  longest dispatcher hold: batched "
+          f"{b['hub']['apply_max_s'] * 1e3:.3f} ms, per-message "
+          f"{p['hub']['apply_max_s'] * 1e3:.3f} ms")
     for mode, m in (("batched", b), ("per-message", p)):
         print(f"  [{mode}] evictions recovered {m['eviction_recoveries']}, "
               f"lost work max {m['lost_work_max_s']:g}s "

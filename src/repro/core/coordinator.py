@@ -13,6 +13,7 @@ can write to any member connection without interleaving torn frames.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
@@ -118,8 +119,13 @@ class CoordinatorState:
     pending_command_fds: list[int] = field(default_factory=list)
     records: list[CheckpointRecord] = field(default_factory=list)
     images_by_host: dict[str, list[str]] = field(default_factory=dict)
-    #: completed checkpoints, newest last
+    #: completed checkpoints, newest last.  An outcome is recorded here
+    #: only once its restart script is on disk (see :func:`_publish`).
     history: list[CheckpointOutcome] = field(default_factory=list)
+    #: finished checkpoints awaiting publication, oldest first:
+    #: ``(outcome, command fds owed an "ok")``.  Non-empty exactly while
+    #: one detached publisher thread drains it.
+    unpublished: deque = field(default_factory=deque)
     #: restart machinery
     restarter_fds: set = field(default_factory=set)
     restart_total: int = 0
@@ -195,12 +201,34 @@ class CoordinatorState:
     #: command client's bounded retry loop.
     busy_retry_after_s: float = 0.5
 
+    @property
+    def track(self) -> str:
+        """The coordinator's tracer track; tenant-qualified in service
+        mode so concurrent tenants' spans never share (and corrupt) a
+        stack."""
+        return f"coordinator[{self.tenant}]" if self.tenant else "coordinator"
+
     def barrier_track(self, name: str) -> str:
-        """Tracer track for one barrier; tenant-qualified in service mode
-        so concurrent tenants' spans never share (and corrupt) a stack."""
+        """Tracer track for one barrier."""
+        return f"{self.track}/barrier:{name}"
+
+    @property
+    def script_path(self) -> str:
+        """Where the restart script lands on the coordinator's host: a
+        hub tenant's goes under its own checkpoint directory, since every
+        tenant shares the hub's host."""
         if self.tenant:
-            return f"coordinator[{self.tenant}]/barrier:{name}"
-        return f"coordinator/barrier:{name}"
+            return f"/tmp/dmtcp/{self.tenant}/dmtcp_restart_script.sh"
+        return "/tmp/dmtcp/dmtcp_restart_script.sh"
+
+    @property
+    def checkpoint_unrecorded(self) -> bool:
+        """A requested checkpoint is not in ``history`` yet: still in
+        flight, or finished with its publication pending.  Coordinator
+        failover retries exactly these."""
+        if self.phase == "checkpoint":
+            return True
+        return bool(self.unpublished) and self.unpublished[-1][0] is not self.last_checkpoint
 
     def drop_barriers(self) -> None:
         """Forget every open barrier, closing its tracer span as aborted."""
@@ -217,6 +245,11 @@ class CoordinatorState:
         process's connections.  History, the restart discovery service's
         knowledge, the store and the supervision settings survive."""
         self.drop_barriers()
+        if self.tracer is not None and self.tracer.open_spans(self.track):
+            self.tracer.end(
+                self.track, "publish", cat="coord", tenant=self.tenant or None, aborted=True,
+            )
+        self.unpublished = deque()  # the publisher died with the process
         self.members = {}
         self.restarter_fds = set()
         self.gateway_fds = set()
@@ -907,6 +940,14 @@ def _ckpt_done(sys: Sys, state: CoordinatorState, cfd: int, message: dict):
 
 
 def _finish_checkpoint(sys: Sys, state: CoordinatorState):
+    """Close the round: stamp it, go idle, and queue it for publication.
+
+    This runs on the dispatch path -- the hub's one dispatcher serves
+    every tenant -- so it makes no storage call: the restart script, the
+    history entry, the command replies and the completion callbacks are
+    the publisher's (:func:`_publish`).  A publisher is spawned only when
+    the queue was empty, so one state's generations publish in order.
+    """
     if state.phase != "checkpoint":
         return  # already finished (quorum shrank after the last record)
     now = yield from sys.time()
@@ -916,10 +957,6 @@ def _finish_checkpoint(sys: Sys, state: CoordinatorState):
         coordinator_port=state.port,
         images_by_host={h: list(v) for h, v in state.images_by_host.items()},
     )
-    # write dmtcp_restart_script.sh next to the coordinator (Section 3)
-    script_fd = yield from sys.open("/tmp/dmtcp/dmtcp_restart_script.sh", "w")
-    yield from sys.write(script_fd, len(plan.render_script()), payload=plan)
-    yield from sys.close(script_fd)
     outcome = CheckpointOutcome(
         ckpt_id=state.ckpt_id,
         started_at=state.ckpt_started_at,
@@ -928,15 +965,47 @@ def _finish_checkpoint(sys: Sys, state: CoordinatorState):
         plan=plan,
         kill=bool(state.ckpt_options.get("kill")),
     )
-    state.history.append(outcome)
     state.phase = "idle"
-    for cmd_fd in state.pending_command_fds:
-        # the command client may itself have died (node crash): never
-        # let its dead socket take the coordinator down with it
-        yield from _send_safe(sys, state, cmd_fd, P.msg("ok", ckpt_id=state.ckpt_id))
+    state.unpublished.append((outcome, state.pending_command_fds))
     state.pending_command_fds = []
-    for cb in list(state.on_checkpoint_complete):
-        cb(outcome)
+    if len(state.unpublished) == 1:
+        yield from sys.thread_create(_publish, state, detached=True)
+
+
+def _publish(sys: Sys, state: CoordinatorState):
+    """Publish finished checkpoints, oldest first, until none is left.
+
+    Per outcome: write dmtcp_restart_script.sh next to the coordinator
+    (Section 3), record it in ``history``, answer the command clients,
+    fire the completion callbacks.  The script is on disk before the
+    checkpoint counts as recorded, so a coordinator killed mid-publish
+    leaves the generation unrecorded and failover retries it.  The entry
+    leaves the queue last: a finish landing meanwhile must not spawn a
+    second publisher.
+    """
+    tracer = state.tracer
+    tenant = state.tenant or None
+    while state.unpublished:
+        outcome, cmd_fds = state.unpublished[0]
+        plan = outcome.plan
+        if tracer is not None:
+            tracer.begin(state.track, "publish", cat="coord", tenant=tenant,
+                         ckpt_id=outcome.ckpt_id)
+        script_fd = yield from sys.open(state.script_path, "w")
+        yield from sys.write(script_fd, len(plan.render_script()), payload=plan)
+        yield from sys.close(script_fd)
+        state.history.append(outcome)
+        for cmd_fd in cmd_fds:
+            # the command client may itself have died (node crash): never
+            # let its dead socket take the coordinator down with it
+            yield from _send_safe(sys, state, cmd_fd, P.msg("ok", ckpt_id=outcome.ckpt_id))
+        if tracer is not None:
+            tracer.end(state.track, "publish", cat="coord", tenant=tenant)
+            tracer.count("coord.publishes", tenant=tenant)
+        # snapshot: sinks deregister themselves as they fire
+        for cb in list(state.on_checkpoint_complete):
+            cb(outcome)
+        state.unpublished.popleft()
 
 
 def _command(sys: Sys, state: CoordinatorState, cfd: int, message: dict):

@@ -530,11 +530,12 @@ class DmtcpComputation:
         tracer = state.tracer
         # resilience layer (section 15): a checkpoint in flight when the
         # coordinator died is rolled back by the members' own recv
-        # timeouts; stamp a pending-retry record so the replacement
+        # timeouts, and one finished but not yet published has no
+        # restart script; stamp a pending-retry record so the replacement
         # coordinator re-runs it once the membership re-registers.  A
         # mid-flight *restart* needs no stamp -- its restarters exit(1)
         # and the AutoRestartSupervisor's stall retry re-drives them.
-        if state.supervise and state.phase == "checkpoint":
+        if state.supervise and state.checkpoint_unrecorded:
             state.failover_retry = {
                 "expected": state.member_count,
                 "options": dict(state.ckpt_options),

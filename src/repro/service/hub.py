@@ -119,6 +119,10 @@ class CoordinatorHub:
         self.batches = 0
         self.messages = 0
         self.max_batch = 0
+        #: longest virtual time one apply held the dispatcher (the
+        #: head-of-line wait every later frame in the queue inherits);
+        #: read off the engine clock, so it costs no simulated time
+        self.apply_max_s = 0.0
         self._rr = 0
         world.register_program("dmtcp_hub", _make_hub_program(self), _HUB_SPEC)
         self.process = world.spawn_process(self.host, "dmtcp_hub", argv=["dmtcp_hub"])
@@ -142,6 +146,7 @@ class CoordinatorHub:
             "messages": self.messages,
             "max_batch": self.max_batch,
             "mean_batch": round(self.mean_batch, 3),
+            "apply_max_s": round(self.apply_max_s, 9),
             "shed": self.shed,
             "inbox_limit": self.inbox_limit,
         }
@@ -262,7 +267,9 @@ def _hub_dispatcher(sys: Sys, hub: CoordinatorHub):
             hub.messages += len(batch)
             if len(batch) > hub.max_batch:
                 hub.max_batch = len(batch)
+            t0 = hub.world.engine.now
             yield from _apply_batch(sys, hub, batch)
+            hub.apply_max_s = max(hub.apply_max_s, hub.world.engine.now - t0)
         else:
             item = hub.pending.popleft()
             n = hub.inbox.get(item[0], 0)
@@ -277,7 +284,9 @@ def _hub_dispatcher(sys: Sys, hub: CoordinatorHub):
                 hub.max_batch = 1
             state = hub.states.get(item[0])
             if state is not None:
+                t0 = hub.world.engine.now
                 yield from _apply_tenant(sys, hub, state, [item])
+                hub.apply_max_s = max(hub.apply_max_s, hub.world.engine.now - t0)
 
 
 def _apply_batch(sys: Sys, hub: CoordinatorHub, batch: list):

@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 
 from repro.cluster import build_cluster
 from repro.config import CpuSpec
+from repro.coord import tree as tree_mod
 from repro.core import compression
+from repro.core import coordinator as coordinator_mod
 from repro.core import manager as manager_mod
 from repro.core import mtcp as mtcp_mod
 from repro.core import restart as restart_mod
@@ -26,6 +28,7 @@ from repro.errors import SyscallError
 from repro.kernel.memory import PROFILES
 from repro.kernel.syscalls import Sys
 from repro.obs import Tracer
+from repro.service import hub as hub_mod
 
 
 # ----------------------------------------------------------------------
@@ -509,3 +512,46 @@ def test_delta_chain_identifiers_stay_deleted():
     assert _chain_hits(CHAIN_SNIPPET) == (
         CHAIN_IDENTIFIERS | {".delta", ".chain", "dirty_bytes="}
     )
+
+
+#: Storage calls the coordinator's dispatch path never makes: the hub's
+#: one dispatcher serves every tenant, so a disk wait there is every
+#: tenant's wait.  Only the publisher, off that path, touches storage.
+STORAGE_SYSCALLS = frozenset({"open", "write", "read", "fsync", "rename", "unlink", "stat"})
+DISPATCH_MODULES = (coordinator_mod, tree_mod, hub_mod)
+
+#: The inline script write put back on the dispatch path.
+INLINE_WRITE = """\
+def _finish_checkpoint(sys, state):
+    script_fd = yield from sys.open(state.script_path, "w")
+"""
+
+
+def _storage_hits(source: str) -> list[int]:
+    """Lines of ``source`` with a storage syscall outside ``_publish``."""
+    hits = []
+
+    def visit(node, in_publisher):
+        for child in ast.iter_child_nodes(node):
+            inside = in_publisher or (
+                isinstance(child, ast.FunctionDef) and child.name == "_publish"
+            )
+            if (
+                not inside and isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Attribute)
+                and child.func.attr in STORAGE_SYSCALLS
+                and getattr(child.func.value, "id", None) == "sys"
+            ):
+                hits.append(child.lineno)
+            visit(child, inside)
+
+    visit(ast.parse(source), False)
+    return hits
+
+
+def test_dispatch_path_makes_no_storage_call():
+    for module in DISPATCH_MODULES:
+        assert _storage_hits(inspect.getsource(module)) == [], module.__name__
+    # the fence sees the inline write when it is put back, and only there
+    assert _storage_hits(INLINE_WRITE) == [2]
+    assert _storage_hits(INLINE_WRITE.replace("_finish_checkpoint", "_publish")) == []
