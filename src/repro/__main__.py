@@ -317,6 +317,11 @@ def _service(argv: list[str]) -> int:
     print(f"  longest dispatcher hold: batched "
           f"{b['hub']['apply_max_s'] * 1e3:.3f} ms, per-message "
           f"{p['hub']['apply_max_s'] * 1e3:.3f} ms")
+    print(f"  frame queue wait (mean / max): batched "
+          f"{b['hub']['queue_wait_mean_s'] * 1e3:.3f} / "
+          f"{b['hub']['queue_wait_max_s'] * 1e3:.3f} ms, per-message "
+          f"{p['hub']['queue_wait_mean_s'] * 1e3:.3f} / "
+          f"{p['hub']['queue_wait_max_s'] * 1e3:.3f} ms")
     for mode, m in (("batched", b), ("per-message", p)):
         print(f"  [{mode}] evictions recovered {m['eviction_recoveries']}, "
               f"lost work max {m['lost_work_max_s']:g}s "

@@ -203,12 +203,9 @@ class DmtcpSpec:
     store_repair_interval_s: float = 2.0
     # -- multi-tenant checkpoint service (repro.service; enabled via
     # TenantRegistry/CoordinatorHub, inert otherwise) --------------------
-    #: Batched coordinator protocol: flush window of the hub dispatcher.
-    #: Messages landing within one window are drained as a single batch
-    #: (the gateway MSG_BARRIER_COUNT coalescing shape, applied at the
-    #: coordinator itself).
-    service_tick_s: float = 1e-4
-    #: Fixed dispatch cost per batch (wakeup + queue scan + reply plan).
+    #: Fixed dispatch cost per batch of the hub's batched dispatcher
+    #: (wakeup + queue scan + reply plan).  A batch is every frame that
+    #: landed while the previous batch was charged and applied.
     coord_batch_overhead_s: float = 20e-6
     #: Marginal per-message cost inside a batch; amortizing the dispatch
     #: machinery across the batch is what beats ``coord_msg_s`` per-message

@@ -773,8 +773,8 @@ def _barrier_arrive_batch(
 
     ``arrivals`` holds :func:`_barrier_arrival` tuples.  The per-message
     path always passes a single entry; the multi-tenant hub's batched
-    dispatcher coalesces every arrival at one barrier within a flush
-    window into a single call -- the coordinator-side analogue of the
+    dispatcher coalesces every arrival at one barrier within a batch
+    into a single call -- the coordinator-side analogue of the
     gateway's MSG_BARRIER_COUNT aggregation.
     """
     if state.phase == "idle" and not name.startswith("restart-"):

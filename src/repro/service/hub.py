@@ -17,14 +17,17 @@ Two dispatch modes, selected per hub (the bench compares them):
   (``coord_msg_s``), and is applied alone.  Under a synchronized
   checkpoint storm the queue serializes thousands of frames and the
   tail tenant's barrier waits behind all of them, every stage.
-* **batched**: the dispatcher sleeps one flush window
-  (``service_tick_s``) after the first frame lands, then drains the
-  whole queue as a single batch charged
+* **batched**: the dispatcher drains the whole queue as one batch the
+  moment the doorbell wakes it or its last apply finishes, charges it
   ``coord_batch_overhead_s + n * coord_batch_msg_s`` -- the wakeup and
-  dispatch machinery is paid once per tick instead of once per frame
+  dispatch machinery is paid once per batch instead of once per frame
   (the gateway MSG_BARRIER_COUNT coalescing shape, applied at the
-  coordinator itself).  Same-barrier arrivals within the batch collapse
-  into one :func:`_barrier_arrive_batch` call with one release check.
+  coordinator itself) -- and applies it.  There is no flush window:
+  a batch is whatever landed while the previous one was charged and
+  applied (group commit), so batches grow with load and a lone frame
+  waits only for one batch charge.  Same-barrier arrivals within the
+  batch collapse into one :func:`_barrier_arrive_batch` call with one
+  release check.
 
 Fairness: a batch is applied tenant-by-tenant in round-robin rotation
 (the start tenant advances every batch), so one chatty tenant's frames
@@ -76,21 +79,19 @@ class CoordinatorHub:
         host: Optional[str] = None,
         port: int = 7779,
         batched: bool = True,
-        tick_s: Optional[float] = None,
     ):
         self.world = world
         self.host = host or world.machine.hostnames[0]
         self.port = port
         self.batched = batched
         spec = world.spec.dmtcp
-        self.tick_s = spec.service_tick_s if tick_s is None else tick_s
         self.msg_cost_s = spec.coord_msg_s
         self.batch_overhead_s = spec.coord_batch_overhead_s
         self.batch_msg_s = spec.coord_batch_msg_s
         #: tenant name -> that tenant's CoordinatorState
         self.states: dict[str, CoordinatorState] = {}
-        #: inbound queue: (tenant, cfd, message-or-None) -- None marks a
-        #: disconnect observed by the connection thread
+        #: inbound queue: (tenant, cfd, message-or-None, queued-at) --
+        #: None marks a disconnect observed by the connection thread
         self.pending: deque = deque()
         #: admission control: per-tenant count of queued-but-undrained
         #: frames.  A tenant at its bound gets *command* admissions shed
@@ -123,6 +124,10 @@ class CoordinatorHub:
         #: head-of-line wait every later frame in the queue inherits);
         #: read off the engine clock, so it costs no simulated time
         self.apply_max_s = 0.0
+        #: virtual time from a frame being queued to the apply that
+        #: handles it starting (engine clock, no simulated cost)
+        self.queue_wait_max_s = 0.0
+        self.queue_wait_sum_s = 0.0
         self._rr = 0
         world.register_program("dmtcp_hub", _make_hub_program(self), _HUB_SPEC)
         self.process = world.spawn_process(self.host, "dmtcp_hub", argv=["dmtcp_hub"])
@@ -147,6 +152,10 @@ class CoordinatorHub:
             "max_batch": self.max_batch,
             "mean_batch": round(self.mean_batch, 3),
             "apply_max_s": round(self.apply_max_s, 9),
+            "queue_wait_max_s": round(self.queue_wait_max_s, 9),
+            "queue_wait_mean_s": round(
+                self.queue_wait_sum_s / self.messages if self.messages else 0.0, 9
+            ),
             "shed": self.shed,
             "inbox_limit": self.inbox_limit,
         }
@@ -195,7 +204,7 @@ def _hub_connection(sys: Sys, hub: CoordinatorHub, cfd: int):
                 # disconnect would be noise -- consume the tombstone
                 hub.finished.discard(cfd)
             elif tenant is not None and admitted and not said_goodbye:
-                yield from _enqueue(sys, hub, (tenant, cfd, None))
+                yield from _enqueue(sys, hub, (tenant, cfd, None, hub.world.engine.now))
             yield from sys.close(cfd)
             return
         if said_goodbye:
@@ -230,7 +239,7 @@ def _hub_connection(sys: Sys, hub: CoordinatorHub, cfd: int):
                 return
             continue
         admitted = True
-        yield from _enqueue(sys, hub, (tenant, cfd, message))
+        yield from _enqueue(sys, hub, (tenant, cfd, message, hub.world.engine.now))
         # the dispatcher drops the connection when it applies a goodbye;
         # read on only to close at the peer's EOF, which then queues no
         # redundant disconnect
@@ -255,8 +264,9 @@ def _hub_dispatcher(sys: Sys, hub: CoordinatorHub):
             hub.idle = True
             yield from sys.sem_acquire(hub.sem_id)
         if hub.batched:
-            # flush window: let the rest of the wave land, then drain it
-            yield from sys.sleep(hub.tick_s)
+            # group commit: everything queued since the last drain is
+            # one batch; what lands while it is charged and applied
+            # waits for the next
             batch = list(hub.pending)
             hub.pending.clear()
             hub.inbox.clear()  # pending fully drained: all inboxes empty
@@ -268,6 +278,7 @@ def _hub_dispatcher(sys: Sys, hub: CoordinatorHub):
             if len(batch) > hub.max_batch:
                 hub.max_batch = len(batch)
             t0 = hub.world.engine.now
+            _note_queue_wait(hub, batch, t0)
             yield from _apply_batch(sys, hub, batch)
             hub.apply_max_s = max(hub.apply_max_s, hub.world.engine.now - t0)
         else:
@@ -282,11 +293,21 @@ def _hub_dispatcher(sys: Sys, hub: CoordinatorHub):
             hub.messages += 1
             if hub.max_batch < 1:
                 hub.max_batch = 1
+            t0 = hub.world.engine.now
+            _note_queue_wait(hub, (item,), t0)
             state = hub.states.get(item[0])
             if state is not None:
-                t0 = hub.world.engine.now
                 yield from _apply_tenant(sys, hub, state, [item])
                 hub.apply_max_s = max(hub.apply_max_s, hub.world.engine.now - t0)
+
+
+def _note_queue_wait(hub: CoordinatorHub, items, now: float) -> None:
+    """Fold each item's queued-to-applied wait into the hub's stats."""
+    for item in items:
+        wait = now - item[3]
+        hub.queue_wait_sum_s += wait
+        if wait > hub.queue_wait_max_s:
+            hub.queue_wait_max_s = wait
 
 
 def _apply_batch(sys: Sys, hub: CoordinatorHub, batch: list):
@@ -319,7 +340,7 @@ def _apply_tenant(sys: Sys, hub: CoordinatorHub, state: CoordinatorState, items:
         for name in list(arrivals):
             yield from _barrier_arrive_batch(sys, state, name, arrivals.pop(name))
 
-    for _tenant, cfd, message in items:
+    for _tenant, cfd, message, _queued_at in items:
         kind = message["kind"] if message is not None else None
         if kind == P.MSG_BARRIER or kind == P.MSG_BARRIER_COUNT:
             arrivals.setdefault(message["name"], []).append(

@@ -123,6 +123,11 @@ class ChunkStore:
         #: map is dropped when the node crashes (RAM is volatile; the
         #: disk replicas in ``ChunkMeta.present`` survive).
         self.host_cache: dict[str, dict[str, float]] = {}
+        #: Per-host ``{digest: futures}`` for chunks whose fetch to that
+        #: host is submitted but not landed: the chunk already counts as
+        #: cached there, so a second reader waits on these futures
+        #: instead of on nothing.  An entry leaves when its fetch settles.
+        self.inflight_fetch: dict[str, dict[str, tuple]] = {}
         self.stats: dict[str, float] = {
             "logical_bytes": 0.0,
             "unique_bytes": 0.0,
@@ -225,6 +230,7 @@ class ChunkStore:
         """Forget page-cache residency for a crashed host (RAM is gone;
         the durable replicas in ``ChunkMeta.present`` survive reboot)."""
         self.host_cache.pop(hostname, None)
+        self.inflight_fetch.pop(hostname, None)
 
     # ------------------------------------------------------------------
     # Metadata plane (called by the coordinator)
@@ -503,14 +509,20 @@ class ChunkStore:
     # ------------------------------------------------------------------
     def fetch(self, reader_host: str, refs: Iterable) -> tuple[list[Future], dict]:
         """Start concurrent reads of every chunk from its nearest live
-        replica; returns (futures, info).  Raises ``SyscallError(EIO)``
-        if any chunk has no live replica at all.
+        replica; returns (futures, info).  A chunk another fetch is still
+        bringing to ``reader_host`` is not read twice: its futures join
+        the returned list.  Raises ``SyscallError(EIO)`` if any chunk has
+        no live replica at all.
         """
         machine = self.world.machine
         reader = machine.node(reader_host)
         reader_rack = self.rack_of(reader_host)
-        #: (src_host, cached) -> total stored bytes, for grouped submits.
-        groups: dict[tuple[str, bool], float] = {}
+        inflight = self.inflight_fetch.setdefault(reader_host, {})
+        #: (src_host, cached) -> [total stored bytes, digests], for
+        #: grouped submits.
+        groups: dict[tuple[str, bool], list] = {}
+        #: in-flight fetches this one waits on, keyed by identity
+        joined: dict[int, tuple] = {}
         info = {"local_bytes": 0.0, "remote_bytes": 0.0, "cache_fetches": 0, "degraded": 0}
         for ref in refs:
             digest = ref[0]
@@ -520,6 +532,9 @@ class ChunkStore:
             if self._cached_on(meta, digest, reader_host):
                 info["cache_fetches"] += 1
                 self.stats["cache_hit_fetches"] += 1
+                landing = inflight.get(digest)
+                if landing is not None:
+                    joined[id(landing)] = landing
                 continue  # resident from a prior fetch/write on this host
             live = self._live_replicas(meta)
             if not live:
@@ -532,21 +547,33 @@ class ChunkStore:
             else:
                 src = next((h for h in live if self.rack_of(h) == reader_rack), live[0])
             cached = self._cached_on(meta, digest, src)
-            groups[(src, cached)] = groups.get((src, cached), 0.0) + meta.stored_bytes
+            group = groups.get((src, cached))
+            if group is None:
+                group = groups[(src, cached)] = [0.0, []]
+            group[0] += meta.stored_bytes
+            group[1].append(digest)
             if src == reader_host:
                 info["local_bytes"] += meta.stored_bytes
             else:
                 info["remote_bytes"] += meta.stored_bytes
             self._note_cached(digest, reader_host)
         futures: list[Future] = []
-        for (src_host, cached), nbytes in groups.items():
+        for (src_host, cached), (nbytes, digests) in groups.items():
             if src_host == reader_host:
-                futures.append(reader.disk.read(nbytes, cached=cached))
+                landing = (reader.disk.read(nbytes, cached=cached),)
             else:
                 src = machine.node(src_host)
-                futures.append(src.disk.read(nbytes, cached=cached))
+                read = src.disk.read(nbytes, cached=cached)
                 src.nic_tx.submit(nbytes)
-                futures.append(reader.nic_rx.submit(nbytes))
+                landing = (read, reader.nic_rx.submit(nbytes))
+            futures.extend(landing)
+            for digest in digests:
+                inflight[digest] = landing
+            landed = _FetchLanded(inflight, digests, landing)
+            for fut in landing:
+                fut.add_done(landed)
+        for landing in joined.values():
+            futures.extend(fut for fut in landing if not fut.done)
         return futures, info
 
     # ------------------------------------------------------------------
@@ -592,3 +619,26 @@ class ChunkStore:
             "lease_writers": s["lease_writers"],
             "lease_max_share": s["lease_max_share"],
         }
+
+
+class _FetchLanded:
+    """Done-callback of one grouped fetch: once all of its futures have
+    settled, its chunks are in the reader's page cache and their
+    in-flight records go (a record a later fetch replaced stays)."""
+
+    __slots__ = ("inflight", "digests", "landing", "left")
+
+    def __init__(self, inflight: dict, digests: list, landing: tuple):
+        self.inflight = inflight
+        self.digests = digests
+        self.landing = landing
+        self.left = len(landing)
+
+    def __call__(self) -> None:
+        self.left -= 1
+        if self.left:
+            return
+        inflight = self.inflight
+        for digest in self.digests:
+            if inflight.get(digest) is self.landing:
+                del inflight[digest]

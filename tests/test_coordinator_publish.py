@@ -39,8 +39,9 @@ def _file(world, host, path):
     return world.node_state(host).mounts.resolve(path).namespace.lookup(path)
 
 
-def _hub_tenants(names, batched=True, op_latency_s=None):
-    """``names`` tenants behind one hub, RANKS ranks each on its own node."""
+def _hub_tenants(names, batched=True, op_latency_s=None, ranks=RANKS):
+    """``names`` tenants behind one hub, ``ranks`` ranks each on its own
+    node."""
     spec = service_spec()
     if op_latency_s is not None:
         spec = spec.with_(disk=replace(spec.disk, op_latency_s=op_latency_s))
@@ -52,10 +53,10 @@ def _hub_tenants(names, batched=True, op_latency_s=None):
     comps = []
     for i, name in enumerate(names):
         jobs[name] = TenantJob(
-            name=name, priority=1, slots=RANKS, arrival_t=0.0, slices=100_000
+            name=name, priority=1, slots=ranks, arrival_t=0.0, slices=100_000
         )
         comp = registry.create_tenant(name)
-        for rank in range(RANKS):
+        for rank in range(ranks):
             comp.launch(
                 world.machine.hostnames[1 + i], "svc_worker",
                 argv=["svc_worker", name, str(rank)],

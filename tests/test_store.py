@@ -297,6 +297,50 @@ def test_restart_fails_fast_when_no_live_replica():
         comp.restart(out.plan)
 
 
+def _landed_at(world, futures, seen: list) -> None:
+    """Append the virtual time the last of ``futures`` settles."""
+    left = [f for f in futures if not f.done]
+    if not left:
+        seen.append(world.engine.now)
+        return
+
+    def one_done():
+        left.pop()
+        if not left:
+            seen.append(world.engine.now)
+
+    for fut in list(left):
+        fut.add_done(one_done)
+
+
+def test_second_reader_waits_for_a_chunk_still_in_flight_to_its_host():
+    """Two readers on one host fetch the same chunks.  The first fetch
+    marks them cached on the host when it submits the reads; the second
+    reader's hit must wait for those reads to land, not for nothing."""
+    world, comp = _store_world(n_nodes=3, n_procs=1)
+    out = comp.checkpoint()
+    (host, paths), = out.plan.images_by_host.items()
+    refs = _image_file(world, host, paths[0]).payload.store_refs
+    reader = next(h for h in world.machine.hostnames if h != host)
+    world.store.drop_cache(reader)
+    store = world.store
+    submitted = world.engine.now
+    first, _ = store.fetch(reader, refs)
+    hits = store.stats["cache_hit_fetches"]
+    second, info = store.fetch(reader, refs)
+    assert info["cache_fetches"] == len(refs)
+    assert store.stats["cache_hit_fetches"] == hits + len(refs)
+    landed_first, landed_second = [], []
+    _landed_at(world, first, landed_first)
+    _landed_at(world, second, landed_second)
+    world.engine.run(until=world.engine.now + 5.0)
+    assert landed_first and landed_second
+    assert landed_first[0] > submitted
+    assert landed_second[0] >= landed_first[0]
+    # the in-flight record goes once the fetch lands
+    assert not store.inflight_fetch.get(reader)
+
+
 # ----------------------------------------------------------------------
 # Guards (satellite: serial-only fail-fast; forked incompatibility)
 # ----------------------------------------------------------------------
