@@ -121,6 +121,8 @@ def _trace(argv: list[str]) -> int:
         "mtcp.write_hidden_s",
         "mtcp.stream_io_wait_s",
         "mtcp.stream_cpu_wait_s",
+        "mtcp.stream_fill_s",
+        "mtcp.stream_drain_s",
         "store.chunks_leased",
         "store.lease_max_share",
         "restart.processes_restored",

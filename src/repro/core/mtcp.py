@@ -26,6 +26,7 @@ from repro.kernel.filesystem import OpenFile
 from repro.kernel.sockets import ListenerSocket, SocketEndpoint
 from repro.kernel.streams import FrameAssembler
 from repro.kernel.syscalls import Sys, recv_frame, send_frame
+from repro.kernel.world import STREAM_EDGE_BYTES
 from repro.obs.tracer import proc_track
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -34,21 +35,12 @@ if TYPE_CHECKING:  # pragma: no cover
 #: Fixed metadata overhead per image (headers, tables), bytes.
 METADATA_BYTES = 64 * 1024
 
-#: Memory per block of the gzip <-> storage stream: block k+1 is in gzip
-#: (gunzip) while block k is on the device (why 4 MiB: DESIGN.md
-#: section 4).
-STREAM_BLOCK_BYTES = 4 * 2**20
 
-
-def _no_clock() -> float:
-    return 0.0
-
-
-def _device_block(stored: int, raw: int) -> int:
-    """Bytes on the device of one :data:`STREAM_BLOCK_BYTES` block of
+def _device_edge(stored: int, raw: int) -> int:
+    """Bytes on the device of one ``STREAM_EDGE_BYTES`` edge block of
     ``raw`` memory that is stored as ``stored`` bytes (rounded up; at
     least one, also for an image with no payload)."""
-    return max(-(-stored * STREAM_BLOCK_BYTES // max(raw, 1)), 1)
+    return max(-(-stored * STREAM_EDGE_BYTES // max(raw, 1)), 1)
 
 
 def store_enabled(env: dict) -> bool:
@@ -361,13 +353,19 @@ def _write_manifest(sys: Sys, path: str, image: CheckpointImage):
 def stream_span_args(tracer, cpu_s: float, stats) -> dict:
     """What a span around ``sys.stream`` calls closes with: ``io_wait_s``
     is the time the CPU stage sat waiting on the device, ``cpu_wait_s``
-    the reverse -- the larger one names the bottleneck."""
-    blocks, io_wait, cpu_wait = stats
+    the reverse -- the larger one names the bottleneck.  ``fill_s`` (the
+    second stage idle before its first block) and ``drain_s`` (the first
+    idle after its last) are the stream's unoverlapped ends, a share of
+    those waits."""
+    blocks, io_wait, cpu_wait, fill, drain = stats
     tracer.count("mtcp.stream_io_wait_s", io_wait)
     tracer.count("mtcp.stream_cpu_wait_s", cpu_wait)
+    tracer.count("mtcp.stream_fill_s", fill)
+    tracer.count("mtcp.stream_drain_s", drain)
     return {
         "blocks": blocks, "cpu_s": round(cpu_s, 9),
         "io_wait_s": round(io_wait, 9), "cpu_wait_s": round(cpu_wait, 9),
+        "fill_s": round(fill, 9), "drain_s": round(drain, 9),
     }
 
 
@@ -597,43 +595,30 @@ class ImageWriter:
     def _stream_memory(self, sys: Sys):
         """User memory through gzip into the file, behind the header slot.
 
-        A compressed image is cut into :data:`STREAM_BLOCK_BYTES` blocks
-        of memory and piped through ``sys.stream``: block *k*+1 is
+        Every payload is piped through ``sys.stream``.  A compressed one
+        starts and ends on one pipe buffer (``STREAM_EDGE_BYTES`` of
+        memory) and ramps up to 4 MiB blocks in between: block *k*+1 is
         gzipped while block *k* is being written, and a full disk is
-        noticed at the block it refuses.  An image of one block, or one
-        without a gzip stage, has nothing to overlap and issues the plain
-        calls: the CPU burst (gzip, or the memcpy of an uncompressed
-        image), then one write.
+        noticed at the block it refuses.  An uncompressed one has no
+        gzip child to run ahead and is one block: the memcpy of the
+        copy-in, then the write.
         """
         world = self.runtime.world
-        tracer = world.tracer
         image = self.image
         est = _estimate(
             world, image.payload_regions(), image.compressed, image.gzip_workers
         )
         self.cpu_s = cpu_s = est.compress_seconds
         nbytes = image.stored_bytes - METADATA_BYTES
-        piped = image.compressed and image.image_bytes > STREAM_BLOCK_BYTES
-        # a serial image's stage waits are clocked only under the tracer
-        clock = tracer.clock if tracer.enabled else _no_clock
-        serial_cpu = 0.0
-        if cpu_s > 0 and not piped:
-            t0 = clock()
-            yield from sys.cpu(cpu_s)
-            serial_cpu = clock() - t0
+        edge = (
+            _device_edge(image.stored_bytes, image.image_bytes)
+            if image.compressed
+            else max(nbytes, 1)
+        )
         self.fd = fd = yield from sys.open(self.target, "w")
-        if piped:
-            self.stats = yield from sys.stream(
-                fd, nbytes, cpu_s,
-                _device_block(image.stored_bytes, image.image_bytes),
-                write=True, offset=METADATA_BYTES,
-            )
-        else:
-            t0 = clock()
-            if nbytes:
-                yield from sys.write(fd, nbytes, offset=METADATA_BYTES)
-            # serial: each stage sat out the whole of the other
-            self.stats = (1, clock() - t0, serial_cpu)
+        self.stats = yield from sys.stream(
+            fd, nbytes, cpu_s, edge, write=True, offset=METADATA_BYTES
+        )
 
     def _push_chunks(self, sys: Sys):
         """Store mode: dedup against the cluster store, push unique bytes.
@@ -861,13 +846,15 @@ def restore_memory(sys: Sys, world, process, image: CheckpointImage, fd: Optiona
 
     ``fd`` is the descriptor :func:`read_image` left open, inherited
     across ``fork`` and positioned past the header.  The payload is piped
-    through ``sys.stream`` -- block *k*+1 is read while block *k* is
-    gunzipped and its pages instantiated (an uncompressed image has no
-    gunzip child to read ahead and is one block: read, then mapped) --
-    and the file closed.  A store manifest has no payload of its own
-    (and no ``fd``): its chunks are fetched from the store.  Returns
-    ``(cpu_s, (blocks, io_wait_s, cpu_wait_s))``, for
-    :func:`stream_span_args`.
+    through ``sys.stream`` and the file closed.  A compressed image
+    streams at any size: its first and last blocks are one pipe buffer
+    of memory, and block *k*+1 is read while block *k* is gunzipped and
+    its pages instantiated, so even a one-megabyte image overlaps its
+    gunzip with its read.  An uncompressed image has no gunzip child to
+    read ahead and is one block: read, then mapped.  A store manifest
+    has no payload of its own (and no ``fd``): its chunks are fetched
+    from the store.  Returns ``(cpu_s, (blocks, io_wait_s, cpu_wait_s,
+    fill_s, drain_s))``, for :func:`stream_span_args`.
 
     Private regions are re-mapped directly; shared (mmap-backed) regions
     go through the mmap syscall so the paper's backing-file rules apply
@@ -876,7 +863,7 @@ def restore_memory(sys: Sys, world, process, image: CheckpointImage, fd: Optiona
     """
     refs = image.store_refs
     nworkers = min(max(image.gzip_workers, 1), max(world.spec.cpu.cores, 1))
-    stats = (0, 0.0, 0.0)
+    stats = (0, 0.0, 0.0, 0.0, 0.0)
     if refs is not None:
         # Store mode: stream every chunk concurrently from its nearest
         # live replica (fetch submits the disk/NIC work immediately, so
@@ -905,12 +892,12 @@ def restore_memory(sys: Sys, world, process, image: CheckpointImage, fd: Optiona
         payload = image.stored_bytes - METADATA_BYTES
         # only a gunzip child in the pipe reads ahead of the process; an
         # uncompressed image is one block: read it, then map it
-        block = (
-            _device_block(payload, est.input_bytes)
+        edge = (
+            _device_edge(payload, est.input_bytes)
             if image.compressed
             else max(payload, 1)
         )
-        stats = yield from sys.stream(fd, payload, cpu_s, block)
+        stats = yield from sys.stream(fd, payload, cpu_s, edge)
         yield from sys.close(fd)
     from repro.kernel.memory import AddressSpace, PROFILES
 

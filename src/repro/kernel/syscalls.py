@@ -228,20 +228,27 @@ class Sys:
         fd: int,
         nbytes: int,
         cpu_s: float,
-        block_bytes: int,
+        edge_bytes: int,
         write: bool = False,
         payload: Any = None,
         offset: Optional[int] = None,
     ):
         """Pipe ``nbytes`` between memory and file ``fd`` through a CPU
-        stage costing ``cpu_s`` in total, ``block_bytes`` at a time: the
-        CPU works on one block while the device moves its neighbour (a
-        two-block buffer).  Writing compresses then writes (attaching
-        ``payload`` with the last block); reading reads then expands,
-        clamped to end of file.  Starts at the file offset, or at
-        ``offset`` if given.  Returns ``(blocks, io_wait_s, cpu_wait_s)``."""
+        stage costing ``cpu_s`` in total, one block at a time: the CPU
+        works on one block while the device moves its neighbour (a
+        two-block buffer).  The first and last blocks are ``edge_bytes``
+        (a pipe buffer's worth of memory, on the device); sizes double
+        from there up to ``STREAM_BLOCK_BYTES // STREAM_EDGE_BYTES`` times
+        it and halve back down at the end (``kernel.world.stream_blocks``),
+        so ``edge_bytes >= nbytes`` is one block.  Writing compresses then
+        writes (attaching ``payload`` with the last block); reading reads
+        then expands, clamped to end of file.  Starts at the file offset,
+        or at ``offset`` if given.  Returns ``(blocks, io_wait_s,
+        cpu_wait_s, fill_s, drain_s)``: the waits are measured only under
+        the tracer, ``fill_s`` is the second stage idle before its first
+        block and ``drain_s`` the first stage idle after its last."""
         return (
-            yield Call("stream", (fd, nbytes, cpu_s, block_bytes, write, payload, offset))
+            yield Call("stream", (fd, nbytes, cpu_s, edge_bytes, write, payload, offset))
         )
 
     def lseek(self, fd: int, offset: int):

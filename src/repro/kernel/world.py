@@ -96,6 +96,44 @@ class _FileIO(Completion):
         self.ok(nbytes)
 
 
+#: Memory per full block of a stream: block *k*+1 is in gzip (gunzip)
+#: while block *k* is on the device (why 4 MiB: DESIGN.md section 4.1).
+STREAM_BLOCK_BYTES = 4 * 2**20
+
+#: Memory per edge block, a stream's first and last: one Linux pipe
+#: buffer, all a gzip child has handed on when the device can start and
+#: all the device has read when a gunzip child can.
+STREAM_EDGE_BYTES = 64 * 2**10
+
+
+def stream_blocks(nbytes: int, edge: int) -> list[int]:
+    """Block sizes of an ``nbytes`` stream whose edge block is ``edge``.
+
+    Sizes double from the edge up to a peak of at most ``edge *
+    STREAM_BLOCK_BYTES // STREAM_EDGE_BYTES``, stay there, and halve back
+    to the edge over the last blocks.  The plateau holds what the two
+    ramps leave, in near-equal blocks no larger than the peak; the peak
+    is the largest that leaves the plateau at least one peak's worth.  A
+    stream of fewer than four edges has no ramp: it is cut in near-equal
+    blocks of at most one edge.
+    """
+    cap = edge * (STREAM_BLOCK_BYTES // STREAM_EDGE_BYTES)
+    peak = edge
+    # below a peak p the ramps hold 2 * (p - edge); a peak of 2p needs
+    # 2 * (2p - edge) for its ramps plus one 2p block
+    while peak < cap and nbytes >= 6 * peak - 2 * edge:
+        peak *= 2
+    ramp = []
+    size = edge
+    while size < peak:
+        ramp.append(size)
+        size *= 2
+    plateau = nbytes - 2 * (peak - edge)
+    n = -(-plateau // peak)
+    q, r = divmod(plateau, n)
+    return ramp + [q + 1] * r + [q] * (n - r) + ramp[::-1]
+
+
 class _BlockStream:
     """A double-buffered block stream between a CPU stage and the storage
     device behind an open file (see ``World._sys_stream``).
@@ -109,6 +147,12 @@ class _BlockStream:
     completions are resource callbacks: the calling task is resumed
     once, when the last block has left the second stage.
 
+    The blocks follow :func:`stream_blocks`: the unoverlapped ends of a
+    stream -- the second stage idle before its first block, the first
+    idle after its last -- are one edge block each, a pipe buffer, not a
+    full block.  Without a CPU stage there is nothing to overlap and the
+    stream is one block.
+
     A write stream into a page cache holds that cache's write-back until
     it ends (``PageCachedDisk.hold_writeback``): blocks trickling in
     under the platter's speed would otherwise all be durable when the
@@ -117,12 +161,12 @@ class _BlockStream:
 
     __slots__ = (
         "world", "current", "process", "desc", "write",
-        "payload", "left", "block", "cpu_per_byte", "ahead", "io_bytes",
+        "payload", "sizes", "cpu_per_byte", "ahead", "io_bytes",
         "waiting", "blocks", "timed", "t_cpu", "t_io", "io_wait", "cpu_wait",
-        "cache",
+        "fill", "drain", "first_done", "cache",
     )
 
-    def __init__(self, world, task, process, desc, nbytes, cpu_s, block_bytes, write, payload):
+    def __init__(self, world, task, process, desc, nbytes, cpu_s, edge_bytes, write, payload):
         self.world = world
         #: Dead once the task was killed or its kernel context sealed.
         self.current = Completion(task)
@@ -130,10 +174,8 @@ class _BlockStream:
         self.desc = desc
         self.write = write
         self.payload = payload
-        #: Bytes the first stage has not taken yet.
-        self.left = nbytes
-        # without a CPU stage there is nothing to overlap: one block
-        self.block = block_bytes if cpu_s > 0 else nbytes
+        #: Sizes of the blocks the first stage has not taken, last first.
+        self.sizes = stream_blocks(nbytes, edge_bytes)[::-1] if cpu_s > 0 else [nbytes]
         self.cpu_per_byte = cpu_s / nbytes
         #: Size of the block the first stage finished in the last step.
         self.ahead = 0
@@ -144,6 +186,7 @@ class _BlockStream:
         self.timed = world.engine._trace_hot is not None
         self.t_cpu = self.t_io = 0.0
         self.io_wait = self.cpu_wait = 0.0
+        self.fill = self.drain = self.first_done = 0.0
         #: The page cache whose write-back this stream holds, if any.
         self.cache = desc.table.page_cache(desc.mount) if write else None
         if self.cache is not None:
@@ -167,13 +210,13 @@ class _BlockStream:
         if not self._live():
             return
         ready = self.ahead
-        left = self.left
-        nxt = left if left < self.block else self.block
+        nxt = self.sizes.pop() if self.sizes else 0
         if not ready and not nxt:
             self._release()
-            self.current.ok((self.blocks, self.io_wait, self.cpu_wait))
+            self.current.ok(
+                (self.blocks, self.io_wait, self.cpu_wait, self.fill, self.drain)
+            )
             return
-        self.left = left - nxt
         self.ahead = nxt
         if nxt:
             self.blocks += 1
@@ -211,7 +254,7 @@ class _BlockStream:
             file = desc.file
             file.size = max(file.size, desc.offset)
             file.last_write_time = self.world.engine.now
-            if self.payload is not None and not self.ahead and not self.left:
+            if self.payload is not None and not self.ahead:
                 file.payload = self.payload  # the last block completes the file
         if self.timed:
             self.t_io = self.world.engine.now
@@ -235,6 +278,13 @@ class _BlockStream:
                 self.io_wait += lag
             else:
                 self.cpu_wait -= lag
+            first, second = (self.t_cpu, self.t_io) if self.write else (self.t_io, self.t_cpu)
+            if not self.ahead:  # the last step: only the second stage ran
+                self.drain = second - self.first_done
+            elif not self.sizes:  # the first stage finished its last block
+                self.first_done = first
+            if self.blocks == 1 and self.ahead:  # the first step: only the first ran
+                self.fill = first - second
         self.step()
 
 
@@ -1096,14 +1146,14 @@ class World:
         fut = desc.table.charge_read(desc.mount, n, self._page_cached(desc))
         fut.add_done(_FileIO(self, task, desc, n, fut, False))
 
-    def _sys_stream(self, task, thread, process, fd, nbytes, cpu_s, block_bytes, write, payload, offset=None) -> None:
+    def _sys_stream(self, task, thread, process, fd, nbytes, cpu_s, edge_bytes, write, payload, offset=None) -> None:
         """See :meth:`Sys.stream` and :class:`_BlockStream`; the stage
         waits in the result are measured only under the tracer."""
         desc = process.get_fd(fd)
         if not isinstance(desc, OpenFile):
             raise SyscallError("EINVAL", f"fd {fd} is not a file")
-        if block_bytes <= 0:
-            raise SyscallError("EINVAL", f"block size {block_bytes}")
+        if edge_bytes <= 0:
+            raise SyscallError("EINVAL", f"edge block size {edge_bytes}")
         if offset is not None:
             desc.offset = offset
         if write:
@@ -1112,10 +1162,12 @@ class World:
         else:
             nbytes = max(min(nbytes, desc.file.size - desc.offset), 0)
         if nbytes <= 0:  # nothing to move: the CPU stage alone
-            self._settle(task, process.node.cpu_burst(cpu_s), value=(0, 0.0, 0.0))
+            self._settle(
+                task, process.node.cpu_burst(cpu_s), value=(0, 0.0, 0.0, 0.0, 0.0)
+            )
             return
         _BlockStream(
-            self, task, process, desc, nbytes, cpu_s, block_bytes, write, payload
+            self, task, process, desc, nbytes, cpu_s, edge_bytes, write, payload
         ).step()
 
     def _sys_lseek(self, task, thread, process, fd, offset) -> None:

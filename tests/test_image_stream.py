@@ -8,6 +8,10 @@ hits it, the restart header pass plus per-child payload stream, and a
 store generation's restart, which reads one manifest and streams nothing.
 """
 
+import ast
+import inspect
+import pathlib
+import textwrap
 from dataclasses import replace
 
 import pytest
@@ -16,15 +20,19 @@ from hypothesis import strategies as st
 
 from repro.cluster import build_cluster
 from repro.config import CLUSTER_2008
-from repro.core import mtcp
+from repro.core import compression, mtcp
 from repro.core.launch import DmtcpComputation
 from repro.errors import SyscallError
 from repro.faults.supervisor import _image_file, _image_valid
 from repro.kernel.filesystem import Namespace, OpenFile
-from repro.kernel.world import HIJACK_ENV
+from repro.kernel.world import (
+    HIJACK_ENV,
+    STREAM_BLOCK_BYTES as BLOCK,
+    STREAM_EDGE_BYTES as EDGE,
+    stream_blocks,
+)
 
 MB = 2**20
-BLOCK = mtcp.STREAM_BLOCK_BYTES
 
 
 def no_failures(world):
@@ -58,7 +66,7 @@ def _run_streams(cpu_s: float, nbytes: int, streams: int, san: bool, piped: bool
         fd = yield from sys.open(path, "w")
         t0 = yield from sys.time()
         if piped:
-            yield from sys.stream(fd, nbytes, cpu_s, BLOCK, write=True, payload="img")
+            yield from sys.stream(fd, nbytes, cpu_s, EDGE, write=True, payload="img")
         else:
             yield from sys.cpu(cpu_s)
             yield from sys.write(fd, nbytes, payload="img")
@@ -67,7 +75,7 @@ def _run_streams(cpu_s: float, nbytes: int, streams: int, san: bool, piped: bool
         fd = yield from sys.open(path, "r")
         t2 = yield from sys.time()
         if piped:
-            yield from sys.stream(fd, 1 << 62, cpu_s / 2, BLOCK)
+            yield from sys.stream(fd, 1 << 62, cpu_s / 2, EDGE)
         else:
             yield from sys.read(fd, 1 << 62)
             yield from sys.cpu(cpu_s / 2)
@@ -120,6 +128,41 @@ def test_stream_is_bounded_by_its_stages_and_the_serial_reference(cpu_s, nbytes,
     assert again == piped
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    nbytes=st.integers(min_value=1, max_value=400 * MB),
+    edge=st.one_of(st.just(EDGE), st.integers(min_value=1, max_value=2 * MB)),
+)
+def test_stream_schedule_ramps_from_an_edge_block_and_back(nbytes, edge):
+    sizes = stream_blocks(nbytes, edge)
+    assert sum(sizes) == nbytes and min(sizes) > 0
+    cap = edge * (BLOCK // EDGE)
+    assert max(sizes) <= cap
+    if edge == EDGE:
+        assert max(sizes) <= 4 * MB
+    if nbytes < 4 * edge:  # too short for a ramp: near-equal, at most one edge
+        assert max(sizes) <= edge and max(sizes) - min(sizes) <= 1
+        return
+    assert sizes[0] == sizes[-1] == edge
+    # the peak: the first doubling of the edge that holds every block
+    k = 0
+    while edge << k < max(sizes):
+        k += 1
+    peak = edge << k
+    assert k > 0 and peak <= cap
+    # sizes double from the edge below the peak, and halve back to it in
+    # mirror image
+    ramp = [edge << i for i in range(k)]
+    assert sizes[:k] == ramp and sizes[len(sizes) - k:] == ramp[::-1]
+    # the plateau: near-equal blocks of at least half the peak, at most
+    # the peak
+    plateau = sizes[k:len(sizes) - k]
+    assert plateau and peak // 2 <= min(plateau) <= max(plateau) <= peak
+    assert max(plateau) - min(plateau) <= 1
+    # and the largest peak the stream has room for
+    assert peak == cap or nbytes < 6 * peak - 2 * edge
+
+
 def test_stream_without_cpu_stage_is_the_plain_transfer():
     piped, _ = _run_streams(0.0, 40 * MB, 2, san=False, piped=True)
     serial, _ = _run_streams(0.0, 40 * MB, 2, san=False, piped=False)
@@ -138,20 +181,25 @@ def test_stream_reports_blocks_and_stage_waits_under_the_tracer():
     def main(sys, argv):
         fd = yield from sys.open("/tmp/img", "w")
         t0 = yield from sys.time()
-        stats["w"] = yield from sys.stream(fd, 10 * MB + 1, 1.0, BLOCK, write=True)
+        stats["w"] = yield from sys.stream(fd, 10 * MB + 1, 1.0, EDGE, write=True)
         stats["t"] = (yield from sys.time()) - t0
 
     world.register_program("streamer", main)
     world.spawn_process("node00", "streamer")
     world.engine.run()
-    blocks, io_wait, cpu_wait = stats["w"]
-    assert blocks == 3  # 4 MiB + 4 MiB + (2 MiB + 1 byte)
+    blocks, io_wait, cpu_wait, fill, drain = stats["w"]
+    # 64 KiB doubling to a 2 MiB peak, four ~1.5 MiB blocks, halving back
+    assert blocks == len(stream_blocks(10 * MB + 1, EDGE)) == 14
     # CPU-bound: the device mostly waits for gzip, and busy + wait = elapsed
     assert cpu_wait > io_wait > 0
     io_busy = (10 * MB + 1) / CLUSTER_2008.disk.cache_write_bps
     # (elapsed also holds the two syscall entries around the stream)
     assert io_busy + cpu_wait == pytest.approx(stats["t"], abs=1e-5)
     assert 1.0 + io_wait == pytest.approx(stats["t"], abs=1e-5)
+    # the unoverlapped ends are one edge block each: the gzip of the
+    # first, the write of the last -- the CPU waits on nothing else
+    assert fill == pytest.approx(EDGE / (10 * MB + 1), abs=1e-12)
+    assert drain == io_wait == pytest.approx(EDGE / CLUSTER_2008.disk.cache_write_bps, abs=1e-12)
 
 
 def test_task_killed_mid_stream_issues_nothing_further():
@@ -160,7 +208,7 @@ def test_task_killed_mid_stream_issues_nothing_further():
 
     def main(sys, argv):
         fd = yield from sys.open("/tmp/img", "w")
-        yield from sys.stream(fd, 64 * MB, 4.0, BLOCK, write=True, payload="img")
+        yield from sys.stream(fd, 64 * MB, 4.0, EDGE, write=True, payload="img")
         finished.append(True)
 
     world.register_program("streamer", main)
@@ -193,7 +241,7 @@ def test_disk_filling_mid_stream_fails_at_that_block():
     def main(sys, argv):
         fd = yield from sys.open("/tmp/img", "w")
         try:
-            yield from sys.stream(fd, 64 * MB, 4.0, BLOCK, write=True, payload="img")
+            yield from sys.stream(fd, 64 * MB, 4.0, EDGE, write=True, payload="img")
         except SyscallError as err:
             seen["errno"] = err.errno
             seen["t"] = yield from sys.time()
@@ -222,7 +270,7 @@ def test_streamed_blocks_stay_dirty_until_the_stream_closes():
     def main(sys, argv):
         fd = yield from sys.open("/tmp/img", "w")
         # 16 MB/s into a cache that drains at 100 MB/s
-        yield from sys.stream(fd, nbytes, 4.0, BLOCK, write=True, payload="img")
+        yield from sys.stream(fd, nbytes, 4.0, EDGE, write=True, payload="img")
         seen["dirty"] = disk.dirty_bytes
         t0 = yield from sys.time()
         yield from sys.sync()
@@ -276,14 +324,22 @@ def test_multiblock_image_overlaps_gzip_with_the_write():
     (span,) = _write_spans(world)
     stored = ckpt.records[0].stored_bytes
     args = span["args"]
-    # 4 MiB of memory per block, whatever it compresses to
-    assert args["blocks"] == -(-ckpt.records[0].image_bytes // BLOCK) > 2
+    # the edge is 64 KiB of memory, whatever it compresses to
+    edge = mtcp._device_edge(stored, ckpt.records[0].image_bytes)
+    blocks = stream_blocks(stored - mtcp.METADATA_BYTES, edge)
+    assert args["blocks"] == len(blocks) > 2 and blocks[0] == blocks[-1] == edge
     write_alone = stored / world.spec.disk.cache_write_bps
     # one writer on an idle node: gzip-bound, the cache absorbs each block
     assert args["cpu_wait_s"] > args["io_wait_s"]
     assert args["cpu_s"] < span["duration"] < args["cpu_s"] + write_alone
     snap = world.tracer.snapshot()
     assert snap["mtcp.stream_cpu_wait_s"] == pytest.approx(args["cpu_wait_s"], abs=1e-8)
+    # the disk waited only for the first edge's gzip, the CPU only for
+    # the last edge's write
+    assert args["fill_s"] == pytest.approx(args["cpu_s"] * edge / (stored - mtcp.METADATA_BYTES), abs=1e-9)
+    assert args["drain_s"] == pytest.approx(edge / world.spec.disk.cache_write_bps, abs=1e-9)
+    assert snap["mtcp.stream_fill_s"] == pytest.approx(args["fill_s"], abs=1e-9)
+    assert snap["mtcp.stream_drain_s"] == pytest.approx(args["drain_s"], abs=1e-9)
     assert world.machine.node("node00").disk.bytes_written >= stored
     no_failures(world)
 
@@ -316,8 +372,10 @@ def test_shared_san_write_reads_io_bound_from_its_spans():
     no_failures(world)
 
 
-def test_one_block_and_uncompressed_images_issue_the_plain_calls():
-    """Nothing to overlap: the CPU burst, then one write -- no stream."""
+def test_small_compressed_and_uncompressed_images_are_one_stream_call():
+    """Every payload is one ``sys.stream``: a 1 MiB compressed image
+    ramps from an edge block like any other, an uncompressed one (the
+    memcpy of the copy-in, no gzip child) is one block."""
     for compression, mb in ((True, 1), (False, 64)):
         world = build_cluster(n_nodes=1, seed=3)
         world.tracer.enable()
@@ -325,10 +383,19 @@ def test_one_block_and_uncompressed_images_issue_the_plain_calls():
         comp = DmtcpComputation(world, compression=compression)
         comp.launch("node00", "bigheap")
         world.engine.run(until=0.5)
-        comp.checkpoint()
+        ckpt = comp.checkpoint()
         (span,) = _write_spans(world)
-        assert span["args"]["blocks"] == 1
-        assert "sys.stream" not in world.tracer.snapshot()
+        record = ckpt.records[0]
+        nbytes = record.stored_bytes - mtcp.METADATA_BYTES
+        if compression:
+            edge = mtcp._device_edge(record.stored_bytes, record.image_bytes)
+            assert span["args"]["blocks"] == len(stream_blocks(nbytes, edge)) > 2
+        else:
+            assert span["args"]["blocks"] == 1
+            # the write waited for the whole copy-in, and the copy-in
+            # for nothing
+            assert span["args"]["fill_s"] == pytest.approx(span["args"]["cpu_s"], abs=1e-9)
+        assert world.tracer.snapshot()["sys.stream"] == 1
         no_failures(world)
 
 
@@ -435,6 +502,15 @@ def _assert_fd_tables_match_images(world, comp, plan, host):
             assert not (isinstance(desc, OpenFile) and desc.file.path.endswith(".dmtcp"))
 
 
+def _restore_blocks(world, image) -> list:
+    """The block sizes of a compressed image's restore stream."""
+    payload = image.stored_bytes - mtcp.METADATA_BYTES
+    raw = compression.estimate_cached(
+        image.payload_regions(), world.spec.cpu, enabled=True, nworkers=1
+    ).input_bytes
+    return stream_blocks(payload, mtcp._device_edge(payload, raw))
+
+
 def test_no_image_descriptor_leaks_into_restored_processes():
     world = build_cluster(n_nodes=2, seed=11)
     world.tracer.enable()
@@ -447,9 +523,17 @@ def test_no_image_descriptor_leaks_into_restored_processes():
     comp.restart(plan=kill.plan)
     world.engine.run(until=world.engine.now + 0.5)
     _assert_fd_tables_match_images(world, comp, kill.plan, "node01")
-    # every child streamed its own payload: nine spans, each with its I/O
+    # every child streamed its own payload: nine spans, each with its I/O,
+    # ramping from an edge block although each image is under 4 MiB
     spans = [s for s in world.tracer.spans(cat="restart") if s["name"] == "restore_memory"]
-    assert len(spans) == 9 and all(s["args"]["blocks"] == 1 for s in spans)
+    images = [
+        _image_file(world, "node01", path).payload
+        for path in kill.plan.images_by_host["node01"]
+    ]
+    assert len(spans) == 9 and all(image.image_bytes < BLOCK for image in images)
+    assert sorted(s["args"]["blocks"] for s in spans) == sorted(
+        len(_restore_blocks(world, image)) for image in images
+    )
     (header_pass,) = [s for s in world.tracer.spans(cat="mtcp") if s["name"] == "image_read"]
     assert header_pass["args"] == {"n": 9, "bytes": 9 * mtcp.METADATA_BYTES}
     no_failures(world)
@@ -496,6 +580,59 @@ def test_restore_memory_stage_is_each_childs_own_span():
     (header_pass,) = {r["stages"]["image_read"] for r in outcome.records}
     assert header_pass > 0
     no_failures(world)
+
+
+def test_one_block_compressed_restore_overlaps_its_gunzip_with_its_read():
+    """An image smaller than one full block still streams: its gunzip
+    waits for the first edge block's read, not for the whole image's."""
+    world = build_cluster(n_nodes=1, seed=3)
+    world.tracer.enable()
+    world.register_program("bigheap", _bigheap(2))
+    comp = DmtcpComputation(world)
+    comp.launch("node00", "bigheap")
+    world.engine.run(until=0.5)
+    kill = comp.checkpoint(kill=True)
+    comp.restart(plan=kill.plan)
+    (span,) = [s for s in world.tracer.spans(cat="restart") if s["name"] == "restore_memory"]
+    args = span["args"]
+    (path,) = kill.plan.images_by_host["node00"]
+    image = _image_file(world, "node00", path).payload
+    assert image.image_bytes < BLOCK
+    blocks = _restore_blocks(world, image)
+    assert args["blocks"] == len(blocks) > 2
+    payload = image.stored_bytes - mtcp.METADATA_BYTES
+    read_s = payload / world.spec.disk.cache_read_bps
+    # the gunzip waited for one edge block's read, not for the image's
+    assert args["fill_s"] == pytest.approx(blocks[0] / world.spec.disk.cache_read_bps, rel=1e-6)
+    assert args["fill_s"] < read_s / 10
+    # so the two stages overlap: less than reading, then mapping
+    assert max(args["cpu_s"], read_s) <= span["duration"] < args["cpu_s"] + read_s
+    no_failures(world)
+
+
+def test_stream_memory_is_one_stream_call():
+    """The writer's serial ``cpu`` + ``write`` branch stays deleted: the
+    payload thread opens its file and streams, nothing else."""
+    source = textwrap.dedent(inspect.getsource(mtcp.ImageWriter._stream_memory))
+    yielded = [
+        node.value.func.attr
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.YieldFrom)
+    ]
+    assert yielded == ["open", "stream"]
+    calls = {
+        node.func.attr
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and getattr(node.func.value, "id", None) == "sys"
+    }
+    assert calls == {"open", "stream"}
+    package = pathlib.Path(mtcp.__file__).parents[1]
+    offenders = [
+        str(path) for path in package.rglob("*.py") if "_no_clock" in path.read_text()
+    ]
+    assert offenders == []
 
 
 def test_uncompressed_image_is_read_then_mapped_not_overlapped():
