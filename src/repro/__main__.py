@@ -103,6 +103,12 @@ def _trace(argv: list[str]) -> int:
           f"{sorted(ckpt_spans & set(CKPT_STAGES))}")
     print(f"  restart stages traced:    "
           f"{sorted(restart_spans & set(RESTART_STAGES))}")
+    # one coordinator span per checkpoint round, request to completion
+    rounds = [s for s in tracer.spans(cat="coord") if s["name"] == "checkpoint"]
+    print("  checkpoint rounds:        " + (", ".join(
+        f"{s['duration'] * 1e3:.3f} ms" + (" aborted" if (s["args"] or {}).get("aborted") else "")
+        for s in rounds
+    ) or "none"))
     if any(key.startswith("coord.gw_") for key in counters):
         # a tree run: "did a barrier wait on a timer?" is answered even
         # when the answer is no

@@ -15,9 +15,19 @@ Wire protocol (framed msgs, same transport as the star)
 Upstream, a gateway aggregates the barrier verb into one counted
 ``barrier-count`` delta -- exactly the distributed barrier the paper's
 Section 6 proposes -- and forwards every identity-bearing verb (hello,
-ckpt-done, ckpt-failed, ...) verbatim, caching each hello it relays.
+restart-done, ckpt-failed, ...) verbatim, caching each hello it relays.
 The root therefore keys tree members by ``(host, vpid)`` rather than by
 connection, and no envelope or routing layer exists.
+
+A member's done report rides its ``refilled`` arrival, and the count
+that counts the arrival carries the report up.  A report costs a
+control frame's bytes, so while the reports fit a small frame
+(``P.SMALL_FRAME_BYTES``, ``REPORTS_PER_FRAME`` reports) they ride in
+the count; past that the count goes up bare and the reports follow it
+in ``ckpt-report`` frames of that size, which a parent holds until its
+own count has gone up.  Nothing goes in front of a count: report frames
+sent ahead of it, or a count grown past the small-frame size, delay the
+barrier.
 
 A barrier's count goes up the moment every child with a registered
 member at or below it has reported (the reduction-tree rule: a count
@@ -64,13 +74,18 @@ from repro.core import protocol as P
 from repro.errors import SyscallError
 from repro.resilience import RetryPolicy
 from repro.kernel.process import ProgramSpec, RegionSpec
-from repro.kernel.streams import FrameAssembler
+from repro.kernel.streams import FRAME_HEADER_BYTES, FrameAssembler
 from repro.kernel.syscalls import Sys, connect_retry, recv_frame, send_frame
 
 __all__ = ["TreeTopology", "GATEWAY_PORT", "GATEWAY_SPEC", "make_gateway_program"]
 
 #: Every gateway listens on the same well-known port of its own node.
 GATEWAY_PORT = 7979
+
+#: Done reports per upstream frame: a report costs a control frame's
+#: bytes, and a frame, framing header included, stays small (see
+#: ``P.SMALL_FRAME_BYTES``): 7.
+REPORTS_PER_FRAME = (P.SMALL_FRAME_BYTES - FRAME_HEADER_BYTES) // P.CTL_FRAME_BYTES
 
 GATEWAY_SPEC = ProgramSpec(
     "dmtcp_gateway",
@@ -187,6 +202,11 @@ def make_gateway_program(tracer=None):
             "pending_m": {},  # name -> member fds arrived, not yet flushed
             "flushed_m": {},  # name -> member fds whose arrival went up
             "pending_n": {},  # name -> aggregated child-gateway count
+            #: done reports (record, image path) that go up with the
+            #: next ``refilled`` count: own members' and child counts'
+            "reports": [],
+            #: member fds whose ``refilled`` arrival carried a report
+            "reported": set(),
             #: name -> sequence number of its open window, and (root-
             #: facing only) the names whose count already went up in it
             "windows": {},
@@ -218,10 +238,13 @@ def _gw_count(gw: dict, name: str, value: float = 1) -> None:
 
 
 def _gw_up_send(sys: Sys, gw: dict, message: dict):
-    """Forward one frame upstream; a dead upstream is the uplink reader's
-    problem (it reconnects or aborts the subtree), so drop quietly."""
+    """Forward one frame upstream (a control frame's bytes per done
+    report it carries, at least one); a dead upstream is the uplink
+    reader's problem (it reconnects or aborts the subtree), so drop
+    quietly."""
+    nbytes = P.CTL_FRAME_BYTES * max(1, len(message.get("reports", ())))
     try:
-        yield from send_frame(sys, gw["up_fd"], message, P.CTL_FRAME_BYTES)
+        yield from send_frame(sys, gw["up_fd"], message, nbytes)
     except SyscallError:
         pass
 
@@ -229,7 +252,7 @@ def _gw_up_send(sys: Sys, gw: dict, message: dict):
 def _gw_clear_barriers(gw: dict) -> None:
     for key in (
         "waiting", "relay_children", "pending_m", "flushed_m", "pending_n",
-        "windows", "sent",
+        "windows", "sent", "reports", "reported",
     ):
         gw[key].clear()
 
@@ -270,11 +293,15 @@ def _gw_downlink(sys: Sys, gw: dict, cfd: int):
         kind = message["kind"]
         if kind == P.MSG_BARRIER:
             name = message["name"]
+            if "record" in message:
+                gw["reports"].append((message["record"], message["image_path"]))
+                gw["reported"].add(cfd)
             gw["waiting"].setdefault(name, set()).add(cfd)
             gw["pending_m"].setdefault(name, set()).add(cfd)
             yield from _gw_arrived(sys, gw, name)
         elif kind == P.MSG_BARRIER_COUNT:
             name = message["name"]
+            gw["reports"].extend(message.get("reports", ()))
             gw["pending_n"][name] = gw["pending_n"].get(name, 0) + message["n"]
             gw["relay_children"].setdefault(name, set()).add(cfd)
             yield from _gw_arrived(sys, gw, name)
@@ -295,13 +322,20 @@ def _gw_downlink(sys: Sys, gw: dict, cfd: int):
             for host, vpid in message.get("members", ()):
                 _gw_forget(gw, (host, vpid))
             yield from _gw_up_send(sys, gw, message)
+        elif kind == P.MSG_CKPT_REPORT:
+            # a child's reports follow its count: they go up behind ours,
+            # now if the child's count already went up in it
+            gw["reports"].extend(message["reports"])
+            name = P.BARRIER_REFILLED
+            if not (gw["pending_m"].get(name) or gw["pending_n"].get(name)):
+                yield from _gw_flush_reports(sys, gw)
         elif kind == P.MSG_PING or kind == P.MSG_PONG:
             pass  # liveness is the send itself
         elif kind == P.MSG_GOODBYE:
             yield from _gw_child_gone(sys, gw, cfd, goodbye=True)
             break
         else:
-            # ckpt-done, ckpt-failed, restart records, future verbs: the
+            # ckpt-report, restart-done, ckpt-failed, future verbs: the
             # tree is transparent to everything it does not aggregate
             yield from _gw_up_send(sys, gw, message)
     yield from sys.close(cfd)
@@ -361,7 +395,22 @@ def _gw_flush(sys: Sys, gw: dict, name: str, complete: bool):
     _gw_count(
         gw, "coord.gw_flushes_complete" if complete else "coord.gw_flushes_window"
     )
-    yield from _gw_up_send(sys, gw, P.msg(P.MSG_BARRIER_COUNT, name=name, n=n))
+    # the done reports of the arrivals counted here ride the count while
+    # they fit a small frame, and follow it otherwise
+    count = P.msg(P.MSG_BARRIER_COUNT, name=name, n=n)
+    if 0 < len(gw["reports"]) <= REPORTS_PER_FRAME:
+        count["reports"], gw["reports"] = gw["reports"], []
+    yield from _gw_up_send(sys, gw, count)
+    yield from _gw_flush_reports(sys, gw)
+
+
+def _gw_flush_reports(sys: Sys, gw: dict):
+    """Send the held done reports upstream, a small frame's worth each."""
+    reports, gw["reports"] = gw["reports"], []
+    for i in range(0, len(reports), REPORTS_PER_FRAME):
+        yield from _gw_up_send(
+            sys, gw, P.msg(P.MSG_CKPT_REPORT, reports=reports[i:i + REPORTS_PER_FRAME])
+        )
 
 
 def _gw_release(sys: Sys, gw: dict, name: str):
@@ -372,6 +421,8 @@ def _gw_release(sys: Sys, gw: dict, name: str):
     for key in ("pending_m", "flushed_m", "pending_n", "windows"):
         gw[key].pop(name, None)
     gw["sent"].discard(name)
+    if name == P.BARRIER_REFILLED:
+        gw["reported"].clear()
     release = P.msg(P.MSG_BARRIER_RELEASE, name=name)
     for fd in relays + members:
         try:
@@ -415,12 +466,19 @@ def _gw_child_gone(sys: Sys, gw: dict, cfd: int, goodbye: bool = False):
             sys, gw, P.msg(P.MSG_SUBTREE_GONE, members=[list(k) for k in members])
         )
         return
-    arrived = sorted(
-        name for name, fds in gw["flushed_m"].items() if cfd in fds
-    )
-    for table in (gw["waiting"], gw["pending_m"], gw["flushed_m"]):
-        for fds in table.values():
+    if cfd in gw["reported"]:
+        # its done report is in: the image is committed, so its
+        # `refilled` arrival stands and its exit is expected
+        arrived, goodbye = [], True
+        for fds in gw["waiting"].values():
             fds.discard(cfd)
+    else:
+        arrived = sorted(
+            name for name, fds in gw["flushed_m"].items() if cfd in fds
+        )
+        for table in (gw["waiting"], gw["pending_m"], gw["flushed_m"]):
+            for fds in table.values():
+                fds.discard(cfd)
     key = next((k for k, v in gw["hellos"].items() if v["cfd"] == cfd), None)
     if key is None:
         return  # never said hello; the root does not know it exists

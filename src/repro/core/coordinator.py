@@ -156,9 +156,13 @@ class CoordinatorState:
     #: equivalence tests pin release ordering on it and the coordination
     #: benches read barrier latency (release_t - open_t) from it.
     barrier_stats: list = field(default_factory=list)
-    #: members that already delivered their CKPT_DONE this checkpoint
-    #: (their subsequent disconnect -- kill mode -- is expected)
+    #: members whose done report is filed this round (a checkpoint
+    #: member's rides its ``refilled`` arrival, a restored member's is
+    #: MSG_RESTART_DONE): their disconnect -- kill mode -- is expected
     done_fds: set = field(default_factory=set)
+    #: when this round's ``refilled`` barrier released (None before):
+    #: every record's refill stage closes here
+    refilled_at: Optional[float] = None
     #: supervision layer (DMTCP_SUPERVISE=1): watchdog/heartbeat config,
     #: barrier-progress tracking, and abort accounting.  All inert --
     #: zero extra threads, syscalls, or frames -- when ``supervise`` is
@@ -213,6 +217,20 @@ class CoordinatorState:
         return f"{self.track}/barrier:{name}"
 
     @property
+    def publish_track(self) -> str:
+        """Tracer track of the publisher, which may still be writing one
+        generation's script while the next round's span is open."""
+        return f"{self.track}/publish"
+
+    def close_round(self, **args) -> None:
+        """End the open checkpoint round's span (opened by
+        :func:`_start_checkpoint`)."""
+        if self.tracer is not None:
+            self.tracer.end(
+                self.track, "checkpoint", cat="coord", tenant=self.tenant or None, **args
+            )
+
+    @property
     def script_path(self) -> str:
         """Where the restart script lands on the coordinator's host: a
         hub tenant's goes under its own checkpoint directory, since every
@@ -245,9 +263,12 @@ class CoordinatorState:
         process's connections.  History, the restart discovery service's
         knowledge, the store and the supervision settings survive."""
         self.drop_barriers()
-        if self.tracer is not None and self.tracer.open_spans(self.track):
+        if self.phase == "checkpoint":
+            self.close_round(aborted=True)
+        if self.tracer is not None and self.tracer.open_spans(self.publish_track):
             self.tracer.end(
-                self.track, "publish", cat="coord", tenant=self.tenant or None, aborted=True,
+                self.publish_track, "publish", cat="coord", tenant=self.tenant or None,
+                aborted=True,
             )
         self.unpublished = deque()  # the publisher died with the process
         self.members = {}
@@ -403,6 +424,8 @@ def _begin_abort(state: CoordinatorState, phase: str, counter: str, reason: str)
     state.last_abort_reason = reason
     if state.tracer is not None:
         state.tracer.count(counter, tenant=state.tenant or None)
+    if phase == "checkpoint":
+        state.close_round(aborted=True)
     state.drop_barriers()
     state.phase = "idle"
     return True
@@ -521,8 +544,13 @@ def _dispatch_message(sys: Sys, state: CoordinatorState, cfd: int, message: dict
         yield from _barrier_arrive_batch(
             sys, state, message["name"], [_barrier_arrival(cfd, message)]
         )
-    elif kind == P.MSG_CKPT_DONE:
-        yield from _ckpt_done(sys, state, cfd, message)
+    elif kind == P.MSG_CKPT_REPORT:
+        # tree mode: reports too many to ride their gateway's count
+        # follow it
+        _file_reports(state, cfd, message["reports"])
+        yield from _maybe_finish_checkpoint(sys, state)
+    elif kind == P.MSG_RESTART_DONE:
+        yield from _restart_done(sys, state, cfd, message["record"])
     elif kind == P.MSG_CKPT_FAILED:
         # a member hit ENOSPC (or aborted locally): the cluster-wide
         # checkpoint cannot complete -- roll everyone back now
@@ -656,8 +684,12 @@ def _drop_connection(state: CoordinatorState, cfd: int) -> None:
             state.members.pop(key, None)
     state.members.pop(cfd, None)
     state.restarter_fds.discard(cfd)
+    # a member whose report is filed keeps its `refilled` arrival: its
+    # image is committed, so the generation still covers it
+    reported = cfd in state.done_fds
     for rec in state.barriers.values():
-        rec.direct.discard(cfd)
+        if not reported:
+            rec.direct.discard(cfd)
         rec.via.discard(cfd)
     # a parked writer's private connection: its manifest leaves with it
     for owner in [o for o, (fd, _refs) in state.store_parked.items() if fd == cfd]:
@@ -729,8 +761,8 @@ def _member_lost(sys: Sys, state: CoordinatorState, key, info: Optional[dict]):
         yield from _maybe_release(sys, state, name)
     if restarting:
         yield from _maybe_finish_restart(sys, state)
-    elif state.quorum == 0 or len(state.records) >= state.quorum:
-        yield from _finish_checkpoint(sys, state)
+    else:
+        yield from _maybe_finish_checkpoint(sys, state)
 
 
 def _subtree_gone(sys: Sys, state: CoordinatorState, message: dict):
@@ -758,12 +790,18 @@ def _bounce_stale_arrival(sys: Sys, state: CoordinatorState, cfd: int):
 
 
 def _barrier_arrival(cfd: int, message: dict) -> tuple:
-    """``(cfd, n, counted)`` for one barrier frame: a member's own
-    MSG_BARRIER is ``(cfd, 1, False)``; a gateway's MSG_BARRIER_COUNT,
-    the combined arrivals of ``n`` members below it, ``(cfd, n, True)``."""
+    """``(cfd, n, counted, reports)`` for one barrier frame: a member's
+    own MSG_BARRIER is ``(cfd, 1, False, reports)``; a gateway's
+    MSG_BARRIER_COUNT, the combined arrivals of ``n`` members below it,
+    ``(cfd, n, True, reports)``.  ``reports`` are the ``(record,
+    image_path)`` done reports the frame carries: a member's ``refilled``
+    arrival carries its own, a count those of the members it counts
+    when they fit a small frame."""
     if message["kind"] == P.MSG_BARRIER_COUNT:
-        return (cfd, message["n"], True)
-    return (cfd, 1, False)
+        return (cfd, message["n"], True, message.get("reports", ()))
+    if "record" in message:
+        return (cfd, 1, False, ((message["record"], message["image_path"]),))
+    return (cfd, 1, False, ())
 
 
 def _barrier_arrive_batch(
@@ -782,7 +820,7 @@ def _barrier_arrive_batch(
         # exists -- the watchdog aborted it before these messages
         # landed.  Letting them through would reopen a barrier span
         # nothing will ever release.
-        for cfd, _n, _counted in arrivals:
+        for cfd, _n, _counted, _reports in arrivals:
             yield from _bounce_stale_arrival(sys, state, cfd)
         return
     state.barrier_messages += len(arrivals)
@@ -805,17 +843,23 @@ def _barrier_arrive_batch(
         tracer.count(
             "coord.barrier_messages", len(arrivals), tenant=state.tenant or None
         )
-    for cfd, n, counted in arrivals:
+    for cfd, n, counted, reports in arrivals:
         if counted:
             rec.counted += n
             rec.via.add(cfd)
         else:
             rec.direct.add(cfd)
+        _file_reports(state, cfd, reports)
     yield from _maybe_release(sys, state, name)
 
 
 def _maybe_release(sys: Sys, state: CoordinatorState, name: str):
-    """Release a barrier if its quorum is (now) satisfied."""
+    """Release a barrier if its quorum is (now) satisfied.
+
+    The ``refilled`` release completes the checkpoint: it is stamped,
+    then the round is finished (the reports rode the arrivals), then
+    the releases go out.
+    """
     rec = state.barriers.get(name)
     if rec is None:
         return
@@ -823,12 +867,13 @@ def _maybe_release(sys: Sys, state: CoordinatorState, name: str):
     quorum = state.restart_total if name.startswith("restart-") else state.quorum
     if total >= quorum > 0:
         del state.barriers[name]
+        release_t = state.clock()
         state.barrier_stats.append(
             {
                 "name": name,
                 "n": total,
                 "open_t": rec.open_t,
-                "release_t": state.clock(),
+                "release_t": release_t,
             }
         )
         tracer = state.tracer
@@ -844,6 +889,9 @@ def _maybe_release(sys: Sys, state: CoordinatorState, name: str):
             )
             tracer.count("coord.barriers_released", tenant=state.tenant or None)
             tracer.count_max("coord.barrier_straggler_max_s", straggler)
+        if name == P.BARRIER_REFILLED:
+            state.refilled_at = release_t
+            yield from _maybe_finish_checkpoint(sys, state)
         for mfd in sorted(rec.direct) + sorted(rec.via):
             yield from _send_safe(sys, state, mfd, P.msg(P.MSG_BARRIER_RELEASE, name=name))
 
@@ -869,7 +917,15 @@ def _start_checkpoint(sys: Sys, state: CoordinatorState, options: dict):
     # leak into this round
     state.drop_barriers()
     state.done_fds = set()
+    state.refilled_at = None
     now = yield from sys.time()
+    if state.tracer is not None:
+        # one span per round, request to completion: its length is the
+        # outcome's duration
+        state.tracer.begin(
+            state.track, "checkpoint", cat="coord", tenant=state.tenant or None,
+            ckpt_id=state.ckpt_id,
+        )
     state.ckpt_started_at = now
     state.last_progress = now
     had_members = bool(state.members)
@@ -910,32 +966,41 @@ def _maybe_finish_restart(sys: Sys, state: CoordinatorState):
         cb(outcome)
 
 
-def _done_key(state: CoordinatorState, cfd: int, message: dict):
-    """Which member finished?  Direct connections are keyed by fd; a
-    done report forwarded through a gateway is keyed by the identity in
-    its record (the gateway connection serves many members)."""
-    if cfd not in state.gateway_fds:
-        return cfd
-    record = message.get("record")
-    if isinstance(record, dict):
-        return ("m", record["host"], record["vpid"])
-    return ("m", record.hostname, record.vpid)
-
-
-def _ckpt_done(sys: Sys, state: CoordinatorState, cfd: int, message: dict):
-    key = _done_key(state, cfd, message)
-    if message.get("restart"):
-        state.restart_done += 1
-        state.done_fds.add(key)
-        if message.get("record") is not None:
-            state.restart_records.append(message["record"])
-        yield from _maybe_finish_restart(sys, state)
-        return
+def _restart_done(sys: Sys, state: CoordinatorState, cfd: int, record: dict):
+    """A restored member resumed.  Direct connections are keyed by fd; a
+    report forwarded through a gateway by the identity in its record
+    (the gateway connection serves many members)."""
+    key = ("m", record["host"], record["vpid"]) if cfd in state.gateway_fds else cfd
     state.done_fds.add(key)
-    state.records.append(message["record"])
-    host = message["host"]
-    state.images_by_host.setdefault(host, []).append(message["image_path"])
-    if len(state.records) >= state.quorum:
+    state.restart_done += 1
+    state.restart_records.append(record)
+    yield from _maybe_finish_restart(sys, state)
+
+
+def _file_reports(state: CoordinatorState, cfd: int, reports) -> None:
+    """File ``(record, image_path)`` done reports that came in on
+    ``cfd``.  A direct member is keyed by its fd; a report forwarded by a
+    gateway by the identity in its record (the gateway connection
+    serves many members)."""
+    if state.phase != "checkpoint":
+        return  # their round was aborted
+    via_gateway = cfd in state.gateway_fds
+    for record, image_path in reports:
+        state.done_fds.add(("m", record.hostname, record.vpid) if via_gateway else cfd)
+        state.records.append(record)
+        state.images_by_host.setdefault(record.hostname, []).append(image_path)
+
+
+def _maybe_finish_checkpoint(sys: Sys, state: CoordinatorState):
+    """Finish the round once ``refilled`` has released and every member's
+    report is filed.  A member's report rides its arrival and a
+    gateway's count carries its members' reports, so both hold at the
+    release; only a subtree too large for one small frame sends its
+    reports behind its count, and the round finishes at the last of
+    them.  A round whose every member vanished finishes empty."""
+    if state.quorum == 0 or (
+        state.refilled_at is not None and len(state.records) >= state.quorum
+    ):
         yield from _finish_checkpoint(sys, state)
 
 
@@ -951,6 +1016,10 @@ def _finish_checkpoint(sys: Sys, state: CoordinatorState):
     if state.phase != "checkpoint":
         return  # already finished (quorum shrank after the last record)
     now = yield from sys.time()
+    state.close_round()
+    if state.refilled_at is not None:
+        for record in state.records:
+            record.close_refill(state.refilled_at)
     plan = RestartPlan(
         ckpt_id=state.ckpt_id,
         coordinator_host=(yield from sys.gethostname()),
@@ -989,7 +1058,7 @@ def _publish(sys: Sys, state: CoordinatorState):
         outcome, cmd_fds = state.unpublished[0]
         plan = outcome.plan
         if tracer is not None:
-            tracer.begin(state.track, "publish", cat="coord", tenant=tenant,
+            tracer.begin(state.publish_track, "publish", cat="coord", tenant=tenant,
                          ckpt_id=outcome.ckpt_id)
         script_fd = yield from sys.open(state.script_path, "w")
         yield from sys.write(script_fd, len(plan.render_script()), payload=plan)
@@ -1000,7 +1069,7 @@ def _publish(sys: Sys, state: CoordinatorState):
             # let its dead socket take the coordinator down with it
             yield from _send_safe(sys, state, cmd_fd, P.msg("ok", ckpt_id=outcome.ckpt_id))
         if tracer is not None:
-            tracer.end(state.track, "publish", cat="coord", tenant=tenant)
+            tracer.end(state.publish_track, "publish", cat="coord", tenant=tenant)
             tracer.count("coord.publishes", tenant=tenant)
         # snapshot: sinks deregister themselves as they fire
         for cb in list(state.on_checkpoint_complete):

@@ -60,15 +60,17 @@ def coord_recv(sys: Sys, fd: int, asm: FrameAssembler, timeout: Optional[float] 
     return result[0]
 
 
-def barrier(sys: Sys, fd: int, asm: FrameAssembler, name: str, timeout: Optional[float] = None):
+def barrier(sys: Sys, fd: int, asm: FrameAssembler, name: str, timeout: Optional[float] = None, **report):
     """Arrive at a cluster-wide barrier and wait for its release.
 
-    With supervision on, ``timeout`` bounds the wait for the release
-    frame; a coordinator-sent abort or a timeout raises
-    CheckpointAborted so the caller can roll the process back to
-    RUNNING instead of hanging forever on a dead peer's quorum slot.
+    ``report`` rides the arrival frame (the Barrier-6 arrival carries
+    the member's done report).  With supervision on, ``timeout`` bounds
+    the wait for the release frame; a coordinator-sent abort or a
+    timeout raises CheckpointAborted so the caller can roll the process
+    back to RUNNING instead of hanging forever on a dead peer's quorum
+    slot.
     """
-    yield from coord_send(sys, fd, P.msg(P.MSG_BARRIER, name=name))
+    yield from coord_send(sys, fd, P.msg(P.MSG_BARRIER, name=name, **report))
     while True:
         try:
             message = yield from coord_recv(sys, fd, asm, timeout=timeout)
@@ -413,7 +415,7 @@ def _checkpoint_stages(
     clock.end("write")
 
     # ---- stage 6: refill kernel buffers ---------------------------------
-    clock.begin("refill")
+    refill_began = clock.begin("refill")
     if not message.get("kill"):
         alive = [
             sfd for sfd in led
@@ -428,11 +430,6 @@ def _checkpoint_stages(
     # a --kill checkpoint's processes retire and never read these buffers
     # again (the drained bytes live in the image header), so they refill
     # nothing; a rollback still requeues every drained byte exactly once
-    yield from barrier(sys, fd, asm, P.BARRIER_REFILLED, timeout)
-    clock.end("refill")
-
-    # ---- stage 7: restore owners, resume user threads -------------------
-    yield from _set_owners(sys, runtime.saved_owners)
     record = CheckpointRecord(
         ckpt_id=ckpt_id,
         hostname=process.node.hostname,
@@ -443,12 +440,17 @@ def _checkpoint_stages(
         stored_bytes=image.stored_bytes,
         compressed=image.compressed,
         write_hidden_s=writer.hidden_s,
+        refill_began=refill_began,
     )
-    yield from coord_send(
-        sys,
-        fd,
-        P.msg(P.MSG_CKPT_DONE, record=record, image_path=writer.path, host=process.node.hostname),
+    # the done report rides the last arrival: when `refilled` releases
+    # the coordinator holds every report, and the checkpoint is complete
+    yield from barrier(
+        sys, fd, asm, P.BARRIER_REFILLED, timeout, record=record, image_path=writer.path
     )
+    clock.end("refill")
+
+    # ---- stage 7: restore owners, resume user threads -------------------
+    yield from _set_owners(sys, runtime.saved_owners)
     if not message.get("kill"):
         yield from sys.resume_threads()
     runtime.in_checkpoint = False
@@ -515,9 +517,8 @@ def _rejoin_after_restart(sys: Sys, runtime: "DmtcpRuntime", fd: int, asm: Frame
         "program": runtime.process.program,
         "stages": dict(clock.stages),
     }
-    yield from coord_send(
-        sys, fd, P.msg(P.MSG_CKPT_DONE, record=record, image_path=None, host=runtime.process.node.hostname, restart=True)
-    )
+    # a restart is complete only once threads resume: its report follows
+    yield from coord_send(sys, fd, P.msg(P.MSG_RESTART_DONE, record=record))
     runtime.restarts_done += 1
     runtime.last_ckpt_id = image.ckpt_id
     runtime.world.tracer.count("dmtcp.restarts_done", tenant=clock.tenant)

@@ -33,8 +33,8 @@ BARRIER_RESTART_SOCKETS = "restart-sockets-rebuilt"
 
 # manager -> coordinator
 MSG_HELLO = "hello"  # {host, pid, vpid, program}
-MSG_BARRIER = "barrier"  # {name}
-MSG_CKPT_DONE = "ckpt-done"  # {stats}
+MSG_BARRIER = "barrier"  # {name}; the Barrier-6 arrival adds {record, image_path}
+MSG_RESTART_DONE = "restart-done"  # {record} -- a restored member resumed
 MSG_GOODBYE = "goodbye"
 MSG_CKPT_FAILED = "ckpt-failed"  # {reason} -- member hit ENOSPC/abort locally
 
@@ -66,9 +66,12 @@ MSG_ADVERTISE_BCAST = "advertise-bcast"  # coordinator -> restarters
 # Gateways aggregate the barrier verb and forward every other verb, so
 # the root sees O(fanout) connections however many processes exist.
 MSG_GW_HELLO = "gw-hello"  # gateway -> parent: this connection is a subtree
-MSG_BARRIER_COUNT = "barrier-count"  # gateway -> parent: {name, n}
+MSG_BARRIER_COUNT = "barrier-count"  # gateway -> parent: {name, n[, reports]}
 MSG_MEMBER_GONE = "member-gone"  # gateway -> root: {host, vpid, arrived, goodbye}
 MSG_SUBTREE_GONE = "subtree-gone"  # gateway -> root: {members: [[host, vpid]..]}
+#: gateway -> parent: done reports of members a count counted, when they
+#: are too many to ride in it (see SMALL_FRAME_BYTES)
+MSG_CKPT_REPORT = "ckpt-report"  # {reports: [(record, image_path), ..]}
 
 # content-addressed store (repro.store): manifest/lease exchange rides
 # a writer's own coordinator connection during barrier 5.
@@ -79,6 +82,14 @@ MSG_STORE_OK = "store-ok"
 
 #: Modeled size of a control frame on the wire, bytes.
 CTL_FRAME_BYTES = 128
+
+#: A done report costs a control frame's bytes: a member's own arrival
+#: carries one in its frame.  A gateway's count carries the reports of
+#: the arrivals it counts while the frame, header included, fits this
+#: size -- the network's fixed-cost path for small transfers
+#: (``NetworkSpec.small_transfer_bytes``); past it they follow the count
+#: in MSG_CKPT_REPORT frames that fit it.
+SMALL_FRAME_BYTES = 1024
 
 #: Modeled wire/manifest size of one chunk reference (digest + length +
 #: profile tag); manifest image files cost this per chunk.

@@ -56,11 +56,13 @@ class StageClock:
         self.open: Optional[str] = None
         self.open_cat = cat
 
-    def begin(self, stage: str, cat: Optional[str] = None) -> None:
-        """Open the span for ``stage`` (cat ``cat``, default the clock's)."""
+    def begin(self, stage: str, cat: Optional[str] = None) -> float:
+        """Open the span for ``stage`` (cat ``cat``, default the clock's);
+        returns its begin timestamp."""
         self.open_cat = cat or self.cat
-        self.tracer.begin(self.track, stage, cat=self.open_cat, tenant=self.tenant)
+        began = self.tracer.begin(self.track, stage, cat=self.open_cat, tenant=self.tenant)
         self.open = stage
+        return began
 
     def end(self, stage: str, **args) -> None:
         """Close the open stage span with ``args``, accumulating its duration."""
@@ -95,6 +97,14 @@ class CheckpointRecord:
     #: released, under stages 3-4; ``stages["write"]`` is the exposed
     #: rest (Barrier 4 -> Barrier 5).  0 for a forked checkpoint.
     write_hidden_s: float = 0.0
+    #: When stage 6 began.  The record rides the member's Barrier-6
+    #: arrival, so ``stages`` has no ``refill`` until the coordinator
+    #: closes it at the release it stamps (:meth:`close_refill`).
+    refill_began: float = 0.0
+
+    def close_refill(self, release_t: float) -> None:
+        """Stage 6 ends at the ``refilled`` release."""
+        self.stages["refill"] = release_t - self.refill_began
 
     @property
     def total(self) -> float:

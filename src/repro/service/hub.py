@@ -96,9 +96,10 @@ class CoordinatorHub:
         #: admission control: per-tenant count of queued-but-undrained
         #: frames.  A tenant at its bound gets *command* admissions shed
         #: with a busy + retry-after reply (the retry layer honours the
-        #: hint); protocol frames -- barriers, ckpt-done, disconnects --
-        #: always enqueue, because shedding those would wedge an
-        #: in-flight round mid-protocol
+        #: hint); protocol frames -- barriers (the last carries a
+        #: member's done report), restart-done, disconnects -- always
+        #: enqueue, because shedding those would wedge an in-flight
+        #: round mid-protocol
         self.inbox: dict[str, int] = {}
         self.inbox_limit = spec.hub_inbox_limit
         self.retry_after_s = spec.hub_retry_after_s
@@ -330,7 +331,8 @@ def _apply_batch(sys: Sys, hub: CoordinatorHub, batch: list):
 def _apply_tenant(sys: Sys, hub: CoordinatorHub, state: CoordinatorState, items: list):
     """One tenant's slice of a batch, in FIFO order with runs of barrier
     arrivals coalesced (same-name arrivals become one
-    ``_barrier_arrive_batch`` call and therefore one release check).
+    ``_barrier_arrive_batch`` call and therefore one release check; each
+    arrival keeps the done report it carries).
     Coalesced arrivals are flushed before any non-barrier verb so
     cross-kind ordering within the tenant is preserved.  Per-message
     mode is this same applier on a one-item slice."""

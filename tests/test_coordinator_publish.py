@@ -21,6 +21,7 @@ from repro.core.coordinator import (
     CheckpointOutcome,
     CoordinatorState,
     _finish_checkpoint,
+    _start_checkpoint,
 )
 from repro.core.launch import DmtcpComputation
 from repro.faults import FaultEvent, FaultInjector, FaultPlan
@@ -194,8 +195,7 @@ def test_two_finishes_publish_in_ckpt_id_order():
 
     def main(sys, argv):
         for ckpt_id in (1, 2):
-            state.phase = "checkpoint"
-            state.ckpt_id = ckpt_id
+            yield from _start_checkpoint(sys, state, {})
             state.images_by_host = {"node00": [f"/tmp/dmtcp/ckpt_{ckpt_id}.mtcp"]}
             yield from _finish_checkpoint(sys, state)
         queued.append(len(state.unpublished))
@@ -214,10 +214,13 @@ def test_two_finishes_publish_in_ckpt_id_order():
     script = _file(world, "node00", state.script_path)
     assert script.payload is state.history[-1].plan
     # one publisher thread beside the main one, one span per generation
+    # on its own track: the next round's span may open mid-publish
     assert proc.threads_started == 2
     assert world.tracer.snapshot()["coord.publishes"] == 2
-    spans = world.tracer.spans(track="coordinator")
+    spans = world.tracer.spans(track="coordinator/publish")
     assert [s["name"] for s in spans] == ["publish", "publish"]
+    rounds = world.tracer.spans(track="coordinator")
+    assert [s["name"] for s in rounds] == ["checkpoint", "checkpoint"]
     assert not world.scheduler.failures
 
 

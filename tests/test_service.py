@@ -248,10 +248,15 @@ def test_tenant_tagged_tracing_and_plain_export():
     world.engine.run(until=0.5)
     outcome = comp.checkpoint()
     assert isinstance(outcome, CheckpointOutcome)
+    # the checkpoint completes at its `refilled` release; each member
+    # counts it done once that release reaches it
+    runtimes = [p.user_state["dmtcp"] for p in world.live_processes() if "dmtcp" in p.user_state]
+    assert len(runtimes) == 2
+    world.engine.run_until(lambda: all(rt.checkpoints_done for rt in runtimes))
     tagged_events = [e for e in world.tracer.events if e.tenant == "tagged"]
     assert tagged_events, "service-mode spans must carry the tenant"
     assert "tagged" in world.tracer.tenant_counters
-    assert world.tracer.tenant_counters["tagged"]["dmtcp.checkpoints_done"] >= 1
+    assert world.tracer.tenant_counters["tagged"]["dmtcp.checkpoints_done"] == 2
     lines = "\n".join(jsonl_lines(world.tracer))
     assert '"tenant": "tagged"' in lines
 
