@@ -124,8 +124,6 @@ class OsSpec:
 class DmtcpSpec:
     """Constants of the checkpoint package itself."""
 
-    #: Size of the drain token used to flush sockets (Section 4.3 step 4).
-    drain_token_bytes: int = 32
     #: Coordinator processing cost per barrier message.
     coord_msg_s: float = 8e-6
     #: The drain loop's no-more-data verification interval: after the
@@ -149,9 +147,8 @@ class DmtcpSpec:
     reconnect_backoff_s: float = 0.25
     reconnect_backoff_max_s: float = 4.0
     reconnect_attempts: int = 40
-    #: AutoRestartSupervisor: liveness poll period and restart backoff.
+    #: AutoRestartSupervisor: liveness poll period and restart backoff cap.
     supervisor_poll_s: float = 1.0
-    restart_backoff_s: float = 0.5
     restart_backoff_max_s: float = 8.0
     # -- resilience layer (repro.resilience; active when supervision is
     # on -- all retry loops share one RetryPolicy built from the
@@ -168,15 +165,9 @@ class DmtcpSpec:
     #: retry it as soon as the pre-crash membership re-registers -- or
     #: after this fallback timeout if stragglers never return.
     failover_retry_timeout_s: float = 4.0
-    #: Anti-entropy repair: per-chunk re-replication attempt budget
-    #: before a chunk is parked as unrepairable (a permanently lost rack
-    #: must not spin the repair loop forever).
-    store_repair_attempts: int = 6
     #: CoordinatorHub admission control: per-tenant inbox bound; command
     #: admissions beyond it are shed with a retry-after hint.
     hub_inbox_limit: int = 256
-    #: The retry-after hint a shedding hub returns, seconds.
-    hub_retry_after_s: float = 0.05
     # -- hierarchical coordination (repro.coord.tree; enabled via
     # DmtcpComputation(tree_fanout=N), inert otherwise) -----------------
     #: Gateway straggler bound: a gateway forwards a barrier's count the
@@ -196,11 +187,6 @@ class DmtcpSpec:
     store_chunk_bytes: int = 2**20
     #: Replication factor k (override per run with DMTCP_STORE_REPLICAS).
     store_replicas: int = 2
-    #: Nodes per rack for rack-diverse replica placement (node_id // size).
-    store_rack_size: int = 8
-    #: Anti-entropy repair sweep period (re-replicates under-replicated
-    #: chunks after node loss; runs while an AutoRestartSupervisor does).
-    store_repair_interval_s: float = 2.0
     # -- multi-tenant checkpoint service (repro.service; enabled via
     # TenantRegistry/CoordinatorHub, inert otherwise) --------------------
     #: Fixed dispatch cost per batch of the hub's batched dispatcher
@@ -211,10 +197,6 @@ class DmtcpSpec:
     #: machinery across the batch is what beats ``coord_msg_s`` per-message
     #: handling under interleaved multi-tenant traffic.
     coord_batch_msg_s: float = 0.5e-6
-    #: ClusterScheduler host-side tick (arrivals, placement, evictions).
-    service_poll_s: float = 0.25
-    #: How long a spot-evicted node stays down before rebooting.
-    service_spot_downtime_s: float = 30.0
 
 
 @dataclass(frozen=True)

@@ -72,7 +72,7 @@ from typing import Iterator, Optional
 
 from repro.core import protocol as P
 from repro.errors import SyscallError
-from repro.resilience import RetryPolicy
+from repro.resilience import policy_from_spec
 from repro.kernel.process import ProgramSpec, RegionSpec
 from repro.kernel.streams import FRAME_HEADER_BYTES, FrameAssembler
 from repro.kernel.syscalls import Sys, connect_retry, recv_frame, send_frame
@@ -142,45 +142,39 @@ class TreeTopology:
 # The gateway relay program
 # ======================================================================
 
-def make_gateway_program(tracer=None):
+def make_gateway_program(spec, tracer=None):
     """Build the gateway program (registered as ``dmtcp_gateway``).
 
-    ``tracer`` is the world tracer, used for host-side counters only --
-    it never charges simulated time, so enabling the tree cannot perturb
-    unrelated virtual-time measurements.
+    ``spec`` is the cluster's :class:`~repro.config.DmtcpSpec`: the
+    window, heartbeat and reconnect policy come from it, like every
+    other coordination process's.  ``tracer`` is the world tracer, used
+    for host-side counters only -- it never charges simulated time, so
+    enabling the tree cannot perturb unrelated virtual-time measurements.
     """
+    # reconnect schedule: the shared resilience policy, seeded by each
+    # gateway's hostname so sibling gateways orphaned by the same
+    # coordinator crash decorrelate their retries
+    policy = policy_from_spec(spec)
 
     def gateway_main(sys: Sys, argv):
         parent_host = yield from sys.getenv("DMTCP_GW_PARENT_HOST")
         parent_port = int((yield from sys.getenv("DMTCP_GW_PARENT_PORT")))
         port = int((yield from sys.getenv("DMTCP_GW_PORT")))
-        flush_s = float((yield from sys.getenv("DMTCP_TREE_FLUSH")) or 5e-4)
-        heartbeat_s = float((yield from sys.getenv("DMTCP_GW_HEARTBEAT")) or 2.0)
         supervise = (yield from sys.getenv("DMTCP_SUPERVISE")) == "1"
-        backoff = float((yield from sys.getenv("DMTCP_GW_BACKOFF")) or 0.25)
-        backoff_max = float((yield from sys.getenv("DMTCP_GW_BACKOFF_MAX")) or 4.0)
-        attempts = int((yield from sys.getenv("DMTCP_GW_ATTEMPTS")) or 40)
-        jitter = float((yield from sys.getenv("DMTCP_GW_JITTER")) or 0.25)
-        recv_timeout = float((yield from sys.getenv("DMTCP_GW_RECV_TIMEOUT")) or 8.0)
         hostname = yield from sys.gethostname()
         gw = {
             "parent": (parent_host, parent_port),
             "hostname": hostname,
-            "flush_s": flush_s,
+            "flush_s": spec.tree_flush_s,
             #: a top-level gateway feeds the root, the one dispatcher the
             #: whole tree shares: only it caps its counts at one a window
             "root_facing": parent_port != GATEWAY_PORT,
             "supervise": supervise,
-            #: reconnect schedule: the shared resilience policy, seeded
-            #: by this gateway's hostname so sibling gateways orphaned by
-            #: the same coordinator crash decorrelate their retries
-            "policy": RetryPolicy(
-                base_s=backoff, max_s=backoff_max, attempts=attempts, jitter=jitter
-            ),
+            "policy": policy,
             #: supervised: cap any single uplink recv so a *silently*
             #: dead parent (no FIN) is detected -- same defence as the
             #: star member's member_recv_timeout_s
-            "recv_timeout": recv_timeout if supervise else None,
+            "recv_timeout": policy.deadline_s if supervise else None,
             "tracer": tracer,
             "up_fd": None,
             "up_asm": None,
@@ -222,7 +216,7 @@ def make_gateway_program(tracer=None):
         yield from sys.listen(lfd, backlog=1024)
         yield from sys.thread_create(_gw_uplink, gw, gw["up_gen"], detached=True)
         if supervise:
-            yield from sys.thread_create(_gw_heartbeat, gw, heartbeat_s)
+            yield from sys.thread_create(_gw_heartbeat, gw, spec.tree_heartbeat_s)
         while True:
             cfd = yield from sys.accept(lfd)
             gw["children"][cfd] = {"gateway": False}

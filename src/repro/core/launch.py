@@ -225,12 +225,13 @@ class DmtcpComputation:
         )
 
         world = self.world
-        spec = world.spec.dmtcp
         self.node_set = NodeSet.from_hostnames(world.machine.hostnames)
         self.topology = TreeTopology(n=len(self.node_set), fanout=fanout)
         self.gateway_port = GATEWAY_PORT
         world.register_program(
-            "dmtcp_gateway", make_gateway_program(world.tracer), GATEWAY_SPEC
+            "dmtcp_gateway",
+            make_gateway_program(world.spec.dmtcp, world.tracer),
+            GATEWAY_SPEC,
         )
         for rank in self.topology:
             hostname = self.node_set[rank]
@@ -243,13 +244,6 @@ class DmtcpComputation:
                     self.port if parent is None else GATEWAY_PORT
                 ),
                 "DMTCP_GW_PORT": str(GATEWAY_PORT),
-                "DMTCP_TREE_FLUSH": str(spec.tree_flush_s),
-                "DMTCP_GW_HEARTBEAT": str(spec.tree_heartbeat_s),
-                "DMTCP_GW_BACKOFF": str(spec.reconnect_backoff_s),
-                "DMTCP_GW_BACKOFF_MAX": str(spec.reconnect_backoff_max_s),
-                "DMTCP_GW_ATTEMPTS": str(spec.reconnect_attempts),
-                "DMTCP_GW_RECV_TIMEOUT": str(spec.member_recv_timeout_s),
-                "DMTCP_GW_JITTER": str(spec.retry_jitter),
             }
             if self.supervise:
                 env["DMTCP_SUPERVISE"] = "1"

@@ -41,6 +41,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.hijack import DmtcpRuntime
 
 REFILL_TAG = "dmtcp-refill"
+#: Size of the drain token used to flush sockets (Section 4.3 step 4).
+DRAIN_TOKEN_BYTES = 32
 
 
 # ----------------------------------------------------------------------
@@ -567,11 +569,10 @@ def _drain_endpoint(sys: Sys, runtime: "DmtcpRuntime", sfd: int, out: dict, time
     forever; the partial drain is recorded and the barrier layer decides
     the checkpoint's fate.
     """
-    spec = runtime.world.spec.dmtcp
     process = runtime.process
     ep = process.get_fd(sfd).peer  # is the peer side still open?
     try:
-        yield from sys.send(sfd, spec.drain_token_bytes, ctrl=CTRL_DRAIN_TOKEN)
+        yield from sys.send(sfd, DRAIN_TOKEN_BYTES, ctrl=CTRL_DRAIN_TOKEN)
     except SyscallError:
         pass  # peer already gone; drain whatever remains
     chunks = []

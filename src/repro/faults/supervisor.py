@@ -21,6 +21,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.launch import DmtcpComputation
     from repro.kernel.world import World
 
+#: First restart backoff, seconds; doubles per failed restart up to
+#: ``DmtcpSpec.restart_backoff_max_s`` and resets on a recovery.
+RESTART_BACKOFF_S = 0.5
+
 
 class LineageSkipped(Exception):
     """A checkpoint's images were dropped by the supervisor's selection
@@ -161,8 +165,7 @@ class AutoRestartSupervisor:
         self.repair_nodes = repair_nodes
         spec = world.spec.dmtcp
         self.poll_s = spec.supervisor_poll_s
-        self._backoff0 = spec.restart_backoff_s
-        self._backoff = spec.restart_backoff_s
+        self._backoff = RESTART_BACKOFF_S
         self._backoff_max = spec.restart_backoff_max_s
         #: give a restart this long to finish before declaring it failed
         self.stall_timeout_s = max(spec.barrier_timeout_s * 4.0, 4.0)
@@ -275,7 +278,7 @@ class AutoRestartSupervisor:
                     duration=round(self._handle["outcome"].duration, 6),
                 )
                 self._handle = None
-                self._backoff = self._backoff0
+                self._backoff = RESTART_BACKOFF_S
             elif now - self._restart_started > self.stall_timeout_s:
                 # a node died *during* the restart; the coordinator
                 # watchdog aborts the barriers, we clear the strays and

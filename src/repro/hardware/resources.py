@@ -13,20 +13,15 @@ capped by their GigE link.  Unused capped bandwidth is *not* redistributed
 the equal share is the binding constraint, and the simplification is
 slightly pessimistic, never optimistic.
 
-Two scheduling modes (see DESIGN.md §8).  Up to :data:`DENSE_MAX_JOBS`
-concurrent jobs the server credits each job individually per event --
-O(jobs) but exact, and every pre-existing scenario stays in this regime,
-so their numbers are reproduced bit for bit.  Above the threshold it
-switches to virtual-finish-time accounting: jobs sharing an effective rate
-cap form a group with one cumulative served counter, each job's finish is
-a fixed credit on that counter, and a per-group heap keyed by
-``(finish_credit, seq)`` makes every completion O(log jobs) instead of
-O(jobs).  The two modes follow the same fluid model but apply float
-additions in different orders; per completion that is an ulp-level
-difference, and over hundreds of thousands of epsilon-batched events it
-can compound into small visible drift (~0.2% at Fig-5's 96-process
-point, the one committed scenario whose NIC queues cross the
-threshold).  See DESIGN.md §8 for why that trade is acceptable.
+Progress is kept by virtual-finish-time accounting (DESIGN.md §8).  Jobs
+sharing an effective rate cap (``min(per_job_cap, cap)``) form a group
+that progresses at one rate, so the group keeps a single cumulative
+served counter instead of a remaining volume per job.  A job's finish is
+a fixed credit on that counter (``served`` at arrival plus its volume),
+and a per-group heap keyed by ``(finish_credit, seq)`` yields the next
+completion: an arrival or a completion costs O(log jobs) plus O(groups),
+never a pass over every job.  A group is dropped when its last job
+finishes, so its counter restarts at zero with the next arrival.
 """
 
 from __future__ import annotations
@@ -40,44 +35,20 @@ from repro.errors import SimulationError
 from repro.sim.engine import Engine, Event
 from repro.sim.tasks import Future
 
-#: Job count above which a resource switches from the exact per-job scan
-#: to virtual-finish-time accounting.  All committed figure/table
-#: scenarios peak at <= 4 concurrent jobs per resource and therefore
-#: never leave the dense mode.
-DENSE_MAX_JOBS = 8
-
-
-class _Job:
-    __slots__ = ("remaining", "notify", "cap", "eps", "seq", "credit")
-
-    def __init__(self, volume: float, notify, cap: Optional[float], seq: int):
-        self.remaining = volume
-        #: Zero-arg completion callback (``Future.resolve`` or a caller-
-        #: supplied ``on_done``).
-        self.notify = notify
-        self.cap = cap
-        self.seq = seq
-        #: Virtual-finish credit on the owning group's served counter
-        #: (sparse mode only).
-        self.credit = 0.0
-        # float-residue threshold: covers both the job's own rounding
-        # (volume term) and absolute-clock subtraction error at high rates
-        # (rate term, set on first service); without it the last ulp of a
-        # job reschedules zero-length events forever
-        eps = volume * 1e-9
-        self.eps = eps if eps > 1e-12 else 1e-12
-
 
 class _CapGroup:
     """Jobs sharing one effective rate cap, under one served counter."""
 
-    __slots__ = ("cap", "served", "heap", "count")
+    __slots__ = ("cap", "served", "heap")
 
     def __init__(self, cap: float):
-        self.cap = cap  # effective cap: min(per_job_cap, job.cap), inf if none
+        self.cap = cap  # effective cap: min(per_job_cap, job cap), inf if none
         self.served = 0.0  # cumulative per-job service since group creation
-        self.heap: list[tuple[float, int, _Job]] = []  # (finish credit, seq, job)
-        self.count = 0
+        #: ``(finish credit, seq, eps, notify)`` per job.  ``eps`` is the
+        #: job's float-residue threshold (relative to its volume); without
+        #: it the last ulp of a job reschedules zero-length events forever.
+        #: ``notify`` is the zero-arg completion callback.
+        self.heap: list[tuple[float, int, float, object]] = []
 
 
 class BandwidthResource:
@@ -95,14 +66,12 @@ class BandwidthResource:
         self.engine = engine
         self.rate = rate
         self.per_job_cap = per_job_cap
+        self._cap = math.inf if per_job_cap is None else per_job_cap
         self.name = name
         self._fut_name = f"{name}:job"
-        self._jobs: list[_Job] = []
         self._seq = itertools.count()
-        #: Sparse (virtual-finish-time) state; empty while dense.
-        self._sparse = False
         self._groups: dict[float, _CapGroup] = {}
-        self._sparse_count = 0
+        self._count = 0
         self._last_update = 0.0
         self._next_event: Optional[Event] = None
         #: Cumulative volume served; used by utilization assertions in tests.
@@ -112,19 +81,7 @@ class BandwidthResource:
     @property
     def active_jobs(self) -> int:
         """Number of jobs currently sharing the resource."""
-        return self._sparse_count if self._sparse else len(self._jobs)
-
-    def _job_rate(self, job: _Job) -> float:
-        share = self.rate / len(self._jobs)
-        if self.per_job_cap is not None:
-            share = min(share, self.per_job_cap)
-        if job.cap is not None:
-            share = min(share, job.cap)
-        return share
-
-    def _group_rate(self, group: _CapGroup) -> float:
-        share = self.rate / self._sparse_count
-        return share if share < group.cap else group.cap
+        return self._count
 
     def submit(
         self,
@@ -151,13 +108,17 @@ class BandwidthResource:
             notify()
             return fut
         self._advance()
-        job = _Job(float(volume), notify, cap, next(self._seq))
-        if self._sparse:
-            self._sparse_add(job)
-        else:
-            self._jobs.append(job)
-            if len(self._jobs) > DENSE_MAX_JOBS:
-                self._go_sparse()
+        volume = float(volume)
+        eff = self._cap if cap is None or cap >= self._cap else cap
+        group = self._groups.get(eff)
+        if group is None:
+            group = self._groups[eff] = _CapGroup(eff)
+        eps = volume * 1e-9
+        heapq.heappush(
+            group.heap,
+            (group.served + volume, next(self._seq), eps if eps > 1e-12 else 1e-12, notify),
+        )
+        self._count += 1
         self._reschedule()
         return fut
 
@@ -167,93 +128,34 @@ class BandwidthResource:
         return volume / rate
 
     # ------------------------------------------------------------------
-    # Sparse (virtual-finish-time) machinery
-    # ------------------------------------------------------------------
-    def _effective_cap(self, job: _Job) -> float:
-        cap = math.inf if self.per_job_cap is None else self.per_job_cap
-        if job.cap is not None and job.cap < cap:
-            cap = job.cap
-        return cap
-
-    def _sparse_add(self, job: _Job) -> None:
-        cap = self._effective_cap(job)
-        group = self._groups.get(cap)
-        if group is None:
-            group = self._groups[cap] = _CapGroup(cap)
-        job.credit = group.served + job.remaining
-        heapq.heappush(group.heap, (job.credit, job.seq, job))
-        group.count += 1
-        self._sparse_count += 1
-
-    def _go_sparse(self) -> None:
-        """Migrate the (freshly advanced) dense job list to VFT groups."""
-        self._sparse = True
-        self._sparse_count = 0
-        jobs, self._jobs = self._jobs, []
-        for job in jobs:
-            self._sparse_add(job)
-
-    # ------------------------------------------------------------------
     def _advance(self) -> None:
-        """Credit progress to all jobs for time elapsed since last update."""
+        """Credit every group's counter for time elapsed since last update."""
         now = self.engine.now
         dt = now - self._last_update
         self._last_update = now
-        if self._sparse:
-            if dt <= 0 or not self._sparse_count:
-                return
-            for group in self._groups.values():
-                rate = self._group_rate(group)
-                group.served += rate * dt
-                self.volume_served += rate * dt * group.count
+        if dt <= 0 or not self._count:
             return
-        if dt <= 0 or not self._jobs:
-            return
-        # _job_rate inlined (same operations, same float results): the
-        # dense loop runs per event and the call overhead is measurable
-        share = self.rate / len(self._jobs)
-        if self.per_job_cap is not None:
-            share = min(share, self.per_job_cap)
-        for job in self._jobs:
-            rate = share if job.cap is None else min(share, job.cap)
-            served = min(job.remaining, rate * dt)
-            job.remaining -= served
-            # absolute-clock subtraction error: dt carries ~ulp(now) of
-            # error, which at rate r corresponds to r*ulp(now) volume
-            anow = now if now >= 0.0 else -now
-            clock_eps = rate * (anow if anow > 1.0 else 1.0) * 1e-16 * 8
-            eps = job.eps
-            if job.remaining <= (clock_eps if clock_eps > eps else eps):
-                job.remaining = 0.0
-            self.volume_served += served
+        share = self.rate / self._count
+        for group in self._groups.values():
+            rate = share if share < group.cap else group.cap
+            group.served += rate * dt
+            self.volume_served += rate * dt * len(group.heap)
 
     def _reschedule(self) -> None:
         if self._next_event is not None:
             self._next_event.cancel()
             self._next_event = None
+        if not self._count:
+            return
         dt = math.inf
-        if self._sparse:
-            if not self._sparse_count:
-                return
-            for group in self._groups.values():
-                if not group.heap:
-                    continue
-                rate = self._group_rate(group)
-                if rate > 0:
-                    gap = (group.heap[0][0] - group.served) / rate
-                    if gap < dt:
-                        dt = gap
-        else:
-            if not self._jobs:
-                return
-            share = self.rate / len(self._jobs)
-            if self.per_job_cap is not None:
-                share = min(share, self.per_job_cap)
-            for job in self._jobs:
-                rate = share if job.cap is None else min(share, job.cap)
-                if rate > 0:
-                    dt = min(dt, job.remaining / rate)
-        if math.isinf(dt):
+        share = self.rate / self._count
+        for group in self._groups.values():
+            rate = share if share < group.cap else group.cap
+            if rate > 0:
+                gap = (group.heap[0][0] - group.served) / rate
+                if gap < dt:
+                    dt = gap
+        if dt == math.inf:
             raise SimulationError(f"resource {self.name!r} stalled with zero rates")
         # never schedule below the clock's representable increment, or the
         # event fires at an identical timestamp and no progress is made
@@ -266,68 +168,32 @@ class BandwidthResource:
 
     def _on_completion(self) -> None:
         self._next_event = None
-        if self._sparse:
-            self._advance()
-            self._sparse_completion()
-            return
-        # _advance and the completion partition fused into one pass over
-        # the job list (the per-job float operations are unchanged); this
-        # fires once per resource completion and the extra scans showed up
+        self._advance()
         now = self.engine.now
-        dt = now - self._last_update
-        self._last_update = now
-        jobs = self._jobs
-        finished: list[_Job] = []
-        running: list[_Job] = []
-        if dt <= 0 or not jobs:
-            for job in jobs:
-                (finished if job.remaining <= 0.0 else running).append(job)
-        else:
-            share = self.rate / len(jobs)
-            if self.per_job_cap is not None:
-                share = min(share, self.per_job_cap)
-            anow = now if now >= 0.0 else -now
-            scale = anow if anow > 1.0 else 1.0
-            for job in jobs:
-                rate = share if job.cap is None else min(share, job.cap)
-                served = min(job.remaining, rate * dt)
-                remaining = job.remaining - served
-                clock_eps = rate * scale * 1e-16 * 8
-                eps = job.eps
-                if remaining <= (clock_eps if clock_eps > eps else eps):
-                    remaining = 0.0
-                job.remaining = remaining
-                self.volume_served += served
-                (finished if remaining <= 0.0 else running).append(job)
-        self._jobs = running
-        self._reschedule()
-        for job in finished:
-            job.notify()
-        # `finished` can be empty on numerical residue; _reschedule covers it.
-
-    def _sparse_completion(self) -> None:
-        now = self.engine.now
-        finished: list[_Job] = []
-        for cap in list(self._groups):
-            group = self._groups[cap]
-            rate = self._group_rate(group)
-            anow = now if now >= 0.0 else -now
-            clock_eps = rate * (anow if anow > 1.0 else 1.0) * 1e-16 * 8
+        anow = now if now >= 0.0 else -now
+        scale = anow if anow > 1.0 else 1.0
+        share = self.rate / self._count
+        groups = self._groups
+        finished: list[tuple[float, int, float, object]] = []
+        for cap in list(groups):
+            group = groups[cap]
+            # absolute-clock subtraction error: dt carries ~ulp(now) of
+            # error, which at rate r corresponds to r*ulp(now) volume
+            clock_eps = (share if share < cap else cap) * scale * 1e-16 * 8
             served = group.served
             heap = group.heap
-            while heap and heap[0][0] - served <= max(heap[0][2].eps, clock_eps):
-                finished.append(heapq.heappop(heap)[2])
-                group.count -= 1
-            if group.count == 0:
-                del self._groups[cap]
+            while heap:
+                credit, _, eps, _ = heap[0]
+                if credit - served > (eps if eps > clock_eps else clock_eps):
+                    break
+                finished.append(heapq.heappop(heap))
+            if not heap:
+                del groups[cap]
         if finished:
-            self._sparse_count -= len(finished)
-            if self._sparse_count == 0:
-                # drained: revert to the exact dense mode for the next burst
-                self._sparse = False
-                self._groups.clear()
-            finished.sort(key=lambda job: job.seq)
+            self._count -= len(finished)
+            if len(finished) > 1:
+                finished.sort(key=lambda entry: entry[1])
         self._reschedule()
-        for job in finished:
-            job.notify()
+        for entry in finished:
+            entry[3]()
         # `finished` can be empty on numerical residue; _reschedule covers it.

@@ -4,7 +4,9 @@
 Figure 6 and the sync ablation: checkpoint writes land in the kernel page
 cache at memory-like speed until the dirty limit is reached, after which
 writers throttle to raw disk bandwidth; a ``sync`` blocks until the dirty
-set drains.
+set drains.  Concurrent writers share the fill rate equally and are
+tracked by virtual finish times, the accounting every fair-share server
+in :mod:`repro.hardware` uses (see :mod:`repro.hardware.resources`).
 
 :class:`SanDevice` reproduces the Figure 5b setup: one RAID backend whose
 bandwidth is shared by every writer, reachable either over Fibre Channel
@@ -23,20 +25,7 @@ from repro.errors import SimulationError
 from repro.sim.engine import Engine, Event
 from repro.sim.tasks import Future
 
-from repro.hardware.resources import DENSE_MAX_JOBS, BandwidthResource
-
-
-class _Writer:
-    __slots__ = ("remaining", "future", "eps", "seq", "credit")
-
-    def __init__(self, volume: float, future: Future, seq: int):
-        self.remaining = volume
-        self.future = future
-        self.seq = seq
-        #: Virtual-finish credit on the disk's served counter (sparse mode).
-        self.credit = 0.0
-        # relative float-residue threshold (see resources._Job.eps)
-        self.eps = max(1e-9, volume * 1e-9)
+from repro.hardware.resources import BandwidthResource
 
 
 class PageCachedDisk:
@@ -53,6 +42,14 @@ class PageCachedDisk:
       stream closes as one written in a single call;
     * ``sync()`` resolves when all writers have finished and the dirty set
       has fully drained.
+
+    Every writer progresses at the same rate, so writers are kept by
+    virtual-finish-time accounting (DESIGN.md §8): one cumulative served
+    counter, each writer's finish a fixed credit on it, and a heap keyed
+    by ``(finish_credit, seq)`` for the next completion --
+    :class:`~repro.hardware.resources.BandwidthResource` with a single
+    cap group.  The counter restarts at zero whenever the last writer
+    finishes.
     """
 
     def __init__(self, engine: Engine, spec: DiskSpec, ram_bytes: int, name: str = "disk"):
@@ -63,16 +60,12 @@ class PageCachedDisk:
         self.dirty_bytes = 0.0
         #: float-residue threshold for dirty-level transitions
         self._eps = max(1e-3, self.dirty_limit * 1e-9)
-        self._writers: list[_Writer] = []
         self._wseq = itertools.count()
-        #: Sparse (virtual-finish-time) writer state; empty while dense.
-        #: Writers all progress at the same rate, so a single served
-        #: counter plus a heap keyed by (finish credit, seq) suffices
-        #: (see resources._CapGroup for the capped multi-group variant).
-        self._wsparse = False
+        #: Cumulative per-writer service and the writer heap:
+        #: ``(finish credit, seq, eps, future)`` per pending write, ``eps``
+        #: being its relative float-residue threshold.
         self._wserved = 0.0
-        self._wheap: list[tuple[float, int, _Writer]] = []
-        self._wcount = 0
+        self._wheap: list[tuple[float, int, float, Future]] = []
         self._last_update = 0.0
         self._next_event: Optional[Event] = None
         self._sync_waiters: list[Future] = []
@@ -102,13 +95,11 @@ class PageCachedDisk:
             return fut
         self.bytes_written += nbytes
         self._advance()
-        writer = _Writer(float(nbytes), fut, next(self._wseq))
-        if self._wsparse:
-            self._sparse_add(writer)
-        else:
-            self._writers.append(writer)
-            if len(self._writers) > DENSE_MAX_JOBS:
-                self._go_sparse()
+        volume = float(nbytes)
+        heapq.heappush(
+            self._wheap,
+            (self._wserved + volume, next(self._wseq), max(1e-9, volume * 1e-9), fut),
+        )
         self._reschedule()
         return fut
 
@@ -134,7 +125,7 @@ class PageCachedDisk:
         """Resolve when every pending write is durable on the platter."""
         fut = Future(f"{self.name}:sync")
         self._advance()
-        if not self._nwriters and self.dirty_bytes <= 0.0:
+        if not self._wheap and self.dirty_bytes <= 0.0:
             fut.resolve(None)
         else:
             self._sync_waiters.append(fut)
@@ -142,26 +133,8 @@ class PageCachedDisk:
         return fut
 
     # ------------------------------------------------------------------
-    @property
-    def _nwriters(self) -> int:
-        return self._wcount if self._wsparse else len(self._writers)
-
-    def _sparse_add(self, writer: _Writer) -> None:
-        writer.credit = self._wserved + writer.remaining
-        heapq.heappush(self._wheap, (writer.credit, writer.seq, writer))
-        self._wcount += 1
-
-    def _go_sparse(self) -> None:
-        """Migrate the (freshly advanced) dense writer list to VFT."""
-        self._wsparse = True
-        self._wserved = 0.0
-        self._wcount = 0
-        writers, self._writers = self._writers, []
-        for writer in writers:
-            self._sparse_add(writer)
-
     def _fill_rate_total(self) -> float:
-        if not self._nwriters:
+        if not self._wheap:
             return 0.0
         if self.dirty_bytes < self.dirty_limit - self._eps:
             return self.spec.cache_write_bps
@@ -183,16 +156,8 @@ class PageCachedDisk:
             return
         fill_total = self._fill_rate_total()
         drain = self._drain_rate()
-        if self._wsparse:
-            if self._wcount:
-                self._wserved += (fill_total / self._wcount) * dt
-        elif self._writers:
-            per_writer = fill_total / len(self._writers)
-            clock_eps = per_writer * max(abs(now), 1.0) * 1e-16 * 8
-            for w in self._writers:
-                w.remaining -= min(w.remaining, per_writer * dt)
-                if w.remaining <= max(w.eps, clock_eps):
-                    w.remaining = 0.0
+        if self._wheap:
+            self._wserved += (fill_total / len(self._wheap)) * dt
         self.dirty_bytes += (fill_total - drain) * dt
         if self.dirty_bytes <= self._eps:
             self.dirty_bytes = 0.0
@@ -207,14 +172,10 @@ class PageCachedDisk:
         fill_total = self._fill_rate_total()
         drain = self._drain_rate()
         dt = math.inf
-        if self._wsparse:
-            per_writer = fill_total / self._wcount
-            if per_writer > 0 and self._wheap:
-                dt = min(dt, (self._wheap[0][0] - self._wserved) / per_writer)
-        elif self._writers:
-            per_writer = fill_total / len(self._writers)
+        if self._wheap:
+            per_writer = fill_total / len(self._wheap)
             if per_writer > 0:
-                dt = min(dt, min(w.remaining for w in self._writers) / per_writer)
+                dt = (self._wheap[0][0] - self._wserved) / per_writer
         slope = fill_total - drain
         if slope > 1e-9 and self.dirty_bytes < self.dirty_limit:
             dt = min(dt, (self.dirty_limit - self.dirty_bytes) / slope)
@@ -228,27 +189,20 @@ class PageCachedDisk:
     def _on_event(self) -> None:
         self._next_event = None
         self._advance()
-        if self._wsparse:
-            per_writer = self._fill_rate_total() / self._wcount
+        heap = self._wheap
+        done: list[tuple[float, int, float, Future]] = []
+        if heap:
+            per_writer = self._fill_rate_total() / len(heap)
             clock_eps = per_writer * max(abs(self.engine.now), 1.0) * 1e-16 * 8
             served = self._wserved
-            heap = self._wheap
-            done: list[_Writer] = []
-            while heap and heap[0][0] - served <= max(heap[0][2].eps, clock_eps):
-                done.append(heapq.heappop(heap)[2])
-            if done:
-                self._wcount -= len(done)
-                if self._wcount == 0:
-                    # drained: revert to the exact dense mode
-                    self._wsparse = False
-                    self._wserved = 0.0
-                done.sort(key=lambda w: w.seq)
-        else:
-            done = [w for w in self._writers if w.remaining <= 0.0]
-            self._writers = [w for w in self._writers if w.remaining > 0.0]
-        for w in done:
-            w.future.resolve(None)
-        if not self._nwriters and self.dirty_bytes <= 0.0 and self._sync_waiters:
+            while heap and heap[0][0] - served <= max(heap[0][2], clock_eps):
+                done.append(heapq.heappop(heap))
+            if not heap:
+                self._wserved = 0.0
+            done.sort(key=lambda entry: entry[1])
+        for entry in done:
+            entry[3].resolve(None)
+        if not heap and self.dirty_bytes <= 0.0 and self._sync_waiters:
             waiters, self._sync_waiters = self._sync_waiters, []
             for fut in waiters:
                 fut.resolve(None)

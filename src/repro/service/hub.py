@@ -59,6 +59,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["CoordinatorHub"]
 
+#: The retry-after hint a shedding hub returns, seconds.
+HUB_RETRY_AFTER_S = 0.05
+
 #: The hub serves many tenants from one heap; give it more room than a
 #: single coordinator but keep it checkpoint-irrelevant (never hijacked).
 _HUB_SPEC = ProgramSpec(
@@ -102,7 +105,7 @@ class CoordinatorHub:
         #: round mid-protocol
         self.inbox: dict[str, int] = {}
         self.inbox_limit = spec.hub_inbox_limit
-        self.retry_after_s = spec.hub_retry_after_s
+        self.retry_after_s = HUB_RETRY_AFTER_S
         #: load-shed metric: commands refused at admission
         self.shed = 0
         #: cfds the dispatcher retired mid-stream (a store reply whose

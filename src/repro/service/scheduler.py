@@ -40,6 +40,11 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["TenantJob", "ClusterScheduler", "register_worker_program"]
 
+#: Host-side scheduler tick (arrivals, placement, evictions), seconds.
+SERVICE_POLL_S = 0.25
+#: How long a spot-evicted node stays down before rebooting, seconds.
+SPOT_DOWNTIME_S = 30.0
+
 #: Deliberately tiny address space: service workers model *many* small
 #: tenants, so per-image cost stays low and coordinator traffic -- not
 #: image I/O -- dominates the measured checkpoint latency.
@@ -123,8 +128,8 @@ class ClusterScheduler:
         self.rng = random.Random(seed)
         self.interval_s = interval_s
         spec = world.spec.dmtcp
-        self.poll_s = spec.service_poll_s
-        self.spot_downtime_s = spec.service_spot_downtime_s
+        self.poll_s = SERVICE_POLL_S
+        self.spot_downtime_s = SPOT_DOWNTIME_S
         self.barrier_timeout_s = spec.barrier_timeout_s
         self.cores_per_host = (
             world.spec.cpu.cores if cores_per_host is None else cores_per_host

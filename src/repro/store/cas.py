@@ -39,6 +39,18 @@ from typing import Any, Iterable, Optional
 from repro.errors import SyscallError
 from repro.sim.tasks import Future
 
+#: Nodes per rack for rack-diverse replica placement (node_id // size);
+#: ``ChunkStore(rack_size=)`` overrides it.
+RACK_SIZE = 8
+#: Anti-entropy repair sweep period, seconds: re-replicates
+#: under-replicated chunks after node loss (runs while an
+#: AutoRestartSupervisor does).
+REPAIR_INTERVAL_S = 2.0
+#: Per-chunk re-replication attempt budget before a chunk is parked as
+#: unrepairable (a permanently lost rack must not spin the repair loop
+#: forever).
+REPAIR_ATTEMPTS = 6
+
 
 class ChunkMeta:
     """Metadata-plane record for one content-addressed chunk."""
@@ -103,7 +115,6 @@ class ChunkStore:
         world,
         replicas: Optional[int] = None,
         rack_size: Optional[int] = None,
-        repair_interval_s: Optional[float] = None,
         chunk_bytes: Optional[int] = None,
     ):
         spec = world.spec.dmtcp
@@ -111,10 +122,8 @@ class ChunkStore:
         self.replicas = int(replicas if replicas is not None else spec.store_replicas)
         if self.replicas < 1:
             raise ValueError(f"store replicas must be >= 1, got {self.replicas}")
-        self.rack_size = int(rack_size if rack_size is not None else spec.store_rack_size)
-        self.repair_interval_s = float(
-            repair_interval_s if repair_interval_s is not None else spec.store_repair_interval_s
-        )
+        self.rack_size = int(rack_size if rack_size is not None else RACK_SIZE)
+        self.repair_interval_s = REPAIR_INTERVAL_S
         self.chunk_bytes = int(chunk_bytes if chunk_bytes is not None else spec.store_chunk_bytes)
         self.chunks: dict[str, ChunkMeta] = {}
         #: Per-host ``{digest: warm-at time}``: bytes resident in that
@@ -155,11 +164,11 @@ class ChunkStore:
         self._repair_event = None
         #: Per-chunk repair pacing: capped exponential backoff between
         #: rounds that keep re-starting copies for the same chunk, jitter
-        #: seeded by digest; after ``store_repair_attempts`` fruitless
+        #: seeded by digest; after ``REPAIR_ATTEMPTS`` fruitless
         #: rounds the chunk is parked with one FailureLog entry.
         from repro.resilience import RetryPolicy
 
-        self.repair_attempts_max = int(spec.store_repair_attempts)
+        self.repair_attempts_max = REPAIR_ATTEMPTS
         self.repair_policy = RetryPolicy(
             base_s=self.repair_interval_s,
             max_s=8.0 * self.repair_interval_s,
@@ -434,7 +443,7 @@ class ChunkStore:
         Per-chunk attempt budget: a chunk whose copies keep dying burns
         one attempt per round that starts copies, waits out a digest-
         seeded backoff before the next try, and after
-        ``store_repair_attempts`` fruitless rounds is *parked* -- one
+        ``REPAIR_ATTEMPTS`` fruitless rounds is *parked* -- one
         FailureLog entry, no more copies -- so a permanently lost rack
         degrades to a bounded cost instead of an infinite re-replication
         spin.  Any replica landing (see ``_start_copy``) unparks the

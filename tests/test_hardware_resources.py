@@ -9,6 +9,65 @@ from repro.hardware.resources import BandwidthResource
 from repro.sim import Engine
 
 
+def fluid_reference(jobs, rate, per_job_cap=None):
+    """Completion time of every job under the per-job fluid scan.
+
+    ``jobs`` is a list of ``(arrival, volume, cap)``.  Between events
+    every active job progresses at ``min(rate / n, per_job_cap, cap)``;
+    an event is the next arrival or the next completion, and at each one
+    every job's remaining volume is credited and checked -- O(jobs) per
+    event.  The server keeps virtual finish times instead; this scan is
+    the oracle it must agree with.
+    """
+    order = sorted(range(len(jobs)), key=lambda i: (jobs[i][0], i))
+    remaining: dict[int, float] = {}
+    done: dict[int, float] = {}
+    now = 0.0
+    k = 0
+    while k < len(order) or remaining:
+        while k < len(order) and jobs[order[k]][0] <= now:
+            remaining[order[k]] = float(jobs[order[k]][1])
+            k += 1
+        if not remaining:
+            now = jobs[order[k]][0]
+            continue
+        share = rate / len(remaining)
+        if per_job_cap is not None:
+            share = min(share, per_job_cap)
+        rates = {i: share if jobs[i][2] is None else min(share, jobs[i][2]) for i in remaining}
+        dt = min(remaining[i] / rates[i] for i in remaining)
+        if k < len(order) and jobs[order[k]][0] - now < dt:
+            dt = jobs[order[k]][0] - now
+            now = jobs[order[k]][0]
+        else:
+            now += dt
+        for i in list(remaining):
+            remaining[i] -= rates[i] * dt
+            if remaining[i] <= jobs[i][1] * 1e-9:
+                done[i] = now
+                del remaining[i]
+    return done
+
+
+def run_jobs(jobs, rate, per_job_cap=None):
+    """Completion times of ``(arrival, volume, cap)`` jobs on the server."""
+    eng = Engine()
+    res = BandwidthResource(eng, rate=rate, per_job_cap=per_job_cap)
+    times = {}
+
+    def submit(i, vol, cap):
+        res.submit(vol, cap=cap).add_done(lambda: times.__setitem__(i, eng.now))
+
+    for i, (arrival, vol, cap) in enumerate(jobs):
+        if arrival:
+            eng.call_at(arrival, submit, i, vol, cap)
+        else:
+            submit(i, vol, cap)
+    eng.run()
+    assert res.active_jobs == 0
+    return times
+
+
 def _completion_times(engine, resource, volumes, caps=None):
     times = {}
     caps = caps or [None] * len(volumes)
@@ -138,3 +197,29 @@ def test_property_completion_order_matches_volume_order(volumes):
     order = sorted(range(len(volumes)), key=lambda i: (volumes[i], i))
     finish = [times[i] for i in order]
     assert finish == sorted(finish)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    jobs=st.lists(
+        st.tuples(
+            # a small set of arrival instants makes simultaneous arrivals
+            # (and simultaneous completions) common
+            st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 5.0)),
+            st.floats(min_value=1.0, max_value=1e4),
+            st.one_of(st.none(), st.sampled_from([20.0, 50.0]), st.floats(1.0, 500.0)),
+        ),
+        min_size=1,
+        max_size=24,
+    ),
+    rate=st.floats(min_value=10.0, max_value=1000.0),
+    per_job_cap=st.one_of(st.none(), st.floats(min_value=5.0, max_value=1000.0)),
+)
+def test_property_completions_match_fluid_reference(jobs, rate, per_job_cap):
+    """Virtual finish times complete every job when the per-job scan does:
+    random arrivals, volumes, per-job caps and a server-wide cap."""
+    times = run_jobs(jobs, rate, per_job_cap)
+    expected = fluid_reference(jobs, rate, per_job_cap)
+    assert set(times) == set(expected) == set(range(len(jobs)))
+    for i in expected:
+        assert times[i] == pytest.approx(expected[i], rel=1e-9, abs=1e-9)

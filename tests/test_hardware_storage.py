@@ -1,6 +1,8 @@
 """Tests for the page-cached disk and the SAN model."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import DiskSpec, NetworkSpec, SanSpec
 from repro.hardware.storage import PageCachedDisk, SanDevice
@@ -18,6 +20,66 @@ def make_disk(engine, disk_bps=10.0, cache_bps=100.0, dirty_ratio=0.4):
         op_latency_s=0.0,
     )
     return PageCachedDisk(engine, spec, RAM)
+
+
+def disk_reference(writes, disk_bps, cache_bps, dirty_limit, sync_at):
+    """Writer completions and sync time under the per-writer fluid scan.
+
+    ``writes`` is a list of ``(arrival, volume)``; the sync is issued at
+    ``sync_at``.  Between events every writer fills at ``cache_bps / n``
+    while the dirty set is under its limit and at ``disk_bps / n`` at it;
+    the dirty set drains at ``disk_bps`` (or at the inflow, when empty).
+    Every event credits each writer's remaining volume -- the O(writers)
+    scan the disk replaced with virtual finish times.  The dirty-level
+    clamps are the model's own.  Returns ``(finish times, sync time,
+    whether the writers ever hit the dirty limit)``.
+    """
+    eps = max(1e-3, dirty_limit * 1e-9)
+    order = sorted(range(len(writes)), key=lambda i: (writes[i][0], i))
+    remaining: dict[int, float] = {}
+    done: dict[int, float] = {}
+    now, dirty, k, throttled = 0.0, 0.0, 0, False
+    while True:
+        while k < len(order) and writes[order[k]][0] <= now:
+            remaining[order[k]] = float(writes[order[k]][1])
+            k += 1
+        if now >= sync_at and k == len(order) and not remaining and dirty <= 0.0:
+            return done, now, throttled
+        fill = 0.0
+        if remaining:
+            fill = cache_bps if dirty < dirty_limit - eps else disk_bps
+            throttled = throttled or fill == disk_bps
+        drain = disk_bps if dirty > eps else min(fill, disk_bps)
+        slope = fill - drain
+        steps = []
+        if remaining:
+            steps.append(min(remaining.values()) / (fill / len(remaining)))
+        if slope > 1e-9 and dirty < dirty_limit:
+            steps.append((dirty_limit - dirty) / slope)
+        elif slope < -1e-9 and dirty > 0.0:
+            steps.append(dirty / -slope)
+        if k < len(order):
+            steps.append(writes[order[k]][0] - now)
+        if now < sync_at:
+            steps.append(sync_at - now)
+        dt = min(steps)
+        if k < len(order) and dt == writes[order[k]][0] - now:
+            now = writes[order[k]][0]
+        elif now < sync_at and dt == sync_at - now:
+            now = sync_at
+        else:
+            now += dt
+        per_writer = fill / len(remaining) if remaining else 0.0
+        for i in list(remaining):
+            remaining[i] -= per_writer * dt
+            if remaining[i] <= max(1e-9, writes[i][1] * 1e-9):
+                done[i] = now
+                del remaining[i]
+        dirty += slope * dt
+        if dirty <= eps:
+            dirty = 0.0
+        if dirty >= dirty_limit - eps:
+            dirty = dirty_limit
 
 
 def _run_write(engine, disk, nbytes):
@@ -146,3 +208,41 @@ def test_unknown_path_rejected():
     san = make_san(eng)
     with pytest.raises(Exception):
         san.write(1.0, "iscsi")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    writes=st.lists(
+        st.tuples(
+            st.one_of(st.sampled_from([0.0, 0.5]), st.floats(0.0, 1.0)),
+            st.floats(min_value=100.0, max_value=400.0),
+        ),
+        min_size=6,
+        max_size=14,
+    ),
+    sync_delay=st.one_of(st.just(0.0), st.floats(0.0, 40.0)),
+)
+def test_property_writers_and_sync_match_fluid_reference(writes, sync_delay):
+    """Writers that cross the dirty limit (>= 600 B into a 400 B limit
+    within a second), then a sync: every completion and the sync land
+    where the per-writer scan puts them."""
+    eng = Engine()
+    disk = make_disk(eng)
+    times, synced = {}, []
+
+    def write(i, nbytes):
+        disk.write(nbytes).add_done(lambda: times.__setitem__(i, eng.now))
+
+    for i, (arrival, nbytes) in enumerate(writes):
+        eng.call_at(arrival, write, i, nbytes)
+    sync_at = max(arrival for arrival, _ in writes) + sync_delay
+    eng.call_at(sync_at, lambda: disk.sync().add_done(lambda: synced.append(eng.now)))
+    eng.run()
+    expected, expected_sync, throttled = disk_reference(
+        writes, disk_bps=10.0, cache_bps=100.0, dirty_limit=disk.dirty_limit, sync_at=sync_at
+    )
+    assert throttled
+    assert set(times) == set(expected) == set(range(len(writes)))
+    for i in expected:
+        assert times[i] == pytest.approx(expected[i], rel=1e-9, abs=1e-9)
+    assert synced == [pytest.approx(expected_sync, rel=1e-9, abs=1e-9)]

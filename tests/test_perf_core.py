@@ -7,8 +7,9 @@ Covers the properties the optimizations must not bend:
 * a disabled tracer costs the event loop nothing (no per-event tracer
   attribute work at all);
 * :class:`Chunk` stays slotted and frame reassembly stays intact;
-* sparse (virtual-finish-time) fair-share completions match the dense
-  per-job scan, for the bandwidth server and the page-cached disk;
+* virtual-finish-time fair-share completions match a per-job fluid
+  scan (kept in the hardware test modules), for the bandwidth server and
+  the page-cached disk, at O(1) events for equal jobs and in one mode;
 * ``compare_results`` catches metric drift but tolerates wall noise.
 """
 
@@ -19,6 +20,8 @@ import pytest
 import repro.hardware.resources as resources_mod
 import repro.hardware.storage as storage_mod
 from benchmarks._util import compare_results
+from tests.test_hardware_resources import fluid_reference, run_jobs
+from tests.test_hardware_storage import disk_reference
 from repro.errors import SimulationError
 from repro.hardware.resources import BandwidthResource
 from repro.kernel.streams import (
@@ -227,40 +230,8 @@ def test_try_reserve_oversized_clamped_to_capacity():
 
 
 # ----------------------------------------------------------------------
-# Sparse fair-share equivalence
+# Fair share: virtual finish times against the per-job scan
 # ----------------------------------------------------------------------
-
-def _resource_completions(threshold, jobs, rate=1000.0, per_job_cap=None):
-    """Completion times with the dense->sparse switch at ``threshold``."""
-    saved = resources_mod.DENSE_MAX_JOBS
-    resources_mod.DENSE_MAX_JOBS = threshold
-    try:
-        eng = Engine()
-        res = BandwidthResource(eng, rate=rate, per_job_cap=per_job_cap)
-        times = {}
-
-        def submit(i, vol, cap):
-            res.submit(vol, cap=cap).add_done(
-                lambda: times.__setitem__(i, eng.now)
-            )
-
-        for i, (delay, vol, cap) in enumerate(jobs):
-            if delay:
-                eng.call_at(delay, submit, i, vol, cap)
-            else:
-                submit(i, vol, cap)
-        eng.run()
-        assert not res._sparse  # drained resources revert to dense mode
-        assert res.active_jobs == 0
-        # and the resource is reusable after the sparse episode
-        done = []
-        res.submit(rate).add_done(lambda: done.append(eng.now))
-        eng.run()
-        assert len(done) == 1
-        return times
-    finally:
-        resources_mod.DENSE_MAX_JOBS = saved
-
 
 SPARSE_JOBS = (
     [(0.0, 100.0 + 7.0 * i, 50.0 if i % 3 == 0 else None) for i in range(20)]
@@ -269,11 +240,24 @@ SPARSE_JOBS = (
 
 
 def test_sparse_completions_match_dense_scan():
-    sparse = _resource_completions(8, SPARSE_JOBS, per_job_cap=200.0)
-    dense = _resource_completions(10**9, SPARSE_JOBS, per_job_cap=200.0)
-    assert set(sparse) == set(dense) == set(range(len(SPARSE_JOBS)))
-    for key in dense:
-        assert sparse[key] == pytest.approx(dense[key], rel=1e-9, abs=1e-9)
+    times = run_jobs(SPARSE_JOBS, rate=1000.0, per_job_cap=200.0)
+    expected = fluid_reference(SPARSE_JOBS, rate=1000.0, per_job_cap=200.0)
+    assert set(times) == set(expected) == set(range(len(SPARSE_JOBS)))
+    for key in expected:
+        assert times[key] == pytest.approx(expected[key], rel=1e-9, abs=1e-9)
+
+
+def test_drained_resource_is_reusable():
+    eng = Engine()
+    res = BandwidthResource(eng, rate=1000.0)
+    for vol in (300.0, 500.0, 700.0):
+        res.submit(vol, cap=100.0)
+    eng.run()
+    assert res.active_jobs == 0
+    done = []
+    res.submit(1000.0).add_done(lambda: done.append(eng.now))
+    eng.run()
+    assert done == [pytest.approx(8.0)]  # alone at full rate from t=7
 
 
 def test_sparse_completion_cost_is_logarithmic_in_jobs():
@@ -285,7 +269,7 @@ def test_sparse_completion_cost_is_logarithmic_in_jobs():
     for _ in range(200):
         res.submit(500.0)
     eng.run()
-    assert eng.events_fired < 300  # dense per-job rescans would blow this
+    assert eng.events_fired == 1  # one completion event for all 200
 
 
 def test_zero_rate_job_stalls_loudly():
@@ -313,47 +297,81 @@ def test_submit_on_done_zero_volume_fires_immediately():
 
 
 # ----------------------------------------------------------------------
-# Disk writers: sparse mode and sync ordering
+# Disk writers: virtual finish times and sync ordering
 # ----------------------------------------------------------------------
 
-def _disk_write_completions(threshold, volumes):
+def _make_disk(eng):
     from repro.config import DiskSpec
     from repro.hardware.storage import PageCachedDisk
 
-    saved = storage_mod.DENSE_MAX_JOBS
-    storage_mod.DENSE_MAX_JOBS = threshold
-    try:
-        eng = Engine()
-        spec = DiskSpec(
-            disk_bps=10.0,
-            cache_write_bps=100.0,
-            cache_read_bps=200.0,
-            dirty_ratio=0.4,
-            op_latency_s=0.0,
-        )
-        disk = PageCachedDisk(eng, spec, ram_bytes=1000)
-        times = {}
-        for i, vol in enumerate(volumes):
-            disk.write(vol).add_done(lambda i=i: times.__setitem__(i, eng.now))
-        synced = []
-        disk.sync().add_done(lambda: synced.append(eng.now))
-        eng.run()
-        assert len(synced) == 1
-        # sync resolves only after every write (and the flush) finished
-        assert synced[0] >= max(times.values())
-        return times, synced[0]
-    finally:
-        storage_mod.DENSE_MAX_JOBS = saved
+    spec = DiskSpec(
+        disk_bps=10.0,
+        cache_write_bps=100.0,
+        cache_read_bps=200.0,
+        dirty_ratio=0.4,
+        op_latency_s=0.0,
+    )
+    return PageCachedDisk(eng, spec, ram_bytes=1000)
 
 
 def test_disk_sparse_writers_match_dense_and_sync_last():
     volumes = [50.0 + 11.0 * i for i in range(14)]
-    sparse, sparse_sync = _disk_write_completions(8, volumes)
-    dense, dense_sync = _disk_write_completions(10**9, volumes)
-    assert set(sparse) == set(dense)
-    for key in dense:
-        assert sparse[key] == pytest.approx(dense[key], rel=1e-9, abs=1e-9)
-    assert sparse_sync == pytest.approx(dense_sync, rel=1e-9, abs=1e-9)
+    eng = Engine()
+    disk = _make_disk(eng)
+    times = {}
+    for i, vol in enumerate(volumes):
+        disk.write(vol).add_done(lambda i=i: times.__setitem__(i, eng.now))
+    synced = []
+    disk.sync().add_done(lambda: synced.append(eng.now))
+    eng.run()
+    expected, expected_sync, throttled = disk_reference(
+        [(0.0, vol) for vol in volumes],
+        disk_bps=10.0,
+        cache_bps=100.0,
+        dirty_limit=disk.dirty_limit,
+        sync_at=0.0,
+    )
+    assert throttled
+    assert set(times) == set(expected) == set(range(len(volumes)))
+    for key in expected:
+        assert times[key] == pytest.approx(expected[key], rel=1e-9, abs=1e-9)
+    # sync resolves only after every write (and the flush) finished
+    assert len(synced) == 1 and synced[0] >= max(times.values())
+    assert synced[0] == pytest.approx(expected_sync, rel=1e-9, abs=1e-9)
+
+
+def test_disk_equal_writers_finish_in_constant_events():
+    # n equal writers share one finish credit, so the run costs the same
+    # events whatever n is: the dirty limit, one completion for all n
+    # writers, and the drain
+    counts = []
+    for n in (10, 1000):
+        eng = Engine()
+        disk = _make_disk(eng)
+        done = []
+        for _ in range(n):
+            disk.write(1000.0 / n).add_done(lambda: done.append(eng.now))
+        eng.run()
+        assert len(done) == n and len(set(done)) == 1
+        counts.append(eng.events_fired)
+    assert counts[0] == counts[1] <= 3
+
+
+def test_fair_share_has_one_mode():
+    import inspect
+
+    from repro import hardware
+
+    for mod in (resources_mod, storage_mod, hardware):
+        assert not hasattr(mod, "DENSE_MAX_JOBS")
+        assert "DENSE_MAX_JOBS" not in inspect.getsource(mod)
+    eng = Engine()
+    servers = [BandwidthResource(eng, rate=1.0, per_job_cap=0.5), _make_disk(eng)]
+    for server in servers:
+        attrs = vars(server)
+        assert not {"_sparse", "_wsparse", "_jobs", "_writers"} & set(attrs)
+        # no boolean switch between accounting modes
+        assert not [k for k, v in attrs.items() if isinstance(v, bool)]
 
 
 # ----------------------------------------------------------------------
