@@ -114,6 +114,10 @@ def _trace(argv: list[str]) -> int:
         # when the answer is no
         counters.setdefault("coord.gw_flushes_complete", 0)
         counters.setdefault("coord.gw_flushes_window", 0)
+    if "restart.forks" in counters:
+        # "was a child forked only to be killed?" is answered even when
+        # the answer is no
+        counters.setdefault("restart.doomed_forks", 0)
     for key in (
         "sim.events_fired",
         "sched.context_switches",
@@ -132,6 +136,8 @@ def _trace(argv: list[str]) -> int:
         "store.chunks_leased",
         "store.lease_max_share",
         "restart.processes_restored",
+        "restart.forks",
+        "restart.doomed_forks",
     ):
         if key in counters:
             print(f"  {key:28s} {counters[key]:g}")

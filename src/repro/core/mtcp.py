@@ -799,7 +799,7 @@ class ImageWriter:
         )
 
 
-def read_image(sys: Sys, path: str, validate: bool = False):
+def read_image(sys: Sys, world, process, path: str, validate: bool = False):
     """Restart step 0: the header pass over one image.
 
     The restart process needs only what the header holds -- fd table,
@@ -816,11 +816,26 @@ def read_image(sys: Sys, path: str, validate: bool = False):
     the file's ``.manifest`` sidecar, when present, is read back and its
     checksum compared -- a torn or swapped image fails loudly here,
     before any child is forked, instead of resuming a corrupt computation.
+    The sidecar is read beside the header, by a helper thread of
+    ``process``: each open is a fixed latency that the other need not
+    wait for.  On a failure the helper is gone and the image closed.
     """
-    fd = yield from sys.open(path, "r")
-    nbytes, image = yield from sys.read(fd, METADATA_BYTES)
-    if image is None:
-        raise SyscallError("EIO", f"no checkpoint payload in {path}")
+    sidecar = None
+    if validate:
+        sidecar = HelperGroup(world, process)
+        sidecar.spawn(0, _read_manifest(Sys(), path + ".manifest"), "restore-manifest")
+    fd = None
+    try:
+        fd = yield from sys.open(path, "r")
+        nbytes, image = yield from sys.read(fd, METADATA_BYTES)
+        if image is None:
+            raise SyscallError("EIO", f"no checkpoint payload in {path}")
+    except SyscallError:
+        if sidecar is not None:
+            sidecar.kill()
+        if fd is not None:
+            yield from sys.close(fd)
+        raise
     if image.store_refs is not None:
         # the fixed part says how many reference rows follow
         rows = store_manifest_bytes(image) - nbytes
@@ -829,16 +844,25 @@ def read_image(sys: Sys, path: str, validate: bool = False):
             nbytes += rows
         yield from sys.close(fd)
         fd = None
-    if validate:
-        st = yield from sys.stat(path + ".manifest")
-        if st is not None:
-            mfd = yield from sys.open(path + ".manifest", "r")
-            _n, manifest = yield from sys.read(mfd, 1 << 62)
-            yield from sys.close(mfd)
-            expected = manifest.get("checksum") if manifest else None
-            if expected != image_checksum(image):
-                raise SyscallError("EIO", f"checksum mismatch in {path}")
+    if sidecar is not None:
+        (manifest,) = yield from sidecar.join()
+        if manifest is not None and manifest.get("checksum") != image_checksum(image):
+            if fd is not None:
+                yield from sys.close(fd)
+            raise SyscallError("EIO", f"checksum mismatch in {path}")
     return image, fd, nbytes
+
+
+def _read_manifest(sys: Sys, path: str):
+    """The checksummed sidecar of an image: its contents, ``{}`` for an
+    empty one, None when there is none (nothing to check against)."""
+    st = yield from sys.stat(path)
+    if st is None:
+        return None
+    mfd = yield from sys.open(path, "r")
+    _n, manifest = yield from sys.read(mfd, 1 << 62)
+    yield from sys.close(mfd)
+    return manifest or {}
 
 
 def restore_memory(sys: Sys, world, process, image: CheckpointImage, fd: Optional[int] = None):

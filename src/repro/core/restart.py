@@ -13,7 +13,9 @@ One restart process per host executes Figure 2's steps:
    re-connection, never on a timer;
 3. fork into the N user processes (this ordering is what lets sockets
    shared between processes be shared again -- descriptions created
-   before fork are inherited);
+   before fork are inherited); a fork takes its image only once its pid
+   is known, the image whose vpid that pid is if there is one, so a
+   fresh pid space forks no child it has to kill;
 4. each child rearranges file descriptors with dup2/close as soon as it
    is forked;
 5. MTCP restores memory and threads -- each child streams its own
@@ -34,7 +36,7 @@ its error re-raised at the join.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from repro.core import mtcp
 from repro.core import protocol as P
@@ -113,7 +115,9 @@ def make_restart_program(computation: "DmtcpComputation"):
         clock.begin("image_read", cat="mtcp")
         readers = HelperGroup(world, my_proc)
         for i, path in enumerate(paths):
-            readers.spawn(i, mtcp.read_image(Sys(), path, validate=validate), f"restore-read-{i}")
+            readers.spawn(
+                i, mtcp.read_image(Sys(), world, my_proc, path, validate), f"restore-read-{i}"
+            )
         try:
             headers = yield from readers.join()
         except SyscallError:
@@ -251,37 +255,45 @@ def make_restart_program(computation: "DmtcpComputation"):
         clock.end("reconnect", accepted=len(need_accept), connected=len(need_connect))
 
         # ---- step 3: fork into user processes ---------------------------
-        # each child starts restoring the moment its own vpid check
-        # passes; only the host-wide pid map waits for the last fork
+        # A fork learns its pid before it takes an image (Section 4.5): the
+        # unplaced image whose vpid is that pid takes it (real pid ==
+        # vpid), a pid that is no vpid of this plan takes the next unplaced
+        # image in plan order, and only a pid that is another placed or
+        # known vpid is a conflict, killed and re-forked.  On a fresh pid
+        # space (a spare host, a container) nothing is forked to be killed.
+        # Each child starts restoring the moment its gate resolves; only
+        # the host-wide pid map waits for the last fork.
         all_vpids = set()
         for image in images:
             all_vpids.update(image.pid_map.keys())
+        unplaced = list(zip(images, image_fds))  # plan order
         children = []
         restore_ctx = {
             "vpid_map": {}, "all_forked": Future("all-forked"), "pty_rename": pty_rename,
         }
-        for image, image_fd in zip(images, image_fds):
+        while unplaced:
+            gate = Future("restore-gate")
+            pid = yield from sys.fork(
+                _make_restore_child(computation, clock.stages, gate, restore_ctx)
+            )
+            tracer.count("restart.forks")
+            slot = next((k for k, (image, _fd) in enumerate(unplaced) if image.vpid == pid), None)
+            if slot is None and pid not in all_vpids:
+                slot = 0
+            if slot is None:
+                # virtual-pid conflict (Section 4.5): kill and re-fork
+                tracer.count("restart.doomed_forks")
+                gate.resolve(None)
+                try:
+                    yield from sys.waitpid(pid)
+                except SyscallError:
+                    pass
+                continue
+            image, image_fd = unplaced.pop(slot)
             fdmap = {f.fd: (desc_fd[_endpoint_key(f)], f.cloexec) for f in image.fds}
-            while True:
-                gate = Future("restore-gate")
-                pid = yield from sys.fork(
-                    _make_restore_child(
-                        computation, image, fdmap, image_fd,
-                        clock.stages, gate, restore_ctx,
-                    )
-                )
-                if pid in all_vpids and pid != image.vpid:
-                    # virtual-pid conflict (Section 4.5): kill and re-fork
-                    gate.resolve("doomed")
-                    try:
-                        yield from sys.waitpid(pid)
-                    except SyscallError:
-                        pass
-                    continue
-                gate.resolve("proceed")
-                children.append((image, pid))
-                restore_ctx["vpid_map"][image.vpid] = pid
-                break
+            gate.resolve((image, fdmap, image_fd))
+            children.append((image, pid))
+            restore_ctx["vpid_map"][image.vpid] = pid
         # every restored process learns the new real pid of every restored
         # vpid on this host, so kill/waitpid by virtual pid keep working
         restore_ctx["all_forked"].resolve(None)
@@ -361,22 +373,25 @@ def _restore_connector(sys: Sys, key: str, host: str, port: int, desc_fd: dict):
     desc_fd[("ep", key, "connect")] = fd
 
 
-def _make_restore_child(computation, image, fdmap: dict, image_fd: Optional[int], stages: dict, gate: Future, restore_ctx: dict):
+def _make_restore_child(computation, stages: dict, gate: Future, restore_ctx: dict):
     """Child body: Figure 2 steps 4-5, then hand off to the manager.
 
-    ``image_fd`` is the inherited descriptor of this child's own image,
-    positioned past the header the restart process read (None for a
-    store manifest);
-    ``stages`` are the restarter's stage times, which the child's clock
-    carries on into its record.
+    The child is forked before it has an image: ``gate`` resolves, once
+    the restarter knows the child's pid, with ``(image, fdmap,
+    image_fd)`` -- ``image_fd`` is the inherited descriptor of the
+    child's own image, positioned past the header the restart process
+    read (None for a store manifest) -- or with None for a child whose
+    pid conflicts with a restored vpid.  ``stages`` are the restarter's
+    stage times, which the child's clock carries on into its record.
     """
 
     def restore_child(sys: Sys):
         """One restored user process (Figure 2 steps 4-5 + manager)."""
         world = computation.world
-        verdict = yield gate  # wait for the vpid-conflict check only
-        if verdict == "doomed":
+        placed = yield gate  # wait for the restarter's placement only
+        if placed is None:
             return  # our real pid collided with a restored vpid; re-forked
+        image, fdmap, image_fd = placed
         rpid = yield from sys.getpid()
         host = yield from sys.gethostname()
         process = world.find_process(host, rpid)

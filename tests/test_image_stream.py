@@ -31,6 +31,7 @@ from repro.kernel.world import (
     STREAM_EDGE_BYTES as EDGE,
     stream_blocks,
 )
+from tests.test_restart_pipeline import _wrap_into_the_first_images_vpid
 
 MB = 2**20
 
@@ -548,17 +549,12 @@ def test_no_image_descriptor_leaks_on_the_vpid_conflict_refork_path():
         comp.launch("node01", "holder", ["holder", str(i)])
     world.engine.run(until=0.5)
     kill = comp.checkpoint(kill=True)
-    vpids = sorted(
-        _image_file(world, "node01", path).payload.vpid
-        for path in kill.plan.images_by_host["node01"]
-    )
-    # dmtcp_restart takes the next pid, its first child the one after:
-    # make that the *second* image's virtual pid
-    world.node_state("node01").next_pid = vpids[1] - 1
+    _wrap_into_the_first_images_vpid(world, kill.plan, "node01")
     forks_before = world.tracer.snapshot().get("sys.fork", 0)
     comp.restart(plan=kill.plan)
     world.engine.run(until=world.engine.now + 0.5)
     assert world.tracer.snapshot()["sys.fork"] - forks_before == 3  # one doomed
+    assert world.tracer.snapshot()["restart.doomed_forks"] == 1
     _assert_fd_tables_match_images(world, comp, kill.plan, "node01")
     no_failures(world)
 

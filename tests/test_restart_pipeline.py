@@ -20,11 +20,13 @@ from repro.config import CLUSTER_2008
 from repro.core import mtcp
 from repro.core import restart as restart_mod
 from repro.core.launch import DmtcpComputation
+from repro.errors import SyscallError
 from repro.faults.supervisor import _image_file
 from repro.kernel.filesystem import OpenFile
 from repro.kernel.streams import FrameAssembler
 from repro.kernel.syscalls import connect_retry, recv_frame, send_frame
 from repro.kernel.process import ProgramSpec, RegionSpec
+from repro.kernel.world import SIGKILL
 from repro.mpi import mpi_init, register_openmpi
 
 MB = 2**20
@@ -162,6 +164,103 @@ def test_validate_failure_in_one_of_eight_readers_forks_nothing_and_leaks_nothin
     world.scheduler.failures.clear()
 
 
+def _supervised_counters(seed: int = 23):
+    world = build_cluster(n_nodes=2, seed=seed, spec=FAST_SPEC)
+    world.tracer.enable()
+    out: dict = {}
+    world.register_program("counter", _counter(out))
+    comp = DmtcpComputation(world, supervise=True)  # restarts with --validate
+    for i in range(8):
+        comp.launch("node01", "counter", ["counter", str(i)])
+    world.engine.run(until=0.5)
+    kill = comp.checkpoint(kill=True)
+    return world, comp, kill, out
+
+
+def test_validated_header_pass_reads_each_manifest_beside_its_header():
+    """With --validate the header pass still costs one open latency, not
+    one for the image and another for its manifest; an image without a
+    manifest (written before manifests existed) is still accepted."""
+    world, comp, kill, out = _supervised_counters()
+    paths = kill.plan.images_by_host["node01"]
+    lacking = paths[2] + ".manifest"
+    assert _image_file(world, "node01", lacking) is not None
+    world.node_state("node01").mounts.resolve(lacking).namespace.unlink(lacking)
+    comp.restart(plan=kill.plan)
+
+    (header_pass,) = [s for s in world.tracer.spans(cat="mtcp") if s["name"] == "image_read"]
+    assert header_pass["args"] == {"n": 8, "bytes": 8 * mtcp.METADATA_BYTES}
+    latency = world.spec.disk.op_latency_s
+    assert latency <= header_pass["duration"] < 2 * latency
+    assert world.tracer.snapshot()["restart.forks"] == 8
+    world.engine.run(until=world.engine.now + 3.0)
+    assert sorted(out) == [str(i) for i in range(8)]
+    assert all([i for i, _pid in ticks] == list(range(40)) for ticks in out.values())
+    no_failures(world)
+
+
+def _probe_read_image(world, host: str, path: str) -> dict:
+    """Run one validated header pass in a process that outlives it, and
+    record what it raised and what it left behind."""
+    seen: dict = {}
+
+    def probe(sys, argv):
+        pid = yield from sys.getpid()
+        process = world.find_process(host, pid)
+        try:
+            yield from mtcp.read_image(sys, world, process, path, validate=True)
+        except SyscallError as err:
+            seen["error"] = str(err)
+        seen["fds"] = [
+            entry.description.file.path
+            for entry in process.fds.values()
+            if isinstance(entry.description, OpenFile)
+        ]
+        seen["threads"] = len(process.live_threads)
+
+    world.register_program("probe", probe)
+    world.spawn_process(host, "probe", ["probe"])
+    world.engine.run(until=world.engine.now + 0.5)
+    return seen
+
+
+@pytest.mark.parametrize("tamper", ["swapped", "torn", "missing"])
+def test_a_rejected_image_forks_nothing_and_leaves_no_manifest_reader(tamper):
+    """A checksum mismatch fails after the manifest reader has been
+    joined, a torn header after the image was opened, a missing image
+    while the manifest reader is still opening: each way the restart
+    fails before any fork, and the header pass leaves no manifest reader
+    running and no image or manifest open."""
+    world, comp, kill, _out = _supervised_counters()
+    paths = kill.plan.images_by_host["node01"]
+    if tamper == "swapped":
+        manifest = _image_file(world, "node01", paths[4] + ".manifest")
+        manifest.payload = dict(manifest.payload, checksum="swapped")
+        expected = "checksum mismatch"
+    elif tamper == "torn":
+        _image_file(world, "node01", paths[4]).payload = None
+        expected = "no checkpoint payload"
+    else:
+        world.node_state("node01").mounts.resolve(paths[4]).namespace.unlink(paths[4])
+        expected = "ENOENT"
+    forks_before = world.tracer.snapshot().get("sys.fork", 0)
+
+    handle = comp.restart_async(plan=kill.plan)
+    world.engine.run(until=world.engine.now + 5.0)
+    assert handle["outcome"] is None
+    errors = [str(e) for _t, e in world.scheduler.failures]
+    assert any(expected in e and paths[4] in e for e in errors), errors
+    assert world.tracer.snapshot().get("sys.fork", 0) == forks_before
+    assert "restart.forks" not in world.tracer.snapshot()
+    world.scheduler.failures.clear()
+
+    seen = _probe_read_image(world, "node01", paths[4])
+    assert expected in seen["error"]
+    assert seen["fds"] == []
+    assert seen["threads"] == 1  # the probe's own
+    no_failures(world)
+
+
 # ----------------------------------------------------------------------
 # (3) store generations of different ages, each to its own child
 # ----------------------------------------------------------------------
@@ -208,6 +307,20 @@ def test_each_child_restores_its_own_generation_in_argv_order():
 # (4) the vpid-conflict re-fork with stream-at-fork
 # ----------------------------------------------------------------------
 
+def _wrap_into_the_first_images_vpid(world, plan, host: str) -> None:
+    """Make the restart's second fork a genuine vpid conflict.
+
+    dmtcp_restart takes the last pid before the counter wraps and its
+    first child the last one: no vpid, so that child takes the first
+    image of the plan.  The counter then wraps onto that image's vpid,
+    which is placed already: the second child is killed and re-forked,
+    and the third gets the second image's vpid."""
+    vpids = [_image_file(world, host, path).payload.vpid for path in plan.images_by_host[host]]
+    ns = world.node_state(host)
+    assert vpids == [100, 101]  # the pids the wrap lands on
+    ns.next_pid = ns.pid_max - 2
+
+
 def _counter_run(conflict: bool):
     world = build_cluster(n_nodes=2, seed=11)
     out: dict = {}
@@ -219,13 +332,7 @@ def _counter_run(conflict: bool):
     streamed = doomed = None
     if conflict:
         kill = comp.checkpoint(kill=True)
-        vpids = sorted(
-            _image_file(world, "node01", path).payload.vpid
-            for path in kill.plan.images_by_host["node01"]
-        )
-        # dmtcp_restart takes the next pid, its first child the one
-        # after: make that the *second* image's virtual pid
-        world.node_state("node01").next_pid = vpids[1] - 1
+        _wrap_into_the_first_images_vpid(world, kill.plan, "node01")
         streamed = _spy_streams(world)
         comp.restart(plan=kill.plan)
         doomed = [
@@ -246,6 +353,77 @@ def test_doomed_child_streams_nothing_and_the_survivors_output_is_unchanged():
     assert len(streamed) == 2  # one payload per survivor
     assert all(len(v) == 40 for v in reference.values())
     assert out == reference
+
+
+def _family(out: dict):
+    """A parent and the seven children it forks.  After the restart the
+    parent kills its last child and reaps all seven by virtual pid; each
+    child reports the virtual pid of its parent."""
+
+    def child(sys):
+        yield from sys.sbrk(1 * MB, "numeric")
+        for _ in range(40):
+            yield from sys.sleep(0.05)
+        me = yield from sys.getpid()
+        out[me] = ("ppid", (yield from sys.getppid()))
+        yield from sys.exit(3)
+
+    def main(sys, argv):
+        kids = []
+        for _ in range(7):
+            kids.append((yield from sys.fork(child)))
+        yield from sys.sleep(1.0)  # the checkpoint, kill and restart land here
+        yield from sys.kill(kids[-1], SIGKILL)
+        for kid in kids:
+            out.setdefault("reaped", []).append((yield from sys.waitpid(kid)))
+
+    return main
+
+
+def _family_run(restart: bool):
+    world = build_cluster(n_nodes=3, seed=11)
+    world.tracer.enable()
+    out: dict = {}
+    world.register_program("family", _family(out))
+    comp = DmtcpComputation(world)
+    comp.launch("node01", "family")
+    world.engine.run(until=0.5)
+    kill = None
+    if restart:
+        kill = comp.checkpoint(kill=True)
+        # a spare host whose pid counter starts where node01's did
+        comp.restart(plan=kill.plan, placement={"node01": "node02"})
+    world.engine.run(until=world.engine.now + 4.0)
+    no_failures(world)
+    return out, world, comp, kill
+
+
+def test_a_fresh_host_forks_one_child_per_image_at_its_own_vpid():
+    """dmtcp_restart holds pid 100 on the spare host, and the images
+    carry vpids 100-107: each fork takes the image whose vpid is its
+    pid, the one after the last takes the parent's image, and nothing is
+    forked to be killed."""
+    reference, _, _, _ = _family_run(restart=False)
+    assert sorted(reference["reaped"]) == [(vpid, 3) for vpid in range(101, 107)] + [(107, -SIGKILL)]
+    out, world, comp, kill = _family_run(restart=True)
+    paths = kill.plan.images_by_host["node01"]
+    vpids = sorted(_image_file(world, "node02", path).payload.vpid for path in paths)
+    assert vpids == list(range(100, 108))
+    snap = world.tracer.snapshot()
+    assert snap["restart.forks"] == 8 and "restart.doomed_forks" not in snap
+    (restarter,) = [p for p in world.all_processes if p.program == comp._restart_program]
+    assert restarter.pid == 100
+    restored = {
+        p.user_state["dmtcp"].vpid: p.pid
+        for p in world.all_processes
+        if p.node.hostname == "node02" and p.user_state.get("dmtcp") is not None
+    }
+    assert sorted(restored) == vpids
+    assert sorted(v for v, rpid in restored.items() if rpid == v) == list(range(101, 108))
+    assert restored[100] == 108
+    # kill and waitpid by vpid, and getppid, see through the real pids
+    assert out == reference
+    assert all(out[vpid] == ("ppid", 100) for vpid in range(101, 107))
 
 
 # ----------------------------------------------------------------------
