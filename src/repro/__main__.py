@@ -131,6 +131,8 @@ def _trace(argv: list[str]) -> int:
         "mtcp.write_hidden_s",
         "mtcp.stream_io_wait_s",
         "mtcp.stream_cpu_wait_s",
+        "mtcp.stream_gunzip_wait_s",
+        "mtcp.stream_pagein_wait_s",
         "mtcp.stream_fill_s",
         "mtcp.stream_drain_s",
         "store.chunks_leased",

@@ -72,6 +72,19 @@ def image_checksum(image: CheckpointImage) -> str:
 MANIFEST_BYTES = 256
 
 
+def manifest_certifies(manifest, image: CheckpointImage) -> bool:
+    """Does an image's ``.manifest`` sidecar let it be restored?
+
+    ``manifest`` is the sidecar's contents, None when there is no sidecar
+    (nothing to check against: the image passes).  A sidecar must record
+    the image's checksum; an empty one -- torn, no payload -- certifies
+    nothing.  The one rule for ``dmtcp_restart --validate``
+    (:func:`read_image`) and the supervisor's plan selection."""
+    if manifest is None:
+        return True
+    return bool(manifest) and manifest.get("checksum") == image_checksum(image)
+
+
 def gzip_workers(runtime: "DmtcpRuntime") -> int:
     """Parallel gzip stream count for this process's images.
 
@@ -350,21 +363,23 @@ def _write_manifest(sys: Sys, path: str, image: CheckpointImage):
     yield from sys.close(mfd)
 
 
-def stream_span_args(tracer, cpu_s: float, stats) -> dict:
+def stream_span_args(tracer, cpu_s: float, stats, names=("cpu",)) -> dict:
     """What a span around ``sys.stream`` calls closes with: ``io_wait_s``
-    is the time the CPU stage sat waiting on the device, ``cpu_wait_s``
-    the reverse -- the larger one names the bottleneck.  ``fill_s`` (the
-    second stage idle before its first block) and ``drain_s`` (the first
-    idle after its last) are the stream's unoverlapped ends, a share of
-    those waits."""
-    blocks, io_wait, cpu_wait, fill, drain = stats
+    is the time the stream waited on the device alone and
+    ``<name>_wait_s`` the time it waited on that CPU stage alone (``names``
+    in pipe order) -- the largest one names the bottleneck.  ``fill_s``
+    (the second stage idle before its first block) and ``drain_s`` (the
+    first idle after its last) are the stream's unoverlapped ends, a
+    share of those waits."""
+    blocks, io_wait, cpu_waits, fill, drain = stats
     tracer.count("mtcp.stream_io_wait_s", io_wait)
-    tracer.count("mtcp.stream_cpu_wait_s", cpu_wait)
+    for name, wait in zip(names, cpu_waits):
+        tracer.count(f"mtcp.stream_{name}_wait_s", wait)
     tracer.count("mtcp.stream_fill_s", fill)
     tracer.count("mtcp.stream_drain_s", drain)
     return {
-        "blocks": blocks, "cpu_s": round(cpu_s, 9),
-        "io_wait_s": round(io_wait, 9), "cpu_wait_s": round(cpu_wait, 9),
+        "blocks": blocks, "cpu_s": round(cpu_s, 9), "io_wait_s": round(io_wait, 9),
+        **{f"{name}_wait_s": round(wait, 9) for name, wait in zip(names, cpu_waits)},
         "fill_s": round(fill, 9), "drain_s": round(drain, 9),
     }
 
@@ -846,7 +861,7 @@ def read_image(sys: Sys, world, process, path: str, validate: bool = False):
         fd = None
     if sidecar is not None:
         (manifest,) = yield from sidecar.join()
-        if manifest is not None and manifest.get("checksum") != image_checksum(image):
+        if not manifest_certifies(manifest, image):
             if fd is not None:
                 yield from sys.close(fd)
             raise SyscallError("EIO", f"checksum mismatch in {path}")
@@ -870,15 +885,18 @@ def restore_memory(sys: Sys, world, process, image: CheckpointImage, fd: Optiona
 
     ``fd`` is the descriptor :func:`read_image` left open, inherited
     across ``fork`` and positioned past the header.  The payload is piped
-    through ``sys.stream`` and the file closed.  A compressed image
-    streams at any size: its first and last blocks are one pipe buffer
-    of memory, and block *k*+1 is read while block *k* is gunzipped and
-    its pages instantiated, so even a one-megabyte image overlaps its
-    gunzip with its read.  An uncompressed image has no gunzip child to
-    read ahead and is one block: read, then mapped.  A store manifest
-    has no payload of its own (and no ``fd``): its chunks are fetched
-    from the store.  Returns ``(cpu_s, (blocks, io_wait_s, cpu_wait_s,
-    fill_s, drain_s))``, for :func:`stream_span_args`.
+    through ``sys.stream`` and the file closed.  A compressed image is a
+    three-stage pipe at any size: block *k*+1 is read while the gunzip
+    child inflates block *k* and the process pages in block *k*-1, each
+    CPU stage a burst of its own on its own core, so the restore costs
+    about its slowest stage, not gunzip plus page-in.  Its first and
+    last blocks are one pipe buffer of memory, so even a one-megabyte
+    image overlaps its gunzip with its read.  An uncompressed image has
+    no gunzip child to read ahead and is one block: read, then mapped.
+    A store manifest has no payload of its own (and no ``fd``): its
+    chunks are fetched from the store under one CPU burst.  Returns
+    ``(cpu_s, stats, names)``: the stream's result and its CPU stages'
+    names, for :func:`stream_span_args`.
 
     Private regions are re-mapped directly; shared (mmap-backed) regions
     go through the mmap syscall so the paper's backing-file rules apply
@@ -887,7 +905,8 @@ def restore_memory(sys: Sys, world, process, image: CheckpointImage, fd: Optiona
     """
     refs = image.store_refs
     nworkers = min(max(image.gzip_workers, 1), max(world.spec.cpu.cores, 1))
-    stats = (0, 0.0, 0.0, 0.0, 0.0)
+    stats = (0, 0.0, (0.0,), 0.0, 0.0)
+    names = ("cpu",)
     if refs is not None:
         # Store mode: stream every chunk concurrently from its nearest
         # live replica (fetch submits the disk/NIC work immediately, so
@@ -912,16 +931,20 @@ def restore_memory(sys: Sys, world, process, image: CheckpointImage, fd: Optiona
         est = _estimate(world, image.payload_regions(), image.compressed, nworkers)
         # gunzip plus page instantiation: copying image bytes into fresh
         # mappings and faulting them in (Table 1b's dominant restore cost)
-        cpu_s = est.decompress_seconds + est.input_bytes / world.spec.os.page_restore_bps
+        page_in = est.input_bytes / world.spec.os.page_restore_bps
+        cpu_s = est.decompress_seconds + page_in
         payload = image.stored_bytes - METADATA_BYTES
-        # only a gunzip child in the pipe reads ahead of the process; an
-        # uncompressed image is one block: read it, then map it
-        edge = (
-            _device_edge(payload, est.input_bytes)
-            if image.compressed
-            else max(payload, 1)
-        )
-        stats = yield from sys.stream(fd, payload, cpu_s, edge)
+        if image.compressed:
+            # the gunzip child reads ahead of the process, the device
+            # ahead of the child: three stages, each on its own block
+            names = ("gunzip", "pagein")
+            stages = (est.decompress_seconds, page_in)
+            edge = _device_edge(payload, est.input_bytes)
+        else:
+            # no gunzip child: one block, read and then mapped
+            stages = cpu_s
+            edge = max(payload, 1)
+        stats = yield from sys.stream(fd, payload, stages, edge)
         yield from sys.close(fd)
     from repro.kernel.memory import AddressSpace, PROFILES
 
@@ -946,7 +969,7 @@ def restore_memory(sys: Sys, world, process, image: CheckpointImage, fd: Optiona
             restored.chunk_gens = dict(region.chunk_gens or {})
             restored.dirty_fraction = 0.0
             restored.written = False
-    return cpu_s, stats
+    return cpu_s, stats, names
 
 
 def _restore_shared_region(sys: Sys, process, region: RegionImage):

@@ -438,9 +438,9 @@ def _make_restore_child(computation, stages: dict, gate: Future, restore_ctx: di
         clock = StageClock(tracer, proc_track(host, image.program, image.vpid, tenant), "restart", tenant)
         clock.stages.update(stages)
         clock.begin("restore_memory")
-        cpu_s, stats = yield from mtcp.restore_memory(sys, world, process, image, own_image)
+        cpu_s, stats, names = yield from mtcp.restore_memory(sys, world, process, image, own_image)
         threads = mtcp.adopt_threads(world, process, image)
-        clock.end("restore_memory", **mtcp.stream_span_args(tracer, cpu_s, stats))
+        clock.end("restore_memory", **mtcp.stream_span_args(tracer, cpu_s, stats, names))
         tracer.count("restart.processes_restored")
         tracer.count("restart.threads_adopted", len(threads))
 

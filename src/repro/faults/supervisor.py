@@ -45,21 +45,22 @@ def _image_file(world: "World", host: str, path: str):
 def _image_valid(world: "World", host: str, path: str) -> bool:
     """Is the image restorable?
 
-    It exists, it holds a payload (a torn write never does), -- when a
-    ``.manifest`` sidecar exists -- the recorded checksum matches, and a
-    store manifest's chunks all have a live replica.  This is the
-    supervisor's *selection* filter; ``dmtcp_restart --validate``
-    re-checks with honest I/O.
+    It exists, it holds a payload (a torn write never does), its
+    ``.manifest`` sidecar, when one exists, certifies it
+    (``mtcp.manifest_certifies``: a torn sidecar does not), and a store
+    manifest's chunks all have a live replica.  This is the supervisor's
+    *selection* filter; ``dmtcp_restart --validate`` re-checks the
+    sidecar with honest I/O and the same predicate.
     """
-    from repro.core.mtcp import image_checksum
+    from repro.core.mtcp import manifest_certifies
 
     file = _image_file(world, host, path)
     if file is None or file.payload is None:
         return False
     manifest = _image_file(world, host, path + ".manifest")
-    if manifest is not None and manifest.payload is not None:
-        if manifest.payload.get("checksum") != image_checksum(file.payload):
-            return False
+    sidecar = None if manifest is None else manifest.payload or {}
+    if not manifest_certifies(sidecar, file.payload):
+        return False
     store = world.store
     if store is not None and getattr(file.payload, "store_refs", None):
         # a store manifest: every chunk must have a live durable replica

@@ -227,26 +227,31 @@ class Sys:
         self,
         fd: int,
         nbytes: int,
-        cpu_s: float,
+        cpu_s,
         edge_bytes: int,
         write: bool = False,
         payload: Any = None,
         offset: Optional[int] = None,
     ):
-        """Pipe ``nbytes`` between memory and file ``fd`` through a CPU
-        stage costing ``cpu_s`` in total, one block at a time: the CPU
-        works on one block while the device moves its neighbour (a
-        two-block buffer).  The first and last blocks are ``edge_bytes``
-        (a pipe buffer's worth of memory, on the device); sizes double
-        from there up to ``STREAM_BLOCK_BYTES // STREAM_EDGE_BYTES`` times
-        it and halve back down at the end (``kernel.world.stream_blocks``),
-        so ``edge_bytes >= nbytes`` is one block.  Writing compresses then
-        writes (attaching ``payload`` with the last block); reading reads
-        then expands, clamped to end of file.  Starts at the file offset,
-        or at ``offset`` if given.  Returns ``(blocks, io_wait_s,
-        cpu_wait_s, fill_s, drain_s)``: the waits are measured only under
-        the tracer, ``fill_s`` is the second stage idle before its first
-        block and ``drain_s`` the first stage idle after its last."""
+        """Pipe ``nbytes`` between memory and file ``fd`` through CPU
+        stages, one block at a time: ``cpu_s`` is one stage's total cost
+        or a tuple of them in pipe order, and every stage -- the device
+        too -- works on its own block while its neighbours move theirs (a
+        chain of one-block buffers).  Writing, the CPU stages come before
+        the device; reading, after it.  The first and last blocks are
+        ``edge_bytes`` (a pipe buffer's worth of memory, on the device);
+        sizes double from there up to ``STREAM_BLOCK_BYTES //
+        STREAM_EDGE_BYTES`` times it and halve back down at the end
+        (``kernel.world.stream_blocks``), so ``edge_bytes >= nbytes`` is
+        one block.  Writing compresses then writes (attaching ``payload``
+        with the last block); reading reads then expands, clamped to end
+        of file.  Starts at the file offset, or at ``offset`` if given.
+        Returns ``(blocks, io_wait_s, cpu_wait_s, fill_s, drain_s)``:
+        ``cpu_wait_s`` is a tuple, one wait per CPU stage.  A stage's
+        wait is the time the stream waited on that stage alone; the
+        waits are measured only under the tracer.  ``fill_s`` is the
+        second stage idle before its first block and ``drain_s`` the
+        first stage idle after its last."""
         return (
             yield Call("stream", (fd, nbytes, cpu_s, edge_bytes, write, payload, offset))
         )

@@ -14,6 +14,7 @@ the simulation's ``LD_PRELOAD``.
 from __future__ import annotations
 
 import itertools
+from functools import partial
 from typing import Any, Callable, Optional
 
 from repro.config import HardwareSpec
@@ -96,8 +97,10 @@ class _FileIO(Completion):
         self.ok(nbytes)
 
 
-#: Memory per full block of a stream: block *k*+1 is in gzip (gunzip)
-#: while block *k* is on the device (why 4 MiB: DESIGN.md section 4.1).
+#: Memory per full block of a stream: block *k*+1 is in gzip while block
+#: *k* is on the device; reading, block *k*+1 is on the device while block
+#: *k* is in gunzip and block *k*-1 is paged in (why 4 MiB: DESIGN.md
+#: section 4.1).
 STREAM_BLOCK_BYTES = 4 * 2**20
 
 #: Memory per edge block, a stream's first and last: one Linux pipe
@@ -135,23 +138,27 @@ def stream_blocks(nbytes: int, edge: int) -> list[int]:
 
 
 class _BlockStream:
-    """A double-buffered block stream between a CPU stage and the storage
-    device behind an open file (see ``World._sys_stream``).
+    """A chain of stages between memory and the storage device behind an
+    open file, each working on one block (see ``World._sys_stream``).
 
-    Step *j* runs the first stage on block *j* and the second stage on
-    block *j*-1 at the same time and ends when both have finished, so
-    each stage holds at most one block and a block reaches the second
-    stage only after the first has finished with it.  Writing, the
-    first stage is the CPU (a byte is billed to the device only after
-    its CPU share has been spent); reading, it is the device.  Stage
+    The stages run in pipe order.  Writing, the CPU stages (gzip) come
+    first and the device last; reading, the device comes first and the
+    CPU stages follow (for a gzipped image: the gunzip child, then the
+    process paging the image in).  Step *j* runs stage *i* on block
+    *j*-*i* and ends when every stage has finished its block, so each
+    stage holds at most one block and a block enters stage *i*+1 only
+    after stage *i* is done with it: a byte is billed to a writing device
+    only after its CPU share has been spent.  Each CPU stage is its own
+    ``cpu_burst`` on the node's fair-share CPU, so two CPU stages keep
+    two cores busy, and each bills its own per-byte share.  Stage
     completions are resource callbacks: the calling task is resumed
-    once, when the last block has left the second stage.
+    once, when the last block has left the last stage.
 
     The blocks follow :func:`stream_blocks`: the unoverlapped ends of a
     stream -- the second stage idle before its first block, the first
-    idle after its last -- are one edge block each, a pipe buffer, not a
-    full block.  Without a CPU stage there is nothing to overlap and the
-    stream is one block.
+    idle after its last -- are edge blocks, a pipe buffer each, not full
+    blocks.  Without CPU work there is nothing to overlap and the stream
+    is one block.
 
     A write stream into a page cache holds that cache's write-back until
     it ends (``PageCachedDisk.hold_writeback``): blocks trickling in
@@ -160,13 +167,12 @@ class _BlockStream:
     """
 
     __slots__ = (
-        "world", "current", "process", "desc", "write",
-        "payload", "sizes", "cpu_per_byte", "ahead", "io_bytes",
-        "waiting", "blocks", "timed", "t_cpu", "t_io", "io_wait", "cpu_wait",
-        "fill", "drain", "first_done", "cache",
+        "world", "current", "process", "desc", "write", "payload", "sizes",
+        "per_byte", "device", "held", "waiting", "blocks", "timed",
+        "started", "t", "waits", "fill", "drain", "first_done", "cache",
     )
 
-    def __init__(self, world, task, process, desc, nbytes, cpu_s, edge_bytes, write, payload):
+    def __init__(self, world, task, process, desc, nbytes, cpu_stages, edge_bytes, write, payload):
         self.world = world
         #: Dead once the task was killed or its kernel context sealed.
         self.current = Completion(task)
@@ -175,17 +181,22 @@ class _BlockStream:
         self.write = write
         self.payload = payload
         #: Sizes of the blocks the first stage has not taken, last first.
-        self.sizes = stream_blocks(nbytes, edge_bytes)[::-1] if cpu_s > 0 else [nbytes]
-        self.cpu_per_byte = cpu_s / nbytes
-        #: Size of the block the first stage finished in the last step.
-        self.ahead = 0
-        self.io_bytes = 0
+        self.sizes = stream_blocks(nbytes, edge_bytes)[::-1] if sum(cpu_stages) > 0 else [nbytes]
+        #: Per stage in pipe order, CPU seconds per byte; None is the device.
+        per_byte = [cpu_s / nbytes for cpu_s in cpu_stages]
+        self.per_byte = per_byte + [None] if write else [None] + per_byte
+        self.device = len(per_byte) if write else 0
+        #: Per stage, the size of the block it works on this step (0: idle).
+        self.held = [0] * len(self.per_byte)
         self.waiting = 0
         self.blocks = 0
         #: Stage-wait accounting runs only under the tracer (_trace_hot).
         self.timed = world.engine._trace_hot is not None
-        self.t_cpu = self.t_io = 0.0
-        self.io_wait = self.cpu_wait = 0.0
+        self.started = 0.0
+        #: Per stage, when it finished this step's block (idle: the start).
+        self.t = [0.0] * len(self.per_byte)
+        #: Per stage, the time the stream waited on that stage alone.
+        self.waits = [0.0] * len(self.per_byte)
         self.fill = self.drain = self.first_done = 0.0
         #: The page cache whose write-back this stream holds, if any.
         self.cache = desc.table.page_cache(desc.mount) if write else None
@@ -205,27 +216,34 @@ class _BlockStream:
             cache.release_writeback()
 
     def step(self) -> None:
-        """Begin one step: the second stage takes the block the first
-        stage just finished, the first stage takes the next one."""
+        """Begin one step: every stage hands its block on to the next one
+        and the first stage takes the next block."""
         if not self._live():
             return
-        ready = self.ahead
-        nxt = self.sizes.pop() if self.sizes else 0
-        if not ready and not nxt:
+        held = self.held
+        held.pop()  # the block the last stage finished has left
+        held.insert(0, self.sizes.pop() if self.sizes else 0)
+        if not any(held):
             self._release()
-            self.current.ok(
-                (self.blocks, self.io_wait, self.cpu_wait, self.fill, self.drain)
-            )
+            waits = self.waits
+            device = self.device
+            self.current.ok((
+                self.blocks, waits[device],
+                tuple(w for i, w in enumerate(waits) if i != device),
+                self.fill, self.drain,
+            ))
             return
-        self.ahead = nxt
-        if nxt:
+        if held[0]:
             self.blocks += 1
-        io_bytes, cpu_bytes = (ready, nxt) if self.write else (nxt, ready)
-        self.waiting = (1 if io_bytes else 0) + (1 if cpu_bytes else 0)
         if self.timed:
-            self.t_cpu = self.t_io = self.world.engine.now
+            now = self.world.engine.now
+            self.started = now
+            self.t = [now] * len(held)
+        # one count for the issue itself: a stage that finishes at once
+        # must not begin the next step before every stage has its block
+        self.waiting = 1
+        io_bytes = held[self.device]
         if io_bytes:
-            self.io_bytes = io_bytes
             desc = self.desc
             if self.write:
                 try:
@@ -239,52 +257,55 @@ class _BlockStream:
                 fut = desc.table.charge_read(
                     desc.mount, io_bytes, self.world._page_cached(desc)
                 )
+            self.waiting += 1
             fut.add_done(self._io_done)
-        if cpu_bytes:
-            self.process.node.cpu_burst(cpu_bytes * self.cpu_per_byte).add_done(
-                self._cpu_done
-            )
+        node = self.process.node
+        for stage, per_byte in enumerate(self.per_byte):
+            if per_byte is not None and held[stage]:
+                self.waiting += 1
+                node.cpu_burst(held[stage] * per_byte).add_done(
+                    partial(self._cpu_done, stage)
+                )
+        self._stage_done(None)
 
     def _io_done(self) -> None:
         if not self._live():
             return
         desc = self.desc
-        desc.offset += self.io_bytes
+        desc.offset += self.held[self.device]
         if self.write:
             file = desc.file
             file.size = max(file.size, desc.offset)
             file.last_write_time = self.world.engine.now
-            if self.payload is not None and not self.ahead:
+            if self.payload is not None and not any(self.held[:-1]):
                 file.payload = self.payload  # the last block completes the file
-        if self.timed:
-            self.t_io = self.world.engine.now
-        self._stage_done()
+        self._stage_done(self.device)
 
-    def _cpu_done(self) -> None:
+    def _cpu_done(self, stage: int) -> None:
         if not self._live():
             return
-        if self.timed:
-            self.t_cpu = self.world.engine.now
-        self._stage_done()
+        self._stage_done(stage)
 
-    def _stage_done(self) -> None:
+    def _stage_done(self, stage) -> None:
+        if self.timed and stage is not None:
+            self.t[stage] = self.world.engine.now
         self.waiting -= 1
         if self.waiting:
             return
         if self.timed:
-            # a stage that idled this step kept the step's start time
-            lag = self.t_io - self.t_cpu
-            if lag > 0:
-                self.io_wait += lag
-            else:
-                self.cpu_wait -= lag
-            first, second = (self.t_cpu, self.t_io) if self.write else (self.t_io, self.t_cpu)
-            if not self.ahead:  # the last step: only the second stage ran
-                self.drain = second - self.first_done
+            t = self.t
+            now = self.world.engine.now
+            # the step waited on the stage that finished last for as long
+            # as it ran alone (an idle stage kept the step's start time)
+            last = max(range(len(t)), key=t.__getitem__)
+            self.waits[last] += t[last] - max(t[:last] + t[last + 1:])
+            held = self.held
+            if not held[0]:  # the first stage is done: the stream drains
+                self.drain = now - self.first_done
             elif not self.sizes:  # the first stage finished its last block
-                self.first_done = first
-            if self.blocks == 1 and self.ahead:  # the first step: only the first ran
-                self.fill = first - second
+                self.first_done = t[0]
+            if self.blocks == 1 and held[0]:  # the first step: only the first ran
+                self.fill = now - self.started
         self.step()
 
 
@@ -1154,6 +1175,9 @@ class World:
             raise SyscallError("EINVAL", f"fd {fd} is not a file")
         if edge_bytes <= 0:
             raise SyscallError("EINVAL", f"edge block size {edge_bytes}")
+        stages = tuple(cpu_s) if isinstance(cpu_s, (tuple, list)) else (cpu_s,)
+        if not stages:
+            raise SyscallError("EINVAL", "a stream needs a CPU stage")
         if offset is not None:
             desc.offset = offset
         if write:
@@ -1161,13 +1185,15 @@ class World:
                 raise SyscallError("EBADF", f"fd {fd} not writable")
         else:
             nbytes = max(min(nbytes, desc.file.size - desc.offset), 0)
-        if nbytes <= 0:  # nothing to move: the CPU stage alone
+        if nbytes <= 0:  # nothing to move: the CPU stages alone
             self._settle(
-                task, process.node.cpu_burst(cpu_s), value=(0, 0.0, 0.0, 0.0, 0.0)
+                task,
+                process.node.cpu_burst(sum(stages)),
+                value=(0, 0.0, (0.0,) * len(stages), 0.0, 0.0),
             )
             return
         _BlockStream(
-            self, task, process, desc, nbytes, cpu_s, edge_bytes, write, payload
+            self, task, process, desc, nbytes, stages, edge_bytes, write, payload
         ).step()
 
     def _sys_lseek(self, task, thread, process, fd, offset) -> None:

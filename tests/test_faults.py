@@ -12,6 +12,7 @@ from repro.faults import (
     find_newest_valid_plan,
 )
 from repro.faults.scenarios import _chaos_apps
+from repro.faults.supervisor import AutoRestartSupervisor, _image_file, _image_valid
 
 
 # ----------------------------------------------------------------------
@@ -155,3 +156,44 @@ def test_find_newest_valid_plan_skips_partial_checkpoints():
     world, comp = _checkpointed_world()
     # a quorum-shrunk checkpoint covering 1 of 2 expected processes
     assert find_newest_valid_plan(world, comp.state, expected=2) is None
+
+
+def test_supervisor_skips_a_plan_whose_manifest_sidecar_is_torn():
+    """A ``.manifest`` with no payload certifies nothing.  The supervisor's
+    selection and ``dmtcp_restart --validate`` share one predicate, so the
+    supervisor issues no restart its own validation would fail with EIO:
+    it logs the skipped lineage and waits, and restarts cleanly once the
+    sidecar certifies the image again."""
+    world = build_cluster(n_nodes=2, seed=8)
+
+    def app(sys, argv):
+        while True:
+            yield from sys.sleep(0.25)
+
+    world.register_program("idleapp", app)
+    comp = DmtcpComputation(world, supervise=True)  # atomic images, --validate
+    comp.launch("node00", "idleapp")
+    world.engine.run(until=1.0)
+    ckpt = comp.checkpoint()
+    (path,) = ckpt.plan.images_by_host["node00"]
+    sidecar = _image_file(world, "node00", path + ".manifest")
+    certified, sidecar.payload = sidecar.payload, None  # torn: contents never landed
+    assert not _image_valid(world, "node00", path)
+    assert find_newest_valid_plan(world, comp.state, expected=1) is None
+
+    sup = AutoRestartSupervisor(world, comp, expected=1)
+    sup.start()
+    comp.kill_computation()
+    world.engine.run(until=world.engine.now + 3.0)
+    assert sup.stats["restarts"] == sup.stats["failed_restarts"] == 0
+    skips = [e for t, e in world.scheduler.failures if t.name.startswith("lineage-skip")]
+    assert len(skips) == 1 and path in str(skips[0])
+    assert len(world.scheduler.failures) == 1  # no restart failed
+    world.scheduler.failures.clear()
+
+    sidecar.payload = certified
+    world.engine.run(until=world.engine.now + 5.0)
+    sup.stop()
+    assert [e["ckpt_id"] for e in sup.events if e["event"] == "restart"] == [ckpt.plan.ckpt_id]
+    assert sup.stats["recoveries"] == 1 and sup.stats["failed_restarts"] == 0
+    assert not world.scheduler.failures, world.scheduler.failures

@@ -1,11 +1,12 @@
 """The image stream: gzip <-> storage, one block ahead, both directions.
 
-Covers the kernel primitive (``sys.stream``: a double-buffered block
-pipeline between a CPU stage and a file's device) against the serial
-reference it replaces, and the DMTCP paths built on it: the multi-block
-image write (plain, atomic, forked), ENOSPC noticed at the block that
-hits it, the restart header pass plus per-child payload stream, and a
-store generation's restart, which reads one manifest and streams nothing.
+Covers the kernel primitive (``sys.stream``: a chain of one-block
+stages between memory and a file's device; ``tests/test_stream_chain.py``
+holds its schedule battery) against the serial reference it replaces,
+and the DMTCP paths built on it: the multi-block image write (plain,
+atomic, forked), ENOSPC noticed at the block that hits it, the restart
+header pass plus per-child payload stream, and a store generation's
+restart, which reads one manifest and streams nothing.
 """
 
 import ast
@@ -188,7 +189,7 @@ def test_stream_reports_blocks_and_stage_waits_under_the_tracer():
     world.register_program("streamer", main)
     world.spawn_process("node00", "streamer")
     world.engine.run()
-    blocks, io_wait, cpu_wait, fill, drain = stats["w"]
+    blocks, io_wait, (cpu_wait,), fill, drain = stats["w"]
     # 64 KiB doubling to a 2 MiB peak, four ~1.5 MiB blocks, halving back
     assert blocks == len(stream_blocks(10 * MB + 1, EDGE)) == 14
     # CPU-bound: the device mostly waits for gzip, and busy + wait = elapsed
@@ -579,8 +580,9 @@ def test_restore_memory_stage_is_each_childs_own_span():
 
 
 def test_one_block_compressed_restore_overlaps_its_gunzip_with_its_read():
-    """An image smaller than one full block still streams: its gunzip
-    waits for the first edge block's read, not for the whole image's."""
+    """An image smaller than one full block still streams, through three
+    stages: its gunzip waits for the first edge block's read, not for the
+    whole image's, and its page-in for the first block's gunzip."""
     world = build_cluster(n_nodes=1, seed=3)
     world.tracer.enable()
     world.register_program("bigheap", _bigheap(2))
@@ -598,11 +600,22 @@ def test_one_block_compressed_restore_overlaps_its_gunzip_with_its_read():
     assert args["blocks"] == len(blocks) > 2
     payload = image.stored_bytes - mtcp.METADATA_BYTES
     read_s = payload / world.spec.disk.cache_read_bps
+    est = compression.estimate_cached(
+        image.payload_regions(), world.spec.cpu, enabled=True, nworkers=1
+    )
+    gunzip_s = est.decompress_seconds
+    page_in_s = est.input_bytes / world.spec.os.page_restore_bps
+    assert args["cpu_s"] == pytest.approx(gunzip_s + page_in_s, abs=1e-9)
     # the gunzip waited for one edge block's read, not for the image's
     assert args["fill_s"] == pytest.approx(blocks[0] / world.spec.disk.cache_read_bps, rel=1e-6)
     assert args["fill_s"] < read_s / 10
-    # so the two stages overlap: less than reading, then mapping
-    assert max(args["cpu_s"], read_s) <= span["duration"] < args["cpu_s"] + read_s
+    # so the three stages overlap: the slowest alone at best, less than
+    # reading, then inflating, then paging in
+    assert max(read_s, gunzip_s, page_in_s) <= span["duration"] < read_s + gunzip_s + page_in_s
+    # each stage's wait is named; the largest names the bottleneck
+    waits = {k: args[f"{k}_wait_s"] for k in ("io", "gunzip", "pagein")}
+    slowest = max(("io", read_s), ("gunzip", gunzip_s), ("pagein", page_in_s), key=lambda kv: kv[1])
+    assert max(waits, key=waits.get) == slowest[0]
     no_failures(world)
 
 

@@ -21,7 +21,7 @@ from repro.core import mtcp
 from repro.core import restart as restart_mod
 from repro.core.launch import DmtcpComputation
 from repro.errors import SyscallError
-from repro.faults.supervisor import _image_file
+from repro.faults.supervisor import _image_file, _image_valid
 from repro.kernel.filesystem import OpenFile
 from repro.kernel.streams import FrameAssembler
 from repro.kernel.syscalls import connect_retry, recv_frame, send_frame
@@ -224,10 +224,12 @@ def _probe_read_image(world, host: str, path: str) -> dict:
     return seen
 
 
-@pytest.mark.parametrize("tamper", ["swapped", "torn", "missing"])
+@pytest.mark.parametrize("tamper", ["swapped", "torn-manifest", "torn", "missing"])
 def test_a_rejected_image_forks_nothing_and_leaves_no_manifest_reader(tamper):
-    """A checksum mismatch fails after the manifest reader has been
-    joined, a torn header after the image was opened, a missing image
+    """A checksum mismatch -- or a torn manifest, which certifies
+    nothing, for the supervisor's selection too -- fails after the
+    manifest reader has been joined, a torn header after the image was
+    opened, a missing image
     while the manifest reader is still opening: each way the restart
     fails before any fork, and the header pass leaves no manifest reader
     running and no image or manifest open."""
@@ -236,6 +238,10 @@ def test_a_rejected_image_forks_nothing_and_leaves_no_manifest_reader(tamper):
     if tamper == "swapped":
         manifest = _image_file(world, "node01", paths[4] + ".manifest")
         manifest.payload = dict(manifest.payload, checksum="swapped")
+        expected = "checksum mismatch"
+    elif tamper == "torn-manifest":
+        _image_file(world, "node01", paths[4] + ".manifest").payload = None
+        assert not _image_valid(world, "node01", paths[4])
         expected = "checksum mismatch"
     elif tamper == "torn":
         _image_file(world, "node01", paths[4]).payload = None
