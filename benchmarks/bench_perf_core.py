@@ -82,7 +82,7 @@ def _run_coord_scaling():
     return out
 
 
-#: Shard count for the parallel-core section (``DMTCP_SIM_SHARDS``
+#: Shard count for the parallel-core section (``REPRO_BENCH_SHARDS``
 #: overrides, e.g. the CI smoke job runs at 2).
 PARALLEL_SHARDS_DEFAULT = 4
 #: Required speedup of ``shards=N`` over ``shards=1`` on both gated
@@ -93,15 +93,8 @@ PARALLEL_SHARDS_DEFAULT = 4
 PARALLEL_SPEEDUP_MIN = 2.0
 
 
-#: Consumed at import so the override applies only to the parallel-core
-#: section: the serial workloads (fig5_128_san, runcms, coord_scaling)
-#: construct DmtcpComputation without a shard binding, and a leaked
-#: DMTCP_SIM_SHARDS default would make those constructors raise.
-_PARALLEL_SHARDS_ENV = os.environ.pop("DMTCP_SIM_SHARDS", None)
-
-
 def _parallel_shards() -> int:
-    return int(_PARALLEL_SHARDS_ENV or PARALLEL_SHARDS_DEFAULT)
+    return int(os.environ.get("REPRO_BENCH_SHARDS") or PARALLEL_SHARDS_DEFAULT)
 
 
 def _artifact_digest(root_value: dict) -> str:

@@ -166,7 +166,7 @@ class DmtcpSpec:
     #: after this fallback timeout if stragglers never return.
     failover_retry_timeout_s: float = 4.0
     #: CoordinatorHub admission control: per-tenant inbox bound; command
-    #: admissions beyond it are shed with a retry-after hint.
+    #: admissions beyond it are shed with a busy reply.
     hub_inbox_limit: int = 256
     # -- hierarchical coordination (repro.coord.tree; enabled via
     # DmtcpComputation(tree_fanout=N), inert otherwise) -----------------
@@ -185,7 +185,7 @@ class DmtcpSpec:
     #: Chunk size for content addressing.  Region-boundary aware: chunks
     #: never span regions, the last chunk of a region may be short.
     store_chunk_bytes: int = 2**20
-    #: Replication factor k (override per run with DMTCP_STORE_REPLICAS).
+    #: Replication factor k of the chunk store.
     store_replicas: int = 2
     # -- multi-tenant checkpoint service (repro.service; enabled via
     # TenantRegistry/CoordinatorHub, inert otherwise) --------------------

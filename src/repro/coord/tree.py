@@ -142,7 +142,7 @@ class TreeTopology:
 # The gateway relay program
 # ======================================================================
 
-def make_gateway_program(spec, tracer=None):
+def make_gateway_program(spec, tracer):
     """Build the gateway program (registered as ``dmtcp_gateway``).
 
     ``spec`` is the cluster's :class:`~repro.config.DmtcpSpec`: the
@@ -226,9 +226,7 @@ def make_gateway_program(spec, tracer=None):
 
 
 def _gw_count(gw: dict, name: str, value: float = 1) -> None:
-    tracer = gw.get("tracer")
-    if tracer is not None:
-        tracer.count(name, value)
+    gw["tracer"].count(name, value)
 
 
 def _gw_up_send(sys: Sys, gw: dict, message: dict):

@@ -87,8 +87,8 @@ class BarrierRecord:
     """Everything the root knows about one open barrier.
 
     Created by the first arrival, dropped by the release (or an abort).
-    With a tracer wired in, the barrier's span is open exactly as long
-    as its record exists, and began at ``open_t``.
+    The barrier's tracer span is open exactly as long as its record
+    exists, and began at ``open_t``.
     """
 
     #: first / latest arrival clock (host-side; straggler latency)
@@ -106,6 +106,12 @@ class CoordinatorState:
     """Shared between the coordinator program and the host-side harness."""
 
     port: int
+    #: observability: the world tracer.  Its clock is the host-side
+    #: virtual time the watchdog and the failover deadline run on.
+    tracer: Any
+    #: the computation's :class:`~repro.config.DmtcpSpec`: the
+    #: supervision timeouts are read here, never copied
+    spec: Any
     interval: float = 0.0
     #: member fd -> info dict (host, vpid, program, restart)
     members: dict[int, dict] = field(default_factory=dict)
@@ -144,8 +150,6 @@ class CoordinatorState:
     on_restart_complete: list[Callable[[RestartOutcome], None]] = field(default_factory=list)
     #: total barrier messages processed (ablation: coordinator load)
     barrier_messages: int = 0
-    #: observability: the world tracer (wired in by DmtcpComputation)
-    tracer: Optional[Any] = None
     #: propagation-tree mode (repro.coord.tree): connections that are
     #: gateway subtrees, not members.  Members reached through a gateway
     #: are keyed ("m", host, vpid) in ``members`` with info["via"] set to
@@ -163,13 +167,12 @@ class CoordinatorState:
     #: when this round's ``refilled`` barrier released (None before):
     #: every record's refill stage closes here
     refilled_at: Optional[float] = None
-    #: supervision layer (DMTCP_SUPERVISE=1): watchdog/heartbeat config,
-    #: barrier-progress tracking, and abort accounting.  All inert --
-    #: zero extra threads, syscalls, or frames -- when ``supervise`` is
-    #: off, so healthy-path runs and committed benchmarks are unchanged.
+    #: supervision layer (DMTCP_SUPERVISE=1): watchdog and heartbeat
+    #: (timed by ``spec``), barrier-progress tracking, and abort
+    #: accounting.  All inert -- zero extra threads, syscalls, or frames
+    #: -- when ``supervise`` is off, so healthy-path runs and committed
+    #: benchmarks are unchanged.
     supervise: bool = False
-    barrier_timeout_s: float = 5.0
-    heartbeat_interval_s: float = 2.0
     last_progress: float = 0.0
     aborts: int = 0
     last_abort_reason: Optional[str] = None
@@ -198,12 +201,6 @@ class CoordinatorState:
     #: stamped by the host-side respawn, consumed by
     #: :func:`_maybe_retry_failover`.
     failover_retry: Optional[dict] = None
-    #: fallback delay before a failover retry gives up waiting for
-    #: stragglers and fires with whatever membership re-registered.
-    failover_retry_timeout_s: float = 4.0
-    #: retry-after hint attached to busy refusals, honoured by the
-    #: command client's bounded retry loop.
-    busy_retry_after_s: float = 0.5
 
     @property
     def track(self) -> str:
@@ -225,10 +222,9 @@ class CoordinatorState:
     def close_round(self, **args) -> None:
         """End the open checkpoint round's span (opened by
         :func:`_start_checkpoint`)."""
-        if self.tracer is not None:
-            self.tracer.end(
-                self.track, "checkpoint", cat="coord", tenant=self.tenant or None, **args
-            )
+        self.tracer.end(
+            self.track, "checkpoint", cat="coord", tenant=self.tenant or None, **args
+        )
 
     @property
     def script_path(self) -> str:
@@ -250,22 +246,21 @@ class CoordinatorState:
 
     def drop_barriers(self) -> None:
         """Forget every open barrier, closing its tracer span as aborted."""
-        if self.tracer is not None:
-            for name in self.barriers:
-                self.tracer.end(
-                    self.barrier_track(name), name, cat="barrier",
-                    tenant=self.tenant or None, aborted=True,
-                )
+        for name in self.barriers:
+            self.tracer.end(
+                self.barrier_track(name), name, cat="barrier",
+                tenant=self.tenant or None, aborted=True,
+            )
         self.barriers = {}
 
     def reset_connections(self) -> None:
         """Coordinator respawn: drop everything scoped to the dead
         process's connections.  History, the restart discovery service's
-        knowledge, the store and the supervision settings survive."""
+        knowledge and the store survive."""
         self.drop_barriers()
         if self.phase == "checkpoint":
             self.close_round(aborted=True)
-        if self.tracer is not None and self.tracer.open_spans(self.publish_track):
+        if self.tracer.open_spans(self.publish_track):
             self.tracer.end(
                 self.publish_track, "publish", cat="coord", tenant=self.tenant or None,
                 aborted=True,
@@ -295,7 +290,7 @@ class CoordinatorState:
 
     def clock(self) -> float:
         """Current virtual time, host-side (never charges sim time)."""
-        return self.tracer.clock() if self.tracer is not None else 0.0
+        return self.tracer.clock()
 
     @property
     def last_checkpoint(self) -> Optional[CheckpointOutcome]:
@@ -355,8 +350,7 @@ def _maybe_retry_failover(sys: Sys, state: CoordinatorState):
     ):
         return
     state.failover_retry = None
-    if state.tracer is not None:
-        state.tracer.count("coord.failover_retries", tenant=state.tenant or None)
+    state.tracer.count("coord.failover_retries", tenant=state.tenant or None)
     yield from _start_checkpoint(sys, state, pending.get("options", {}))
 
 
@@ -369,7 +363,7 @@ def _watchdog(sys: Sys, state: CoordinatorState):
     their barrier forever.  Aborting rolls everyone back to RUNNING.
     """
     while True:
-        yield from sys.sleep(max(state.barrier_timeout_s / 4.0, 0.25))
+        yield from sys.sleep(max(state.spec.barrier_timeout_s / 4.0, 0.25))
         if state.phase == "idle":
             continue  # an idle tick never reads the clock
         now = yield from sys.time()
@@ -379,22 +373,19 @@ def _watchdog(sys: Sys, state: CoordinatorState):
 def _watchdog_check(sys: Sys, state: CoordinatorState, now: float):
     """One watchdog tick against one state (the hub sweeps its tenants
     with this, sharing a single clock read)."""
-    if state.phase == "idle" or now - state.last_progress < state.barrier_timeout_s:
+    timeout = state.spec.barrier_timeout_s
+    if state.phase == "idle" or now - state.last_progress < timeout:
         return
     if state.phase == "checkpoint":
-        yield from _abort_checkpoint(
-            sys, state, f"no barrier progress for {state.barrier_timeout_s}s"
-        )
+        yield from _abort_checkpoint(sys, state, f"no barrier progress for {timeout}s")
     else:
-        yield from _abort_restart(
-            sys, state, f"restart stalled for {state.barrier_timeout_s}s"
-        )
+        yield from _abort_restart(sys, state, f"restart stalled for {timeout}s")
 
 
 def _heartbeat(sys: Sys, state: CoordinatorState):
     """Supervision: ping every member periodically."""
     while True:
-        yield from sys.sleep(state.heartbeat_interval_s)
+        yield from sys.sleep(state.spec.heartbeat_interval_s)
         yield from _ping_members(sys, state)
 
 
@@ -422,8 +413,7 @@ def _begin_abort(state: CoordinatorState, phase: str, counter: str, reason: str)
         return False
     state.aborts += 1
     state.last_abort_reason = reason
-    if state.tracer is not None:
-        state.tracer.count(counter, tenant=state.tenant or None)
+    state.tracer.count(counter, tenant=state.tenant or None)
     if phase == "checkpoint":
         state.close_round(aborted=True)
     state.drop_barriers()
@@ -526,12 +516,9 @@ def _dispatch_message(sys: Sys, state: CoordinatorState, cfd: int, message: dict
             # rebuild lineage from the members: the respawned coordinator
             # must never reissue a ckpt_id its predecessor already used
             state.ckpt_id = max(state.ckpt_id, message.get("ckpt_id", 0))
-            if state.tracer is not None:
-                state.tracer.count(
-                    "coord.reregistrations", tenant=state.tenant or None
-                )
-                if state.supervise:
-                    state.last_progress = state.tracer.clock()
+            state.tracer.count("coord.reregistrations", tenant=state.tenant or None)
+            if state.supervise:
+                state.last_progress = state.clock()
         # membership re-forming may satisfy a pending failover retry
         yield from _maybe_retry_failover(sys, state)
     elif kind == P.MSG_GW_HELLO:
@@ -566,8 +553,8 @@ def _dispatch_message(sys: Sys, state: CoordinatorState, cfd: int, message: dict
         # a restarter connecting is progress: without this the
         # watchdog would measure the new restart against the stale
         # timestamp of the last checkpoint and abort it at birth
-        if state.supervise and state.tracer is not None:
-            state.last_progress = state.tracer.clock()
+        if state.supervise:
+            state.last_progress = state.clock()
         if state.phase != "restart":
             state.phase = "restart"
             state.restart_gen += 1
@@ -585,8 +572,8 @@ def _dispatch_message(sys: Sys, state: CoordinatorState, cfd: int, message: dict
     elif kind == P.MSG_ADVERTISE:
         key = message["key"]
         state.adverts[key] = (message["host"], message["port"])
-        if state.supervise and state.tracer is not None:
-            state.last_progress = state.tracer.clock()  # reconnects flowing
+        if state.supervise:
+            state.last_progress = state.clock()  # reconnects flowing
         for rfd in list(state.restarter_fds):
             yield from _send_safe(
                 sys,
@@ -644,8 +631,7 @@ def _maybe_lease_generation(sys: Sys, state: CoordinatorState):
     state.store_leased_ckpt = state.ckpt_id
     state.store_parked = {}
     tracer = state.tracer
-    if tracer is not None:
-        tracer.begin("coordinator/store", "store.lease", cat="store", writers=len(parked))
+    tracer.begin("coordinator/store", "store.lease", cat="store", writers=len(parked))
     needs = state.store.lease_generation(
         {owner: refs for owner, (_fd, refs) in parked.items()}, state.ckpt_id
     )
@@ -658,8 +644,7 @@ def _maybe_lease_generation(sys: Sys, state: CoordinatorState):
             P.msg(P.MSG_STORE_LEASE, need=need),
             64 + 8 * max(len(need), 1),
         )
-    if tracer is not None:
-        tracer.end("coordinator/store", "store.lease", cat="store")
+    tracer.end("coordinator/store", "store.lease", cat="store")
 
 
 def _writer_gone(sys: Sys, state: CoordinatorState, owner: tuple):
@@ -705,8 +690,7 @@ def _handle_disconnect(sys: Sys, state: CoordinatorState, cfd: int):
     """
     if cfd in state.gateway_fds:
         _drop_connection(state, cfd)
-        if state.tracer is not None:
-            state.tracer.count("coord.gateways_lost")
+        state.tracer.count("coord.gateways_lost")
         yield from _abort_in_flight(sys, state, "gateway connection lost")
         return
     info = state.members.get(cfd)
@@ -773,8 +757,7 @@ def _subtree_gone(sys: Sys, state: CoordinatorState, message: dict):
     """
     for host, vpid in message.get("members", ()):
         state.members.pop(("m", host, vpid), None)
-    if state.tracer is not None:
-        state.tracer.count("coord.subtrees_lost")
+    state.tracer.count("coord.subtrees_lost")
     yield from _abort_in_flight(sys, state, "gateway subtree lost")
 
 
@@ -829,20 +812,16 @@ def _barrier_arrive_batch(
     rec = state.barriers.get(name)
     if rec is None:
         rec = state.barriers[name] = BarrierRecord(open_t=now)
-        if tracer is not None:
-            # first arrival opens the barrier span: its duration is how
-            # long the earliest process waited for the release
-            tracer.begin(
-                state.barrier_track(name), name, cat="barrier",
-                tenant=state.tenant or None,
-            )
-    rec.last_t = now
-    if tracer is not None:
-        if state.supervise:
-            state.last_progress = now
-        tracer.count(
-            "coord.barrier_messages", len(arrivals), tenant=state.tenant or None
+        # first arrival opens the barrier span: its duration is how long
+        # the earliest process waited for the release
+        tracer.begin(
+            state.barrier_track(name), name, cat="barrier",
+            tenant=state.tenant or None,
         )
+    rec.last_t = now
+    if state.supervise:
+        state.last_progress = now
+    tracer.count("coord.barrier_messages", len(arrivals), tenant=state.tenant or None)
     for cfd, n, counted, reports in arrivals:
         if counted:
             rec.counted += n
@@ -877,18 +856,17 @@ def _maybe_release(sys: Sys, state: CoordinatorState, name: str):
             }
         )
         tracer = state.tracer
-        if tracer is not None:
-            straggler = rec.last_t - rec.open_t
-            tracer.end(
-                state.barrier_track(name),
-                name,
-                cat="barrier",
-                tenant=state.tenant or None,
-                n=total,
-                straggler_s=straggler,
-            )
-            tracer.count("coord.barriers_released", tenant=state.tenant or None)
-            tracer.count_max("coord.barrier_straggler_max_s", straggler)
+        straggler = rec.last_t - rec.open_t
+        tracer.end(
+            state.barrier_track(name),
+            name,
+            cat="barrier",
+            tenant=state.tenant or None,
+            n=total,
+            straggler_s=straggler,
+        )
+        tracer.count("coord.barriers_released", tenant=state.tenant or None)
+        tracer.count_max("coord.barrier_straggler_max_s", straggler)
         if name == P.BARRIER_REFILLED:
             state.refilled_at = release_t
             yield from _maybe_finish_checkpoint(sys, state)
@@ -919,13 +897,12 @@ def _start_checkpoint(sys: Sys, state: CoordinatorState, options: dict):
     state.done_fds = set()
     state.refilled_at = None
     now = yield from sys.time()
-    if state.tracer is not None:
-        # one span per round, request to completion: its length is the
-        # outcome's duration
-        state.tracer.begin(
-            state.track, "checkpoint", cat="coord", tenant=state.tenant or None,
-            ckpt_id=state.ckpt_id,
-        )
+    # one span per round, request to completion: its length is the
+    # outcome's duration
+    state.tracer.begin(
+        state.track, "checkpoint", cat="coord", tenant=state.tenant or None,
+        ckpt_id=state.ckpt_id,
+    )
     state.ckpt_started_at = now
     state.last_progress = now
     had_members = bool(state.members)
@@ -1057,9 +1034,8 @@ def _publish(sys: Sys, state: CoordinatorState):
     while state.unpublished:
         outcome, cmd_fds = state.unpublished[0]
         plan = outcome.plan
-        if tracer is not None:
-            tracer.begin(state.publish_track, "publish", cat="coord", tenant=tenant,
-                         ckpt_id=outcome.ckpt_id)
+        tracer.begin(state.publish_track, "publish", cat="coord", tenant=tenant,
+                     ckpt_id=outcome.ckpt_id)
         script_fd = yield from sys.open(state.script_path, "w")
         yield from sys.write(script_fd, len(plan.render_script()), payload=plan)
         yield from sys.close(script_fd)
@@ -1068,9 +1044,8 @@ def _publish(sys: Sys, state: CoordinatorState):
             # the command client may itself have died (node crash): never
             # let its dead socket take the coordinator down with it
             yield from _send_safe(sys, state, cmd_fd, P.msg("ok", ckpt_id=outcome.ckpt_id))
-        if tracer is not None:
-            tracer.end(state.publish_track, "publish", cat="coord", tenant=tenant)
-            tracer.count("coord.publishes", tenant=tenant)
+        tracer.end(state.publish_track, "publish", cat="coord", tenant=tenant)
+        tracer.count("coord.publishes", tenant=tenant)
         # snapshot: sinks deregister themselves as they fire
         for cb in list(state.on_checkpoint_complete):
             cb(outcome)
@@ -1081,14 +1056,8 @@ def _command(sys: Sys, state: CoordinatorState, cfd: int, message: dict):
     cmd = message["cmd"]
     if cmd == "checkpoint":
         if state.phase != "idle":
-            if state.tracer is not None:
-                state.tracer.count("coord.busy_refusals", tenant=state.tenant or None)
-            yield from send_frame(
-                sys,
-                cfd,
-                P.msg("busy", retry_after=state.busy_retry_after_s),
-                P.CTL_FRAME_BYTES,
-            )
+            state.tracer.count("coord.busy_refusals", tenant=state.tenant or None)
+            yield from send_frame(sys, cfd, P.msg("busy"), P.CTL_FRAME_BYTES)
             return
         state.pending_command_fds.append(cfd)
         yield from _start_checkpoint(sys, state, message.get("options", {}))
@@ -1124,9 +1093,11 @@ EXIT_ABORTED = 4
 EXIT_DEADLINE = 5
 
 
-def make_dmtcp_command_program(tracer=None):
+def make_dmtcp_command_program(spec, tracer):
     """Build the `dmtcp command <cmd>` client (Section 3).
 
+    ``spec`` is the cluster's :class:`~repro.config.DmtcpSpec`: the
+    supervised reply deadline is its ``member_recv_timeout_s``.
     ``tracer`` is the world tracer for host-side counters only (deadline
     expiries, busy retries); it never charges simulated time, so the
     unsupervised frame stream is byte-identical to the plain client.
@@ -1141,16 +1112,15 @@ def make_dmtcp_command_program(tracer=None):
     from repro.resilience import RetryPolicy
 
     def _count(name: str, value: float = 1) -> None:
-        if tracer is not None:
-            tracer.count(name, value)
+        tracer.count(name, value)
 
     def dmtcp_command_main(sys: Sys, argv):
         cmd = argv[1]
         host = yield from sys.getenv("DMTCP_COORD_HOST")
         port = int((yield from sys.getenv("DMTCP_COORD_PORT")))
         supervise = (yield from sys.getenv("DMTCP_SUPERVISE")) == "1"
-        deadline_env = yield from sys.getenv("DMTCP_RPC_DEADLINE")
-        deadline = float(deadline_env) if deadline_env else 8.0
+        yield from sys.getenv("DMTCP_RPC_DEADLINE")
+        deadline = spec.member_recv_timeout_s
         # busy-retry is opt-in (DMTCP_CMD_RETRIES > 1): a refused duplicate
         # request is the *correct* answer for plain computations, and the
         # service scheduler owns its own retry schedule -- only callers

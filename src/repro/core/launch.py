@@ -14,7 +14,6 @@ operation completes and return structured outcomes with timings.
 
 from __future__ import annotations
 
-import os
 from typing import TYPE_CHECKING, Optional
 
 from repro.core.coordinator import (
@@ -40,40 +39,6 @@ _UTIL_SPEC = ProgramSpec(
     "dmtcp_util",
     regions=(RegionSpec("code", 128 * 1024, "code"), RegionSpec("heap", 128 * 1024, "text")),
 )
-
-
-def resolve_sim_shards(explicit: Optional[int] = None) -> int:
-    """Shard count for the parallel simulation core (DESIGN.md §11).
-
-    ``explicit`` wins; otherwise the ``DMTCP_SIM_SHARDS`` environment
-    variable; otherwise 1 (plain serial engine).  Harness entry points
-    call this to decide between a serial run and
-    :func:`repro.sim.parallel.run_sharded`.
-    """
-    if explicit is not None:
-        shards = int(explicit)
-    else:
-        shards = int(os.environ.get("DMTCP_SIM_SHARDS", "1") or "1")
-    if shards < 1:
-        raise ValueError(f"sim_shards must be >= 1, got {shards}")
-    return shards
-
-
-def resolve_store_replicas(explicit: Optional[int], spec) -> int:
-    """Replication factor for the chunk store (DESIGN.md §12).
-
-    ``explicit`` wins; otherwise the ``DMTCP_STORE_REPLICAS`` environment
-    variable; otherwise :attr:`DmtcpSpec.store_replicas`.
-    """
-    if explicit is not None:
-        replicas = int(explicit)
-    else:
-        replicas = int(
-            os.environ.get("DMTCP_STORE_REPLICAS", "") or spec.store_replicas
-        )
-    if replicas < 1:
-        raise ValueError(f"store replicas must be >= 1, got {replicas}")
-    return replicas
 
 
 class _OutcomeSink:
@@ -109,22 +74,17 @@ class DmtcpComputation:
         interval: float = 0.0,
         supervise: bool = False,
         tree_fanout: Optional[int] = None,
-        sim_shards: Optional[int] = None,
         store: bool = False,
-        store_replicas: Optional[int] = None,
         tenant: str = "",
-        external_coordinator: bool = False,
     ):
         self.world = world
         #: multi-tenant service (repro.service): a non-empty tenant name
         #: namespaces this computation's programs, env, and trace spans so
-        #: many computations can share one world.  With
-        #: ``external_coordinator`` the computation does not spawn its own
-        #: coordinator process -- a CoordinatorHub hosts its
+        #: many computations can share one world.  A tenant spawns no
+        #: coordinator process of its own -- a CoordinatorHub hosts its
         #: CoordinatorState alongside other tenants' behind one port.
         self.tenant = tenant
-        self.external_coordinator = external_coordinator
-        if (tenant or external_coordinator) and (tree_fanout or store):
+        if tenant and (tree_fanout or store):
             raise ValueError(
                 "multi-tenant mode is incompatible with tree/store "
                 "(those layers assume exclusive ownership of the world)"
@@ -132,26 +92,15 @@ class DmtcpComputation:
         suffix = f":{tenant}" if tenant else ""
         self._coordinator_program = "dmtcp_coordinator" + suffix
         self._restart_program = "dmtcp_restart" + suffix
-        #: Parallel simulation core (repro.sim.parallel): how many engine
-        #: shards this computation expects to run on.  The world must
-        #: already be bound to a shard context (ShardContext.bind) when
-        #: shards > 1 -- the binding is per-world and SPMD, so it cannot
-        #: be installed retroactively from inside one replica.
-        self.sim_shards = resolve_sim_shards(sim_shards)
-        if store and self.sim_shards > 1:
+        #: Parallel simulation core (repro.sim.parallel): the shard count
+        #: is the world's binding (ShardContext.bind), not a setting here
+        if store and world.shard is not None and world.shard.plan.n_shards > 1:
             raise SimulationError(
                 "the checkpoint store is serial-only: chunk traffic is "
                 "modeled directly against node disks/NICs, which the "
-                f"sharded fabric cannot carry yet (sim_shards="
-                f"{self.sim_shards}). Run with sim_shards=1 (or unset "
-                "DMTCP_SIM_SHARDS) -- the serial fallback -- to enable "
-                "DMTCP_STORE."
-            )
-        if self.sim_shards > 1 and world.shard is None:
-            raise ValueError(
-                f"sim_shards={self.sim_shards} but the world has no shard "
-                "binding; build the computation inside a scenario run by "
-                "repro.sim.parallel.run_sharded (see harness/parallel.py)"
+                "sharded fabric cannot carry yet (a world bound to "
+                f"{world.shard.plan.n_shards} shards). Run the scenario on one "
+                "shard -- the serial fallback -- to enable DMTCP_STORE."
             )
         self.coordinator_host = coordinator_host or world.machine.hostnames[0]
         self.port = port
@@ -168,14 +117,13 @@ class DmtcpComputation:
         #: barrier timeouts with rollback, atomic checksummed images
         self.supervise = supervise
         self.state = CoordinatorState(
-            port=port, interval=interval, tracer=world.tracer, tenant=tenant
+            port=port,
+            tracer=world.tracer,
+            spec=world.spec.dmtcp,
+            interval=interval,
+            supervise=supervise,
+            tenant=tenant,
         )
-        if supervise:
-            dspec = world.spec.dmtcp
-            self.state.supervise = True
-            self.state.barrier_timeout_s = dspec.barrier_timeout_s
-            self.state.heartbeat_interval_s = dspec.heartbeat_interval_s
-            self.state.failover_retry_timeout_s = dspec.failover_retry_timeout_s
         #: content-addressed checkpoint image store (repro.store): chunk
         #: dedup across ranks/generations, k-way replication, anti-entropy
         #: repair, streaming restart from the nearest live replica
@@ -183,17 +131,14 @@ class DmtcpComputation:
         if store:
             from repro.store import ChunkStore
 
-            self.store = ChunkStore(
-                world,
-                replicas=resolve_store_replicas(store_replicas, world.spec.dmtcp),
-            )
+            self.store = ChunkStore(world)
             world.store = self.store
             self.state.store = self.store
         #: connection-table stash across exec (the hijack library persists
         #: its state across the exec boundary; Section 4.2's exec wrappers)
         self._exec_stash: dict[tuple[str, int], DmtcpRuntime] = {}
         self._register_programs()
-        if external_coordinator:
+        if tenant:
             # hub mode: the TenantRegistry owns the world's hijack factory
             # (dispatching on DMTCP_TENANT) and the hub process owns the
             # shared port; this computation spawns nothing here
@@ -272,14 +217,16 @@ class DmtcpComputation:
     # Wiring
     # ------------------------------------------------------------------
     def _register_programs(self) -> None:
-        if not self.external_coordinator:
+        if not self.tenant:
             self.world.register_program(
                 self._coordinator_program,
                 make_coordinator_program(self.state),
                 _COORD_SPEC,
             )
         self.world.register_program(
-            "dmtcp_command", make_dmtcp_command_program(self.world.tracer), _UTIL_SPEC
+            "dmtcp_command",
+            make_dmtcp_command_program(self.world.spec.dmtcp, self.world.tracer),
+            _UTIL_SPEC,
         )
         self.world.register_program(
             self._restart_program, make_restart_program(self), _UTIL_SPEC
@@ -296,17 +243,11 @@ class DmtcpComputation:
         }
         if self.store is not None:
             env["DMTCP_STORE"] = "1"
-            env["DMTCP_STORE_REPLICAS"] = str(self.store.replicas)
         if self.tree_fanout:
             env["DMTCP_TREE_PORT"] = str(self.gateway_port)
         if self.supervise:
             env["DMTCP_SUPERVISE"] = "1"
             env["DMTCP_ATOMIC_IMAGES"] = "1"
-            # resilience layer: one RPC deadline + jitter fraction for
-            # every coordinator round-trip made by this computation
-            dspec = self.world.spec.dmtcp
-            env["DMTCP_RPC_DEADLINE"] = str(dspec.member_recv_timeout_s)
-            env["DMTCP_RETRY_JITTER"] = str(dspec.retry_jitter)
         if self.tenant:
             env["DMTCP_TENANT"] = self.tenant
         return env
@@ -515,13 +456,12 @@ class DmtcpComputation:
         backoff), so the new coordinator starts with an empty member set
         that refills within a few heartbeats.
         """
-        if self.external_coordinator:
+        if self.tenant:
             raise SimulationError(
-                "external-coordinator tenants have no coordinator process "
-                "of their own to respawn; respawn the hub instead"
+                "hub tenants have no coordinator process of their own to "
+                "respawn; respawn the hub instead"
             )
         state = self.state
-        tracer = state.tracer
         # resilience layer (section 15): a checkpoint in flight when the
         # coordinator died is rolled back by the members' own recv
         # timeouts, and one finished but not yet published has no
@@ -533,13 +473,11 @@ class DmtcpComputation:
             state.failover_retry = {
                 "expected": state.member_count,
                 "options": dict(state.ckpt_options),
-                "deadline": state.clock() + state.failover_retry_timeout_s,
+                "deadline": state.clock() + state.spec.failover_retry_timeout_s,
             }
-            if tracer is not None:
-                tracer.count("coord.failover_interrupted_ckpts")
+            state.tracer.count("coord.failover_interrupted_ckpts")
         state.reset_connections()
-        if tracer is not None:
-            tracer.count("coord.respawns")
+        state.tracer.count("coord.respawns")
         self.coordinator_process = self.world.spawn_process(
             self.coordinator_host,
             self._coordinator_program,

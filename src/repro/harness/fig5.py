@@ -39,7 +39,6 @@ def run_fig5_point(
     warmup_s: float = 8.0,
     tree_fanout: int | None = None,
     store: bool = False,
-    store_replicas: int | None = None,
 ) -> Fig5Point:
     """One x-axis point of Figure 5a (local) or 5b (SAN/NFS).
 
@@ -60,7 +59,6 @@ def run_fig5_point(
         ckpt_dir="/san/dmtcp" if storage == "san" else "/tmp/dmtcp",
         tree_fanout=tree_fanout,
         store=store,
-        store_replicas=store_replicas,
     )
     comp.launch(
         "node00",

@@ -67,9 +67,7 @@ def fig5_xl_scenario(
     world = build_cluster(n_nodes=n_nodes, seed=seed)
     ctx.bind(world)
     _register_tree_worker(world)
-    comp = DmtcpComputation(
-        world, compression=True, tree_fanout=tree_fanout, sim_shards=ctx.n_shards
-    )
+    comp = DmtcpComputation(world, compression=True, tree_fanout=tree_fanout)
     hostnames = world.machine.hostnames
     for i in range(compute_processes):
         comp.launch(hostnames[i % n_nodes], "pargeant4_worker")
@@ -118,9 +116,7 @@ def coordscale_scenario(
             yield from sys.sleep(1.0)
 
     world.register_program("coordscale_member", member_main)
-    comp = DmtcpComputation(
-        world, compression=False, tree_fanout=fanout, sim_shards=ctx.n_shards
-    )
+    comp = DmtcpComputation(world, compression=False, tree_fanout=fanout)
     hostnames = world.machine.hostnames
     for i in range(n_procs):
         comp.launch(hostnames[i % n_nodes], "coordscale_member")

@@ -255,7 +255,7 @@ def run_service_overload(
     rate the hub absorbs with headroom; the *overloaded* run doubles the
     admission rate (``poll_s / 2``), pushing offered load past the hub's
     drain capacity.  Admission control must turn the excess into shed
-    commands (busy + retry-after) rather than an unbounded queue, so the
+    commands (busy replies) rather than an unbounded queue, so the
     overloaded batched p99 checkpoint latency stays within 2x its
     uncontended value and no tenant's checkpoint fails because of another
     tenant's traffic.

@@ -59,9 +59,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["CoordinatorHub"]
 
-#: The retry-after hint a shedding hub returns, seconds.
-HUB_RETRY_AFTER_S = 0.05
-
 #: The hub serves many tenants from one heap; give it more room than a
 #: single coordinator but keep it checkpoint-irrelevant (never hijacked).
 _HUB_SPEC = ProgramSpec(
@@ -98,14 +95,13 @@ class CoordinatorHub:
         self.pending: deque = deque()
         #: admission control: per-tenant count of queued-but-undrained
         #: frames.  A tenant at its bound gets *command* admissions shed
-        #: with a busy + retry-after reply (the retry layer honours the
-        #: hint); protocol frames -- barriers (the last carries a
+        #: with a busy reply (the service scheduler retries on its own
+        #: schedule); protocol frames -- barriers (the last carries a
         #: member's done report), restart-done, disconnects -- always
         #: enqueue, because shedding those would wedge an in-flight
         #: round mid-protocol
         self.inbox: dict[str, int] = {}
         self.inbox_limit = spec.hub_inbox_limit
-        self.retry_after_s = HUB_RETRY_AFTER_S
         #: load-shed metric: commands refused at admission
         self.shed = 0
         #: cfds the dispatcher retired mid-stream (a store reply whose
@@ -227,18 +223,13 @@ def _hub_connection(sys: Sys, hub: CoordinatorHub, cfd: int):
             and hub.inbox.get(tenant, 0) >= hub.inbox_limit
         ):
             # admission control: this tenant's inbox is full -- shed the
-            # command with a retry-after hint instead of letting an
+            # command with a busy reply instead of letting an
             # unbounded queue smear every tenant's p99.  Protocol frames
             # are never shed (see CoordinatorHub.inbox).
             hub.shed += 1
             hub.world.tracer.count("hub.load_shed", tenant=tenant)
             try:
-                yield from send_frame(
-                    sys,
-                    cfd,
-                    P.msg("busy", retry_after=hub.retry_after_s, shed=True),
-                    P.CTL_FRAME_BYTES,
-                )
+                yield from send_frame(sys, cfd, P.msg("busy", shed=True), P.CTL_FRAME_BYTES)
             except SyscallError:
                 return
             continue

@@ -55,7 +55,6 @@ class TenantRegistry:
             supervise=supervise,
             compression=compression,
             tenant=name,
-            external_coordinator=True,
         )
         self.tenants[name] = comp
         self.hub.register(name, comp.state)

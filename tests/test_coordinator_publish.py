@@ -187,7 +187,7 @@ def test_two_finishes_publish_in_ckpt_id_order():
     spec = CLUSTER_2008.with_(disk=replace(CLUSTER_2008.disk, op_latency_s=0.05))
     world = build_cluster(n_nodes=1, spec=spec, seed=0)
     world.tracer.enable()
-    state = CoordinatorState(port=7779, tracer=world.tracer)
+    state = CoordinatorState(port=7779, tracer=world.tracer, spec=world.spec.dmtcp)
     order, queued = [], []
     state.on_checkpoint_complete.append(
         lambda o: order.append((o.ckpt_id, list(state.history)))

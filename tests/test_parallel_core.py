@@ -392,32 +392,3 @@ def test_coordscale_equivalent_across_shard_counts():
     assert runs[1].root_value == runs[2].root_value
     assert runs[1].root_value["n_procs"] == 64
     assert runs[1].root_value["root_messages"] > 0
-
-
-# ----------------------------------------------------------------------
-# Launch-layer plumbing
-# ----------------------------------------------------------------------
-
-
-def test_resolve_sim_shards_env(monkeypatch):
-    from repro.core.launch import resolve_sim_shards
-
-    monkeypatch.delenv("DMTCP_SIM_SHARDS", raising=False)
-    assert resolve_sim_shards() == 1
-    monkeypatch.setenv("DMTCP_SIM_SHARDS", "4")
-    assert resolve_sim_shards() == 4
-    assert resolve_sim_shards(2) == 2  # explicit beats the environment
-    monkeypatch.setenv("DMTCP_SIM_SHARDS", "0")
-    with pytest.raises(ValueError):
-        resolve_sim_shards()
-
-
-def test_computation_requires_binding_for_shards(monkeypatch):
-    from repro.core.launch import DmtcpComputation
-
-    world = build_cluster(n_nodes=2)
-    with pytest.raises(ValueError, match="run_sharded"):
-        DmtcpComputation(world, sim_shards=2)
-    monkeypatch.setenv("DMTCP_SIM_SHARDS", "2")
-    with pytest.raises(ValueError, match="run_sharded"):
-        DmtcpComputation(build_cluster(n_nodes=2))

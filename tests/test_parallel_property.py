@@ -66,7 +66,7 @@ def _scenario(ctx, counts, seed, checkpoint):
             i += 1
 
     world.register_program("app", app)
-    comp = DmtcpComputation(world, compression=True, sim_shards=ctx.n_shards)
+    comp = DmtcpComputation(world, compression=True)
     hostnames = world.machine.hostnames
     serial = 0
     for host, n in zip(hostnames, counts):

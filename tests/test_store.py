@@ -9,7 +9,7 @@ lineage-skip failure logging, and the content-keyed estimate cache.
 import pytest
 
 from repro.core import compression
-from repro.core.launch import DmtcpComputation, resolve_store_replicas
+from repro.core.launch import DmtcpComputation
 from repro.errors import RestartError, SimulationError
 from repro.faults.supervisor import (
     LineageSkipped,
@@ -18,6 +18,7 @@ from repro.faults.supervisor import (
 )
 from repro.harness.experiment import build_world
 from repro.kernel.process import ProgramSpec, RegionSpec
+from repro.sim.parallel import run_sharded
 from repro.store import (
     ChunkStore,
     advance_generations,
@@ -140,16 +141,6 @@ def test_store_rejects_nonpositive_replicas():
     world = build_world(2, seed=0)
     with pytest.raises(ValueError, match="replicas"):
         ChunkStore(world, replicas=0)
-
-
-def test_resolve_store_replicas_env_override(monkeypatch):
-    world = build_world(2, seed=0)
-    spec = world.spec.dmtcp
-    assert resolve_store_replicas(None, spec) == spec.store_replicas
-    assert resolve_store_replicas(3, spec) == 3
-    monkeypatch.setenv("DMTCP_STORE_REPLICAS", "4")
-    assert resolve_store_replicas(None, spec) == 4
-    assert resolve_store_replicas(1, spec) == 1  # explicit beats env
 
 
 # ----------------------------------------------------------------------
@@ -345,10 +336,22 @@ def test_second_reader_waits_for_a_chunk_still_in_flight_to_its_host():
 # Guards (satellite: serial-only fail-fast; forked incompatibility)
 # ----------------------------------------------------------------------
 
-def test_store_with_shards_fails_fast_naming_serial_fallback():
+def _store_on_bound_world(ctx) -> str:
     world = build_world(2, seed=0)
-    with pytest.raises(SimulationError, match="serial"):
-        DmtcpComputation(world, store=True, sim_shards=2)
+    ctx.bind(world)
+    try:
+        DmtcpComputation(world, store=True)
+    except SimulationError as err:
+        return str(err)
+    return ""
+
+
+def test_store_with_shards_fails_fast_naming_serial_fallback():
+    result = run_sharded(_store_on_bound_world, 2, backend="inline", timeout_s=60)
+    for message in result.values:
+        assert "serial" in message and "2 shards" in message
+    # one shard is the serial fallback: the store runs there
+    assert run_sharded(_store_on_bound_world, 1, backend="inline", timeout_s=60).root_value == ""
 
 
 def test_store_rejects_forked_checkpoints():

@@ -476,7 +476,8 @@ def test_abort_while_the_stream_is_running_leaves_nothing_behind(fault, store):
     # heartbeat has found the dead member)
     world.engine.run(until=world.engine.now + 31.0)
     world.reboot_node("node03")  # its disk, and the chunks on it, are back
-    comp.state.barrier_timeout_s = 5.0  # a whole stream fits between barriers
+    # a whole stream fits between barriers from here on
+    comp.state.spec = replace(comp.state.spec, barrier_timeout_s=5.0)
     open_before = {p.pid: set(p.fds) for p in survivors}
     retry = comp.checkpoint()
     assert len(retry.records) == len(survivors)
@@ -639,8 +640,8 @@ def test_kill_checkpoint_aborted_at_the_refill_barrier_loses_and_repeats_nothing
     byte exactly once and the application runs on as if never stopped.
     (The watchdog waits out the ~0.7 s streams, then holds the bystander
     past the refill barrier.)"""
-    world, comp, received, done = _pipeline(n_nodes=4, spec=ABORT_SPEC, supervise=True)
-    comp.state.barrier_timeout_s = 1.5
+    spec = ABORT_SPEC.with_(dmtcp=replace(ABORT_SPEC.dmtcp, barrier_timeout_s=1.5))
+    world, comp, received, done = _pipeline(n_nodes=4, spec=spec, supervise=True)
     FaultInjector(world, comp).arm(
         FaultPlan.schedule([FaultEvent(
             "delay-coord-frames", target="node03",
