@@ -225,10 +225,6 @@ def make_gateway_program(spec, tracer):
     return gateway_main
 
 
-def _gw_count(gw: dict, name: str, value: float = 1) -> None:
-    gw["tracer"].count(name, value)
-
-
 def _gw_up_send(sys: Sys, gw: dict, message: dict):
     """Forward one frame upstream (a control frame's bytes per done
     report it carries, at least one); a dead upstream is the uplink
@@ -384,8 +380,8 @@ def _gw_flush(sys: Sys, gw: dict, name: str, complete: bool):
         gw["flushed_m"].setdefault(name, set()).update(moved)
     if complete and gw["root_facing"]:
         gw["sent"].add(name)
-    _gw_count(
-        gw, "coord.gw_flushes_complete" if complete else "coord.gw_flushes_window"
+    gw["tracer"].count(
+        "coord.gw_flushes_complete" if complete else "coord.gw_flushes_window"
     )
     # the done reports of the arrivals counted here ride the count while
     # they fit a small frame, and follow it otherwise
@@ -453,7 +449,7 @@ def _gw_child_gone(sys: Sys, gw: dict, cfd: int, goodbye: bool = False):
             _gw_forget(gw, key)
         for fds in gw["relay_children"].values():
             fds.discard(cfd)
-        _gw_count(gw, "coord.gw_subtrees_lost")
+        gw["tracer"].count("coord.gw_subtrees_lost")
         yield from _gw_up_send(
             sys, gw, P.msg(P.MSG_SUBTREE_GONE, members=[list(k) for k in members])
         )
@@ -475,7 +471,7 @@ def _gw_child_gone(sys: Sys, gw: dict, cfd: int, goodbye: bool = False):
     if key is None:
         return  # never said hello; the root does not know it exists
     _gw_forget(gw, key)
-    _gw_count(gw, "coord.gw_members_lost")
+    gw["tracer"].count("coord.gw_members_lost")
     yield from _gw_up_send(
         sys,
         gw,
@@ -576,7 +572,7 @@ def _gw_upstream_lost(sys: Sys, gw: dict, gen: int):
             yield from _gw_up_send(
                 sys, gw, dict(entry["msg"], kind=P.MSG_REREGISTER)
             )
-        _gw_count(gw, "coord.gw_reconnects")
+        gw["tracer"].count("coord.gw_reconnects")
         yield from sys.thread_create(_gw_uplink, gw, gw["up_gen"], detached=True)
         return
     yield from sys.exit(1)  # upstream never came back

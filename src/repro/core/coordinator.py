@@ -22,7 +22,7 @@ from repro.core.imagefile import RestartPlan
 from repro.core.stats import CheckpointRecord
 from repro.errors import SyscallError
 from repro.kernel.streams import FrameAssembler
-from repro.kernel.syscalls import Sys, recv_frame, send_frame
+from repro.kernel.syscalls import Sys, connect_retry, recv_frame, send_frame
 
 
 def _send_safe(
@@ -1089,47 +1089,27 @@ def _command(sys: Sys, state: CoordinatorState, cfd: int, message: dict):
 #: rejects the done-future first), so the exit code carries the verdict.
 EXIT_BUSY = 3
 EXIT_ABORTED = 4
-#: Supervised mode: the reply deadline expired on every bounded attempt.
+#: Supervised mode: the reply deadline expired on a query, or on a
+#: checkpoint whose coordinator is gone.
 EXIT_DEADLINE = 5
 
 
 def make_dmtcp_command_program(spec, tracer):
     """Build the `dmtcp command <cmd>` client (Section 3).
 
-    ``spec`` is the cluster's :class:`~repro.config.DmtcpSpec`: the
-    supervised reply deadline is its ``member_recv_timeout_s``.
-    ``tracer`` is the world tracer for host-side counters only (deadline
-    expiries, busy retries); it never charges simulated time, so the
-    unsupervised frame stream is byte-identical to the plain client.
-
-    Supervised mode adds the resilience layer's RPC discipline: every
-    reply recv is capped by ``DMTCP_RPC_DEADLINE`` and a busy refusal is
-    retried up to ``DMTCP_CMD_RETRIES`` times, honouring the
-    coordinator's ``retry_after`` hint with seeded jitter -- the same
-    :class:`repro.resilience.RetryPolicy` shape every other coordinator
-    round-trip uses.
+    The client makes one request; a refusal exits ``EXIT_BUSY`` or
+    ``EXIT_ABORTED``.  ``spec`` is the cluster's
+    :class:`~repro.config.DmtcpSpec`: supervised, every reply recv is
+    capped by its ``member_recv_timeout_s``.  ``tracer`` is the world
+    tracer for host-side counters only (deadline expiries); it never
+    charges simulated time.
     """
-    from repro.resilience import RetryPolicy
-
-    def _count(name: str, value: float = 1) -> None:
-        tracer.count(name, value)
 
     def dmtcp_command_main(sys: Sys, argv):
         cmd = argv[1]
         host = yield from sys.getenv("DMTCP_COORD_HOST")
         port = int((yield from sys.getenv("DMTCP_COORD_PORT")))
         supervise = (yield from sys.getenv("DMTCP_SUPERVISE")) == "1"
-        yield from sys.getenv("DMTCP_RPC_DEADLINE")
-        deadline = spec.member_recv_timeout_s
-        # busy-retry is opt-in (DMTCP_CMD_RETRIES > 1): a refused duplicate
-        # request is the *correct* answer for plain computations, and the
-        # service scheduler owns its own retry schedule -- only callers
-        # that explicitly want client-side persistence enable it
-        retries = int((yield from sys.getenv("DMTCP_CMD_RETRIES")) or 1)
-        jitter = float((yield from sys.getenv("DMTCP_RETRY_JITTER")) or 0.25)
-        me = yield from sys.gethostname()
-        from repro.kernel.syscalls import connect_retry
-
         options = {}
         if "--kill" in argv:
             options["kill"] = True
@@ -1141,75 +1121,42 @@ def make_dmtcp_command_program(spec, tracer):
         tenant = yield from sys.getenv("DMTCP_TENANT")
         if tenant:
             command["tenant"] = tenant
-        policy = RetryPolicy(
-            base_s=0.05, max_s=1.0, attempts=max(1, retries),
-            jitter=jitter, deadline_s=deadline,
-        )
-        backoff = policy.delays(me, tenant or "-", cmd)
-        body = None
-        for attempt in range(policy.attempts):
-            fd = yield from sys.socket()
-            yield from connect_retry(sys, fd, host, port)
-            yield from send_frame(sys, fd, command, P.CTL_FRAME_BYTES)
-            asm = FrameAssembler()
-            reply = None
-            while True:
-                try:
-                    reply = yield from recv_frame(
-                        sys, fd, asm, timeout=deadline if supervise else None
-                    )
-                except SyscallError as err:
-                    if err.errno != "ETIMEDOUT":
-                        raise
-                    # deadline expired with no reply.  A checkpoint's
-                    # reply legitimately takes longer than one RPC
-                    # deadline, so the deadline bounds *dead-coordinator
-                    # detection*, not checkpoint duration: probe the
-                    # socket -- a live coordinator absorbs the ping and
-                    # we keep waiting, a dead one fails the send.
-                    _count("resilience.deadline_expired")
-                    if cmd == "checkpoint":
-                        try:
-                            yield from send_frame(
-                                sys, fd, P.msg(P.MSG_PING), P.CTL_FRAME_BYTES
-                            )
-                            continue
-                        except SyscallError:
-                            # coordinator gone: do NOT blind-resend a
-                            # checkpoint -- the coordinator-side failover
-                            # retry owns completion; give up loudly
-                            yield from sys.close(fd)
-                            yield from sys.exit(EXIT_DEADLINE)
-                    # idempotent queries retry on the policy schedule
-                    yield from sys.close(fd)
-                    if attempt + 1 >= policy.attempts:
-                        yield from sys.exit(EXIT_DEADLINE)
-                    yield from sys.sleep(next(backoff))
-                    reply = "retry"
+        deadline = spec.member_recv_timeout_s if supervise else None
+        fd = yield from sys.socket()
+        yield from connect_retry(sys, fd, host, port)
+        yield from send_frame(sys, fd, command, P.CTL_FRAME_BYTES)
+        asm = FrameAssembler()
+        while True:
+            try:
+                reply = yield from recv_frame(sys, fd, asm, timeout=deadline)
                 break
-            if reply == "retry":
-                continue
+            except SyscallError as err:
+                if err.errno != "ETIMEDOUT":
+                    raise
+            # deadline expired with no reply.  A checkpoint's reply
+            # legitimately takes longer than one RPC deadline, so the
+            # deadline bounds *dead-coordinator detection*, not checkpoint
+            # duration: probe the socket -- a live coordinator absorbs the
+            # ping and we keep waiting, a dead one fails the send.
+            tracer.count("resilience.deadline_expired")
+            if cmd == "checkpoint":
+                try:
+                    yield from send_frame(sys, fd, P.msg(P.MSG_PING), P.CTL_FRAME_BYTES)
+                    continue
+                except SyscallError:
+                    pass
+            # a query, or a coordinator gone: do NOT blind-resend a
+            # checkpoint -- the coordinator-side failover retry owns
+            # completion; give up loudly
             yield from sys.close(fd)
-            body = reply[0] if reply else None
-            kind = body.get("kind") if isinstance(body, dict) else None
-            if kind == "busy":
-                if attempt + 1 >= policy.attempts:
-                    break  # budget spent: surface EXIT_BUSY below
-                # bounded retry, honouring the retry-after hint (plus the
-                # seeded policy delay so herded clients decorrelate)
-                _count("resilience.busy_bounces")
-                yield from sys.sleep(
-                    float(body.get("retry_after", 0.0)) + next(backoff)
-                )
-                continue
-            if kind == "aborted":
-                yield from sys.exit(EXIT_ABORTED)
-            return body
+            yield from sys.exit(EXIT_DEADLINE)
+        yield from sys.close(fd)
+        body = reply[0] if reply else None
         kind = body.get("kind") if isinstance(body, dict) else None
         if kind == "busy":
-            if policy.attempts > 1:
-                _count("resilience.retries_exhausted")
             yield from sys.exit(EXIT_BUSY)
-        yield from sys.exit(EXIT_DEADLINE)
+        if kind == "aborted":
+            yield from sys.exit(EXIT_ABORTED)
+        return body
 
     return dmtcp_command_main

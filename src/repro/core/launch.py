@@ -93,7 +93,7 @@ class DmtcpComputation:
         self._coordinator_program = "dmtcp_coordinator" + suffix
         self._restart_program = "dmtcp_restart" + suffix
         #: Parallel simulation core (repro.sim.parallel): the shard count
-        #: is the world's binding (ShardContext.bind), not a setting here
+        #: is the world's binding (ShardContext.bind)
         if store and world.shard is not None and world.shard.plan.n_shards > 1:
             raise SimulationError(
                 "the checkpoint store is serial-only: chunk traffic is "

@@ -90,17 +90,6 @@ class RetryPolicy:
             yield delay * (1.0 + self.jitter * (2.0 * rng.random() - 1.0))
             delay = min(delay * 2.0, self.max_s)
 
-    def scaled(self, factor: float) -> "RetryPolicy":
-        """A copy with the attempt budget scaled (min 1); for callers
-        that need a shorter leash than the cluster default."""
-        return RetryPolicy(
-            base_s=self.base_s,
-            max_s=self.max_s,
-            attempts=max(1, int(self.attempts * factor)),
-            jitter=self.jitter,
-            deadline_s=self.deadline_s,
-        )
-
 
 def policy_from_spec(dmtcp) -> RetryPolicy:
     """The cluster-wide default policy, derived from :class:`DmtcpSpec`.

@@ -555,3 +555,97 @@ def test_dispatch_path_makes_no_storage_call():
     # the fence sees the inline write when it is put back, and only there
     assert _storage_hits(INLINE_WRITE) == [2]
     assert _storage_hits(INLINE_WRITE.replace("_finish_checkpoint", "_publish")) == []
+
+
+# ----------------------------------------------------------------------
+# One route for a computation's settings
+# ----------------------------------------------------------------------
+
+#: The process environment put back to each of its old single-ended
+#: uses: a host override, a read nothing writes, a write nothing reads.
+STRAY_ENV = """\
+import os
+replicas = os.environ.get("DMTCP_STORE_REPLICAS", "")
+def main(sys, argv):
+    retries = yield from sys.getenv("DMTCP_CMD_RETRIES")
+    ok = yield from sys.getenv("DMTCP_GZIP")
+def base_env(self):
+    env = {"DMTCP_GZIP": "1"}
+    env["DMTCP_STORE_REPLICAS"] = "2"
+    return env
+"""
+
+
+def _env_names(source: str, constants: dict) -> tuple[set, set, list]:
+    """``(written, read, host_reads)`` for one module: the ``DMTCP_*``
+    names a launcher writes into a process environment (a dict key or an
+    item store), the names a process reads back (``sys.getenv``, or
+    ``env.get`` / ``env[...]`` on a process environment), and the lines
+    that read the host's own environment.  ``constants`` resolves names
+    spelled through a module constant such as ``HIJACK_ENV``."""
+    written, read, host_reads = set(), set(), []
+
+    def dmtcp_name(node):
+        if isinstance(node, ast.Name):
+            value = constants.get(node.id)
+        elif isinstance(node, ast.Constant):
+            value = node.value
+        else:
+            return None
+        return value if isinstance(value, str) and value.startswith("DMTCP_") else None
+
+    def is_env(node) -> bool:
+        return getattr(node, "id", None) == "env" or getattr(node, "attr", None) == "env"
+
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"):
+            if getattr(node.value, "id", None) == "os":
+                host_reads.append(node.lineno)
+        elif isinstance(node, ast.Dict):
+            written.update(filter(None, (dmtcp_name(k) for k in node.keys if k is not None)))
+        elif isinstance(node, ast.Subscript) and is_env(node.value):
+            name = dmtcp_name(node.slice)
+            if name:
+                (written if isinstance(node.ctx, ast.Store) else read).add(name)
+        elif (
+            isinstance(node, ast.Call) and node.args
+            and isinstance(node.func, ast.Attribute)
+            and (node.func.attr == "getenv" or (node.func.attr == "get" and is_env(node.func.value)))
+        ):
+            name = dmtcp_name(node.args[0])
+            if name:
+                read.add(name)
+    return written, read, host_reads
+
+
+def test_process_env_has_one_route():
+    """A computation's settings come from its ``DmtcpSpec`` and its
+    constructor: nothing under ``src/repro`` reads the host environment,
+    and every ``DMTCP_*`` variable a launcher hands a process is read by
+    some program, and every one a program reads is handed to it."""
+    package = pathlib.Path(mtcp_mod.__file__).parent.parent
+    sources = {p: p.read_text() for p in sorted(package.rglob("*.py"))}
+    constants = {}
+    for source in sources.values():
+        for node in ast.parse(source).body:
+            if (
+                isinstance(node, ast.Assign) and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name)
+                and isinstance(node.value, ast.Constant)
+            ):
+                constants[node.targets[0].id] = node.value.value
+    written, read = set(), set()
+    for path, source in sources.items():
+        w, r, host_reads = _env_names(source, constants)
+        assert host_reads == [], path.relative_to(package)
+        written |= w
+        read |= r
+    assert read - written == set(), "read but never written"
+    assert written - read == set(), "written but never read"
+    assert {"DMTCP_COORD_HOST", "DMTCP_SUPERVISE", "DMTCP_HIJACK"} <= read
+    # the fence sees each stray use when it is put back
+    assert _env_names(STRAY_ENV, {}) == (
+        {"DMTCP_GZIP", "DMTCP_STORE_REPLICAS"},
+        {"DMTCP_CMD_RETRIES", "DMTCP_GZIP"},
+        [2],
+    )

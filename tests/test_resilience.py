@@ -68,14 +68,6 @@ def test_policy_validation():
         RetryPolicy(attempts=0)
 
 
-def test_scaled_shrinks_attempt_budget_only():
-    policy = RetryPolicy(base_s=0.25, max_s=4.0, attempts=10, jitter=0.25)
-    short = policy.scaled(0.3)
-    assert short.attempts == 3
-    assert (short.base_s, short.max_s, short.jitter) == (0.25, 4.0, 0.25)
-    assert policy.scaled(0.0).attempts == 1  # never below one attempt
-
-
 def test_policy_from_spec_mirrors_dmtcp_knobs():
     dmtcp = CLUSTER_2008.dmtcp
     policy = policy_from_spec(dmtcp)
