@@ -1089,8 +1089,9 @@ def _command(sys: Sys, state: CoordinatorState, cfd: int, message: dict):
 #: rejects the done-future first), so the exit code carries the verdict.
 EXIT_BUSY = 3
 EXIT_ABORTED = 4
-#: Supervised mode: the reply deadline expired on a query, or on a
-#: checkpoint whose coordinator is gone.
+#: The coordinator is gone: its listener refused every connect, or
+#: (supervised) the reply deadline expired on a query, or on a
+#: checkpoint whose coordinator no longer absorbs a ping.
 EXIT_DEADLINE = 5
 
 
@@ -1098,7 +1099,8 @@ def make_dmtcp_command_program(spec, tracer):
     """Build the `dmtcp command <cmd>` client (Section 3).
 
     The client makes one request; a refusal exits ``EXIT_BUSY`` or
-    ``EXIT_ABORTED``.  ``spec`` is the cluster's
+    ``EXIT_ABORTED``, and a coordinator that is gone ``EXIT_DEADLINE``
+    (never an unhandled connect error).  ``spec`` is the cluster's
     :class:`~repro.config.DmtcpSpec`: supervised, every reply recv is
     capped by its ``member_recv_timeout_s``.  ``tracer`` is the world
     tracer for host-side counters only (deadline expiries); it never
@@ -1123,7 +1125,14 @@ def make_dmtcp_command_program(spec, tracer):
             command["tenant"] = tenant
         deadline = spec.member_recv_timeout_s if supervise else None
         fd = yield from sys.socket()
-        yield from connect_retry(sys, fd, host, port)
+        try:
+            yield from connect_retry(sys, fd, host, port)
+        except SyscallError as err:
+            if err.errno != "ECONNREFUSED":
+                raise
+            # every retry refused: no listener, the coordinator is gone
+            yield from sys.close(fd)
+            yield from sys.exit(EXIT_DEADLINE)
         yield from send_frame(sys, fd, command, P.CTL_FRAME_BYTES)
         asm = FrameAssembler()
         while True:

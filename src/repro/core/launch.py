@@ -314,8 +314,9 @@ class DmtcpComputation:
         """Issue ``dmtcp command --checkpoint`` (non-blocking).
 
         Returns a handle dict whose "outcome" key is filled on completion:
-        a :class:`CheckpointOutcome` on success, or the coordinator's
-        refusal kind (``"busy"``, ``"aborted"``) as a plain string.
+        a :class:`CheckpointOutcome` on success, the coordinator's
+        refusal kind (``"busy"``, ``"aborted"``) as a plain string, or
+        ``"deadline"`` when the client found no coordinator to answer.
         """
         if forked and self.store is not None:
             raise ValueError(
@@ -337,13 +338,14 @@ class DmtcpComputation:
 
         def on_exit() -> None:
             # the command client exited: a refusal travels in the exit
-            # code (the coordinator's "busy"/"aborted" reply); otherwise
-            # the sink fills the handle when the checkpoint lands
-            from repro.core.coordinator import EXIT_ABORTED, EXIT_BUSY
+            # code (the coordinator's "busy"/"aborted" reply, or no
+            # coordinator at all); otherwise the sink fills the handle
+            # when the checkpoint lands
+            from repro.core.coordinator import EXIT_ABORTED, EXIT_BUSY, EXIT_DEADLINE
 
-            refusal = {EXIT_BUSY: "busy", EXIT_ABORTED: "aborted"}.get(
-                proc.exit_code
-            )
+            refusal = {
+                EXIT_BUSY: "busy", EXIT_ABORTED: "aborted", EXIT_DEADLINE: "deadline",
+            }.get(proc.exit_code)
             if refusal is not None:
                 sink(refusal)
 

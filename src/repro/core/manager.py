@@ -148,6 +148,9 @@ def manager_main(runtime: "DmtcpRuntime", restart_image: Optional[CheckpointImag
             # supervisor can retry the whole gang from the images
             restart_clock.close()
             yield from sys.exit(1)
+        # this frame runs for the life of the process: the restart's
+        # image, clock and send-backs go with the restart
+        del restart_image, restart_clock, refill_returns
     else:
         yield from coord_send(sys, fd, hello)
 

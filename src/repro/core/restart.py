@@ -274,7 +274,7 @@ def make_restart_program(computation: "DmtcpComputation"):
         while unplaced:
             gate = Future("restore-gate")
             pid = yield from sys.fork(
-                _make_restore_child(computation, clock.stages, gate, restore_ctx)
+                _restore_child, computation, clock.stages, gate, restore_ctx
             )
             tracer.count("restart.forks")
             slot = next((k for k, (image, _fd) in enumerate(unplaced) if image.vpid == pid), None)
@@ -373,7 +373,7 @@ def _restore_connector(sys: Sys, key: str, host: str, port: int, desc_fd: dict):
     desc_fd[("ep", key, "connect")] = fd
 
 
-def _make_restore_child(computation, stages: dict, gate: Future, restore_ctx: dict):
+def _restore_child(sys: Sys, computation, stages: dict, gate: Future, restore_ctx: dict):
     """Child body: Figure 2 steps 4-5, then hand off to the manager.
 
     The child is forked before it has an image: ``gate`` resolves, once
@@ -383,107 +383,118 @@ def _make_restore_child(computation, stages: dict, gate: Future, restore_ctx: di
     read (None for a store manifest) -- or with None for a child whose
     pid conflicts with a restored vpid.  ``stages`` are the restarter's
     stage times, which the child's clock carries on into its record.
+
+    This frame lingers for the life of the restored process, so it lets
+    go of the placement (and the gate that holds it) before it lingers:
+    the image, the fd maps and the restore's clock die with the restore.
     """
+    placed = yield gate  # wait for the restarter's placement only
+    del gate
+    if placed is None:
+        return  # our real pid collided with a restored vpid; re-forked
+    process, threads = yield from _restore_process(
+        sys, computation, stages, restore_ctx, *placed
+    )
+    del placed
+    # linger like MTCP's motherofall thread until the app finishes
+    # (this thread is itself checkpointable: the join re-checks)
+    yield from HelperGroup(computation.world, process, threads).join()
 
-    def restore_child(sys: Sys):
-        """One restored user process (Figure 2 steps 4-5 + manager)."""
-        world = computation.world
-        placed = yield gate  # wait for the restarter's placement only
-        if placed is None:
-            return  # our real pid collided with a restored vpid; re-forked
-        image, fdmap, image_fd = placed
-        rpid = yield from sys.getpid()
-        host = yield from sys.gethostname()
-        process = world.find_process(host, rpid)
 
-        # ---- step 4: rearrange FDs with dup2/close -----------------------
-        temp_of = {}
-        for i, (target_fd, (src_fd, _cloexec)) in enumerate(sorted(fdmap.items())):
-            temp = _TEMP_FD_BASE + i
-            yield from sys.dup2(src_fd, temp)
-            temp_of[target_fd] = temp
-        # the image itself moves out of the user's fd range the same way
-        own_image = None
-        if image_fd is not None:
-            own_image = _TEMP_FD_BASE + len(fdmap)
-            yield from sys.dup2(image_fd, own_image)
-        # one sweep drops everything inherited from the restart process,
-        # the siblings' images included: a close per fd would put every
-        # image of the host on every child's critical path
-        yield from sys.close_range(0, _TEMP_FD_BASE - 1)
-        for target_fd, temp in sorted(temp_of.items()):
-            yield from sys.dup2(temp, target_fd)
-            yield from sys.close(temp)
-            if fdmap[target_fd][1]:
-                yield from sys.fcntl(target_fd, "F_SETFD_CLOEXEC", 1)
+def _restore_process(
+    sys: Sys, computation, stages: dict, restore_ctx: dict, image, fdmap: dict, image_fd
+):
+    """One restored user process (Figure 2 steps 4-5), up to starting its
+    manager.  Returns ``(process, threads)``: the adopted user threads."""
+    world = computation.world
+    rpid = yield from sys.getpid()
+    host = yield from sys.gethostname()
+    process = world.find_process(host, rpid)
 
-        # ---- step 6, first half: send the drained bytes back -------------
-        # every peer socket was reconnected before the fork, so the return
-        # trip runs under restore_memory; the manager's refill only takes
-        # the peers' frames and re-sends them.  The span is MTCP's, on the
-        # process's own MTCP track: it overlaps the stage spans
-        tracer = world.tracer
-        tenant = image.env.get("DMTCP_TENANT") or None
-        dead_fds = {f.fd for f in image.fds if f.peer_dead}
-        led = sorted(set(image.drained) - dead_fds)
-        returns = return_drained(world, process, led, image.drained)
-        if led:
-            returns.open_span(
-                proc_track(host, "mtcp", image.vpid, tenant), "refill_return", "mtcp",
-                "refill-return-span", n=len(led),
-                bytes=sum(c.nbytes for fd in led for c in image.drained[fd]),
-            )
+    # ---- step 4: rearrange FDs with dup2/close -----------------------
+    temp_of = {}
+    for i, (target_fd, (src_fd, _cloexec)) in enumerate(sorted(fdmap.items())):
+        temp = _TEMP_FD_BASE + i
+        yield from sys.dup2(src_fd, temp)
+        temp_of[target_fd] = temp
+    # the image itself moves out of the user's fd range the same way
+    own_image = None
+    if image_fd is not None:
+        own_image = _TEMP_FD_BASE + len(fdmap)
+        yield from sys.dup2(image_fd, own_image)
+    # one sweep drops everything inherited from the restart process,
+    # the siblings' images included: a close per fd would put every
+    # image of the host on every child's critical path
+    yield from sys.close_range(0, _TEMP_FD_BASE - 1)
+    for target_fd, temp in sorted(temp_of.items()):
+        yield from sys.dup2(temp, target_fd)
+        yield from sys.close(temp)
+        if fdmap[target_fd][1]:
+            yield from sys.fcntl(target_fd, "F_SETFD_CLOEXEC", 1)
 
-        # ---- step 5: restore memory and threads --------------------------
-        clock = StageClock(tracer, proc_track(host, image.program, image.vpid, tenant), "restart", tenant)
-        clock.stages.update(stages)
-        clock.begin("restore_memory")
-        cpu_s, stats, names = yield from mtcp.restore_memory(sys, world, process, image, own_image)
-        threads = mtcp.adopt_threads(world, process, image)
-        clock.end("restore_memory", **mtcp.stream_span_args(tracer, cpu_s, stats, names))
-        tracer.count("restart.processes_restored")
-        tracer.count("restart.threads_adopted", len(threads))
-
-        # identity: program, env, signal dispositions, terminal
-        process.program = image.program
-        process.argv = list(image.argv)
-        process.env = dict(image.env)
-        process.signal_handlers = dict(image.signal_handlers)
-        if image.ctty_name is not None:
-            for f in image.fds:
-                if f.kind == "pty" and f.pty_name == image.ctty_name:
-                    desc = process.get_fd(f.fd)
-                    pty = getattr(desc, "pty", None)
-                    if pty is not None:
-                        process.ctty = pty
-                        pty.session_sid = process.sid
-                    break
-
-        # the hijack runtime survives inside the image's WrappedSys
-        runtime = image.sys_ref.rt
-        runtime.process = process
-        runtime.world = world
-        runtime.pids.rebase_self(rpid)
-        all_forked = restore_ctx["all_forked"]
-        if not all_forked.done:
-            yield all_forked  # for the host-wide pid map
-        for vpid, new_rpid in restore_ctx["vpid_map"].items():
-            if vpid != image.vpid and runtime.pids.knows_vpid(vpid):
-                runtime.pids.record(vpid, new_rpid)
-        # ptsname virtualization: the app keeps seeing the original names
-        for virt_name, new_real in restore_ctx["pty_rename"].items():
-            runtime.map_pty(virt_name, new_real)
-        process.user_state["dmtcp"] = runtime
-        process.sys = image.sys_ref
-
-        world.spawn_thread(
-            process,
-            manager_main(runtime, restart_image=image, restart_clock=clock, refill_returns=returns),
-            f"ckpt-manager[{rpid}]",
-            kind="manager",
+    # ---- step 6, first half: send the drained bytes back -------------
+    # every peer socket was reconnected before the fork, so the return
+    # trip runs under restore_memory; the manager's refill only takes
+    # the peers' frames and re-sends them.  The span is MTCP's, on the
+    # process's own MTCP track: it overlaps the stage spans
+    tracer = world.tracer
+    tenant = image.env.get("DMTCP_TENANT") or None
+    dead_fds = {f.fd for f in image.fds if f.peer_dead}
+    led = sorted(set(image.drained) - dead_fds)
+    returns = return_drained(world, process, led, image.drained)
+    if led:
+        returns.open_span(
+            proc_track(host, "mtcp", image.vpid, tenant), "refill_return", "mtcp",
+            "refill-return-span", n=len(led),
+            bytes=sum(c.nbytes for fd in led for c in image.drained[fd]),
         )
-        # linger like MTCP's motherofall thread until the app finishes
-        # (this thread is itself checkpointable: the join re-checks)
-        yield from HelperGroup(world, process, threads).join()
 
-    return restore_child
+    # ---- step 5: restore memory and threads --------------------------
+    clock = StageClock(tracer, proc_track(host, image.program, image.vpid, tenant), "restart", tenant)
+    clock.stages.update(stages)
+    clock.begin("restore_memory")
+    cpu_s, stats, names = yield from mtcp.restore_memory(sys, world, process, image, own_image)
+    threads = mtcp.adopt_threads(world, process, image)
+    clock.end("restore_memory", **mtcp.stream_span_args(tracer, cpu_s, stats, names))
+    tracer.count("restart.processes_restored")
+    tracer.count("restart.threads_adopted", len(threads))
+
+    # identity: program, env, signal dispositions, terminal
+    process.program = image.program
+    process.argv = list(image.argv)
+    process.env = dict(image.env)
+    process.signal_handlers = dict(image.signal_handlers)
+    if image.ctty_name is not None:
+        for f in image.fds:
+            if f.kind == "pty" and f.pty_name == image.ctty_name:
+                desc = process.get_fd(f.fd)
+                pty = getattr(desc, "pty", None)
+                if pty is not None:
+                    process.ctty = pty
+                    pty.session_sid = process.sid
+                break
+
+    # the hijack runtime survives inside the image's WrappedSys
+    runtime = image.sys_ref.rt
+    runtime.process = process
+    runtime.world = world
+    runtime.pids.rebase_self(rpid)
+    all_forked = restore_ctx["all_forked"]
+    if not all_forked.done:
+        yield all_forked  # for the host-wide pid map
+    for vpid, new_rpid in restore_ctx["vpid_map"].items():
+        if vpid != image.vpid and runtime.pids.knows_vpid(vpid):
+            runtime.pids.record(vpid, new_rpid)
+    # ptsname virtualization: the app keeps seeing the original names
+    for virt_name, new_real in restore_ctx["pty_rename"].items():
+        runtime.map_pty(virt_name, new_real)
+    process.user_state["dmtcp"] = runtime
+    process.sys = image.sys_ref
+
+    world.spawn_thread(
+        process,
+        manager_main(runtime, restart_image=image, restart_clock=clock, refill_returns=returns),
+        f"ckpt-manager[{rpid}]",
+        kind="manager",
+    )
+    return process, threads

@@ -91,7 +91,8 @@ class Thread:
         self.parked_send = None
 
     def retire(self) -> None:
-        """A finished manager-kind thread leaves its process.
+        """A finished manager-kind thread, or a finished thread of a
+        reaped process, leaves its process.
 
         It drops out of ``process.threads`` and lets go of its task, so
         the task's ``context`` back-pointer forms no cycle: whoever still

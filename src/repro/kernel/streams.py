@@ -28,6 +28,12 @@ from repro.sim.tasks import Future
 #: Control markers carried in Chunk.ctrl
 CTRL_DRAIN_TOKEN = "dmtcp-drain-token"
 
+#: The queue of an idle buffer.  Most buffers never hold a chunk or a
+#: parked sender, and an empty ``deque`` costs about 760 bytes, so each
+#: queue is this shared empty tuple until its first item arrives
+#: (DESIGN.md §8).
+_IDLE = ()
+
 
 @dataclass(slots=True)
 class Chunk:
@@ -56,7 +62,9 @@ class ByteBuffer:
 
     Space is *reserved* before data is in flight (the TCP-window analogue)
     and *committed* when it lands, so the capacity bound holds even with
-    transfers on the wire.  Consumers take whole chunks.
+    transfers on the wire.  Consumers take whole chunks.  Both queues,
+    the chunks and the senders waiting for space, start as ``_IDLE``;
+    the chunk queue returns to it whenever its last chunk is taken.
     """
 
     _ids = itertools.count(1)
@@ -68,10 +76,10 @@ class ByteBuffer:
         self.name = name or f"buf-{next(self._ids)}"
         self._space_name = f"{self.name}:space"
         self._data_name = f"{self.name}:data"
-        self._chunks: deque[Chunk] = deque()
+        self._chunks: deque[Chunk] | tuple = _IDLE
         self._reserved = 0
         self._committed = 0
-        self._space_waiters: deque[tuple[int, Future]] = deque()
+        self._space_waiters: deque[tuple[int, Future]] | tuple = _IDLE
         #: Zero-arg callables parked until data (or EOF) arrives.
         self._data_waiters: list = []
         #: Set when the writing side has closed; readers see EOF when empty.
@@ -110,6 +118,8 @@ class ByteBuffer:
             self._reserved += need
             fut.resolve(None)
         else:
+            if self._space_waiters is _IDLE:
+                self._space_waiters = deque()
             self._space_waiters.append((need, fut))
         return fut
 
@@ -142,21 +152,24 @@ class ByteBuffer:
             raise KernelError(f"{self.name}: commit {need}B exceeds reservation {self._reserved}B")
         self._reserved -= need
         self._committed += nbytes
-        self._chunks.append(chunk)
+        self._chunk_queue().append(chunk)
         self._wake_readers()
         self._check_pending_eof()
 
     def push(self, chunk: Chunk) -> None:
         """Force a chunk in without reservation (restart-time refill path)."""
         self._committed += chunk.nbytes
-        self._chunks.append(chunk)
+        self._chunk_queue().append(chunk)
         self._wake_readers()
 
     def take(self) -> Optional[Chunk]:
         """Pop the next chunk, or None if the buffer is currently empty."""
-        if not self._chunks:
+        chunks = self._chunks
+        if not chunks:
             return None
-        chunk = self._chunks.popleft()
+        chunk = chunks.popleft()
+        if not chunks:
+            self._chunks = _IDLE  # emptied: idle again until the next chunk
         self._committed -= chunk.nbytes
         self._grant_space()
         return chunk
@@ -201,7 +214,7 @@ class ByteBuffer:
         """
         if not chunks:
             return
-        self._chunks.extendleft(reversed(chunks))
+        self._chunk_queue().extendleft(reversed(chunks))
         self._committed += sum(c.nbytes for c in chunks)
         self._wake_readers()
 
@@ -221,7 +234,7 @@ class ByteBuffer:
 
     def drain_all(self) -> list[Chunk]:
         """Remove and return every buffered chunk (checkpoint drain)."""
-        chunks, self._chunks = list(self._chunks), deque()
+        chunks, self._chunks = list(self._chunks), _IDLE
         self._committed = 0
         self._grant_space()
         return chunks
@@ -233,12 +246,18 @@ class ByteBuffer:
         endpoint state and raises EPIPE/sees EOF itself, which avoids
         leaving tasks parked forever on a dead connection.
         """
-        space, self._space_waiters = self._space_waiters, deque()
+        space, self._space_waiters = self._space_waiters, _IDLE
         for _need, fut in space:
             fut.resolve(None)
         self._wake_readers()
 
     # ------------------------------------------------------------------
+    def _chunk_queue(self) -> deque[Chunk]:
+        """The chunk queue, made at the first chunk an idle buffer takes."""
+        if self._chunks is _IDLE:
+            self._chunks = deque()
+        return self._chunks
+
     def _grant_space(self) -> None:
         while self._space_waiters:
             need, fut = self._space_waiters[0]

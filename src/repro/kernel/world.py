@@ -440,8 +440,11 @@ class World:
         #: interface wrapped by the factory (the LD_PRELOAD analogue).
         #: DMTCP registers under HIJACK_ENV; baselines register their own.
         self.interpose_factories: dict[str, Callable[["World", Process, Sys], Sys]] = {}
-        #: All processes ever spawned, for post-mortem inspection.
-        self.all_processes: list[Process] = []
+        #: Processes created since boot, spawned and forked (the
+        #: ``processes`` line of Linux's /proc/stat).  The world keeps no
+        #: list of them: a process that has exited and been reaped is
+        #: referenced by whoever still holds it, or freed.
+        self.processes_created = 0
         #: Sharded execution (repro.sim.parallel): the shard binding and
         #: its kernel fabric layer, or None when running serially.  When
         #: set, spawns filter to owned nodes and cross-node connects go
@@ -503,7 +506,7 @@ class World:
         pid = ns.alloc_pid()
         process = Process(self, ns.node, pid, program, argv or [program], env or {}, parent)
         ns.processes[pid] = process
-        self.all_processes.append(process)
+        self.processes_created += 1
         if parent is not None:
             parent.children.append(process)
         process.build_image_from_spec(spec)
@@ -579,7 +582,8 @@ class World:
     # Process lifecycle
     # ------------------------------------------------------------------
     def terminate_process(self, process: Process, code: int) -> None:
-        """Normal exit / fatal signal: threads die, fds close, zombie left."""
+        """Normal exit / fatal signal: threads die, fds close, and a zombie
+        is left for a living parent to wait for (init reaps any other)."""
         if process.state != "running":
             return
         process.state = "zombie"
@@ -599,18 +603,38 @@ class World:
         for fd in list(process.fds):
             entry = process.fds.pop(fd)
             entry.description.decref()
-        if process.parent is not None and process.parent.alive:
-            process.parent.pending_signals.append(SIGCHLD)
-        for child in process.children:
-            child.parent = None  # orphaned
+        parent = process.parent
+        if parent is not None and parent.alive:
+            parent.pending_signals.append(SIGCHLD)
+        self._orphan_children(process)
         process.exited.resolve(code)
+        if parent is None or not parent.alive:
+            # nobody will wait for it: init reaps it at once
+            self.reap_process(process)
+
+    def _orphan_children(self, process: Process) -> None:
+        """``process`` is gone: init adopts its children and reaps those
+        that have already exited."""
+        for child in process.children:
+            child.parent = None
+            self.reap_process(child)
 
     def reap_process(self, process: Process) -> None:
-        """Retire a zombie and free its pid."""
+        """Retire a zombie and free its pid.
+
+        Its finished threads retire too (:meth:`Thread.retire`), so the
+        process and its threads form no reference cycle and are freed by
+        reference counting once nobody holds the process (DESIGN.md §8).
+        A frozen continuation stays listed: a checkpoint image holds it
+        for the restart to adopt.
+        """
         if process.state != "zombie":
             return
         process.state = "dead"
         self.node_state(process.node.hostname).processes.pop(process.pid, None)
+        for thread in list(process.threads):
+            if thread.task is None or thread.task.done:
+                thread.retire()
 
     def destroy_process(self, process: Process, keep_continuations: bool = False) -> None:
         """Hard kill from outside (cluster failure / checkpoint teardown).
@@ -692,8 +716,7 @@ class World:
                 self._vanish_description(desc)
                 if peer is not None:
                     self._vanish_description(peer)
-        for child in process.children:
-            child.parent = None
+        self._orphan_children(process)
         if not process.exited.done:
             process.exited.resolve(-SIGKILL)
         self.reap_process(process)
@@ -919,7 +942,7 @@ class World:
                 self, process.node, pid, process.program, process.argv, dict(process.env), process
             )
             ns.processes[pid] = child
-            self.all_processes.append(child)
+            self.processes_created += 1
             process.children.append(child)
             child.address_space = process.address_space.fork_copy()
             process.fork_fd_table(child)
@@ -1122,6 +1145,9 @@ class World:
     def _sys_close_range(self, task, thread, process, lo, hi) -> None:
         for fd in sorted(f for f in process.fds if lo <= f <= hi):
             process.drop_fd(fd)
+        # a dict keeps the capacity of its largest size: a restored child
+        # that sweeps away the restarter's table holds a table its size
+        process.fds = dict(process.fds)
         task.complete_call(None)
 
     def _sys_dup2(self, task, thread, process, oldfd, newfd) -> None:

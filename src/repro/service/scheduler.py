@@ -348,7 +348,7 @@ class ClusterScheduler:
                 self.ckpt_latencies.append(outcome.finished_at - request_t)
             elif outcome == "busy":
                 self._retry_busy(name, request_t)
-            else:  # "aborted"
+            else:  # "aborted", or "deadline": no coordinator answered
                 self._ckpt_retries.pop(name, None)
                 self.aborted_ckpts += 1
                 self._charge_failure(name)

@@ -3,14 +3,17 @@
 The client makes one request.  Its verdict travels in its exit code:
 0 with the coordinator's reply, ``EXIT_BUSY`` when a round is already
 in flight, ``EXIT_ABORTED`` when the round it asked for was rolled
-back, and -- supervised -- ``EXIT_DEADLINE`` when no reply arrives
-within ``member_recv_timeout_s`` from a coordinator that is gone.  A
+back, and ``EXIT_DEADLINE`` when the coordinator is gone: its listener
+refuses every connect, or -- supervised -- no reply arrives within
+``member_recv_timeout_s``.  A
 checkpoint legitimately outlasts that deadline: the client then probes
 the socket with a ping and keeps waiting, so only a dead socket ends
 it, and never with a resend.
 """
 
 from dataclasses import replace
+
+import pytest
 
 from repro.cluster import build_cluster
 from repro.config import CLUSTER_2008
@@ -105,6 +108,20 @@ def test_status_against_a_silently_dead_coordinator_exits_deadline():
     timeout = world.spec.dmtcp.member_recv_timeout_s
     assert timeout <= waited < timeout + 0.1  # one deadline, no retry
     assert world.tracer.snapshot().get("resilience.deadline_expired") == 1
+
+
+@pytest.mark.parametrize("supervise", [False, True])
+def test_a_client_whose_coordinator_is_gone_exits_deadline(supervise):
+    """No listener left: the last refused connect is the verdict, not a
+    crash, and a checkpoint request's handle is filled with it."""
+    world, comp = _chaos(supervise=supervise)
+    world.crash_process(comp.coordinator_process)
+    client = _client(comp, "status")
+    handle = comp.request_checkpoint()
+    world.engine.run(until=world.engine.now + 20.0)  # the retries take 12.25 s
+    assert not client.alive and client.exit_code == EXIT_DEADLINE
+    assert handle["outcome"] == "deadline"
+    assert not world.scheduler.failures.by_program("dmtcp_command")
 
 
 def test_a_checkpoint_outlasting_the_deadline_completes_through_the_ping():

@@ -269,7 +269,7 @@ def _effects(ctx, task):
     world, proc = ctx["world"], ctx["proc"]
     ns = world.node_state("node00").mounts.resolve("/tmp/f").namespace
     return {
-        "processes": len(world.all_processes),
+        "processes": world.processes_created,
         "children": [c.pid for c in proc.children],
         "fds": sorted(proc.fds),
         "offsets": [

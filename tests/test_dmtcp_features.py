@@ -306,9 +306,10 @@ def test_signal_handlers_restored(world):
     world.engine.run(until=1.0)
     comp.checkpoint(kill=True)
     comp.restart()
-    world.engine.run_until(lambda: state.get("done"))
+    # taken while it runs: an orphan that exits is reaped at once
     restored = [
-        p for p in world.all_processes if p.program == "sig" and p.signal_handlers
+        p for p in world.live_processes() if p.program == "sig" and p.signal_handlers
     ]
+    world.engine.run_until(lambda: state.get("done"))
     assert any(p.signal_handlers.get(15) == "handler:custom" for p in restored)
     no_failures(world)

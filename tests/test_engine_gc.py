@@ -10,7 +10,11 @@ suite pins both halves:
   garbage at 64 and at 512 processes, and three rounds of requests
   leave what one round does;
 * (c) repeated checkpoints keep every process's thread list and the
-  tracked heap flat, apart from one ``CheckpointRecord`` per process.
+  tracked heap flat, apart from one ``CheckpointRecord`` per process;
+* (d) nothing outlives what it belongs to: a killed member is freed
+  once its computation is restarted, an idle socket buffer holds no
+  ``deque``, and a restored process's threads let go of its image once
+  the restart is done.
 
 Plus the profiler's collector line, which reads ``gc.callbacks``.
 """
@@ -18,12 +22,15 @@ Plus the profiler's collector line, which reads ``gc.callbacks``.
 import gc
 import sys
 import threading
+import weakref
+from collections import deque
 
 import pytest
 
 from repro.cluster import build_cluster
 from repro.core.launch import DmtcpComputation
 from repro.errors import SimulationError
+from repro.faults.supervisor import _image_file
 from repro.obs.profiler import CollectorClock, ProfileReport, format_report
 from repro.sim.engine import Engine
 from repro.sim.parallel import run_sharded
@@ -259,6 +266,61 @@ def test_checkpoints_keep_thread_lists_and_the_heap_flat():
         (step,) = {b - a for a, b in zip(heap[2:], heap[3:])}
         growth[n] = step - n  # one CheckpointRecord per process in history
     assert growth[16] == growth[64], growth
+
+
+# ----------------------------------------------------------------------
+# (d) what outlives a process
+# ----------------------------------------------------------------------
+
+def test_a_killed_member_and_its_address_space_are_freed_by_the_restart():
+    """The kernel keeps no list of every process ever spawned: once the
+    restart has adopted its continuation, nothing holds a killed
+    member."""
+    world, comp, members = _sleepers(16, n_nodes=1)
+    victim = weakref.ref(members[0])
+    space = weakref.ref(members[0].address_space)
+    del members
+    ckpt = comp.checkpoint()
+    comp.kill_computation()
+    comp.restart(plan=ckpt.plan)
+    gc.collect()
+    assert victim() is None
+    assert space() is None
+
+
+def test_an_idle_socket_pair_allocates_no_deque():
+    world = build_cluster(n_nodes=1, seed=0)
+    ends = {}
+
+    def main(sys, argv):
+        a, b = yield from sys.socketpair()
+        process = world.find_process("node00", (yield from sys.getpid()))
+        ends["idle"] = [process.get_fd(fd) for fd in (a, b)]
+        yield from sys.send(a, 64)
+        yield from sys.recv(b)
+        yield from sys.sleep(1.0)
+
+    world.register_program("pair", main)
+    world.spawn_process("node00", "pair")
+    world.engine.run(until=0.5)
+    queues = [q for ep in ends["idle"] for q in (ep.rx._chunks, ep.rx._space_waiters)]
+    # a buffer whose last chunk was taken is idle again, too
+    assert not any(isinstance(q, deque) for q in queues)
+
+
+def test_a_restored_process_lets_go_of_its_image_once_restarted():
+    """The image is the file's: once the restart is done, dropping the
+    file's payload frees it, so no restored thread (the lingering
+    restore thread, the manager) still holds it."""
+    world, comp, _members = _sleepers(4, n_nodes=1)
+    ckpt = comp.checkpoint()
+    comp.kill_computation()
+    comp.restart(plan=ckpt.plan)
+    files = [_image_file(world, "node00", path) for path in ckpt.plan.images_by_host["node00"]]
+    images = [weakref.ref(f.payload) for f in files]
+    for f in files:
+        f.payload = None
+    assert [ref() for ref in images] == [None] * 4
 
 
 # ----------------------------------------------------------------------

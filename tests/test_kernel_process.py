@@ -279,6 +279,37 @@ def test_pid_reuse_after_reap(world):
     assert len(set(pids)) < 6  # pid space of 3 forces reuse
 
 
+def test_init_reaps_parentless_and_orphaned_processes(world):
+    """A process nobody can wait for leaves the pid table when it exits:
+    one spawned without a parent at once, a zombie child when its parent
+    exits, a running child when it exits after its parent.  A child of a
+    living parent stays a zombie until the parent waits."""
+    pids = {}
+
+    def early(sys):
+        yield from sys.exit(3)
+
+    def late(sys):
+        yield from sys.sleep(2.0)
+
+    def main(sys, argv):
+        pids["early"] = yield from sys.fork(early)
+        pids["late"] = yield from sys.fork(late)
+        yield from sys.sleep(1.0)
+
+    world.register_program("parent", main)
+    parent = world.spawn_process("node00", "parent")
+    table = world.node_state("node00").processes
+    world.engine.run(until=0.5)
+    assert table[pids["early"]].state == "zombie"  # its parent may still wait
+    world.engine.run(until=1.5)
+    assert parent.pid not in table and pids["early"] not in table
+    assert table[pids["late"]].parent is None  # adopted by init
+    run(world)
+    assert pids["late"] not in table
+    assert world.processes_created == 3
+
+
 def test_unhandled_app_exception_kills_process_and_is_recorded(world):
     def main(sys, argv):
         yield from sys.sleep(1.0)

@@ -25,7 +25,7 @@ from repro.faults.supervisor import _image_file, _image_valid
 from repro.kernel.filesystem import OpenFile
 from repro.kernel.streams import FrameAssembler
 from repro.kernel.syscalls import connect_retry, recv_frame, send_frame
-from repro.kernel.process import ProgramSpec, RegionSpec
+from repro.kernel.process import Process, ProgramSpec, RegionSpec
 from repro.kernel.world import SIGKILL
 from repro.mpi import mpi_init, register_openmpi
 
@@ -45,6 +45,21 @@ def no_failures(world):
     assert not world.scheduler.failures, [
         (t.name, e) for t, e in world.scheduler.failures
     ]
+
+
+@pytest.fixture()
+def created(monkeypatch):
+    """Every process the kernel creates from now on, in creation order.
+    The world keeps no such list: an exited process is reaped and freed."""
+    log = []
+    init = Process.__init__
+
+    def record(self, *args, **kw):
+        init(self, *args, **kw)
+        log.append(self)
+
+    monkeypatch.setattr(Process, "__init__", record)
+    return log
 
 
 def _counter(out: dict, ticks: int = 40):
@@ -129,7 +144,7 @@ def test_header_pass_is_concurrent_and_children_stream_before_the_last_fork():
 # (2) a reader's error fails the restart before any fork
 # ----------------------------------------------------------------------
 
-def test_validate_failure_in_one_of_eight_readers_forks_nothing_and_leaks_nothing():
+def test_validate_failure_in_one_of_eight_readers_forks_nothing_and_leaks_nothing(created):
     world = build_cluster(n_nodes=2, seed=23, spec=FAST_SPEC)
     world.tracer.enable()
     out: dict = {}
@@ -151,12 +166,12 @@ def test_validate_failure_in_one_of_eight_readers_forks_nothing_and_leaks_nothin
     errors = [str(e) for _t, e in world.scheduler.failures]
     assert any("checksum mismatch" in e and paths[4] in e for e in errors), errors
     assert world.tracer.snapshot().get("sys.fork", 0) == forks_before
-    (restarter,) = [p for p in world.all_processes if p.program == comp._restart_program]
+    (restarter,) = [p for p in created if p.program == comp._restart_program]
     assert restarter.exit_code == 1
     # the seven headers that were read are not held open by anyone
     held = [
         (p.pid, fd)
-        for p in world.all_processes
+        for p in created
         for fd, entry in p.fds.items()
         if isinstance(entry.description, OpenFile) and entry.description.file.path in paths
     ]
@@ -327,7 +342,8 @@ def _wrap_into_the_first_images_vpid(world, plan, host: str) -> None:
     ns.next_pid = ns.pid_max - 2
 
 
-def _counter_run(conflict: bool):
+def _counter_run(conflict: bool, created: list):
+    created.clear()
     world = build_cluster(n_nodes=2, seed=11)
     out: dict = {}
     world.register_program("counter", _counter(out))
@@ -342,7 +358,7 @@ def _counter_run(conflict: bool):
         streamed = _spy_streams(world)
         comp.restart(plan=kill.plan)
         doomed = [
-            p for p in world.all_processes
+            p for p in created
             if p.program == comp._restart_program and p.parent is not None
             and p.parent.program == comp._restart_program
         ]
@@ -351,9 +367,9 @@ def _counter_run(conflict: bool):
     return out, streamed, doomed
 
 
-def test_doomed_child_streams_nothing_and_the_survivors_output_is_unchanged():
-    reference, _, _ = _counter_run(conflict=False)
-    out, streamed, doomed = _counter_run(conflict=True)
+def test_doomed_child_streams_nothing_and_the_survivors_output_is_unchanged(created):
+    reference, _, _ = _counter_run(conflict=False, created=created)
+    out, streamed, doomed = _counter_run(conflict=True, created=created)
     assert len(doomed) == 1 and not doomed[0].alive
     assert doomed[0].pid not in {pid for pid, _path, _offset in streamed}
     assert len(streamed) == 2  # one payload per survivor
@@ -404,24 +420,25 @@ def _family_run(restart: bool):
     return out, world, comp, kill
 
 
-def test_a_fresh_host_forks_one_child_per_image_at_its_own_vpid():
+def test_a_fresh_host_forks_one_child_per_image_at_its_own_vpid(created):
     """dmtcp_restart holds pid 100 on the spare host, and the images
     carry vpids 100-107: each fork takes the image whose vpid is its
     pid, the one after the last takes the parent's image, and nothing is
     forked to be killed."""
     reference, _, _, _ = _family_run(restart=False)
     assert sorted(reference["reaped"]) == [(vpid, 3) for vpid in range(101, 107)] + [(107, -SIGKILL)]
+    created.clear()
     out, world, comp, kill = _family_run(restart=True)
     paths = kill.plan.images_by_host["node01"]
     vpids = sorted(_image_file(world, "node02", path).payload.vpid for path in paths)
     assert vpids == list(range(100, 108))
     snap = world.tracer.snapshot()
     assert snap["restart.forks"] == 8 and "restart.doomed_forks" not in snap
-    (restarter,) = [p for p in world.all_processes if p.program == comp._restart_program]
+    (restarter,) = [p for p in created if p.program == comp._restart_program]
     assert restarter.pid == 100
     restored = {
         p.user_state["dmtcp"].vpid: p.pid
-        for p in world.all_processes
+        for p in created
         if p.node.hostname == "node02" and p.user_state.get("dmtcp") is not None
     }
     assert sorted(restored) == vpids
