@@ -397,7 +397,7 @@ def _restore_child(sys: Sys, computation, stages: dict, gate: Future, restore_ct
     )
     del placed
     # linger like MTCP's motherofall thread until the app finishes
-    # (this thread is itself checkpointable: the join re-checks)
+    # (manager-kind from the hand-off on: checkpoints leave it waiting)
     yield from HelperGroup(computation.world, process, threads).join()
 
 
@@ -410,6 +410,7 @@ def _restore_process(
     rpid = yield from sys.getpid()
     host = yield from sys.gethostname()
     process = world.find_process(host, rpid)
+    (restorer,) = process.threads  # a forked child has only this thread
 
     # ---- step 4: rearrange FDs with dup2/close -----------------------
     temp_of = {}
@@ -497,4 +498,8 @@ def _restore_process(
         f"ckpt-manager[{rpid}]",
         kind="manager",
     )
+    # the hand-off is done: the restore thread only lingers from here, so
+    # it is no user thread -- no checkpoint suspends it or puts it into
+    # an image, and the next restart does not adopt it beside a new one
+    restorer.kind = "manager"
     return process, threads

@@ -101,7 +101,8 @@ class Tracer:
         #: populated when callers pass ``tenant=`` (the multi-tenant
         #: service); single-tenant runs never touch it.
         self.tenant_counters: dict[str, dict[str, float]] = {}
-        #: Per-track stacks of open spans: track -> [(name, begin_ts), ...]
+        #: Per-track stacks of open spans: track -> [(name, begin_ts), ...];
+        #: a track with no open span has no entry
         self._stacks: dict[str, list[tuple[str, float]]] = {}
         #: enable/disable listeners -- hot loops (engine step, scheduler
         #: trampoline) register here so they can rebind their cached
@@ -200,6 +201,8 @@ class Tracer:
             raise TraceError(
                 f"end({name!r}) on track {track!r} does not match open span {open_name!r}"
             )
+        if not stack:
+            del self._stacks[track]
         if self.enabled:
             self.events.append(
                 TraceEvent(PH_END, now, track, open_name, cat, args or None, tenant)

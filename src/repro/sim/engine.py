@@ -7,8 +7,10 @@ same interleaving.
 
 Three hot-path design points (see DESIGN.md §8):
 
-* Heap entries are ``(time, seq, event)`` tuples, so ``heapq`` compares
-  floats and ints at C speed instead of calling ``Event.__lt__``.
+* An event is its own heap entry: a slotted ``list`` subclass whose list
+  part ``[time, seq]`` ``heapq`` compares at C speed.  One object per
+  pending callback instead of an event plus a ``(time, seq, event)``
+  tuple: 164 traced bytes instead of 212.
 * Events scheduled at the *current* time (``call_soon`` and zero-delay
   ``call_after``) bypass the heap entirely and go to a FIFO deque.  This
   is safe because every heap entry at time ``t`` was pushed while the
@@ -33,8 +35,6 @@ from collections import deque
 from typing import Any, Callable, Optional
 
 from repro.errors import SimulationError
-
-_new_event = object.__new__
 
 #: Runs in flight across every engine of the interpreter (inline shard
 #: backends overlap in threads), and whether the collector was enabled
@@ -72,43 +72,42 @@ def _drain_cancelled(heap: list, ready: deque) -> None:
     drain logic itself exists exactly once.
     """
     heappop = heapq.heappop
-    while heap and heap[0][2].cancelled:
+    while heap and heap[0].fn is None:
         heappop(heap)
-    while ready and ready[0].cancelled:
+    while ready and ready[0].fn is None:
         ready.popleft()
 
 
-class Event:
-    """A cancellable scheduled callback.
+class Event(list):
+    """A cancellable scheduled callback, and its own heap entry.
 
-    Cancellation is O(1): the queue entry stays in place but is skipped
-    when popped.  ``fired`` and ``cancelled`` are exposed for diagnostics.
+    The list part is the heap key ``[time, seq]``: ``heapq`` compares it
+    at C speed and never past ``seq``, which is unique per engine.  A
+    ``call_soon`` event never enters the heap and leaves it empty.  The
+    callback rides in slots, which the fire loops read at attribute
+    speed (CPython specializes no subscript of a list subclass).  Firing
+    clears ``fn``; cancelling clears ``fn`` and ``engine``.
+    Cancellation is O(1): the entry stays queued and is skipped when it
+    reaches the front.  A list is unhashable, so an event is never a
+    set member or dict key.
     """
 
-    __slots__ = ("time", "seq", "fn", "args", "cancelled", "fired", "engine")
+    __slots__ = ("time", "seq", "fn", "args", "engine")
 
-    def __init__(self, time: float, seq: int, fn: Callable[..., Any], args: tuple):
-        self.time = time
-        self.seq = seq
-        self.fn = fn
-        self.args = args
-        self.cancelled = False
-        self.fired = False
-        self.engine: Optional["Engine"] = None
+    @property
+    def cancelled(self) -> bool:
+        return self.engine is None
+
+    @property
+    def fired(self) -> bool:
+        return self.fn is None and self.engine is not None
 
     def cancel(self) -> None:
         """Mark the event dead; it is skipped when popped."""
-        if not self.cancelled and not self.fired:
-            self.cancelled = True
-            if self.engine is not None:
-                self.engine._live -= 1
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self.cancelled else ("fired" if self.fired else "pending")
-        return f"<Event t={self.time:.9f} seq={self.seq} {state} {getattr(self.fn, '__name__', self.fn)}>"
+        if self.fn is not None:
+            self.fn = None
+            self.engine._live -= 1
+            self.engine = None
 
 
 class Engine:
@@ -143,8 +142,8 @@ class Engine:
 
     def __init__(self) -> None:
         self.now: float = 0.0
-        #: Future events as (time, seq, Event) tuples (C-speed ordering).
-        self._heap: list[tuple[float, int, Event]] = []
+        #: Future events, each its own heap entry (C-speed ordering).
+        self._heap: list[Event] = []
         #: Events scheduled at the current timestamp, in seq (FIFO) order.
         self._ready: deque[Event] = deque()
         self._seq = itertools.count()
@@ -193,12 +192,17 @@ class Engine:
             raise SimulationError(
                 f"cannot schedule event at t={time} before now={self.now}"
             )
-        ev = Event(time, next(self._seq), fn, args)
+        seq = next(self._seq)
+        ev = Event((time, seq))
+        ev.time = time
+        ev.seq = seq
+        ev.fn = fn
+        ev.args = args
         ev.engine = self
         if time == self.now and self.fast_path:
             self._ready.append(ev)
         else:
-            heapq.heappush(self._heap, (time, ev.seq, ev))
+            heapq.heappush(self._heap, ev)
         self._live += 1
         return ev
 
@@ -206,38 +210,33 @@ class Engine:
         """Schedule ``fn(*args)`` after ``delay`` seconds of virtual time."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
-        # call_at inlined, Event built via direct slot stores: this is
-        # the hottest scheduling entry point and the ctor frame shows up
+        # call_at inlined: this is the hottest scheduling entry point
         time = self.now + delay
-        ev = _new_event(Event)
+        seq = next(self._seq)
+        ev = Event((time, seq))
         ev.time = time
-        ev.seq = seq = next(self._seq)
+        ev.seq = seq
         ev.fn = fn
         ev.args = args
-        ev.cancelled = False
-        ev.fired = False
         ev.engine = self
         if time == self.now and self.fast_path:
             self._ready.append(ev)
         else:
-            heapq.heappush(self._heap, (time, seq, ev))
+            heapq.heappush(self._heap, ev)
         self._live += 1
         return ev
 
     def call_soon(self, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` at the current time, after pending events."""
-        ev = _new_event(Event)
+        if not self.fast_path:
+            return self.call_at(self.now, fn, *args)
+        ev = Event()
         ev.time = self.now
         ev.seq = next(self._seq)
         ev.fn = fn
         ev.args = args
-        ev.cancelled = False
-        ev.fired = False
         ev.engine = self
-        if self.fast_path:
-            self._ready.append(ev)
-        else:
-            heapq.heappush(self._heap, (ev.time, ev.seq, ev))
+        self._ready.append(ev)
         self._live += 1
         return ev
 
@@ -254,10 +253,7 @@ class Engine:
         _drain_cancelled(self._heap, self._ready)
         if self._ready:
             return self.now
-        return self._heap[0][0] if self._heap else None
-
-    def _drop_cancelled(self) -> None:
-        _drain_cancelled(self._heap, self._ready)
+        return self._heap[0].time if self._heap else None
 
     def _advance_now(self, time: float) -> None:
         """Jump the clock forward to ``time`` (shard-gate normalization).
@@ -285,21 +281,20 @@ class Engine:
             )
         heap = self._heap
         ready = self._ready
-        if (heap and heap[0][2].cancelled) or (ready and ready[0].cancelled):
+        if (heap and heap[0].fn is None) or (ready and ready[0].fn is None):
             _drain_cancelled(heap, ready)
         if ready:
             # ready events sit at the current timestamp; heap entries at
             # the same timestamp are older (smaller seq) and fire first
-            if heap and heap[0][0] <= self.now:
-                ev = heapq.heappop(heap)[2]
+            if heap and heap[0].time <= self.now:
+                ev = heapq.heappop(heap)
             else:
                 ev = ready.popleft()
         elif heap:
-            ev = heapq.heappop(heap)[2]
+            ev = heapq.heappop(heap)
             self.now = ev.time
         else:
             return False
-        ev.fired = True
         self._live -= 1
         self.events_fired += 1
         tracer = self._trace_hot
@@ -309,7 +304,9 @@ class Engine:
         hook = self._debug_fire_hook
         if hook is not None:
             hook(ev)
-        ev.fn(*ev.args)
+        fn = ev.fn
+        ev.fn = None
+        fn(*ev.args)
         return True
 
     def run(self, until: Optional[float] = None, max_events: int = 50_000_000) -> None:
@@ -359,19 +356,19 @@ class Engine:
         _suspend_gc()
         try:
             while True:
-                if (heap and heap[0][2].cancelled) or (ready and ready[0].cancelled):
+                if (heap and heap[0].fn is None) or (ready and ready[0].fn is None):
                     _drain_cancelled(heap, ready)
                 if ready:
                     # ready events sit at the current timestamp (always
                     # inside any window or clamp, since the clock only
                     # advances through in-bounds heap events); heap
                     # entries at the same time are older and fire first
-                    if heap and heap[0][0] <= self.now:
-                        ev = heappop(heap)[2]
+                    if heap and heap[0].time <= self.now:
+                        ev = heappop(heap)
                     else:
                         ev = ready.popleft()
                 elif heap:
-                    next_time = heap[0][0]
+                    next_time = heap[0].time
                     if until is not None:
                         if exclusive:
                             if next_time >= until:
@@ -379,11 +376,10 @@ class Engine:
                         elif next_time > until:
                             self.now = until
                             return
-                    ev = heappop(heap)[2]
+                    ev = heappop(heap)
                     self.now = next_time
                 else:
                     return
-                ev.fired = True
                 self._live -= 1
                 tracer = self._trace_hot
                 if tracer is not None:
@@ -392,7 +388,9 @@ class Engine:
                 hook = self._debug_fire_hook
                 if hook is not None:
                     hook(ev)
-                ev.fn(*ev.args)
+                fn = ev.fn
+                ev.fn = None
+                fn(*ev.args)
                 fired += 1
                 if fired >= max_events:
                     raise SimulationError(
@@ -417,19 +415,18 @@ class Engine:
         _suspend_gc()
         try:
             while not predicate():
-                if (heap and heap[0][2].cancelled) or (ready and ready[0].cancelled):
+                if (heap and heap[0].fn is None) or (ready and ready[0].fn is None):
                     _drain_cancelled(heap, ready)
                 if ready:
-                    if heap and heap[0][0] <= self.now:
-                        ev = heappop(heap)[2]
+                    if heap and heap[0].time <= self.now:
+                        ev = heappop(heap)
                     else:
                         ev = ready.popleft()
                 elif heap:
-                    ev = heappop(heap)[2]
+                    ev = heappop(heap)
                     self.now = ev.time
                 else:
                     raise SimulationError("event heap drained before predicate held")
-                ev.fired = True
                 self._live -= 1
                 tracer = self._trace_hot
                 if tracer is not None:
@@ -438,7 +435,9 @@ class Engine:
                 hook = self._debug_fire_hook
                 if hook is not None:
                     hook(ev)
-                ev.fn(*ev.args)
+                fn = ev.fn
+                ev.fn = None
+                fn(*ev.args)
                 fired += 1
                 if fired >= max_events:
                     raise SimulationError(

@@ -69,6 +69,43 @@ def test_end_without_begin_raises():
         tracer.end("x", "write")
 
 
+def test_a_track_keeps_no_span_stack_once_its_spans_close():
+    t, tracer = make_tracer(enabled=False)
+    tracks = [proc_track("n", "p", vpid) for vpid in range(100)]
+    for track in tracks:
+        tracer.begin(track, "outer")
+        tracer.begin(track, "inner")
+    t["now"] = 1.5
+    for track in tracks:
+        assert tracer.end(track, "inner") == 1.5
+        assert tracer.open_spans(track) == 1
+        assert tracer.end(track, "outer") == 1.5
+        assert tracer.open_spans(track) == 0
+    assert tracer.open_spans() == 0 and tracer._stacks == {}
+
+
+def test_a_tree_checkpoint_leaves_no_span_stack_behind():
+    """Every process, gateway and barrier track opens spans once per
+    checkpoint; with none open, the tracer holds nothing for them."""
+    from repro.cluster import build_cluster
+    from repro.core.launch import DmtcpComputation
+
+    world = build_cluster(n_nodes=8, seed=0)
+
+    def sleeper(sys, argv):
+        while True:
+            yield from sys.sleep(1.0)
+
+    world.register_program("sleeper", sleeper)
+    comp = DmtcpComputation(world, compression=False, tree_fanout=4)
+    for i in range(64):
+        comp.launch(world.machine.hostnames[i % 8], "sleeper")
+    world.engine.run(until=0.5)
+    comp.checkpoint()
+    assert not world.tracer.enabled
+    assert world.tracer.open_spans() == 0 and world.tracer._stacks == {}
+
+
 def test_proc_track_format():
     assert proc_track("node00", "app", 17) == "node00/app[17]"
 

@@ -643,3 +643,41 @@ def test_refill_frame_leaves_before_the_childs_memory_is_restored(frames):
     # what the restart's refill stage has left: the peers' re-sends
     refills = [s for s in world.tracer.spans(cat="restart") if s["name"] == "refill"]
     assert len(refills) == 2
+
+
+# ----------------------------------------------------------------------
+# (8) the restore thread lingers, but no checkpoint holds it
+# ----------------------------------------------------------------------
+
+def test_restarts_leave_one_user_thread_per_restored_member():
+    """At the hand-off the restore thread stops being a user thread: no
+    later checkpoint suspends it or puts it into an image, so a restart
+    does not adopt it beside a new one (the count used to climb 2, 3,
+    4, 5).  The restored app still ends its process when it returns."""
+    world = build_cluster(n_nodes=1, seed=0)
+
+    def sleeper(sys, argv):
+        for _ in range(12):
+            yield from sys.sleep(1.0)
+
+    world.register_program("sleeper", sleeper)
+    comp = DmtcpComputation(world, compression=False)
+    for _ in range(2):
+        comp.launch("node00", "sleeper")
+    world.engine.run(until=0.5)
+    counts = []
+    for _ in range(4):
+        kill = comp.checkpoint(kill=True)
+        (image, _other) = [
+            _image_file(world, "node00", path).payload
+            for path in kill.plan.images_by_host["node00"]
+        ]
+        assert len(image.threads) == 1
+        comp.restart(plan=kill.plan)
+        world.engine.run(until=world.engine.now + 1.0)
+        members = [p for p in world.live_processes() if p.program == "sleeper"]
+        counts.append(sorted(len(p.user_threads) for p in members))
+    assert counts == [[1, 1]] * 4
+    world.engine.run(until=world.engine.now + 20.0)
+    assert [p for p in world.live_processes() if p.program == "sleeper"] == []
+    no_failures(world)

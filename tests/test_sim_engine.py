@@ -1,9 +1,15 @@
 """Unit tests for the discrete-event engine."""
 
+import ast
+import pathlib
+import sys
+import tracemalloc
+
 import pytest
 
+import repro
 from repro.errors import SimulationError
-from repro.sim import Engine
+from repro.sim import Engine, Future, Scheduler
 
 
 def test_events_fire_in_time_order():
@@ -206,3 +212,206 @@ def test_peek_time_skips_cancelled():
     eng.call_at(2.0, lambda: None)
     ev.cancel()
     assert eng.peek_time() == 2.0
+
+
+# ----------------------------------------------------------------------
+# An event is its own heap entry
+# ----------------------------------------------------------------------
+
+def _noop():
+    pass
+
+
+@pytest.mark.skipif(
+    sys.implementation.name != "cpython" or not (3, 10) <= sys.version_info[:2] <= (3, 12),
+    reason="object sizes sized on CPython 3.10-3.12",
+)
+def test_a_pending_event_is_one_small_object():
+    """A queued callback is one object (plus its heap key's items), its
+    time and its seq: 172 traced bytes on CPython 3.11, the heap's own
+    slot included (212 while a (time, seq, event) tuple ordered a
+    separate event object)."""
+    eng = Engine()
+    eng.call_after(0.5, _noop)
+    n = 20_000
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(n):
+            eng.call_after(1.0 + i * 1e-6, _noop)
+        per_event = (tracemalloc.get_traced_memory()[0] - before) / n
+    finally:
+        tracemalloc.stop()
+    assert per_event <= 176, per_event
+
+
+def test_queues_hold_the_events_themselves_and_events_are_unhashable():
+    eng = Engine()
+    later = eng.call_at(1.0, _noop)
+    now = eng.call_soon(_noop)
+    assert eng._heap[0] is later and eng._ready[0] is now
+    with pytest.raises(TypeError):
+        hash(later)
+
+
+def test_cancel_before_and_after_firing_keeps_pending_exact():
+    eng = Engine()
+    soon = eng.call_soon(_noop)  # the same-time FIFO
+    spent = eng.call_at(1.0, _noop)  # the heap
+    late = eng.call_at(2.0, _noop)
+    box = []
+    box.append(eng.call_at(1.5, lambda: box[0].cancel()))  # cancels itself
+    assert eng.pending == 4
+    soon.cancel()
+    assert eng.pending == 3 and soon.cancelled and not soon.fired
+    eng.run(until=1.7)
+    assert eng.pending == 1
+    for ev in (spent, box[0]):
+        assert ev.fired and not ev.cancelled
+        ev.cancel()  # after firing: a no-op
+        assert ev.fired and not ev.cancelled
+    assert eng.pending == 1
+    late.cancel()
+    late.cancel()
+    assert eng.pending == 0 and late.cancelled and not late.fired
+    eng.run()
+    assert not late.fired and eng.now == 1.7 and not eng._heap
+
+
+def test_a_frozen_task_gets_the_value_of_a_resume_already_scheduled():
+    """``Task.freeze`` cancels the scheduled resume and reads the value
+    out of the cancelled event's args; ``thaw`` delivers it."""
+    eng = Engine()
+    sched = Scheduler(eng)
+    box = Future("box")
+    got = []
+
+    def body():
+        got.append((yield box))
+
+    task = sched.spawn(body(), name="waiter")
+    eng.run()  # blocked on the box
+
+    def settle_then_freeze():
+        box.resolve(42)
+        resume = task._resume_event
+        task.freeze()
+        assert resume.cancelled and resume.args[1:] == (42, None)
+
+    eng.call_soon(settle_then_freeze)
+    eng.run()
+    assert got == [] and eng.pending == 0
+    task.thaw()
+    eng.run()
+    assert got == [42]
+
+
+def test_the_fire_hook_sees_the_callback():
+    eng = Engine()
+    hits, seen = [], []
+    eng._debug_fire_hook = lambda ev: seen.append((ev.time, ev.seq, ev.fn, ev.args))
+    ev = eng.call_after(1.0, hits.append, "x")
+    eng.run()
+    assert seen == [(1.0, ev.seq, hits.append, ("x",))]
+    assert hits == ["x"] and ev.fired and ev.fn is None
+
+
+def _fired_stream(drive) -> list:
+    """(time, seq, callback) of every event a small workload fires: ties
+    at one time, same-time FIFO events and cancellations, under the
+    loop that ``drive`` runs."""
+    eng = Engine()
+    record = []
+    eng._debug_fire_hook = lambda ev: record.append((ev.time, ev.seq, ev.fn.__name__))
+
+    def tick(k):
+        if k < 60:
+            eng.call_after((k % 3) * 0.5, tick, k + 1)
+            eng.call_soon(_noop)
+            victim = eng.call_after((k % 2) * 0.5, _noop)
+            if k % 3 == 1:
+                victim.cancel()
+
+    eng.call_at(0.0, tick, 0)
+    eng.call_at(0.0, tick, 30)
+    drive(eng)
+    return record
+
+
+def test_step_run_and_run_until_fire_the_same_stream():
+    def by_step(eng):
+        while eng.step():
+            pass
+
+    stepped = _fired_stream(by_step)
+    assert len(stepped) > 200
+    assert _fired_stream(lambda eng: eng.run()) == stepped
+    assert _fired_stream(lambda eng: eng.run_until(lambda: eng.pending == 0)) == stepped
+
+
+#: The engine's scheduling calls: what they return is an event.
+_SCHEDULING = frozenset({"call_at", "call_after", "call_soon", "_call_after"})
+#: Calls that hash their first argument or compare it by value.
+_KEYED_CALLS = frozenset({"add", "discard", "remove", "index", "count", "setdefault", "get", "pop"})
+
+
+def _event_names(tree) -> set:
+    """Names and attributes a module binds to a scheduled event."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and isinstance(node.value, ast.Call):
+            func = node.value.func
+            if isinstance(func, ast.Attribute) and func.attr in _SCHEDULING:
+                for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                    names.add(getattr(target, "attr", None) or getattr(target, "id", None))
+    return names
+
+
+def _keyed_uses(source: str) -> list:
+    """Lines where ``source`` hashes an event or looks one up by value."""
+    tree = ast.parse(source)
+    names = _event_names(tree)
+
+    def is_event(expr) -> bool:
+        return (isinstance(expr, ast.Name) and expr.id in names) or (
+            isinstance(expr, ast.Attribute) and expr.attr in names
+        )
+
+    hits = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and node.args and is_event(node.args[0]):
+            func = node.func
+            if (isinstance(func, ast.Attribute) and func.attr in _KEYED_CALLS) or (
+                isinstance(func, ast.Name) and func.id in ("set", "frozenset", "dict")
+            ):
+                hits.append(node.lineno)
+        elif isinstance(node, ast.Set) and any(map(is_event, node.elts)):
+            hits.append(node.lineno)
+        elif isinstance(node, ast.Dict) and any(k is not None and is_event(k) for k in node.keys):
+            hits.append(node.lineno)
+        elif isinstance(node, ast.Subscript) and is_event(node.slice):
+            hits.append(node.lineno)
+        elif isinstance(node, ast.Compare) and is_event(node.left) and any(
+            isinstance(op, (ast.In, ast.NotIn, ast.Eq, ast.NotEq)) for op in node.ops
+        ):
+            hits.append(node.lineno)
+    return hits
+
+
+def test_no_event_is_a_set_member_or_a_dict_key():
+    """Events compare as lists now: ``src/repro`` holds them by identity
+    only (``is``, ``is not None``), never in a set, a dict key or an
+    ``in`` / ``==`` lookup."""
+    root = pathlib.Path(repro.__file__).parent
+    assert {path.relative_to(root).as_posix(): _keyed_uses(path.read_text())
+            for path in root.rglob("*.py") if _keyed_uses(path.read_text())} == {}
+    # the fence sees each idiom when it is put back
+    snippet = "\n".join([
+        "self._timer = self.engine.call_after(1.0, fire)",
+        "ev = engine.call_soon(fire)",
+        "live.add(ev)",
+        "owners[self._timer] = 1",
+        "queued = {ev}",
+        "if ev in pending: pass",
+    ])
+    assert _keyed_uses(snippet) == [3, 4, 5, 6]
