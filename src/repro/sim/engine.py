@@ -5,7 +5,9 @@ callbacks at virtual times.  Determinism is guaranteed by breaking ties in
 (time, insertion sequence) order, so two runs with the same seed replay the
 same interleaving.
 
-Three hot-path design points (see DESIGN.md §8):
+``Engine._fire`` is the one loop that fires events: ``step`` is one
+pass of it, and ``run``, ``run_window`` and ``run_until`` only set its
+bounds.  Three hot-path design points (see DESIGN.md §8):
 
 * An event is its own heap entry: a slotted ``list`` subclass whose list
   part ``[time, seq]`` ``heapq`` compares at C speed.  One object per
@@ -18,7 +20,8 @@ Three hot-path design points (see DESIGN.md §8):
   path, scheduling in the past raises), so heap entries at the current
   time always carry smaller sequence numbers than anything in the FIFO
   -- draining the heap first, then the FIFO, replays the exact global
-  ``(time, seq)`` order the pure-heap engine produces.
+  ``(time, seq)`` order a heap-only engine produces (the oracle that
+  ``tests/test_perf_core.py`` compares against).
 * CPython's cyclic collector is suspended while events fire (the
   ``timeit`` pattern).  A run frees what it drops by reference counting,
   so an automatic collection would only re-scan the live world; an
@@ -30,6 +33,7 @@ from __future__ import annotations
 import gc
 import heapq
 import itertools
+import math
 import threading
 from collections import deque
 from typing import Any, Callable, Optional
@@ -42,6 +46,10 @@ from repro.errors import SimulationError
 _gc_lock = threading.Lock()
 _gc_runs = 0
 _gc_was_enabled = False
+
+#: Why ``Engine._fire`` stopped: the queues drained, the next event lies
+#: after ``until``, the predicate held, or the event limit was reached.
+_DRAINED, _LATER, _HELD, _SPENT = range(4)
 
 
 def _suspend_gc() -> None:
@@ -64,16 +72,12 @@ def _restore_gc() -> None:
 def _drain_cancelled(heap: list, ready: deque) -> None:
     """Drop cancelled events from the front of both queues.
 
-    This is THE cancelled-event drain: ``step``/``run``/``run_until`` all
-    had private inlined copies that could (and did) drift.  The hot loops
-    keep their borrowed ``heap``/``ready`` locals and a two-comparison
-    inline guard, and only call here when a cancelled event is actually
-    at the front -- so the common case pays no call overhead while the
-    drain logic itself exists exactly once.
+    The fire loop keeps its borrowed ``heap``/``ready`` locals and a
+    two-comparison inline guard, and only calls here when a cancelled
+    event is actually at the front, so the common case pays no call.
     """
-    heappop = heapq.heappop
     while heap and heap[0].fn is None:
-        heappop(heap)
+        heapq.heappop(heap)
     while ready and ready[0].fn is None:
         ready.popleft()
 
@@ -84,7 +88,7 @@ class Event(list):
     The list part is the heap key ``[time, seq]``: ``heapq`` compares it
     at C speed and never past ``seq``, which is unique per engine.  A
     ``call_soon`` event never enters the heap and leaves it empty.  The
-    callback rides in slots, which the fire loops read at attribute
+    callback rides in slots, which the fire loop reads at attribute
     speed (CPython specializes no subscript of a list subclass).  Firing
     clears ``fn``; cancelling clears ``fn`` and ``engine``.
     Cancellation is O(1): the entry stays queued and is skipped when it
@@ -120,19 +124,6 @@ class Engine:
         eng.run()          # runs until the queues drain
         assert eng.now == 1.5
     """
-
-    #: Class-wide default for the same-timestamp FIFO fast path.  The
-    #: determinism golden test flips this to force every event through
-    #: the heap and asserts the firing order is identical.
-    fast_path: bool = True
-
-    #: Optional per-fire instrumentation hook ``hook(event)``, consulted
-    #: once per step.  None in production; tests and the profiler install
-    #: recorders here (on the class or a single instance).  The
-    #: ``_fire_hook_default`` marker tells tooling this engine exposes
-    #: the hook at all.
-    _fire_hook_default = None
-    _debug_fire_hook = None
 
     #: Sharded execution (repro.sim.parallel): when a ShardGate is
     #: installed, the driver-facing ``run``/``run_until`` become global
@@ -189,9 +180,7 @@ class Engine:
     def call_at(self, time: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` at absolute virtual ``time``."""
         if time < self.now:
-            raise SimulationError(
-                f"cannot schedule event at t={time} before now={self.now}"
-            )
+            raise SimulationError(f"cannot schedule event at t={time} before now={self.now}")
         seq = next(self._seq)
         ev = Event((time, seq))
         ev.time = time
@@ -199,7 +188,7 @@ class Engine:
         ev.fn = fn
         ev.args = args
         ev.engine = self
-        if time == self.now and self.fast_path:
+        if time == self.now:
             self._ready.append(ev)
         else:
             heapq.heappush(self._heap, ev)
@@ -219,7 +208,7 @@ class Engine:
         ev.fn = fn
         ev.args = args
         ev.engine = self
-        if time == self.now and self.fast_path:
+        if time == self.now:
             self._ready.append(ev)
         else:
             heapq.heappush(self._heap, ev)
@@ -228,8 +217,6 @@ class Engine:
 
     def call_soon(self, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` at the current time, after pending events."""
-        if not self.fast_path:
-            return self.call_at(self.now, fn, *args)
         ev = Event()
         ev.time = self.now
         ev.seq = next(self._seq)
@@ -263,51 +250,19 @@ class Engine:
         an identical clock in every sharding.  Going backwards is a bug.
         """
         if time < self.now:
-            raise SimulationError(
-                f"cannot move clock backwards: now={self.now}, target={time}"
-            )
+            raise SimulationError(f"cannot move clock backwards: now={self.now}, target={time}")
         self.now = time
 
     def step(self) -> bool:
-        """Execute the next event.  Returns False if the queues were empty.
-
-        Note: unlike ``run``, ``step`` takes no ``until`` clamp -- callers
-        that need a bounded run must use ``run(until=...)``.
+        """Fire the next event (one pass of the fire loop); False if the
+        queues were empty.  There is no ``until`` clamp: use ``run``.
         """
         if self._shard_gate is not None:
             raise SimulationError(
                 "Engine.step() is unavailable under sharded execution; "
                 "use run()/run_until(), which synchronize across shards"
             )
-        heap = self._heap
-        ready = self._ready
-        if (heap and heap[0].fn is None) or (ready and ready[0].fn is None):
-            _drain_cancelled(heap, ready)
-        if ready:
-            # ready events sit at the current timestamp; heap entries at
-            # the same timestamp are older (smaller seq) and fire first
-            if heap and heap[0].time <= self.now:
-                ev = heapq.heappop(heap)
-            else:
-                ev = ready.popleft()
-        elif heap:
-            ev = heapq.heappop(heap)
-            self.now = ev.time
-        else:
-            return False
-        self._live -= 1
-        self.events_fired += 1
-        tracer = self._trace_hot
-        if tracer is not None:
-            tracer.count("sim.events_fired")
-            tracer.count_max("sim.heap_depth_max", len(heap) + len(ready) + 1)
-        hook = self._debug_fire_hook
-        if hook is not None:
-            hook(ev)
-        fn = ev.fn
-        ev.fn = None
-        fn(*ev.args)
-        return True
+        return self._fire(math.inf, None, 1) == _SPENT
 
     def run(self, until: Optional[float] = None, max_events: int = 50_000_000) -> None:
         """Run events until the queues drain or ``until`` is passed.
@@ -319,9 +274,15 @@ class Engine:
         """
         if self._shard_gate is not None:
             return self._shard_gate.run(until=until, max_events=max_events)
-        if until is not None and until < self.now:
+        if until is None:
+            until = math.inf
+        elif until < self.now:
             return
-        self._run_loop(until, max_events, exclusive=False)
+        stop = self._fire(until, None, max_events)
+        if stop == _LATER:
+            self.now = until
+        elif stop == _SPENT:
+            raise SimulationError(f"engine exceeded {max_events} events; likely a livelock")
 
     def run_window(
         self, horizon: float, inclusive: bool = False, max_events: int = 50_000_000
@@ -336,113 +297,71 @@ class Engine:
         window (or an injected completion at exactly ``horizon``) can
         still be scheduled with ``call_at``.
         """
-        self._run_loop(horizon, max_events, exclusive=not inclusive)
+        # below the last float before horizon is exactly below horizon
+        until = horizon if inclusive else math.nextafter(horizon, -math.inf)
+        if self._fire(until, None, max_events) == _SPENT:
+            raise SimulationError(f"engine exceeded {max_events} events; likely a livelock")
 
-    def _run_loop(
-        self, until: Optional[float], max_events: int, exclusive: bool
-    ) -> None:
+    def run_until(self, predicate: Callable[[], bool], max_events: int = 50_000_000) -> None:
+        """Run until ``predicate()`` becomes true.  Raises if the queues drain first."""
+        if self._shard_gate is not None:
+            return self._shard_gate.run_until(predicate, max_events=max_events)
+        stop = self._fire(math.inf, predicate, max_events)
+        if stop == _DRAINED:
+            raise SimulationError("event heap drained before predicate held")
+        if stop == _SPENT:
+            raise SimulationError(f"engine exceeded {max_events} events waiting for predicate")
+
+    def _fire(
+        self, until: float, predicate: Optional[Callable[[], bool]], limit: int
+    ) -> int:
+        """Fire events in ``(time, seq)`` order until the queues drain, the
+        next event lies after ``until`` (the clock stays put), ``predicate()``
+        holds before an event or ``limit`` events have fired; say which.
+
+        The only code that pops the queues, advances the clock through
+        events, counts them, suspends the collector and calls a callback.
+        """
         if self._running:
-            raise SimulationError("Engine.run() is not reentrant")
+            raise SimulationError("the engine is not reentrant: a callback ran step() or run()")
         self._running = True
-        # the step() body is inlined here (and in run_until): the loop
-        # fires hundreds of thousands of events per scenario and the
-        # method-call + double cancel-drop overhead is measurable; the
-        # cancelled-drain itself lives in _drain_cancelled behind a
-        # front-of-queue guard
         heap = self._heap
         ready = self._ready
         heappop = heapq.heappop
         fired = 0
         _suspend_gc()
         try:
-            while True:
+            while fired < limit:
+                if predicate is not None and predicate():
+                    return _HELD
                 if (heap and heap[0].fn is None) or (ready and ready[0].fn is None):
                     _drain_cancelled(heap, ready)
                 if ready:
-                    # ready events sit at the current timestamp (always
-                    # inside any window or clamp, since the clock only
-                    # advances through in-bounds heap events); heap
-                    # entries at the same time are older and fire first
+                    # ready events sit at the current time, inside any
+                    # ``until`` (the clock only reaches in-bound times);
+                    # heap entries at the same time are older: they go first
                     if heap and heap[0].time <= self.now:
                         ev = heappop(heap)
                     else:
                         ev = ready.popleft()
                 elif heap:
                     next_time = heap[0].time
-                    if until is not None:
-                        if exclusive:
-                            if next_time >= until:
-                                return
-                        elif next_time > until:
-                            self.now = until
-                            return
+                    if next_time > until:
+                        return _LATER
                     ev = heappop(heap)
                     self.now = next_time
                 else:
-                    return
+                    return _DRAINED
                 self._live -= 1
                 tracer = self._trace_hot
                 if tracer is not None:
                     tracer.count("sim.events_fired")
                     tracer.count_max("sim.heap_depth_max", len(heap) + len(ready) + 1)
-                hook = self._debug_fire_hook
-                if hook is not None:
-                    hook(ev)
                 fn = ev.fn
                 ev.fn = None
                 fn(*ev.args)
                 fired += 1
-                if fired >= max_events:
-                    raise SimulationError(
-                        f"engine exceeded {max_events} events; likely a livelock"
-                    )
-        finally:
-            _restore_gc()
-            self.events_fired += fired
-            self._running = False
-
-    def run_until(self, predicate: Callable[[], bool], max_events: int = 50_000_000) -> None:
-        """Run until ``predicate()`` becomes true.  Raises if the queues drain first."""
-        if self._shard_gate is not None:
-            return self._shard_gate.run_until(predicate, max_events=max_events)
-        if self._running:
-            raise SimulationError("Engine.run_until() is not reentrant")
-        self._running = True
-        heap = self._heap
-        ready = self._ready
-        heappop = heapq.heappop
-        fired = 0
-        _suspend_gc()
-        try:
-            while not predicate():
-                if (heap and heap[0].fn is None) or (ready and ready[0].fn is None):
-                    _drain_cancelled(heap, ready)
-                if ready:
-                    if heap and heap[0].time <= self.now:
-                        ev = heappop(heap)
-                    else:
-                        ev = ready.popleft()
-                elif heap:
-                    ev = heappop(heap)
-                    self.now = ev.time
-                else:
-                    raise SimulationError("event heap drained before predicate held")
-                self._live -= 1
-                tracer = self._trace_hot
-                if tracer is not None:
-                    tracer.count("sim.events_fired")
-                    tracer.count_max("sim.heap_depth_max", len(heap) + len(ready) + 1)
-                hook = self._debug_fire_hook
-                if hook is not None:
-                    hook(ev)
-                fn = ev.fn
-                ev.fn = None
-                fn(*ev.args)
-                fired += 1
-                if fired >= max_events:
-                    raise SimulationError(
-                        f"engine exceeded {max_events} events waiting for predicate"
-                    )
+            return _SPENT
         finally:
             _restore_gc()
             self.events_fired += fired

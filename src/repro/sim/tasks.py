@@ -579,21 +579,11 @@ class Scheduler:
 
     #: The kernel's syscall request type (registered from
     #: repro.kernel.syscalls to avoid a sim->kernel import).  Checked
-    #: first in _dispatch: syscalls dominate the yield stream.
+    #: first in _advance: syscalls dominate the yield stream.
     _call_type: Optional[type] = None
 
     def _dispatch(self, task: Task, yielded: Any) -> None:
-        if yielded.__class__ is self._call_type:
-            handler = task.handler
-            if handler is None:
-                self._schedule_throw(
-                    task, TaskError(f"{task.name}: no handler for yielded {yielded!r}")
-                )
-                return
-            task.state = TaskState.BLOCKED
-            task.pending_call = yielded
-            handler(task, yielded)
-        elif yielded is None:
+        if yielded is None:
             self._schedule_resume(task, None)
         elif isinstance(yielded, Timeout):
             task.state = TaskState.BLOCKED

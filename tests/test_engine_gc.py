@@ -3,7 +3,7 @@
 That is safe only while a run creates almost no cyclic garbage, so the
 suite pins both halves:
 
-* (a) every way out of ``run`` / ``run_until`` / a sharded window
+* (a) every way out of ``run`` / ``run_until`` / ``step`` / a sharded window
   restores the caller's ``gc.isenabled()``, also when two runs overlap
   in threads (the inline shard backend);
 * (b) a checkpoint -> kill -> restart leaves the same count of cyclic
@@ -51,6 +51,8 @@ def collector_restored():
 def _drive(engine: Engine, how: str, **kw) -> None:
     if how == "run":
         engine.run(**kw)
+    elif how == "step":
+        engine.step()
     else:
         engine.run_until(lambda: False, **kw)
 
@@ -60,16 +62,16 @@ def _drive(engine: Engine, how: str, **kw) -> None:
 # ----------------------------------------------------------------------
 
 @pytest.mark.parametrize("caller_enabled", [True, False])
-@pytest.mark.parametrize("how", ["run", "run_until"])
+@pytest.mark.parametrize("how", ["run", "run_until", "step"])
 def test_a_run_suspends_the_collector_and_restores_the_callers_setting(how, caller_enabled):
     engine = Engine()
     seen = []
     engine.call_after(1.0, lambda: seen.append(gc.isenabled()))
     (gc.enable if caller_enabled else gc.disable)()
-    if how == "run":
-        engine.run()
-    else:
+    if how == "run_until":
         engine.run_until(lambda: bool(seen))
+    else:
+        _drive(engine, how)
     assert seen == [False]
     assert gc.isenabled() is caller_enabled
 
@@ -87,7 +89,7 @@ def test_the_max_events_exit_restores_the_collector(how):
     assert gc.isenabled()
 
 
-@pytest.mark.parametrize("how", ["run", "run_until"])
+@pytest.mark.parametrize("how", ["run", "run_until", "step"])
 def test_a_raising_callback_restores_the_collector(how):
     engine = Engine()
 

@@ -3,7 +3,9 @@
 Covers the properties the optimizations must not bend:
 
 * the same-timestamp FIFO fast path replays the exact ``(time, seq)``
-  firing order of the pure-heap engine (the determinism golden);
+  firing order of the heap-only oracle, an engine whose scheduling
+  calls are patched to push every event to the heap (the determinism
+  golden);
 * a disabled tracer costs the event loop nothing (no per-event tracer
   attribute work at all);
 * :class:`Chunk` stays slotted and frame reassembly stays intact;
@@ -14,6 +16,7 @@ Covers the properties the optimizations must not bend:
 """
 
 import hashlib
+import heapq
 
 import pytest
 
@@ -32,27 +35,69 @@ from repro.kernel.streams import (
     frame_chunks,
 )
 from repro.sim import Engine
+from repro.sim.engine import Event
 
 
 # ----------------------------------------------------------------------
-# Determinism golden: fast path on vs off
+# Determinism golden: the engine against the heap-only oracle
 # ----------------------------------------------------------------------
 
-def _firing_stream(fast_path: bool) -> list[tuple[float, int, str]]:
+def _heap_only(mp: pytest.MonkeyPatch) -> None:
+    """Make every engine the heap-only oracle: each event, at the current
+    time too, is pushed to the heap and ordered there by ``(time, seq)``."""
+
+    def call_at(self, time, fn, *args):
+        if time < self.now:
+            raise SimulationError(f"cannot schedule event at t={time} before now={self.now}")
+        seq = next(self._seq)
+        ev = Event((time, seq))
+        ev.time, ev.seq, ev.fn, ev.args, ev.engine = time, seq, fn, args, self
+        heapq.heappush(self._heap, ev)
+        self._live += 1
+        return ev
+
+    def call_after(self, delay, fn, *args):
+        if delay < 0:
+            raise SimulationError(f"negative delay {delay}")
+        return call_at(self, self.now + delay, fn, *args)
+
+    mp.setattr(Engine, "call_at", call_at)
+    mp.setattr(Engine, "call_after", call_after)
+    mp.setattr(Engine, "call_soon", lambda self, fn, *args: call_at(self, self.now, fn, *args))
+
+
+def record_firings(mp: pytest.MonkeyPatch, record: list) -> None:
+    """Wrap each callback when it is scheduled, so that firing it appends
+    ``(time, seq, callback name)`` to ``record``."""
+
+    def wrapping(schedule, at):
+        def scheduled(self, *a):
+            fn = a[at]
+            name = getattr(fn, "__qualname__", None) or type(fn).__name__
+
+            def fire(*args):
+                record.append((ev.time, ev.seq, name))
+                fn(*args)
+
+            ev = schedule(self, *a[:at], fire, *a[at + 1:])
+            return ev
+
+        return scheduled
+
+    for method, at in (("call_at", 1), ("call_after", 1), ("call_soon", 0)):
+        mp.setattr(Engine, method, wrapping(getattr(Engine, method), at))
+
+
+def _firing_stream(heap_only: bool) -> list[tuple[float, int, str]]:
     """(time, seq, callback-name) of every event in one ckpt/restart run."""
     from repro.cluster import build_cluster
     from repro.core.launch import DmtcpComputation
 
-    saved = Engine.fast_path
-    Engine.fast_path = fast_path
     record: list[tuple[float, int, str]] = []
-
-    def hook(ev):
-        fn = ev.fn
-        name = getattr(fn, "__qualname__", None) or type(fn).__name__
-        record.append((ev.time, ev.seq, name))
-
-    try:
+    with pytest.MonkeyPatch.context() as mp:
+        if heap_only:
+            _heap_only(mp)
+        record_firings(mp, record)
         world = build_cluster(n_nodes=2, seed=0)
 
         def app(sys_, argv):
@@ -60,32 +105,38 @@ def _firing_stream(fast_path: bool) -> list[tuple[float, int, str]]:
                 yield from sys_.sleep(0.05)
 
         world.register_program("app", app)
-        world.engine._debug_fire_hook = hook
         comp = DmtcpComputation(world)
         comp.launch("node00", "app")
         world.engine.run(until=0.3)
         outcome = comp.checkpoint(kill=True)
         comp.restart(plan=outcome.plan, placement={"node00": "node01"})
         world.engine.run(until=world.engine.now + 5.0)
-    finally:
-        Engine.fast_path = saved
     return record
 
 
 def test_fast_path_firing_order_golden():
-    fast = _firing_stream(True)
-    slow = _firing_stream(False)
+    fast = _firing_stream(heap_only=False)
+    oracle = _firing_stream(heap_only=True)
     # a real workload: hundreds of events through sockets, resources,
     # the scheduler trampoline and the DMTCP stages
     assert len(fast) > 300
-    assert fast == slow
+    assert fast == oracle
     # and the checksummed golden form both runs agree on
     digest = hashlib.sha256()
     for time_, seq, name in fast:
         digest.update(f"{time_!r} {seq} {name};".encode())
     assert digest.hexdigest() == hashlib.sha256(
-        b"".join(f"{t!r} {s} {n};".encode() for t, s, n in slow)
+        b"".join(f"{t!r} {s} {n};".encode() for t, s, n in oracle)
     ).hexdigest()
+
+
+def test_the_oracle_keeps_every_event_in_the_heap():
+    with pytest.MonkeyPatch.context() as mp:
+        _heap_only(mp)
+        eng = Engine()
+        eng.call_soon(lambda: None)
+        eng.call_after(0.0, lambda: None)
+        assert len(eng._heap) == 2 and not eng._ready
 
 
 def test_fast_path_uses_ready_deque():
@@ -95,17 +146,6 @@ def test_fast_path_uses_ready_deque():
     assert len(eng._ready) == 1 and not eng._heap
     eng.run()
     assert hits == [1]
-
-
-def test_heap_only_mode_when_fast_path_off():
-    saved = Engine.fast_path
-    Engine.fast_path = False
-    try:
-        eng = Engine()
-        eng.call_soon(lambda: None)
-        assert len(eng._heap) == 1 and not eng._ready
-    finally:
-        Engine.fast_path = saved
 
 
 # ----------------------------------------------------------------------

@@ -10,6 +10,7 @@ import pytest
 import repro
 from repro.errors import SimulationError
 from repro.sim import Engine, Future, Scheduler
+from tests.test_perf_core import record_firings
 
 
 def test_events_fire_in_time_order():
@@ -173,6 +174,24 @@ def test_run_until_is_not_reentrant():
     assert eng.now == 2.0
 
 
+def test_step_is_not_reentrant():
+    """A callback's ``step()`` would fire past the guard and outside the
+    collector suspension of the run that called it."""
+    eng = Engine()
+    errors = []
+
+    def nested():
+        with pytest.raises(SimulationError, match="not reentrant") as exc:
+            eng.step()
+        errors.append(exc.value)
+
+    eng.call_at(1.0, nested)
+    eng.call_at(2.0, lambda: None)
+    eng.run()
+    assert len(errors) == 1
+    assert eng.now == 2.0 and eng.events_fired == 2
+
+
 def test_run_until_guard_resets_after_error():
     eng = Engine()
     with pytest.raises(SimulationError):
@@ -306,35 +325,26 @@ def test_a_frozen_task_gets_the_value_of_a_resume_already_scheduled():
     assert got == [42]
 
 
-def test_the_fire_hook_sees_the_callback():
-    eng = Engine()
-    hits, seen = [], []
-    eng._debug_fire_hook = lambda ev: seen.append((ev.time, ev.seq, ev.fn, ev.args))
-    ev = eng.call_after(1.0, hits.append, "x")
-    eng.run()
-    assert seen == [(1.0, ev.seq, hits.append, ("x",))]
-    assert hits == ["x"] and ev.fired and ev.fn is None
-
-
 def _fired_stream(drive) -> list:
     """(time, seq, callback) of every event a small workload fires: ties
     at one time, same-time FIFO events and cancellations, under the
     loop that ``drive`` runs."""
-    eng = Engine()
     record = []
-    eng._debug_fire_hook = lambda ev: record.append((ev.time, ev.seq, ev.fn.__name__))
+    with pytest.MonkeyPatch.context() as mp:
+        record_firings(mp, record)
+        eng = Engine()
 
-    def tick(k):
-        if k < 60:
-            eng.call_after((k % 3) * 0.5, tick, k + 1)
-            eng.call_soon(_noop)
-            victim = eng.call_after((k % 2) * 0.5, _noop)
-            if k % 3 == 1:
-                victim.cancel()
+        def tick(k):
+            if k < 60:
+                eng.call_after((k % 3) * 0.5, tick, k + 1)
+                eng.call_soon(_noop)
+                victim = eng.call_after((k % 2) * 0.5, _noop)
+                if k % 3 == 1:
+                    victim.cancel()
 
-    eng.call_at(0.0, tick, 0)
-    eng.call_at(0.0, tick, 30)
-    drive(eng)
+        eng.call_at(0.0, tick, 0)
+        eng.call_at(0.0, tick, 30)
+        drive(eng)
     return record
 
 
@@ -415,3 +425,53 @@ def test_no_event_is_a_set_member_or_a_dict_key():
         "if ev in pending: pass",
     ])
     assert _keyed_uses(snippet) == [3, 4, 5, 6]
+
+
+#: What only the fire loop may do: pop a queue (past the cancelled-front
+#: drain), call a fired callback, suspend the collector, count a fire.
+_FIRE_WORK = ("pops", "calls", "suspends", "counts")
+
+
+def _fire_work(source: str) -> dict:
+    """For each kind of fire-loop work, the functions of ``source`` that do it."""
+    found = {kind: set() for kind in _FIRE_WORK}
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        callbacks = {  # names bound to an event's callback: ``fn = ev.fn``
+            target.id
+            for node in ast.walk(func) if isinstance(node, ast.Assign)
+            and isinstance(node.value, ast.Attribute) and node.value.attr == "fn"
+            for target in node.targets if isinstance(target, ast.Name)
+        }
+        for node in ast.walk(func):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "attr", None) or getattr(node.func, "id", None)
+                if name in ("heappop", "popleft"):
+                    found["pops"].add(func.name)
+                elif name == "_suspend_gc":
+                    found["suspends"].add(func.name)
+                elif name in callbacks or name == "fn" and isinstance(node.func, ast.Attribute):
+                    found["calls"].add(func.name)
+            elif isinstance(node, ast.AugAssign) and getattr(node.target, "attr", None) == "events_fired":
+                found["counts"].add(func.name)
+    found["pops"].discard("_drain_cancelled")
+    return found
+
+
+def test_one_loop_fires_every_event():
+    """``step``, ``run``, ``run_window`` and ``run_until`` share one fire
+    loop: no other function of the engine pops a queue and calls the
+    callback it popped."""
+    source = pathlib.Path(repro.__file__).parent.joinpath("sim", "engine.py").read_text()
+    assert _fire_work(source) == {kind: {"_fire"} for kind in _FIRE_WORK}
+    # the fence sees a second copy of the loop when one is put back
+    copy = "\n".join([
+        "def step(self):",
+        "    ev = self._ready.popleft()",
+        "    fn = ev.fn",
+        "    fn(*ev.args)",
+        "    self.events_fired += 1",
+    ])
+    work = _fire_work(source + "\n" + copy)
+    assert [work[kind] for kind in ("pops", "calls", "counts")] == [{"_fire", "step"}] * 3
