@@ -13,7 +13,6 @@ of controlling terminals" among the artifacts DMTCP restores.
 
 from __future__ import annotations
 
-import itertools
 from typing import TYPE_CHECKING
 
 from repro.errors import SyscallError
@@ -56,10 +55,8 @@ DEFAULT_TERMIOS = {
 class PtyPair:
     """A pseudo-terminal: master/slave endpoints + shared attributes."""
 
-    _ids = itertools.count(0)
-
     def __init__(self, world: "World", node: "Node"):
-        self.index = next(PtyPair._ids)
+        self.index = next(world.pty_ids)
         self.node = node
         self.name = f"/dev/pts/{self.index}"
         self.master = SocketEndpoint(world, node, domain="pty")

@@ -13,7 +13,6 @@ environment, signal dispositions, and a controlling terminal.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
@@ -73,12 +72,10 @@ DEFAULT_SPEC = ProgramSpec(
 class Thread:
     """One thread of a process; wraps a sim task."""
 
-    __slots__ = ("tid", "process", "name", "kind", "task", "parked_send")
-
-    _tids = itertools.count(1)
+    __slots__ = ("tid", "process", "name", "kind", "task", "parked")
 
     def __init__(self, process: "Process", name: str, kind: str = "user"):
-        self.tid = next(Thread._tids)
+        self.tid = next(process.world.thread_ids)
         self.process = process
         self.name = name
         #: "user" threads are suspended at checkpoint time; "manager" is
@@ -86,9 +83,11 @@ class Thread:
         self.kind = kind
         self.task: Optional[Task] = None
         #: The ticket of this thread's last send that blocked on flow
-        #: control (see ``World._sys_send_chunk``): a re-issue of that same
-        #: call finds its reservation here instead of queueing another.
-        self.parked_send = None
+        #: control, or of its timed recv while it waits: a re-issue of
+        #: that same call finds the first issue's reservation or timer
+        #: here instead of making another (``World._sys_send_chunk``,
+        #: ``World._sys_recv``).
+        self.parked = None
 
     def retire(self) -> None:
         """A finished manager-kind thread, or a finished thread of a
@@ -102,7 +101,7 @@ class Thread:
         threads = self.process.threads
         if self in threads:
             threads.remove(self)
-        self.task = None
+        self.task = self.parked = None
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Thread {self.name} tid={self.tid} of pid={self.process.pid}>"

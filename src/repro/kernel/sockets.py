@@ -15,7 +15,6 @@ The model keeps the properties DMTCP's drain/refill protocol depends on:
 
 from __future__ import annotations
 
-import itertools
 from typing import TYPE_CHECKING, Optional
 
 from repro.errors import SyscallError
@@ -31,14 +30,12 @@ if TYPE_CHECKING:  # pragma: no cover
 class SocketEndpoint(Description):
     """One end of a (possibly not-yet-connected) stream socket."""
 
-    _inodes = itertools.count(1)
-
     def __init__(self, world: "World", node: "Node", domain: str = "inet"):
         super().__init__()
         self.world = world
         self.node = node
         self.domain = domain  # inet | unix | pair | pipe | pty
-        self.inode = next(SocketEndpoint._inodes)
+        self.inode = next(world.inodes)
         self.local_addr: Optional[tuple[str, int]] = None
         self.local_path: Optional[str] = None  # unix domain
         self.peer: Optional[SocketEndpoint] = None
@@ -108,7 +105,7 @@ class ListenerSocket(Description):
         self.world = world
         self.node = node
         self.domain = domain
-        self.inode = next(SocketEndpoint._inodes)
+        self.inode = next(world.inodes)
         self.addr: Optional[tuple[str, int]] = None
         self.path: Optional[str] = None
         self.backlog: list[SocketEndpoint] = []

@@ -17,7 +17,6 @@ core property tests.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Optional
@@ -47,8 +46,10 @@ class Chunk:
     nbytes: int
     data: Any = None
     ctrl: Optional[str] = None
-    #: Frame bookkeeping (set by the framing helpers).
-    frame_id: Optional[int] = None
+    #: Frame bookkeeping (set by the framing helpers).  A frame is its
+    #: first chunk and the followers after it: a stream delivers in
+    #: order, so no frame needs an id to be told from another.
+    frame_first: bool = False
     frame_total: Optional[int] = None
     frame_last: bool = False
 
@@ -64,16 +65,15 @@ class ByteBuffer:
     and *committed* when it lands, so the capacity bound holds even with
     transfers on the wire.  Consumers take whole chunks.  Both queues,
     the chunks and the senders waiting for space, start as ``_IDLE``;
-    the chunk queue returns to it whenever its last chunk is taken.
+    the chunk queue returns to it whenever its last chunk is taken.  A
+    socket names its buffer after its inode, which is per world.
     """
 
-    _ids = itertools.count(1)
-
-    def __init__(self, capacity: int, name: str = ""):
+    def __init__(self, capacity: int, name: str = "buf"):
         if capacity <= 0:
             raise KernelError(f"buffer capacity must be positive, got {capacity}")
         self.capacity = capacity
-        self.name = name or f"buf-{next(self._ids)}"
+        self.name = name
         self._space_name = f"{self.name}:space"
         self._data_name = f"{self.name}:data"
         self._chunks: deque[Chunk] | tuple = _IDLE
@@ -277,8 +277,6 @@ class ByteBuffer:
 # Frame helpers (used with ``yield from`` inside program generators)
 # ----------------------------------------------------------------------
 
-_frame_ids = itertools.count(1)
-
 #: Chunks are capped at the default socket buffer size so a single frame
 #: can never wedge flow control.
 FRAME_CHUNK_BYTES = 32 * 1024
@@ -294,17 +292,16 @@ def frame_chunks(payload: Any, sim_size: int) -> Iterator[Chunk]:
     """
     if sim_size < 0:
         raise KernelError(f"frame sim_size must be >= 0, got {sim_size}")
-    fid = next(_frame_ids)
     total = sim_size + FRAME_HEADER_BYTES
     first = min(total, FRAME_CHUNK_BYTES)
     remaining = total - first
     yield Chunk(
-        first, data=payload, frame_id=fid, frame_total=total, frame_last=remaining == 0
+        first, data=payload, frame_first=True, frame_total=total, frame_last=remaining == 0
     )
     while remaining > 0:
         n = min(remaining, FRAME_CHUNK_BYTES)
         remaining -= n
-        yield Chunk(n, frame_id=fid, frame_total=total, frame_last=remaining == 0)
+        yield Chunk(n, frame_total=total, frame_last=remaining == 0)
 
 
 @dataclass
@@ -313,26 +310,26 @@ class FrameAssembler:
 
     payload: Any = None
     got: int = 0
-    _active: Optional[int] = None
+    _active: bool = False
     complete: list = field(default_factory=list)
 
     def feed(self, chunk: Chunk) -> None:
         """Absorb one wire chunk into the current frame."""
-        if chunk.frame_id is None:
+        if chunk.frame_total is None:
             raise KernelError("non-frame chunk fed to FrameAssembler")
-        if self._active is None:
-            self._active = chunk.frame_id
+        if not self._active:
+            self._active = True
             self.payload = chunk.data
-        elif chunk.frame_id != self._active:
+        elif chunk.frame_first:
             raise KernelError(
-                f"interleaved frames {self._active} and {chunk.frame_id} on one stream"
+                f"interleaved frames: a frame began {self.got} bytes into another on one stream"
             )
         self.got += chunk.nbytes
         if chunk.frame_last:
             self.complete.append((self.payload, self.got - FRAME_HEADER_BYTES))
             self.payload = None
             self.got = 0
-            self._active = None
+            self._active = False
 
     def pop(self):
         """Take one completed ``(payload, sim_size)`` message, or None."""

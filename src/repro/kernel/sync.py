@@ -8,8 +8,6 @@ when thawed -- mirroring how futex waits restart after a signal.
 
 from __future__ import annotations
 
-import itertools
-
 from repro.errors import SyscallError
 from repro.sim.tasks import Completion, Task
 
@@ -17,12 +15,10 @@ from repro.sim.tasks import Completion, Task
 class Semaphore:
     """Counting semaphore; a Mutex is a Semaphore(1) with owner tracking."""
 
-    _ids = itertools.count(1)
-
-    def __init__(self, value: int = 1, name: str = ""):
+    def __init__(self, sem_id: int, value: int = 1, name: str = ""):
         if value < 0:
             raise SyscallError("EINVAL", f"semaphore value {value}")
-        self.sem_id = next(Semaphore._ids)
+        self.sem_id = sem_id
         self.name = name or f"sem-{self.sem_id}"
         self.value = value
         self._waiters: list[Completion] = []

@@ -327,7 +327,7 @@ class Sys:
         """
         if timeout is None:
             return (yield Call("recv", (fd,)))
-        return (yield Call("recv", (fd,), {"timeout": timeout}))
+        return (yield Call("recv", (fd, timeout)))
 
     def setsockopt(self, fd: int, option: str, value: int):
         """Set a socket option (SO_RCVBUF/SO_SNDBUF resize the buffer)."""

@@ -315,29 +315,52 @@ class _RecvAttempt(Completion):
     A chunk is taken only for an awake caller: a frozen thread leaves it
     in the queue for the drain and re-issues the recv at thaw.  A timed
     recv (SO_RCVTIMEO analogue) keeps its timeout in the value slot and
-    :meth:`expire` as its timer.
+    its timer, an event that fires :meth:`expire`, in ``timer``; while
+    the timer is armed the thread's ``parked`` slot holds the ticket, so
+    that a re-issue of the same call at thaw takes the timer over.  A
+    wait that ends any other way cancels the timer and drops it, and so
+    does a ticket that can never be live again: a finished wait holds no
+    event in the heap, and the ticket and its timer never form a cycle.
     """
 
-    __slots__ = ("ep",)
+    __slots__ = ("ep", "timer")
 
     def __init__(self, task: Task, ep, timeout=None):
         Completion.__init__(self, task, timeout)
         self.ep = ep
+        self.timer = None
 
     def __call__(self) -> None:
         if not self.awake:
+            if not self.live:
+                self._disarm()
             return
         ep = self.ep
         chunk = ep.rx.take()
         if chunk is not None:
+            self._disarm()
             self.ok(chunk)
         elif ep.rx.eof or ep.closed:
+            self._disarm()
             self.ok(None)
         else:
             ep.rx.add_data_waiter(self)
 
+    def _disarm(self) -> None:
+        timer = self.timer
+        if timer is not None:
+            timer.cancel()
+            self._unpark()
+
+    def _unpark(self) -> None:
+        self.timer = None
+        thread = self.task.context
+        if thread.parked is self:
+            thread.parked = None
+
     def expire(self) -> None:
         """ETIMEDOUT, if the caller is still parked on this same recv."""
+        self._unpark()
         if self.awake:
             self.ep.rx.remove_data_waiter(self)
             self.fail(SyscallError("ETIMEDOUT", f"recv idle for {self.value}s"))
@@ -433,8 +456,14 @@ class World:
         self._listeners: dict[tuple[str, int], ListenerSocket] = {}
         self._unix_listeners: dict[tuple[str, str], ListenerSocket] = {}
         self.shm_segments: dict[tuple[str, str], Any] = {}
-        #: Memory-region ids, handed to every address space of this world.
+        #: Identities are per world, so two worlds built in one
+        #: interpreter number alike: memory regions (handed to every
+        #: address space), semaphores, threads, socket inodes and ptys.
         self.region_ids = itertools.count(1)
+        self.sem_ids = itertools.count(1)
+        self.thread_ids = itertools.count(1)
+        self.inodes = itertools.count(1)
+        self.pty_ids = itertools.count(0)
         #: Interposition registry: env-var name -> factory.  A process
         #: whose environment carries the variable gets its syscall
         #: interface wrapped by the factory (the LD_PRELOAD analogue).
@@ -597,7 +626,7 @@ class World:
                 # continuation (a restored member exiting after an
                 # aborted restart): seal it for the dead context but
                 # keep it thawable for the next restore attempt
-                task.seal()
+                self._seal(thread)
             else:
                 task.drop()
         for fd in list(process.fds):
@@ -618,6 +647,17 @@ class World:
         for child in process.children:
             child.parent = None
             self.reap_process(child)
+
+    @staticmethod
+    def _seal(thread: Thread) -> None:
+        """Seal a frozen thread's continuation for its dead context.  A
+        timed recv it was parked on can never complete now, so its timer
+        goes at once: a ticket woken while frozen has left its wait
+        queue, and no later wake-up would tell it."""
+        thread.task.seal()
+        parked = thread.parked
+        if type(parked) is _RecvAttempt:
+            parked._disarm()
 
     def reap_process(self, process: Process) -> None:
         """Retire a zombie and free its pid.
@@ -654,7 +694,7 @@ class World:
                     continue
                 if task.state is not TaskState.FROZEN and not task.done:
                     task.freeze()
-                task.seal()
+                self._seal(thread)
             process.state = "zombie"
             process.exit_code = -SIGKILL
             for fd in list(process.fds):
@@ -700,7 +740,7 @@ class World:
             # continuation substitution for memory contents)
             if task.state is not TaskState.FROZEN:
                 task.freeze()
-            task.seal()
+            self._seal(thread)
         for fd in list(process.fds):
             entry = process.fds.pop(fd)
             desc = entry.description
@@ -1043,7 +1083,7 @@ class World:
         return process.user_state.setdefault("_semaphores", {})
 
     def _sys_sem_create(self, task, thread, process, value) -> None:
-        sem = Semaphore(value)
+        sem = Semaphore(next(self.sem_ids), value)
         self._semaphores(process)[sem.sem_id] = sem
         task.complete_call(sem.sem_id)
 
@@ -1375,7 +1415,7 @@ class World:
         self._sys_send_chunk(task, thread, process, fd, Chunk(nbytes, data=data, ctrl=ctrl))
 
     def _sys_send_chunk(self, task, thread, process, fd, chunk, force=False) -> None:
-        parked = thread.parked_send
+        parked = thread.parked
         if parked is not None and parked.live:
             # this same call, re-issued at a thaw that no drain came
             # before: its first issue's reservation still stands in the
@@ -1387,17 +1427,27 @@ class World:
         if accepted is None:  # copied into the kernel synchronously
             task.complete_call(chunk.nbytes)
         else:
-            thread.parked_send = self._settle(task, accepted, value=chunk.nbytes)
+            thread.parked = self._settle(task, accepted, value=chunk.nbytes)
 
     def _sys_recv(self, task, thread, process, fd, timeout=None) -> None:
         ep = self._socket_desc(process, fd)
         check_pipe_direction(ep, "recv")
         attempt = _RecvAttempt(task, ep, timeout)
+        first = thread.parked
+        if first is not None and first.live:
+            # this same call, re-issued at a thaw: it waits out the first
+            # issue's timer, which it takes over
+            timer = attempt.timer = first.timer
+            first.timer = None
+            timer.args = (attempt,)
+            thread.parked = attempt
         attempt()
-        if timeout is not None and task.pending_call is not None:
-            # the function and a 1-tuple, not a bound method: ~10^4 of these
-            # timers sit in the heap at once on the service workloads
-            self.engine.call_after(timeout, _RecvAttempt.expire, attempt)
+        if timeout is not None and attempt.timer is None and task.pending_call is not None:
+            # the function and a 1-tuple, not a bound method: one timer is
+            # armed per timed wait in flight, and it leaves the heap when
+            # its wait ends (DESIGN.md §8)
+            attempt.timer = self._call_after(timeout, _RecvAttempt.expire, attempt)
+            thread.parked = attempt
 
     def _sys_setsockopt(self, task, thread, process, fd, option, value) -> None:
         desc = process.get_fd(fd)

@@ -7,12 +7,12 @@ same interleaving.
 
 ``Engine._fire`` is the one loop that fires events: ``step`` is one
 pass of it, and ``run``, ``run_window`` and ``run_until`` only set its
-bounds.  Three hot-path design points (see DESIGN.md §8):
+bounds.  Four hot-path design points (see DESIGN.md §8):
 
 * An event is its own heap entry: a slotted ``list`` subclass whose list
   part ``[time, seq]`` ``heapq`` compares at C speed.  One object per
   pending callback instead of an event plus a ``(time, seq, event)``
-  tuple: 164 traced bytes instead of 212.
+  tuple: 172 traced bytes instead of 212.
 * Events scheduled at the *current* time (``call_soon`` and zero-delay
   ``call_after``) bypass the heap entirely and go to a FIFO deque.  This
   is safe because every heap entry at time ``t`` was pushed while the
@@ -22,6 +22,11 @@ bounds.  Three hot-path design points (see DESIGN.md §8):
   -- draining the heap first, then the FIFO, replays the exact global
   ``(time, seq)`` order a heap-only engine produces (the oracle that
   ``tests/test_perf_core.py`` compares against).
+* Cancelling is O(1) and the heap sheds what it cancelled: once the
+  cancellations since the last rebuild outnumber half of a heap larger
+  than ``_SHED_FLOOR``, the heap is rebuilt in place from its live
+  events (asyncio's rule for cancelled timer handles).  Keys are unique,
+  so the pop order, and every fired event, stays the same.
 * CPython's cyclic collector is suspended while events fire (the
   ``timeit`` pattern).  A run frees what it drops by reference counting,
   so an automatic collection would only re-scan the live world; an
@@ -50,6 +55,9 @@ _gc_was_enabled = False
 #: Why ``Engine._fire`` stopped: the queues drained, the next event lies
 #: after ``until``, the predicate held, or the event limit was reached.
 _DRAINED, _LATER, _HELD, _SPENT = range(4)
+
+#: No heap at or below this size is rebuilt to shed cancelled events.
+_SHED_FLOOR = 256
 
 
 def _suspend_gc() -> None:
@@ -91,9 +99,10 @@ class Event(list):
     callback rides in slots, which the fire loop reads at attribute
     speed (CPython specializes no subscript of a list subclass).  Firing
     clears ``fn``; cancelling clears ``fn`` and ``engine``.
-    Cancellation is O(1): the entry stays queued and is skipped when it
-    reaches the front.  A list is unhashable, so an event is never a
-    set member or dict key.
+    Cancellation is O(1) amortized: the entry stays queued and is
+    skipped when it reaches the front, or dropped when the engine sheds
+    its cancelled events (:meth:`Engine._shed`).  A list is unhashable,
+    so an event is never a set member or dict key.
     """
 
     __slots__ = ("time", "seq", "fn", "args", "engine")
@@ -110,8 +119,12 @@ class Event(list):
         """Mark the event dead; it is skipped when popped."""
         if self.fn is not None:
             self.fn = None
-            self.engine._live -= 1
+            engine = self.engine
             self.engine = None
+            engine._live -= 1
+            engine._cancelled += 1
+            if 2 * engine._cancelled > len(engine._heap) > _SHED_FLOOR:
+                engine._shed()
 
 
 class Engine:
@@ -141,6 +154,8 @@ class Engine:
         #: Live (scheduled, not cancelled, not fired) event count, kept in
         #: step with push/cancel/fire so ``pending`` never scans the heap.
         self._live: int = 0
+        #: Events cancelled since the heap last shed its dead entries.
+        self._cancelled: int = 0
         self._running = False
         #: Total events executed; useful for complexity assertions in tests.
         self.events_fired: int = 0
@@ -234,6 +249,15 @@ class Engine:
     def pending(self) -> int:
         """Number of live (non-cancelled) events still queued.  O(1)."""
         return self._live
+
+    def _shed(self) -> None:
+        """Rebuild the heap from its live events, in place: ``_fire`` may
+        be running with the list as a local.  Exact, because ``(time,
+        seq)`` keys are unique: the pop order is the same either way."""
+        heap = self._heap
+        heap[:] = [ev for ev in heap if ev.fn is not None]
+        heapq.heapify(heap)
+        self._cancelled = 0
 
     def peek_time(self) -> Optional[float]:
         """Virtual time of the next live event, or None if idle."""

@@ -475,21 +475,16 @@ class ShardContext:
 
 
 def _reset_sim_counters() -> None:
-    """Re-seed identity-only module counters in a forked worker.
+    """Re-seed the task-id counter in a forked worker.
 
-    inode/buffer/task ids never reach committed artifacts, but resetting
-    them keeps per-shard traces comparable run to run.  Only the mp
-    backend calls this (inline shards share one interpreter).
+    Task ids never reach committed artifacts, but resetting them keeps
+    per-shard traces comparable run to run.  Only the mp backend calls
+    this (inline shards share one interpreter).  Kernel identities need
+    no reset: they are counted per world.
     """
-    import itertools
-
-    from repro.kernel.sockets import SocketEndpoint
-    from repro.kernel.streams import ByteBuffer
     from repro.sim.tasks import Task
 
     Task._ids = 0
-    SocketEndpoint._inodes = itertools.count(1)
-    ByteBuffer._ids = itertools.count(1)
 
 
 def _worker_body(

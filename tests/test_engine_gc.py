@@ -14,7 +14,10 @@ suite pins both halves:
 * (d) nothing outlives what it belongs to: a killed member is freed
   once its computation is restarted, an idle socket buffer holds no
   ``deque``, and a restored process's threads let go of its image once
-  the restart is done.
+  the restart is done;
+* (e) a finished wait leaves nothing armed: supervised checkpoints keep
+  the heap flat, and no timed recv's ticket or timer outlives its wait,
+  whether it completed, expired, was re-issued at a thaw or was killed.
 
 Plus the profiler's collector line, which reads ``gc.callbacks``.
 """
@@ -23,16 +26,17 @@ import gc
 import sys
 import threading
 import weakref
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 
 from repro.cluster import build_cluster
 from repro.core.launch import DmtcpComputation
-from repro.errors import SimulationError
+from repro.errors import SimulationError, SyscallError
 from repro.faults.supervisor import _image_file
+from repro.kernel.world import World, _RecvAttempt
 from repro.obs.profiler import CollectorClock, ProfileReport, format_report
-from repro.sim.engine import Engine
+from repro.sim.engine import Engine, Event
 from repro.sim.parallel import run_sharded
 
 
@@ -323,6 +327,114 @@ def test_a_restored_process_lets_go_of_its_image_once_restarted():
     for f in files:
         f.payload = None
     assert [ref() for ref in images] == [None] * 4
+
+
+# ----------------------------------------------------------------------
+# (e) a finished wait leaves nothing armed
+# ----------------------------------------------------------------------
+
+def _supervised(program, n: int):
+    world = build_cluster(n_nodes=2, seed=0)
+    world.register_program("member", program)
+    comp = DmtcpComputation(world, compression=False, supervise=True)
+    hosts = world.machine.hostnames
+    for i in range(n):
+        comp.launch(hosts[i % 2], "member")
+    world.engine.run(until=0.5)
+    return world, comp
+
+
+def _sleeper(sys, argv):
+    while True:
+        yield from sys.sleep(1.0)
+
+
+def test_supervised_checkpoints_keep_the_heap_flat():
+    """Every supervised barrier wait is a timed recv whose timeout
+    outlives the checkpoint.  A finished wait's timer goes, so twelve
+    checkpoints leave no more events pending than six, and the heap
+    holds what is pending plus at most the floor below which cancelled
+    events are not shed."""
+    from repro.sim.engine import _SHED_FLOOR
+
+    world, comp = _supervised(_sleeper, 16)
+    engine = world.engine
+    pending, heap = [], []
+    for _ in range(12):
+        comp.checkpoint()
+        engine.run(until=engine.now + 0.5)
+        pending.append(engine.pending)
+        heap.append(len(engine._heap))
+    assert max(pending[6:]) <= max(pending[:6]), pending
+    assert max(heap) <= _SHED_FLOOR + 2 * pending[-1], heap
+
+
+def _ticker(sys, fd):
+    while True:
+        for pause in (0.1, 0.5):
+            yield from sys.sleep(pause)
+            yield from sys.send(fd, 64)
+
+
+def _timed_reader(outcomes):
+    """A member that reads a socketpair with a 0.3 s timeout while its
+    writer thread pauses 0.1 and 0.5 s in turn: every other wait
+    completes and every other one expires."""
+
+    def main(sys, argv):
+        a, b = yield from sys.socketpair()
+        yield from sys.thread_create(_ticker, b)
+        while True:
+            try:
+                yield from sys.recv(a, timeout=0.3)
+                outcomes["completed"] += 1
+            except SyscallError as err:
+                outcomes[err.errno] += 1
+
+    return main
+
+
+def test_timed_recvs_leave_nothing_behind_on_any_path(monkeypatch):
+    """Completion, expiry, freeze and re-issue (a reader parked across
+    each checkpoint takes its first issue's timer over at resume) and
+    kill (``--kill`` and restart): no ticket or event becomes cyclic
+    garbage, and once the heap has shed its cancelled events, every recv
+    ticket still alive belongs to a wait in flight."""
+    outcomes = Counter()
+    sys_recv = World._sys_recv
+
+    def counting_recv(self, task, thread, process, fd, timeout=None):
+        first = thread.parked
+        if first is not None and first.live:
+            outcomes["re-issued"] += 1
+        sys_recv(self, task, thread, process, fd, timeout)
+
+    monkeypatch.setattr(World, "_sys_recv", counting_recv)
+    world, comp = _supervised(_timed_reader(outcomes), 4)
+    engine = world.engine
+
+    def rounds():
+        for _ in range(3):
+            comp.checkpoint()
+            engine.run(until=engine.now + 0.45)
+        comp.restart(plan=comp.checkpoint(kill=True).plan)
+        engine.run(until=engine.now + 2.0)
+
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        rounds()
+        gc.collect()
+        cyclic = [o for o in gc.garbage if isinstance(o, (_RecvAttempt, Event))]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert min(outcomes[k] for k in ("completed", "ETIMEDOUT", "re-issued")) > 0, outcomes
+    assert cyclic == []
+    engine._shed()
+    gc.collect()
+    tickets = [o for o in gc.get_objects() if type(o) is _RecvAttempt]
+    assert tickets and all(t.live for t in tickets), len(tickets)
 
 
 # ----------------------------------------------------------------------

@@ -333,3 +333,29 @@ def test_syslog_state_tracked(world):
     proc = world.spawn_process("node00", "logger")
     run(world)
     assert proc.syslog_state == {"open": False, "ident": "mydaemon", "messages": 2}
+
+
+def test_identities_are_per_world():
+    """Two worlds built in one interpreter number their semaphores,
+    threads, socket inodes and ptys alike: no counter is shared."""
+
+    def first_ids():
+        world = build_cluster(n_nodes=1, seed=0)
+        seen = {}
+
+        def main(sys, argv):
+            seen["sem"] = yield from sys.sem_create(1)
+            a, _b = yield from sys.socketpair()
+            process = world.find_process("node00", (yield from sys.getpid()))
+            seen["inode"] = process.get_fd(a).inode
+            seen["tid"] = process.threads[0].tid
+            master, _slave = yield from sys.openpty()
+            seen["pty"] = yield from sys.ptsname(master)
+
+        world.register_program("ids", main)
+        world.spawn_process("node00", "ids")
+        world.engine.run()
+        return seen
+
+    first = first_ids()
+    assert first_ids() == first == {"sem": 1, "inode": 1, "tid": 1, "pty": "/dev/pts/0"}

@@ -40,7 +40,7 @@ def test_frame_chunks_large_message_split_and_sum_preserved():
     assert all(c.data is None for c in chunks[1:])
     assert sum(c.nbytes for c in chunks) == size + FRAME_HEADER_BYTES
     assert chunks[-1].frame_last and not any(c.frame_last for c in chunks[:-1])
-    assert len({c.frame_id for c in chunks}) == 1
+    assert [c.frame_first for c in chunks] == [True] + [False] * 5
 
 
 def test_assembler_roundtrip():
